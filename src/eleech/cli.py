@@ -21,9 +21,6 @@ def main(argv=None) -> int:
         description="Exact machinery for the Lorentzian Eisenstein Leech "
         "lattice, its 26-root diagram and reflection group.",
     )
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallelism degree (execution is sequential "
-                        "and deterministic at any value)")
     sub = parser.add_subparsers(dest="cmd")
 
     p_codes = sub.add_parser("codes", help="ternary/binary code utilities")
@@ -158,8 +155,7 @@ def _cmd_diagram(args) -> int:
 
 
 def diagram_check_lines(d):
-    from .rings import SqrtThree, OMEGA2
-    from .linalg import mat_det
+    from .rings import SqrtThree
 
     c = d.constants()
     checks = []
@@ -209,9 +205,9 @@ def _cmd_isom(args) -> int:
             chg = iso.ChangeOfBasis(e1, e2)
         except ValueError as exc:
             return _report([("error", str(exc))], False)
-        from .reflections import aut_from_rational
+        from .linalg import AutMatrix
 
-        cmat = aut_from_rational(chg.mat)
+        cmat = AutMatrix.from_rational(chg.mat)
         out_lines = [
             ("gram_equal", "ok"),
             ("lattice_bijection", "ok"),

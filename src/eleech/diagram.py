@@ -13,7 +13,6 @@ made on exact squares in Q(sqrt 3).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from importlib import resources
 from itertools import product
 
@@ -29,8 +28,8 @@ from .rings import (
     XI,
     SQRT3_C as SQRT3_C12,
 )
-from .linalg import AutMatrix, Basis, FORM_E8H
-from .reflections import aut_from_rational
+from .linalg import AutMatrix, FORM_E8H, aut_from_images, spanning_basis
+from .reflections import reflection_matrix
 
 E = Eis
 _O = ZERO
@@ -195,6 +194,7 @@ class Diagram:
         self._gram = None
         self._basis = None
         self._constants = None
+        self._reflections = {}
 
     # -- adjacency ---------------------------------------------------------
 
@@ -224,32 +224,30 @@ class Diagram:
     def root_basis(self):
         """14 nodes whose roots form a Q(w)-basis, with exact solver."""
         if self._basis is None:
-            chosen = []
-            for n in self.nodes:
-                trial = chosen + [n]
-                if _rank([m.root for m in trial]) == len(trial):
-                    chosen.append(n)
-                if len(chosen) == 14:
-                    break
-            self._basis = (tuple(chosen), Basis([n.root for n in chosen]))
+            picked, basis = spanning_basis([n.root for n in self.nodes])
+            self._basis = (tuple(self.nodes[i] for i in picked), basis)
         return self._basis
 
     def aut_from_node_images(self, image):
         """The lattice map sending node root i to image(i) (an exact vector).
 
-        image: callable index -> coordinate vector.  The map is built from
-        14 independent roots and then verified on all 26.
+        image: callable index -> coordinate vector.  The map is solved on
+        the cached root basis and then verified on all 26 roots.
         """
         chosen, basis = self.root_basis()
-        img_cols = tuple(zip(*[image(n.index) for n in chosen]))
-        from .linalg import mat_mul
+        return aut_from_images(
+            [n.root for n in self.nodes],
+            [tuple(image(n.index)) for n in self.nodes],
+            ([n.index for n in chosen], basis),
+        )
 
-        m = mat_mul(img_cols, basis._inv)
-        aut = aut_from_rational(m)
-        for n in self.nodes:
-            if aut.apply(n.root) != tuple(image(n.index)):
-                raise ValueError("node images are not linearly consistent")
-        return aut
+    def node_reflection(self, name) -> AutMatrix:
+        """The w-reflection in the named node root, cached per diagram."""
+        got = self._reflections.get(name)
+        if got is None:
+            got = reflection_matrix(self.by_name[name].root, OMEGA, self.form)
+            self._reflections[name] = got
+        return got
 
     # -- diagram automorphisms ----------------------------------------------
 
@@ -400,23 +398,6 @@ def _sum_vectors(vs):
     return tuple(out)
 
 
-def _rank(vectors):
-    rows = [[Eis(Fraction(x.a), Fraction(x.b)) for x in v] for v in vectors]
-    rank = 0
-    ncols = len(rows[0])
-    pivots = []
-    for row in rows:
-        for pcol, prow in pivots:
-            if row[pcol]:
-                f = row[pcol].frac_div(prow[pcol])
-                row = [x - f * y for x, y in zip(row, prow)]
-        nz = next((i for i, x in enumerate(row) if x), None)
-        if nz is not None:
-            pivots.append((nz, row))
-            rank += 1
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # numeric local-maximum probe (floating point diagnostic, not acceptance)
 
@@ -506,9 +487,10 @@ def weyl_second_order_sign(diagram) -> int:
     n_plus = SqrtThree(-78, 104)
     n_minus = SqrtThree(-78, -104)
     # orthogonality of the two Weyl representatives makes the cross terms
-    # vanish; assert it rather than assume it
+    # vanish; check it rather than assume it
     c = diagram.constants()
-    assert not diagram.form.ip12(c.rho_hat, c.rho_hat_minus)
+    if diagram.form.ip12(c.rho_hat, c.rho_hat_minus):
+        raise ValueError("the two Weyl representatives are not orthogonal")
     return (b * b * n_plus - a * a * n_minus).sign()
 
 
@@ -537,65 +519,6 @@ def _load_labeling():
             continue
         name, a, b, c = line.split()
         out[name] = (int(a), int(b), int(c))
-    return out
-
-
-def find_labeling(adjacency, node_kinds, names):
-    """Search a triple assignment making adjacency equal incidence.
-
-    Backtracking over point assignments; each line then has to match the
-    unique plane line through its four point neighbours.  Deterministic:
-    first solution in lexicographic candidate order.
-    """
-    plane = ProjPlane()
-    pts = [i for i, k in enumerate(node_kinds) if k == "point"]
-    lns = [i for i, k in enumerate(node_kinds) if k == "line"]
-    line_blocks = {
-        l: frozenset(p for p in pts if adjacency[l][p]) for l in lns
-    }
-    assign = {}
-    used = set()
-
-    def line_of(p1, p2):
-        for l in plane.triples:
-            if _dot3(l, p1) == 0 and _dot3(l, p2) == 0:
-                return l
-        return None
-
-    def consistent():
-        for l, block in line_blocks.items():
-            placed = [assign[p] for p in block if p in assign]
-            if len(placed) >= 2:
-                pl = line_of(placed[0], placed[1])
-                if pl is None or any(_dot3(pl, x) for x in placed):
-                    return False
-        return True
-
-    def bt(k):
-        if k == len(pts):
-            return True
-        p = pts[k]
-        for t in plane.triples:
-            if t in used:
-                continue
-            assign[p] = t
-            used.add(t)
-            if consistent() and bt(k + 1):
-                return True
-            del assign[p]
-            used.discard(t)
-        return False
-
-    if not bt(0):
-        raise RuntimeError("no labeling found; adjacency is not P2(F3)")
-    out = {}
-    for p in pts:
-        out[names[p]] = assign[p]
-    for l in lns:
-        placed = [assign[p] for p in line_blocks[l]]
-        pl = line_of(placed[0], placed[1])
-        assert pl is not None and all(_dot3(pl, x) == 0 for x in placed)
-        out[names[l]] = pl
     return out
 
 

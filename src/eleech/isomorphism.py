@@ -11,11 +11,12 @@ the simplex / E8-diagram / orthogonality / hyperbolic-completion steps.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
 from .rings import Eis, OMEGA, OMEGA2, THETA, UNITS, ZERO, ONE
-from .linalg import FORM_E8H, FORM_LEECH_H, Basis, mat_mul
+from .linalg import FORM_E8H, FORM_LEECH_H, Basis, kernel, mat_mul, mat_vec, vec_integral
 from .lattices import (
     flat_re_ip2,
     from_flat,
@@ -23,7 +24,6 @@ from .lattices import (
     leech_ip,
 )
 from .textio import parse_matrix
-from .reflections import _integral
 
 
 def load_e1():
@@ -85,26 +85,22 @@ class ChangeOfBasis:
         from .lattices import lattice_leech_h, lattice_3e8_h, in_l_e8h
 
         for v in lattice_leech_h().basis:
-            w = self.to_e8h(v)
-            if not all(_integral(x) for x in w):
+            w = vec_integral(mat_vec(self.mat, v))
+            if w is None:
                 raise ValueError("C does not map Leech+H into 3E8+H")
-            if not in_l_e8h(_intify(w)):
+            if not in_l_e8h(w):
                 raise ValueError("C image misses the 3E8+H lattice")
         for v in lattice_3e8_h().basis:
-            w = self.to_leech_h(v)
-            if not all(_integral(x) for x in w):
+            w = vec_integral(mat_vec(self.inv, v))
+            if w is None:
                 raise ValueError("C^-1 does not map 3E8+H into Leech+H")
-            if not in_l_leech_h(_intify(w)):
+            if not in_l_leech_h(w):
                 raise ValueError("C^-1 image misses the Leech+H lattice")
 
     def to_e8h(self, v):
-        from .linalg import mat_vec
-
         return _intify(mat_vec(self.mat, v))
 
     def to_leech_h(self, v):
-        from .linalg import mat_vec
-
         return _intify(mat_vec(self.inv, v))
 
     def preserves_form_on(self, vectors) -> bool:
@@ -116,12 +112,11 @@ class ChangeOfBasis:
 
 
 def _intify(v):
+    """v with its Z[w] entries as int pairs; other entries stay in Q(w)."""
     out = []
     for x in v:
-        if _integral(x):
-            out.append(Eis(int(x.a), int(x.b)))
-        else:
-            out.append(x)
+        y = x.integral()
+        out.append(x if y is None else y)
     return tuple(out)
 
 
@@ -279,42 +274,15 @@ def psi_root(flat_lambda, beta2):
     """
     lam = from_flat(flat_lambda)
     # theta/2 + beta = (1 + beta2)/2 + w
-    a = (1 + beta2) // 2
-    assert (1 + beta2) % 2 == 0
+    a, odd = divmod(1 + beta2, 2)
+    if odd:
+        raise ValueError("beta2 must be odd for an integral root tail")
     tail = Eis(a, 1)
     return lam + (ONE, tail)
 
 
 def quadruple_roots(delta, perm, betas):
     return tuple(psi_root(delta[i], b) for i, b in zip(perm, betas))
-
-
-def find_orthogonal_pair(delta, quads):
-    """Two quadruples whose eight roots are pairwise orthogonal across.
-
-    Orthogonality of (delta;1,*) roots over distinct simplex vertices
-    needs beta_i - beta'_j + [delta_i, delta'_j] = 0 for all 16 pairs; a
-    global integer shift of the second beta vector is free.
-    """
-    d2 = _pairing_table(delta)
-    for a in range(len(quads)):
-        pa, ba = quads[a]
-        sa = set(pa)
-        for b in range(a + 1, len(quads)):
-            pb, bb = quads[b]
-            if sa & set(pb):
-                continue
-            vals = {
-                ba[i] - bb[j] + d2[pa[i]][pb[j]]
-                for i in range(4)
-                for j in range(4)
-            }
-            if len(vals) == 1:
-                shift = vals.pop()
-                if shift % 2 == 0:
-                    bb2 = tuple(x + shift for x in bb)
-                    return (pa, ba), (pb, bb2)
-    return None
 
 
 def minimal_distance_candidates(shell, anchors):
@@ -389,16 +357,13 @@ def orthogonal_cell_basis(hand_roots):
     for r in hand_roots:
         rows.append(tuple(FORM_LEECH_H.ip(r, b) for b in L.basis))
     # kernel over Q(w) of the 12 x 14 matrix in basis coordinates
-    kern = _kernel(rows)
-    assert len(kern) == 2
+    kern = kernel(rows)
+    if len(kern) != 2:
+        raise ValueError("the hand roots do not leave a rank-2 complement")
     # clear denominators into the lattice, then HNF-reduce over E
     vecs = []
     for t in kern:
-        den = 1
-        for x in t:
-            for c in (x.a, x.b):
-                if isinstance(c, Fraction):
-                    den = den * c.denominator // _gcd(den, c.denominator)
+        den = math.lcm(*(c.denominator for x in t for c in (x.a, x.b)))
         tt = tuple(Eis(int(x.a * den), int(x.b * den)) for x in t)
         v = [ZERO] * 14
         for c, b in zip(tt, L.basis):
@@ -455,44 +420,6 @@ def _gauss_reduce_cell(u, v):
         else:
             break
     return [u, v]
-
-
-def _kernel(rows):
-    """Kernel basis of a matrix over Q(w) (rows act on coefficient space)."""
-    nc = len(rows[0])
-    work = [
-        [Eis(Fraction(x.a), Fraction(x.b)) for x in row] for row in rows
-    ]
-    pivots = []
-    for row in work:
-        r = row[:]
-        for col, prow in pivots:
-            if r[col]:
-                f = r[col].frac_div(prow[col])
-                r = [x - f * y for x, y in zip(r, prow)]
-        nz = next((i for i, x in enumerate(r) if x), None)
-        if nz is not None:
-            pivots.append((nz, r))
-    pivot_cols = {c for c, _ in pivots}
-    free = [c for c in range(nc) if c not in pivot_cols]
-    basis = []
-    for fc in free:
-        t = [Eis(Fraction(0), Fraction(0))] * nc
-        t[fc] = Eis(Fraction(1), Fraction(0))
-        for col, prow in reversed(pivots):
-            s = Eis(Fraction(0), Fraction(0))
-            for j in range(col + 1, nc):
-                if prow[j] and t[j]:
-                    s = s + prow[j] * t[j]
-            t[col] = -s.frac_div(prow[col])
-        basis.append(tuple(t))
-    return basis
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def orthogonal_root_candidates(shell, delta_flats, hand_roots):

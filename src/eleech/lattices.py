@@ -424,7 +424,8 @@ def leech_basis():
         row[0] = Eis(3, 0) * THETA
         gens.append(tuple(row))
         basis = _hnf_basis(gens, leech_ip)
-        assert len(basis) == 12
+        if len(basis) != 12:
+            raise ArithmeticError("Leech spanning set does not have rank 12")
         _LEECH_BASIS = basis
     return _LEECH_BASIS
 
@@ -445,7 +446,8 @@ def e8_basis():
             row[i] = THETA
             gens.append(tuple(row))
         basis = _hnf_basis(gens, e8_ip)
-        assert len(basis) == 4
+        if len(basis) != 4:
+            raise ArithmeticError("E8 spanning set does not have rank 4")
         _E8_BASIS = basis
     return _E8_BASIS
 

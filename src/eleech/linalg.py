@@ -5,11 +5,14 @@ Hermitian forms are conjugate linear in the FIRST argument and linear in
 the second.  Lattice automorphisms are held as ``AutMatrix``: an exact
 coordinate-space matrix A / theta^k (theta-denominators arise because the
 coordinate lattice E^n may be strictly larger than the lattice acted on).
+One fraction-free elimination over Z[w] serves the determinant, the
+inverse, the choice of independent vectors and the kernel; Q(w) enters
+only in a final division.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from .rings import Eis, Cyclo12, THETA, ZERO, ONE
 
@@ -17,32 +20,27 @@ EVector = tuple
 EMatrix = tuple
 
 
-def vec(*entries) -> EVector:
-    return tuple(x if isinstance(x, Eis) else Eis(x) for x in entries)
-
-
 def vec_add(u, v):
     return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
 
 
 def vec_scale(s, u):
     return tuple(s * x for x in u)
 
 
-def vec_neg(u):
-    return tuple(-x for x in u)
-
-
 def vec_is_zero(u) -> bool:
     return not any(u)
 
 
-def vec_is_integral(u) -> bool:
-    return all(x.is_integral() for x in u)
+def vec_integral(v):
+    """v with every entry as a Z[w] element, or None when one is not."""
+    out = []
+    for x in v:
+        y = x.integral()
+        if y is None:
+            return None
+        out.append(y)
+    return tuple(out)
 
 
 def mat_vec(m, v):
@@ -57,10 +55,6 @@ def mat_mul(a, b):
     )
 
 
-def mat_transpose(m):
-    return tuple(zip(*m))
-
-
 def mat_conj_transpose(m):
     return tuple(tuple(x.conj() for x in col) for col in zip(*m))
 
@@ -72,14 +66,6 @@ def mat_identity(n) -> EMatrix:
 def mat_scalar(n, s) -> EMatrix:
     s = s if isinstance(s, Eis) else Eis(s)
     return tuple(tuple(s if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def mat_eq(a, b) -> bool:
-    return a == b
-
-
-def mat_is_hermitian(g) -> bool:
-    return g == mat_conj_transpose(g)
 
 
 def hermitian_ip(u, v, g) -> Eis:
@@ -99,52 +85,100 @@ def hermitian_ip(u, v, g) -> Eis:
     return total
 
 
-def mat_det(m) -> Eis:
-    """Exact determinant over Z[w] by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    a = [list(row) for row in m]
-    sign = 1
+# ---------------------------------------------------------------------------
+# the exact elimination core
+
+
+def _eliminate(rows, width=None):
+    """Fraction-free Gauss-Jordan elimination of a Z[w] matrix (Bareiss).
+
+    Pivots are taken column by column among the first ``width`` columns
+    (all by default), each from the first row at or below the current one
+    with a nonzero entry there.  A step sets row_i <- (p row_i - f row_p) / q
+    for every other row, with p the new pivot, f the row's entry in the
+    pivot column and q the previous pivot; the division is exact because
+    every entry stays a minor of the input.  Afterwards each pivot row holds
+    the last pivot d at its pivot column and zeros at the other pivot
+    columns, so the reduced row echelon form over Q(w) is the result / d.
+
+    Returns (rows, pivot columns, d, sign of the row permutation); d is
+    sign * det for a nonsingular square input.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    width = len(a[0]) if width is None else width
+    pivots = []
     prev = ONE
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
-            a[i][k] = ZERO
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
+    sign = 1
+    for c in range(width):
+        r = len(pivots)
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        prow = a[r]
+        p = prow[c]
+        for i in range(n):
+            row = a[i]
+            f = row[c]
+            if i == r or (not f and p == prev):
+                continue
+            for j, x in enumerate(row):
+                y = prow[j]
+                if f and y:
+                    x = p * x - f * y
+                elif x:
+                    x = p * x
+                else:
+                    continue
+                row[j] = x.exact_div(prev) if prev != ONE else x
+        prev = p
+        pivots.append(c)
+    return a, pivots, prev, sign
+
+
+def mat_det(m) -> Eis:
+    """Exact determinant over Z[w]."""
+    _, pivots, d, sign = _eliminate(m)
+    if len(pivots) < len(m):
+        return ZERO
     return -d if sign < 0 else d
 
 
 def mat_inverse(m) -> EMatrix:
-    """Exact inverse over Q(w): Gauss-Jordan with Fraction components."""
+    """Exact inverse over Q(w): eliminate [m | I] in Z[w], divide once."""
     n = len(m)
-    a = [[Eis(Fraction(x.a), Fraction(x.b)) for x in row] for row in m]
-    inv = [[Eis(Fraction(int(i == j))) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        p = a[col][col]
-        for j in range(n):
-            a[col][j] = a[col][j].frac_div(p)
-            inv[col][j] = inv[col][j].frac_div(p)
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                for j in range(n):
-                    a[r][j] = a[r][j] - f * a[col][j]
-                    inv[r][j] = inv[r][j] - f * inv[col][j]
-    return tuple(tuple(row) for row in inv)
+    aug = [tuple(row) + e for row, e in zip(m, mat_identity(n))]
+    a, pivots, d, _ = _eliminate(aug, n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    return tuple(tuple(x.frac_div(d) for x in row[n:]) for row in a)
+
+
+def independent(vectors) -> list:
+    """Indices of the vectors independent of all earlier ones: the first
+    basis of their span, in order."""
+    return _eliminate(tuple(zip(*vectors)))[1]
+
+
+def kernel(rows) -> list:
+    """Kernel basis over Q(w) of a matrix acting on column vectors: one
+    vector per free column, 1 there and 0 at the other free columns."""
+    a, pivots, d, _ = _eliminate(rows)
+    out = []
+    for f in range(len(rows[0])):
+        if f in pivots:
+            continue
+        t = [ZERO] * len(rows[0])
+        t[f] = ONE
+        for row, c in zip(a, pivots):
+            t[c] = (-row[f]).frac_div(d)
+        out.append(tuple(t))
+    return out
 
 
 class Basis:
@@ -161,13 +195,31 @@ class Basis:
 
     def integral_coeffs(self, v):
         """Like coeffs but None when any coefficient is non-integral."""
-        t = self.coeffs(v)
-        out = []
-        for x in t:
-            if not _is_integral_pair(x):
-                return None
-            out.append(Eis(int(x.a), int(x.b)))
-        return tuple(out)
+        return vec_integral(self.coeffs(v))
+
+
+def spanning_basis(vectors):
+    """(indices, Basis) of the first vectors that span the whole space."""
+    picked = independent(vectors)
+    if len(picked) != len(vectors[0]):
+        raise ValueError("vectors do not span the coordinate space")
+    return picked, Basis([vectors[i] for i in picked])
+
+
+def aut_from_images(sources, targets, spanning=None) -> "AutMatrix":
+    """The lattice map sending sources[i] to targets[i] for every i.
+
+    It is solved on the first spanning sources (``spanning`` may pass their
+    cached ``spanning_basis``), theta-cleared and checked on every pair.
+    Raises ValueError when no lattice map sends each source to its target.
+    """
+    picked, basis = spanning or spanning_basis(sources)
+    cols = tuple(zip(*(targets[i] for i in picked)))
+    aut = AutMatrix.from_rational(mat_mul(cols, basis._inv))
+    for s, t in zip(sources, targets):
+        if aut.apply(s) != tuple(t):
+            raise ValueError("images are not those of one lattice map")
+    return aut
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +312,25 @@ class AutMatrix:
         return cls(mat_identity(n))
 
     @classmethod
-    def from_columns(cls, cols, k=0) -> "AutMatrix":
-        return cls(tuple(zip(*cols)), k)
+    def from_rational(cls, rows) -> "AutMatrix":
+        """The AutMatrix equal to a Q(w) matrix: its entries times the least
+        theta power that makes them all integral, over that power.
+
+        A denominator 3^e is cleared by theta^(2e) = (-3)^e at the latest;
+        any other prime in a denominator raises ValueError.
+        """
+        den = math.lcm(*(c.denominator for row in rows for x in row for c in (x.a, x.b)))
+        while den % 3 == 0:
+            den //= 3
+        if den != 1:
+            raise ValueError("matrix is not theta-integral; not a lattice map")
+        k = 0
+        while True:
+            mat = [vec_integral(row) for row in rows]
+            if None not in mat:
+                return cls(mat, k)
+            rows = [[THETA * x for x in row] for row in rows]
+            k += 1
 
     def __eq__(self, other):
         if not isinstance(other, AutMatrix):
@@ -319,20 +388,11 @@ class AutMatrix:
         return s if self.mat == mat_scalar(self.n, s) else None
 
     def inverse(self) -> "AutMatrix":
-        # value = mat/theta^k, so inverse = theta^k * mat^{-1}; clear the
-        # rational denominators of mat^{-1} with theta powers.
-        cur = mat_inverse(self.mat)
-        j = 0
-        while not all(_is_integral_pair(x) for row in cur for x in row):
-            cur = tuple(tuple(THETA * x for x in row) for row in cur)
-            j += 1
-            if j > 14 * (self.k + 2):
-                raise ValueError("inverse not theta-integral; not a lattice map")
-        mat = tuple(tuple(Eis(int(x.a), int(x.b)) for x in row) for row in cur)
-        if j >= self.k:
-            return AutMatrix(mat, j - self.k)
-        extra = THETA ** (self.k - j)
-        return AutMatrix(tuple(tuple(extra * x for x in row) for row in mat))
+        # value = mat / theta^k, so the inverse is theta^k * mat^{-1}
+        scale = THETA ** self.k
+        return AutMatrix.from_rational(
+            [[scale * x for x in row] for row in mat_inverse(self.mat)]
+        )
 
     def conj_transpose(self) -> "AutMatrix":
         if self.k:
@@ -392,15 +452,6 @@ def _int_mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def _is_integral_pair(x: Eis) -> bool:
-    a, b = x.a, x.b
-    if isinstance(a, Fraction) and a.denominator != 1:
-        return False
-    if isinstance(b, Fraction) and b.denominator != 1:
-        return False
-    return True
-
-
 def int_charpoly(m) -> list:
     """Characteristic polynomial of an integer matrix (Faddeev-LeVerrier).
 
@@ -416,7 +467,8 @@ def int_charpoly(m) -> list:
         amk = _int_mat_mul(am, mk) if k > 1 else [row[:] for row in m]
         tr = sum(amk[i][i] for i in range(n))
         c, r = divmod(tr, k)
-        assert r == 0, "Faddeev-LeVerrier divisibility failed"
+        if r:
+            raise ArithmeticError("Faddeev-LeVerrier divisibility failed")
         c = -c
         coeffs[n - k] = c
         if k < n:

@@ -16,6 +16,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -32,8 +33,8 @@ from .rings import (
     unit_name,
     unit_from_name,
 )
-from .linalg import FORM_LEECH_H, FORM_E8H
-from .lattices import leech_ip, golay_words, in_l_e8h
+from .linalg import FORM_LEECH_H, FORM_E8H, vec_integral
+from .lattices import e8_ip, leech_ip, golay_words, in_l_e8h
 from .reflections import reflect, canonical_root
 from .textio import parse_matrix, parse_entry, format_vector
 
@@ -67,11 +68,13 @@ class Translation:
         # alpha0 = 2*zhalf, m = |lam|^2/3
         alpha0 = int(2 * self.zhalf)
         m3, r = divmod(self.norm, 3)
-        assert r == 0, "Leech norms are multiples of 3"
+        if r:
+            raise ValueError("lambda norm is not a multiple of 3; not a Leech vector")
         half = Eis(-(alpha0 + m3), -2 * m3)
         qa, ra = divmod(half.a, 2)
         qb, rb = divmod(half.b, 2)
-        assert ra == 0 and rb == 0
+        if ra or rb:
+            raise ValueError("translation tail is not integral")
         t2 = Eis(qa, qb) * al
         return mu2 + (al, t1 + t2 + be)
 
@@ -118,10 +121,11 @@ def build_generators(chg):
         gens_lh.append(t.apply(R2))
     out = []
     for g in gens_lh:
-        assert FORM_LEECH_H.ip(g, g) == Eis(-3, 0)
+        if FORM_LEECH_H.ip(g, g) != Eis(-3, 0):
+            raise ValueError("a generator is not a norm -3 root of Leech+H")
         h = chg.to_e8h(g)
-        assert in_l_e8h(h)
-        assert FORM_E8H.ip(h, h) == Eis(-3, 0)
+        if not in_l_e8h(h) or FORM_E8H.ip(h, h) != Eis(-3, 0):
+            raise ValueError("a transported generator is not a root of 3E8+H")
         out.append(h)
     return out
 
@@ -222,63 +226,36 @@ class HeightReducer:
         perturb_sources: list of (index, root) usable for perturbation, in
         preference order; each is tried with eps = w then wbar.
         """
-        steps = self._search(tuple(y0), perturb_sources, max_perturb, budget)
-        if steps is None:
+        found = self._search(tuple(y0), perturb_sources, max_perturb, budget)
+        if found is None:
             return None
-        term = self._terminal(tuple(y0), steps)
-        return ReductionCertificate(y0, steps, term)
-
-    def _terminal(self, y, steps):
-        for s in steps:
-            y = self._apply_step(y, s)
-        hit = _unit_multiple_of_node(y, self.diagram)
-        assert hit is not None
-        return (hit[0], unit_name(hit[1]))
-
-    def _apply_step(self, y, step):
-        if step[0] == "node":
-            r = self.diagram.nodes[step[1]].root
-        else:
-            r = self._sources[step[1]]
-        return reflect(r, _EPS[step[2]], y, self.form)
+        steps, (k, u) = found
+        return ReductionCertificate(y0, steps, (k, unit_name(u)))
 
     def _search(self, y, perturb_sources, max_perturb, budget):
-        self._sources = {idx: root for idx, root in perturb_sources}
+        """(steps, terminal hit) by strict descent from y, perturbing once
+        by a source when stuck and max_perturb allows; None when stuck."""
         steps = []
-        used = 0
         while budget > 0:
             budget -= 1
-            if _unit_multiple_of_node(y, self.diagram) is not None:
-                return steps
+            hit = _unit_multiple_of_node(y, self.diagram)
+            if hit is not None:
+                return steps, hit
             nxt = self._descend_step(y)
             if nxt is not None:
-                k, eps_name, y2 = nxt
+                k, eps_name, y = nxt
                 steps.append(("node", k, eps_name))
-                y = y2
                 continue
-            if used >= max_perturb:
+            if max_perturb < 1:
                 return None
             for idx, root in perturb_sources:
                 for eps_name in ("w", "wbar"):
                     y2 = reflect(root, _EPS[eps_name], y, self.form)
-                    tail = self._search_noperturb(y2, budget)
-                    if tail is not None:
-                        return steps + [("perturb", idx, eps_name)] + tail
+                    found = self._search(y2, (), 0, budget)
+                    if found is not None:
+                        tail, hit = found
+                        return steps + [("perturb", idx, eps_name)] + tail, hit
             return None
-        raise RuntimeError("height reduction budget exhausted")
-
-    def _search_noperturb(self, y, budget):
-        steps = []
-        while budget > 0:
-            budget -= 1
-            if _unit_multiple_of_node(y, self.diagram) is not None:
-                return steps
-            nxt = self._descend_step(y)
-            if nxt is None:
-                return None
-            k, eps_name, y2 = nxt
-            steps.append(("node", k, eps_name))
-            y = y2
         raise RuntimeError("height reduction budget exhausted")
 
     def _descend_step(self, y):
@@ -369,11 +346,7 @@ class LeechCVP:
         self.words = golay_words().words()
 
     def find_within(self, t, bound=3):
-        den = 1
-        for x in t:
-            for c in (x.a, x.b):
-                d = c.denominator if isinstance(c, Fraction) else 1
-                den = den * d // _igcd(den, d)
+        den = math.lcm(*(c.denominator for x in t for c in (x.a, x.b)))
         ti = [(int(x.a * den), int(x.b * den)) for x in t]
         limit = 9 * bound * den * den
         best = None
@@ -447,12 +420,6 @@ def _round_options_scaled(na, nb, den):
     return opts
 
 
-def _igcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def conway_reduce(mu, max_steps=200):
     """Reflections in h = 1 roots taking mu down to h(mu) = 1.
 
@@ -478,7 +445,8 @@ def conway_reduce(mu, max_steps=200):
             raise RuntimeError("covering-radius bound violated; axiom falsified")
         r, eps_name = _conway_root(y, w_l, lam)
         y2 = reflect(r, _EPS[eps_name], y, FORM_LEECH_H)
-        assert h_value_sq(y2) < h2, "proof guarantees strict decrease"
+        if not h_value_sq(y2) < h2:
+            raise RuntimeError("a Conway step did not decrease h; the proof's bound failed")
         steps.append((r, eps_name))
         y = y2
     raise RuntimeError("conway_reduce exceeded max_steps")
@@ -500,7 +468,7 @@ def _conway_root(y, w_l, lam):
     # beta parity: 2 beta + 1 = |lam|^2 mod 2
     beta = Fraction(1, 2) if lam_norm % 2 == 0 else Fraction(0)
     # b/theta = (-n + alpha1 - beta)/3... derive exactly below.
-    ip = leech_ip_frac(lam, w_l)
+    ip = e8_ip(lam, w_l) * Fraction(1, 3)  # the Leech pairing over Q(w)
     t = ip.frac_div(THETA)
     bracket = Fraction(2 * Fraction(t.a) - Fraction(t.b), 2)  # [lam, l]
     # b = n/theta + alpha1/conj(theta) + beta/theta - im<lam,l>/3
@@ -516,12 +484,15 @@ def _conway_root(y, w_l, lam):
                 n = cand
                 tb = tb2
                 break
-    assert Fraction(-1, 6) <= tb <= Fraction(1, 6)
+    if not Fraction(-1, 6) <= tb <= Fraction(1, 6):
+        raise RuntimeError("no shift n centers the reflection coefficient")
     tail_half = Fraction(-3 - m3 * 3, 6)  # theta coefficient (-3-|lam|^2)/6
-    tail = THETA * Eis(tail_half, Fraction(0)) + Eis(beta + n, Fraction(0))
-    assert tail.a.denominator == 1 and tail.b.denominator == 1
-    r = lam + (ONE, Eis(int(tail.a), int(tail.b)))
-    assert FORM_LEECH_H.ip(r, r) == Eis(-3, 0)
+    tail = (THETA * Eis(tail_half, Fraction(0)) + Eis(beta + n, Fraction(0))).integral()
+    if tail is None:
+        raise RuntimeError("the reflecting root has a non-integral tail")
+    r = lam + (ONE, tail)
+    if FORM_LEECH_H.ip(r, r) != Eis(-3, 0):
+        raise RuntimeError("the reflecting vector is not a norm -3 root")
     eps_name = "wbar" if tb <= 0 else "w"
     return r, eps_name
 
@@ -533,13 +504,6 @@ def _frac_norm_sum(v):
     return s
 
 
-def leech_ip_frac(u, v):
-    s = Eis(Fraction(0), Fraction(0))
-    for x, y in zip(u, v):
-        s = s + x.conj() * y
-    return Eis(-Fraction(s.a, 3), -Fraction(s.b, 3))
-
-
 def galois_norm_ht(diagram, r) -> int:
     """Nm(r): the rational norm of <r, rho_bar>/|rho_bar|^2 (diagnostic)."""
     c = diagram.constants()
@@ -548,7 +512,8 @@ def galois_norm_ht(diagram, r) -> int:
     np2 = SqrtThree(-78, 104) * SqrtThree(-78, 104)
     nm2 = SqrtThree(-78, -104) * SqrtThree(-78, -104)
     val = (ipp * 676 / np2) * (ipm * 676 / nm2)
-    assert val.q == 0 and val.p.denominator == 1
+    if val.q != 0 or val.p.denominator != 1:
+        raise ArithmeticError("Nm(r) is not a rational integer")
     return int(val.p)
 
 
@@ -625,19 +590,8 @@ def _expand_positions(diagram, points, s, big_units, small_units):
             for p, t in zip(pos, order):
                 for i in range(14):
                     acc[i] = acc[i] - Fraction(1, 3) * (t * points[p][i])
-            r = []
-            ok = True
-            for x in acc:
-                if (isinstance(x.a, Fraction) and x.a.denominator != 1) or (
-                    isinstance(x.b, Fraction) and x.b.denominator != 1
-                ):
-                    ok = False
-                    break
-                r.append(Eis(int(x.a), int(x.b)))
-            if not ok:
-                continue
-            r = tuple(r)
-            if not in_l_e8h(r):
+            r = vec_integral(acc)
+            if r is None or not in_l_e8h(r):
                 continue
             if diagram.form.ip(r, r) != Eis(-3, 0):
                 continue

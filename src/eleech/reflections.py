@@ -60,7 +60,7 @@ def reflection_matrix(r, mu, form) -> AutMatrix:
                 x = x + Eis(1, 0)
             row.append(x)
         rows.append(tuple(row))
-    return aut_from_rational(rows)
+    return AutMatrix.from_rational(rows)
 
 
 def _form_row(r, form: LorentzForm):
@@ -74,28 +74,6 @@ def _form_row(r, form: LorentzForm):
     out.append(THETA * r[13].conj())       # <r, e_13>
     out.append(-THETA * r[12].conj())      # <r, e_14>
     return tuple(out)
-
-
-def aut_from_rational(rows) -> AutMatrix:
-    """Clear theta denominators of a rational coordinate matrix."""
-    cur = tuple(tuple(x for x in row) for row in rows)
-    k = 0
-    while not all(_integral(x) for row in cur for x in row):
-        cur = tuple(tuple(THETA * x for x in row) for row in cur)
-        k += 1
-        if k > 6:
-            raise ValueError("matrix is not theta-integral; not a lattice map")
-    mat = tuple(tuple(Eis(int(x.a), int(x.b)) for x in row) for row in cur)
-    return AutMatrix(mat, k)
-
-
-def _integral(x: Eis) -> bool:
-    a, b = x.a, x.b
-    if isinstance(a, Fraction) and a.denominator != 1:
-        return False
-    if isinstance(b, Fraction) and b.denominator != 1:
-        return False
-    return True
 
 
 def adjacent(a, b, form) -> bool:

@@ -12,12 +12,13 @@ the lcm of the cyclotomic orders).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .rings import Eis, OMEGA, OMEGA2, ONE, ZERO, THETA, UNITS
-from .linalg import AutMatrix, int_charpoly, Basis, mat_mul
-from .reflections import reflection_matrix, reflect, aut_from_rational
+from .linalg import AutMatrix, int_charpoly, aut_from_images
+from .reflections import reflect
 
 INFINITE = "infinite"
 
@@ -36,24 +37,9 @@ class GroupWord:
     def matrix(self) -> AutMatrix:
         out = None
         for name in self.letters:
-            m = _node_reflection(self.diagram, name)
+            m = self.diagram.node_reflection(name)
             out = m if out is None else out @ m
         return out if out is not None else AutMatrix.identity(14)
-
-
-def _node_reflection(diagram, name) -> AutMatrix:
-    return _node_reflection_cached(id(diagram), diagram, name)
-
-
-_REFL_CACHE = {}
-
-
-def _node_reflection_cached(key, diagram, name):
-    got = _REFL_CACHE.get((key, name))
-    if got is None:
-        got = reflection_matrix(diagram.by_name[name].root, OMEGA, diagram.form)
-        _REFL_CACHE[(key, name)] = got
-    return got
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +56,8 @@ def cyclotomic_poly(d: int):
         if d % e == 0:
             den = _poly_mul(den, cyclotomic_poly(e))
     q, r = _poly_divmod([Fraction(c) for c in num], [Fraction(c) for c in den])
-    assert all(x == 0 for x in r)
+    if any(r):
+        raise ArithmeticError(f"Phi_{d} division left a remainder")
     return tuple(int(c) for c in q)
 
 
@@ -133,14 +120,12 @@ def matrix_order(m: AutMatrix, bound: int = 200):
             q, r = _poly_divmod(p, [Fraction(c) for c in phi])
             if all(x == 0 for x in r):
                 orders.append(d)
-                p = q + [Fraction(0)] * 0
+                p = q
                 continue
         d += 1
     if len(p) > 1:
         return INFINITE
-    big_n = 1
-    for d in orders:
-        big_n = big_n * d // _gcd(big_n, d)
+    big_n = math.lcm(*orders)
     if not (m ** big_n).is_identity():
         return INFINITE
     best = big_n
@@ -150,12 +135,6 @@ def matrix_order(m: AutMatrix, bound: int = 200):
                 best = d
                 break
     return best
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):
@@ -399,7 +378,7 @@ def coxeter_table(diagram, alternates=0):
         for emb in embs[: 1 + alternates]:
             m = None
             for idx in emb:
-                r = _node_reflection(diagram, diagram.nodes[idx].name)
+                r = diagram.node_reflection(diagram.nodes[idx].name)
                 m = r if m is None else m @ r
             o = matrix_order(m)
             if got is None:
@@ -420,8 +399,6 @@ def build_phi_flip(e1p_roots, fixed_hand):
     e1p_roots: dict name -> root from the E1' 16-root configuration.
     fixed_hand: 3 to build phi_12 (swap hands 1, 2), 1 for phi_23.
     """
-    from .linalg import FORM_LEECH_H
-
     if fixed_hand == 3:
         swap = ("1", "2")
     elif fixed_hand == 1:
@@ -440,45 +417,7 @@ def build_phi_flip(e1p_roots, fixed_hand):
         images[nm] = e1p_roots[nm]
 
     names = list(images)
-    sources = [e1p_roots[n] for n in names]
-    targets = [images[n] for n in names]
-    picked = []
-    picked_t = []
-    reducer = _IncrementalRank()
-    for s, t in zip(sources, targets):
-        if reducer.add(s):
-            picked.append(s)
-            picked_t.append(t)
-        if len(picked) == 14:
-            break
-    assert len(picked) == 14, "the 16 roots span the space"
-    basis = Basis(picked)
-    cols = tuple(zip(*picked_t))
-    m = mat_mul(cols, basis._inv)
-    aut = aut_from_rational(m)
-    for s, t in zip(sources, targets):
-        assert aut.apply(s) == tuple(t), "flip images inconsistent"
-    return aut
-
-
-class _IncrementalRank:
-    """Row-at-a-time Gaussian elimination over Q(w)."""
-
-    def __init__(self):
-        self.pivots = []  # (column, reduced row)
-
-    def add(self, v) -> bool:
-        """True (and absorb) iff v is independent of the rows so far."""
-        row = [Eis(Fraction(x.a), Fraction(x.b)) for x in v]
-        for col, prow in self.pivots:
-            if row[col]:
-                f = row[col].frac_div(prow[col])
-                row = [x - f * y for x, y in zip(row, prow)]
-        nz = next((i for i, x in enumerate(row) if x), None)
-        if nz is None:
-            return False
-        self.pivots.append((nz, row))
-        return True
+    return aut_from_images([e1p_roots[n] for n in names], [images[n] for n in names])
 
 
 FIXED_CELL_VECTOR = (
@@ -494,7 +433,6 @@ def verify_phi_flips(e1p):
     Returns a dict report; every value must be True.
     """
     from .isomorphism import m666_from_e1prime, M666_ORDER
-    from .linalg import FORM_LEECH_H
 
     roots = dict(zip(M666_ORDER, m666_from_e1prime(e1p)))
     phi12 = build_phi_flip(roots, fixed_hand=3)

@@ -108,8 +108,15 @@ class Eis:
     def is_unit(self) -> bool:
         return self.norm() == 1
 
-    def is_integral(self) -> bool:
-        return isinstance(self.a, int) and isinstance(self.b, int)
+    def integral(self):
+        """self as a Z[w] element with int components, or None when a
+        component is a non-integral Fraction (self outside Z[w])."""
+        a, b = self.a, self.b
+        if a.denominator != 1 or b.denominator != 1:
+            return None
+        if type(a) is int and type(b) is int:
+            return self
+        return Eis(int(a), int(b))
 
     def divides(self, x: "Eis") -> bool:
         """True iff x / self lies in Z[w].  self must be nonzero."""

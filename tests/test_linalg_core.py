@@ -1,0 +1,179 @@
+"""Property tests of the exact elimination core in ``eleech.linalg``.
+
+Random Z[w] matrices up to 6x6 plus the shipped E1/E2 column matrices;
+determinants are cross-checked against the Leibniz formula, which shares
+no code with the elimination.
+"""
+
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from eleech.diagram import pgl3_canon, _det3
+from eleech.isomorphism import load_e1, e2_matrix
+from eleech.linalg import (
+    AutMatrix, independent, kernel, mat_det, mat_identity, mat_inverse,
+    mat_mul, mat_vec,
+)
+from eleech.rings import Eis, OMEGA, OMEGA2, ONE, THETA, ZERO
+from eleech.reflections import reflection_matrix
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+eis = st.builds(Eis, st.integers(-4, 4), st.integers(-4, 4))
+
+
+def matrices(min_rows=1, max_rows=6, min_cols=1, max_cols=6):
+    return st.integers(min_rows, max_rows).flatmap(
+        lambda n: st.integers(min_cols, max_cols).flatmap(
+            lambda m: st.lists(
+                st.lists(eis, min_size=m, max_size=m).map(tuple),
+                min_size=n, max_size=n,
+            ).map(tuple)
+        )
+    )
+
+
+def square(max_n=6):
+    return st.integers(1, max_n).flatmap(
+        lambda n: matrices(n, n, n, n)
+    )
+
+
+def _sign(perm):
+    sign = 1
+    seen = set()
+    for i in range(len(perm)):
+        j, length = i, 0
+        while j not in seen:
+            seen.add(j)
+            j = perm[j]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def leibniz_det(m):
+    total = ZERO
+    for perm in permutations(range(len(m))):
+        term = Eis(_sign(perm), 0)
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        total = total + term
+    return total
+
+
+@SETTINGS
+@given(square(5))
+def test_det_matches_leibniz(m):
+    assert mat_det(m) == leibniz_det(m)
+
+
+@SETTINGS
+@given(square())
+def test_inverse_times_matrix_is_identity(m):
+    if not mat_det(m):
+        with pytest.raises(ValueError):
+            mat_inverse(m)
+        return
+    inv = mat_inverse(m)
+    assert mat_mul(inv, m) == mat_identity(len(m))
+    assert mat_mul(m, inv) == mat_identity(len(m))
+
+
+@SETTINGS
+@given(square())
+def test_full_rank_exactly_when_det_nonzero(m):
+    full = len(independent(m)) == len(m)
+    assert full == bool(mat_det(m))
+
+
+@SETTINGS
+@given(matrices())
+def test_kernel_annihilates_and_has_nullity_dimension(rows):
+    ker = kernel(rows)
+    pivots = independent(tuple(zip(*rows)))
+    free = [c for c in range(len(rows[0])) if c not in pivots]
+    assert len(ker) == len(free) == len(rows[0]) - len(pivots)
+    for t in ker:
+        assert not any(mat_vec(rows, t))
+    # one free coordinate 1 and the other free coordinates 0
+    assert [[t[c] for c in free] for t in ker] == [list(e) for e in mat_identity(len(free))]
+
+
+@SETTINGS
+@given(matrices())
+def test_independent_picks_the_first_basis(rows):
+    picked = independent(rows)
+    for i in range(len(rows)):
+        before = [j for j in picked if j < i]
+        grows = len(independent([rows[j] for j in before] + [rows[i]])) > len(before)
+        assert (i in picked) == grows
+
+
+@pytest.mark.parametrize("which", ["E1", "E2"])
+def test_shipped_column_matrices(diagram, which):
+    rows = load_e1() if which == "E1" else e2_matrix(diagram)
+    m = tuple(zip(*rows))
+    assert mat_det(m)
+    assert mat_mul(mat_inverse(m), m) == mat_identity(14)
+    assert independent(m) == list(range(14))
+    assert kernel(m) == []
+
+
+def test_from_rational_clears_theta_and_rejects_other_primes():
+    third = Eis(Fraction(1, 3), Fraction(0))
+    a = AutMatrix.from_rational([[third, ZERO], [ZERO, ONE]])
+    assert a.k == 2 and a.mat == ((Eis(-1, 0), ZERO), (ZERO, Eis(-3, 0)))
+    assert AutMatrix.from_rational([[THETA * third]]) == AutMatrix([[-ONE]], 1)
+    with pytest.raises(ValueError):
+        AutMatrix.from_rational([[Eis(Fraction(1, 2), Fraction(0))]])
+
+
+def test_integral_accepts_fraction_integers():
+    assert Eis(Fraction(4), Fraction(-2)).integral() == Eis(4, -2)
+    assert type(Eis(Fraction(4), Fraction(-2)).integral().a) is int
+    assert Eis(Fraction(1, 3), 0).integral() is None
+
+
+@SETTINGS
+@given(st.integers(0, 25), st.sampled_from([OMEGA, OMEGA2]))
+def test_inverse_round_trips_on_reflections(diagram, idx, mu):
+    m = reflection_matrix(diagram.nodes[idx].root, mu, diagram.form)
+    inv = m.inverse()
+    assert inv @ m == AutMatrix.identity(14)
+    assert m @ inv == AutMatrix.identity(14)
+    assert inv == m @ m  # w-reflections have order 3
+
+
+invertible_f3 = st.lists(st.integers(0, 2), min_size=9, max_size=9).map(
+    lambda f: (tuple(f[0:3]), tuple(f[3:6]), tuple(f[6:9]))
+).filter(lambda g: _det3(g) != 0).map(pgl3_canon)
+
+
+@settings(max_examples=12, deadline=None)
+@given(invertible_f3)
+def test_inverse_round_trips_on_g_action(diagram, g):
+    a = diagram.g_action(g)
+    assert a.inverse() @ a == AutMatrix.identity(14)
+
+
+def test_inverse_round_trips_on_sigma(diagram):
+    s = diagram.sigma()
+    assert s.inverse() @ s == AutMatrix.identity(14)
+    assert s.inverse() == s ** 11
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 25), st.integers(0, 25), st.booleans())
+def test_image_builder_rejects_swapped_images(diagram, i, j, use_sigma):
+    assume(i != j)
+    base = diagram.sigma() if use_sigma else AutMatrix.identity(14)
+    images = [base.apply(n.root) for n in diagram.nodes]
+    assert diagram.aut_from_node_images(lambda k: images[k]) == base
+    images[i], images[j] = images[j], images[i]
+    with pytest.raises(ValueError):
+        diagram.aut_from_node_images(lambda k: images[k])

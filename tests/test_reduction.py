@@ -153,6 +153,14 @@ def test_certificate_roundtrip(diagram, generators):
     assert back.terminal == cert.terminal
 
 
+def test_reducer_keeps_no_search_state(diagram, generators):
+    red = HeightReducer(diagram)
+    before = dict(vars(red))
+    cert = red.reduce(generators[2], [(4, generators[3])], max_perturb=0)
+    assert cert is not None and cert.perturbation_count() == 0
+    assert vars(red) == before
+
+
 def test_corrupted_certificate_fails(diagram, generators):
     red = HeightReducer(diagram)
     cert = red.reduce(generators[2], (), max_perturb=0)

@@ -171,3 +171,12 @@ def test_matrix_order_agrees_with_bounded_powering(diagram):
                 break
             cur = cur @ m
         assert first == n
+
+
+def test_node_reflection_cache_is_per_diagram(diagram):
+    from eleech.diagram import Diagram
+
+    other = Diagram()
+    assert diagram.node_reflection("a") is diagram.node_reflection("a")
+    assert other.node_reflection("a") is not diagram.node_reflection("a")
+    assert other.node_reflection("a") == diagram.node_reflection("a")
