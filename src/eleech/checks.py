@@ -1,0 +1,236 @@
+"""The checks behind the paper's acceptance criteria, in one ordered registry.
+
+Each entry is a function of a shared ``Context`` that returns its
+``key: value`` detail lines and whether it passed.  ``eleech verify-all``
+runs every entry and prints one line per summary key; ``eleech diagram
+check`` and ``eleech relations verify`` print the detail lines of their
+entries; ``tests/test_acceptance.py`` times the entries of each criterion.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+
+from . import isomorphism, lattices, reduction, relations
+from .codes import golay12, qr_code, tetracode
+from .diagram import Diagram, presentation_generators
+from .linalg import FORM_E8H, FORM_LEECH_H, mat_identity
+from .reflections import canonical_root
+from .rings import Eis, OMEGA, THETA, SqrtThree
+
+
+class Context:
+    """The inputs the checks share, each built on first use and then kept;
+    callers that already hold some of them pass them in."""
+
+    def __init__(self, diagram=None, chg=None, generators=None, shell=None):
+        given = {"diagram": diagram, "chg": chg, "generators": generators, "shell": shell}
+        self.__dict__.update((k, v) for k, v in given.items() if v is not None)
+
+    @cached_property
+    def diagram(self):
+        return Diagram()
+
+    @cached_property
+    def chg(self):
+        """E1 -> E2; raises ValueError unless a lattice bijection both ways."""
+        return isomorphism.ChangeOfBasis(isomorphism.load_e1(), isomorphism.e2_matrix(self.diagram))
+
+    @cached_property
+    def generators(self):
+        return reduction.build_generators(self.chg)
+
+    @cached_property
+    def shell(self):
+        return lattices.first_shell_by_shapes()
+
+
+def _flags(pairs):
+    """``key: ok|FAIL`` lines for (key, passed) pairs, and whether all passed."""
+    pairs = list(pairs)
+    return [(k, "ok" if v else "FAIL") for k, v in pairs], all(v for _, v in pairs)
+
+
+def names(summary_key):
+    """The entries reported under one verify-all summary key, in order."""
+    return [n for n, (key, _) in REGISTRY.items() if key == summary_key]
+
+
+def run(entry_names, ctx):
+    """The detail lines of the named entries, in order, and whether all
+    passed.  An entry that raises fails with one ``error`` line."""
+    lines, ok = [], True
+    for name in entry_names:
+        try:
+            got, passed = REGISTRY[name][1](ctx)
+        except (ArithmeticError, RuntimeError, ValueError) as exc:
+            got, passed = [("error", f"{name}: {type(exc).__name__}: {exc}")], False
+        lines += got
+        ok = ok and passed
+    return lines, ok
+
+
+def summary(ctx):
+    """verify-all's report: one ``key: ok|FAIL`` line per summary key, in
+    registry order, each followed by the ``error`` lines of its entries."""
+    lines, ok = [], True
+    for key in dict.fromkeys(key for key, _ in REGISTRY.values()):
+        got, passed = run(names(key), ctx)
+        lines.append((key, "ok" if passed else "FAIL"))
+        lines += [line for line in got if line[0] == "error"]
+        ok = ok and passed
+    return lines, ok
+
+
+def _codes(ctx):
+    c12 = golay12()
+    we = c12.weight_enumerator()
+    return _flags([
+        ("tetracode_9", len(tetracode()) == 9),
+        ("golay12_729", len(c12) == 729),
+        ("golay12_weights", we == {0: 1, 6: 264, 9: 440, 12: 24}),
+        ("qr11_weights", qr_code(11).weight_enumerator() == we),
+    ])
+
+
+def diagram_check_lines(d):
+    """The exact identities of the 26-root diagram (the diagram entry)."""
+    c = d.constants()
+    adj = d.adjacency()
+    return _flags([
+        ("norms", all(d.form.ip(n.root, n.root) == Eis(-3, 0) for n in d.nodes)),
+        ("adjacency_equals_incidence", all(
+            adj[p.index][l.index] == (sum(a * b for a, b in zip(l.triple, p.triple)) % 3 == 0)
+            for p in d.points
+            for l in d.lines
+        )),
+        ("edge_value_minus_w_theta", all(
+            d.form.ip(p.root, l.root) == -OMEGA * THETA
+            for p in d.points
+            for l in d.lines
+            if adj[p.index][l.index]
+        )),
+        ("w_p_norm_3", d.form.ip(c.w_p, c.w_p) == Eis(3, 0)),
+        ("ip_wp_wl", d.form.ip(c.w_p, c.w_l) == Eis(-4, 0) * THETA * OMEGA),
+        ("disc_F_39", c.fixed_lattice().discriminant() == 39),
+        ("rho_norm", d.form.ip12(c.rho_hat, c.rho_hat).to_sqrt3() == SqrtThree(-78, 104)),
+        ("ip_wp_rho", d.form.ip12(c.w_p, c.rho_hat).to_sqrt3() == SqrtThree(0, 13)),
+        ("heights_one", all(d.height_sq(n.root) == SqrtThree(1, 0) for n in d.nodes)),
+        ("linear_relations", d.verify_linear_relations()),
+    ])
+
+
+def _automorphisms(ctx):
+    d = ctx.diagram
+    x, y = presentation_generators()
+    gx, gy = d.g_action(x), d.g_action(y)
+    xy, xyi = gx @ gy, gx @ gy.inverse()
+    head = xy @ xy @ xy @ xy @ xyi
+    relator = head @ head @ xy @ xy @ xyi @ xyi @ xy @ xyi @ xyi @ xy @ xy @ xyi
+    s = d.sigma()
+    gram = isomorphism.gram_of(mat_identity(14), FORM_E8H)
+    return _flags([
+        ("pgl3_presentation", (gx @ gx).is_identity() and (gy ** 3).is_identity()
+         and (xy ** 13).is_identity() and relator.is_identity()),
+        ("sigma_order_12", (s ** 12).is_identity()),
+        ("sigma_squared_minus_w", (s @ s).scalar() == -OMEGA),
+        ("forms_preserved", all(a.preserves_form(gram) for a in (gx, gy, s))),
+    ])
+
+
+def _lattices_fast(ctx):
+    return _flags([
+        ("disc_leech_h_2187", lattices.lattice_leech_h().discriminant() == 2187),
+        ("disc_3e8_h_2187", lattices.lattice_3e8_h().discriminant() == 2187),
+        ("shell_e8_240", len(lattices.shell_e8()) == 240),
+    ])
+
+
+def _leech_shell(ctx):
+    shell = ctx.shell
+    found = set(shell)
+    return _flags([
+        ("shell_196560", len(shell) == len(found) == 196560),
+        ("two_methods_agree", found == lattices.first_shell_by_coset_search()),
+        ("shell_norm_6", all(lattices.flat_norm6(f) for f in shell)),
+        ("every_97th_in_leech", all(
+            lattices.leech_contains(lattices.from_flat(f)) is not None for f in shell[::97])),
+    ])
+
+
+def _isomorphism(ctx):
+    d, e1 = ctx.diagram, isomorphism.load_e1()
+    m666 = isomorphism.m666_from_e1prime(isomorphism.load_e1prime())
+    gram_of = isomorphism.gram_of
+    return _flags([
+        ("gram_e1_e2", gram_of(e1, FORM_LEECH_H) == gram_of(isomorphism.e2_matrix(d), FORM_E8H)),
+        ("preserves_form", ctx.chg.preserves_form_on(e1[:5])),
+        ("m666", gram_of(m666, FORM_LEECH_H) == gram_of(isomorphism.m666_reference(d), FORM_E8H)),
+    ])
+
+
+def _generation(ctx):
+    d, gens = ctx.diagram, ctx.generators
+    certs = reduction.certify_generators(d, gens)
+    return _flags([
+        ("certificates_50", len(certs) == 50),
+        ("perturbations_at_most_1", max(c.perturbation_count() for c in certs) <= 1),
+        ("replays", all(reduction.check_certificate(c, d, gens) for c in certs)),
+    ])
+
+
+def _min_height(ctx):
+    d = ctx.diagram
+    want = sorted({canonical_root(n.root) for n in d.nodes},
+                  key=lambda v: tuple(x.key() for x in v))
+    return _flags([("min_height_26_nodes", reduction.min_height_scan(d) == want)])
+
+
+def _spider(ctx):
+    ok, order = relations.spider_check(ctx.diagram)
+    return [("spider_S20", "ok" if ok else "FAIL"), ("spider_true_order", order)], ok
+
+
+def _deflation(ctx):
+    rep = relations.deflate_check(ctx.diagram, transports=False)
+    return _flags([("deflate_base", rep["base"]), ("deflate_A11", rep["A11"])])
+
+
+def _deflation_transports(ctx):
+    rep = relations.deflate_check(ctx.diagram)
+    lines, ok = _flags([("deflate_transports", rep["transports_ok"])])
+    return [("deflate_12gons", rep["distinct_12gons"])] + lines, ok
+
+
+def _coxeter(ctx):
+    rows = relations.coxeter_table(ctx.diagram)
+    lines = [(f"coxeter_{name}", f"expected {exp} got {got}") for name, exp, got, _ in rows]
+    return lines, all(row_ok for *_, row_ok in rows)
+
+
+def _phi_flips(ctx):
+    return _flags(relations.verify_phi_flips(isomorphism.load_e1prime()).items())
+
+
+def _rad_m666(ctx):
+    adds = relations.rad_m666_covers_d(ctx.diagram)  # raises unless they cover all 26
+    return [("rad_m666_covers_d", f"ok ({len(adds)} witnessed additions)")], True
+
+
+#: entry name -> (verify-all summary key, entry), in the order verify-all runs them
+REGISTRY = {
+    "codes": ("codes", _codes),
+    "diagram": ("diagram", lambda ctx: diagram_check_lines(ctx.diagram)),
+    "automorphisms": ("automorphisms", _automorphisms),
+    "lattices_fast": ("lattices_fast", _lattices_fast),
+    "leech_shell": ("leech_shell_196560_two_methods", _leech_shell),
+    "isomorphism": ("isomorphism", _isomorphism),
+    "generation": ("generation_50_certificates", _generation),
+    "min_height": ("min_height_26_nodes", _min_height),
+    "spider": ("relations", _spider),
+    "deflation": ("relations", _deflation),
+    "deflation_transports": ("relations", _deflation_transports),
+    "coxeter": ("relations", _coxeter),
+    "phi_flips": ("relations", _phi_flips),
+    "rad_m666": ("relations", _rad_m666),
+}

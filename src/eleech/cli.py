@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
-
-from .rings import Eis, THETA, OMEGA
 
 
 def main(argv=None) -> int:
@@ -52,15 +51,14 @@ def main(argv=None) -> int:
     p_red = sub.add_parser("reduce", help="height-reduction certificates")
     sub_red = p_red.add_subparsers(dest="sub")
     p_rr = sub_red.add_parser("run", help="certify generators")
-    p_rr.add_argument("--all", action="store_true")
+    p_rr.add_argument("--all", action="store_true", help="ignored; all 50 are always written")
     p_rr.add_argument("--out", default="certificates")
     p_rc = sub_red.add_parser("check", help="replay certificates from a directory")
     p_rc.add_argument("dir")
 
     p_rel = sub.add_parser("relations", help="spider / deflation / Coxeter table")
     sub_rel = p_rel.add_subparsers(dest="sub")
-    p_rv = sub_rel.add_parser("verify")
-    p_rv.add_argument("--all", action="store_true")
+    sub_rel.add_parser("verify")
 
     sub.add_parser("verify-all", help="every verification at once")
 
@@ -148,48 +146,18 @@ def _cmd_diagram(args) -> int:
             print("".join("1" if adj[i][j] else "." for j in range(26)))
         return 0
     if args.sub == "check":
-        lines, ok = diagram_check_lines(d)
-        return _report(lines, ok)
+        from . import checks
+
+        return _report(*checks.run(checks.names("diagram"), checks.Context(diagram=d)))
     print("usage: eleech diagram {dump,check}", file=sys.stderr)
     return 2
 
 
 def diagram_check_lines(d):
-    from .rings import SqrtThree
+    """The diagram entry of ``checks``, under the name perfbench calls."""
+    from .checks import diagram_check_lines
 
-    c = d.constants()
-    checks = []
-    checks.append(("norms", all(d.form.ip(n.root, n.root) == Eis(-3, 0) for n in d.nodes)))
-    adj = d.adjacency()
-    inc = all(
-        adj[p.index][l.index] == (sum(a * b for a, b in zip(l.triple, p.triple)) % 3 == 0)
-        for p in d.points
-        for l in d.lines
-    )
-    checks.append(("adjacency_equals_incidence", inc))
-    uniform = all(
-        d.form.ip(p.root, l.root) == -OMEGA * THETA
-        for p in d.points
-        for l in d.lines
-        if adj[p.index][l.index]
-    )
-    checks.append(("edge_value_minus_w_theta", uniform))
-    checks.append(("w_p_norm_3", d.form.ip(c.w_p, c.w_p) == Eis(3, 0)))
-    checks.append(
-        ("ip_wp_wl", d.form.ip(c.w_p, c.w_l) == Eis(-4, 0) * THETA * OMEGA)
-    )
-    checks.append(("disc_F_39", c.fixed_lattice().discriminant() == 39))
-    checks.append(
-        ("rho_norm", d.form.ip12(c.rho_hat, c.rho_hat).to_sqrt3() == SqrtThree(-78, 104))
-    )
-    checks.append(
-        ("ip_wp_rho", d.form.ip12(c.w_p, c.rho_hat).to_sqrt3() == SqrtThree(0, 13))
-    )
-    heights = all(d.height_sq(n.root) == SqrtThree(1, 0) for n in d.nodes)
-    checks.append(("heights_one", heights))
-    checks.append(("linear_relations", d.verify_linear_relations()))
-    ok = all(v for _, v in checks)
-    return [(k, "ok" if v else "FAIL") for k, v in checks], ok
+    return diagram_check_lines(d)
 
 
 def _cmd_isom(args) -> int:
@@ -243,18 +211,11 @@ def _cmd_isom(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    from .diagram import Diagram
-    from .isomorphism import load_e1, e2_matrix, ChangeOfBasis
-    from .reduction import (
-        build_generators,
-        certify_generators,
-        check_certificate,
-        ReductionCertificate,
-    )
+    from .checks import Context
+    from .reduction import certify_generators, check_certificate, ReductionCertificate
 
-    d = Diagram()
-    chg = ChangeOfBasis(load_e1(), e2_matrix(d))
-    gens = build_generators(chg)
+    ctx = Context()
+    d, gens = ctx.diagram, ctx.generators
     if args.sub == "run":
         certs = certify_generators(d, gens)
         os.makedirs(args.out, exist_ok=True)
@@ -277,8 +238,17 @@ def _cmd_reduce(args) -> int:
         bad = []
         for n in names:
             with open(os.path.join(args.dir, n)) as f:
-                cert = ReductionCertificate.parse(f.read())
-            if not check_certificate(cert, d, gens):
+                text = f.read()
+            try:
+                cert = ReductionCertificate.parse(text)
+            except ValueError:
+                bad.append(n)
+                continue
+            # gNN.cert certifies generator NN
+            m = re.fullmatch(r"g(\d\d)\.cert", n)
+            j = int(m.group(1)) if m else 0
+            if not (1 <= j <= len(gens) and cert.target == gens[j - 1]
+                    and check_certificate(cert, d, gens)):
                 bad.append(n)
         lines = [("checked", len(names)), ("failures", len(bad))]
         for n in bad:
@@ -289,133 +259,17 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_relations(args) -> int:
-    from .diagram import Diagram
-    from .relations import (
-        spider_check,
-        deflate_check,
-        coxeter_table,
-        verify_phi_flips,
-        rad_m666_covers_d,
-    )
-    from .isomorphism import load_e1prime
+    from . import checks
 
-    d = Diagram()
-    lines = []
-    ok = True
-    sp, order = spider_check(d)
-    lines.append(("spider_S20", "ok" if sp else "FAIL"))
-    lines.append(("spider_true_order", order))
-    ok &= sp
-    rep = deflate_check(d)
-    lines.append(("deflate_base", "ok" if rep["base"] else "FAIL"))
-    lines.append(("deflate_A11", "ok" if rep["A11"] else "FAIL"))
-    lines.append(("deflate_12gons", rep["distinct_12gons"]))
-    lines.append(("deflate_transports", "ok" if rep["transports_ok"] else "FAIL"))
-    ok &= rep["base"] and rep["A11"] and rep["transports_ok"]
-    for name, exp, got, row_ok in coxeter_table(d):
-        lines.append((f"coxeter_{name}", f"expected {exp} got {got}"))
-        ok &= row_ok
-    flips = verify_phi_flips(load_e1prime())
-    for k, v in flips.items():
-        lines.append((k, "ok" if v else "FAIL"))
-        ok &= v
-    adds = rad_m666_covers_d(d)
-    lines.append(("rad_m666_covers_d", f"ok ({len(adds)} witnessed additions)"))
-    return _report(lines, ok)
+    return _report(*checks.run(checks.names("relations"), checks.Context()))
 
 
 def _cmd_verify_all(args) -> int:
-    from .codes import tetracode, golay12, qr_code
-    from . import lattices
-    from .diagram import Diagram
-    from .isomorphism import load_e1, load_e1prime, e2_matrix, ChangeOfBasis, \
-        m666_from_e1prime, m666_reference, gram_of
-    from .linalg import FORM_LEECH_H, FORM_E8H
-    from .reduction import build_generators, certify_generators, check_certificate, \
-        min_height_scan
-    from .reflections import canonical_root
+    from . import checks
 
-    t_start = time.time()
-    lines = []
-    ok = True
-
-    c4, c12 = tetracode(), golay12()
-    codes_ok = (
-        len(c4) == 9
-        and len(c12) == 729
-        and c12.weight_enumerator() == {0: 1, 6: 264, 9: 440, 12: 24}
-        and qr_code(11).weight_enumerator() == c12.weight_enumerator()
-    )
-    lines.append(("codes", "ok" if codes_ok else "FAIL"))
-    ok &= codes_ok
-
-    d = Diagram()
-    diag_lines, diag_ok = diagram_check_lines(d)
-    lines.append(("diagram", "ok" if diag_ok else "FAIL"))
-    ok &= diag_ok
-
-    disc_ok = (
-        lattices.lattice_leech_h().discriminant() == 2187
-        and lattices.lattice_3e8_h().discriminant() == 2187
-        and len(lattices.shell_e8()) == 240
-    )
-    lines.append(("lattices_fast", "ok" if disc_ok else "FAIL"))
-    ok &= disc_ok
-
-    shell = lattices.first_shell_by_shapes()
-    other = lattices.first_shell_by_coset_search()
-    shell_ok = len(shell) == 196560 and set(shell) == other
-    lines.append(("leech_shell_196560_two_methods", "ok" if shell_ok else "FAIL"))
-    ok &= shell_ok
-
-    e1 = load_e1()
-    e2 = e2_matrix(d)
-    try:
-        chg = ChangeOfBasis(e1, e2)
-        isom_ok = True
-    except ValueError:
-        isom_ok = False
-        chg = None
-    m666p = m666_from_e1prime(load_e1prime())
-    isom_ok = isom_ok and gram_of(m666p, FORM_LEECH_H) == gram_of(
-        m666_reference(d), FORM_E8H
-    )
-    lines.append(("isomorphism", "ok" if isom_ok else "FAIL"))
-    ok &= isom_ok
-
-    if chg is not None:
-        gens = build_generators(chg)
-        certs = certify_generators(d, gens)
-        red_ok = (
-            len(certs) == 50
-            and max(c.perturbation_count() for c in certs) <= 1
-            and all(check_certificate(c, d, gens) for c in certs)
-        )
-    else:
-        red_ok = False
-    lines.append(("generation_50_certificates", "ok" if red_ok else "FAIL"))
-    ok &= red_ok
-
-    scan = min_height_scan(d)
-    want = sorted(
-        {canonical_root(n.root) for n in d.nodes},
-        key=lambda v: tuple(x.key() for x in v),
-    )
-    scan_ok = scan == want
-    lines.append(("min_height_26_nodes", "ok" if scan_ok else "FAIL"))
-    ok &= scan_ok
-
-    from .relations import spider_check, deflate_check, coxeter_table, verify_phi_flips
-
-    sp, _ = spider_check(d)
-    rep = deflate_check(d)
-    table_ok = all(row[3] for row in coxeter_table(d))
-    flips_ok = all(verify_phi_flips(load_e1prime()).values())
-    rel_ok = sp and rep["base"] and rep["A11"] and rep["transports_ok"] and table_ok and flips_ok
-    lines.append(("relations", "ok" if rel_ok else "FAIL"))
-    ok &= rel_ok
-
-    lines.append(("elapsed_seconds", f"{time.time() - t_start:.1f}"))
+    t_start = time.perf_counter()
+    lines, ok = checks.summary(checks.Context())
+    lines.append(("elapsed_seconds", f"{time.perf_counter() - t_start:.1f}"))
     return _report(lines, ok)
 
 

@@ -13,6 +13,7 @@ made on exact squares in Q(sqrt 3).
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 from itertools import product
 
@@ -187,6 +188,7 @@ class Diagram:
             )
         self.plane = plane
         self.by_name = {n.name: n for n in self.nodes}
+        self._by_triple = {(n.kind, n.triple): n.index for n in self.nodes}
         self.form = FORM_E8H
         self.points = [n for n in self.nodes if n.kind == "point"]
         self.lines = [n for n in self.nodes if n.kind == "line"]
@@ -251,50 +253,40 @@ class Diagram:
 
     # -- diagram automorphisms ----------------------------------------------
 
-    def g_action(self, g) -> AutMatrix:
-        """The lattice automorphism induced by g in GL3(F3) mod scalars.
-
-        Points map by x -> g x, lines by l -> l g^{-1}; the node permutation
-        extends linearly to L and preserves the form.
-        """
+    def g_permutation(self, g):
+        """The node permutation of g in GL3(F3) mod scalars, as a tuple
+        index -> image index: points map by x -> g x, lines by l -> l g^{-1}."""
         ginv = _inv3(g)
         if ginv is None:
             raise ValueError("g is not invertible over F_3")
-        perm = {}
-        for n in self.nodes:
-            if n.kind == "point":
-                t = _canon_triple(_matvec3(g, n.triple))
-                perm[n.index] = self._point_by_triple(t).index
-            else:
-                t = _canon_triple(_vecmat3(n.triple, ginv))
-                perm[n.index] = self._line_by_triple(t).index
-        aut = self.aut_from_node_images(lambda i: self.nodes[perm[i]].root)
-        return aut
+        return tuple(
+            self._by_triple["point", _canon_triple(_matvec3(g, n.triple))]
+            if n.kind == "point"
+            else self._by_triple["line", _canon_triple(_vecmat3(n.triple, ginv))]
+            for n in self.nodes
+        )
+
+    def g_action(self, g) -> AutMatrix:
+        """The lattice automorphism induced by g in GL3(F3) mod scalars:
+        the node permutation extends linearly to L and preserves the form."""
+        perm = self.g_permutation(g)
+        return self.aut_from_node_images(lambda i: self.nodes[perm[i]].root)
+
+    def sigma_permutation(self):
+        """The node permutation of sigma: each node to the node of the other
+        kind with the same triple."""
+        other = {"point": "line", "line": "point"}
+        return tuple(self._by_triple[other[n.kind], n.triple] for n in self.nodes)
 
     def sigma(self) -> AutMatrix:
         """The order-12 lift of the polarity: x -> -w l, l -> x (same triple)."""
+        perm = self.sigma_permutation()
 
         def image(i):
-            n = self.nodes[i]
-            if n.kind == "point":
-                other = self._line_by_triple(n.triple)
-                return tuple(-W * x for x in other.root)
-            other = self._point_by_triple(n.triple)
-            return other.root
+            root = self.nodes[perm[i]].root
+            return tuple(-W * x for x in root) if self.nodes[i].kind == "point" else root
 
         return self.aut_from_node_images(image)
-
-    def _point_by_triple(self, t):
-        for n in self.points:
-            if n.triple == t:
-                return n
-        raise KeyError(t)
-
-    def _line_by_triple(self, t):
-        for n in self.lines:
-            if n.triple == t:
-                return n
-        raise KeyError(t)
 
     # -- constants -----------------------------------------------------------
 
@@ -604,6 +596,7 @@ def pgl3_order(g) -> int:
     raise ValueError("order exceeds 13; not in PGL3(F3)?")
 
 
+@cache
 def presentation_generators():
     """A deterministic (x, y) pair realizing the PGL3(F3) presentation
     x^2 = y^3 = (xy)^13 = ((xy)^4 x y^-1)^2 (xy)^2 (x y^-1)^2 x y (x y^-1)^2 (xy)^2 x y^-1 = 1.

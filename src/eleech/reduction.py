@@ -90,9 +90,6 @@ class Translation:
     def inverse(self) -> "Translation":
         return Translation(tuple(-x for x in self.lam), -self.zhalf)
 
-    def same_as(self, other: "Translation") -> bool:
-        return self.lam == other.lam and self.zhalf == other.zhalf
-
 
 def minimal_zhalf(norm: int) -> Fraction:
     """The smallest admissible z/theta for a lambda of the given norm."""
@@ -174,23 +171,41 @@ class ReductionCertificate:
             rest = rest.strip()
             if key == "target":
                 target = tuple(parse_entry(t) for t in rest.split())
+                if len(target) != 14:
+                    raise ValueError("a certificate target has 14 entries")
             elif key == "step":
                 fields = dict(p.split("=") for p in rest.split())
                 if "node" in fields:
-                    steps.append(("node", int(fields["node"]) - 1, fields["eps"]))
+                    k, eps = _index(fields["node"], 26) - 1, fields.get("eps")
+                    steps.append(("node", k, _choice(eps, _EPS)))
                 else:
-                    steps.append(
-                        ("perturb", int(fields["perturb"]), fields.get("eps", "w"))
-                    )
+                    j, eps = _index(fields.get("perturb"), 50), fields.get("eps", "w")
+                    steps.append(("perturb", j, _choice(eps, _EPS)))
             elif key == "terminal":
                 fields = dict(p.split("=") for p in rest.split())
-                terminal = (int(fields["node"]) - 1, fields["unit"])
+                unit = _choice(fields.get("unit"), _UNIT_NAMES)
+                terminal = (_index(fields.get("node"), 26) - 1, unit)
         if target is None or terminal is None:
             raise ValueError("malformed certificate")
         return cls(target, steps, terminal)
 
 
+def _index(text, count) -> int:
+    """The 1-based index ``text`` names, at most ``count``."""
+    k = int(text or "0")
+    if not 1 <= k <= count:
+        raise ValueError(f"certificate index {text!r} is outside 1..{count}")
+    return k
+
+
+def _choice(name, allowed):
+    if name not in allowed:
+        raise ValueError(f"certificate field value {name!r} is not one of {sorted(allowed)}")
+    return name
+
+
 _EPS = {"w": OMEGA, "wbar": OMEGA2}
+_UNIT_NAMES = frozenset(map(unit_name, UNITS))
 
 
 def _unit_multiple_of_node(y, diagram):
@@ -462,7 +477,6 @@ def _conway_root(y, w_l, lam):
     # alpha = alpha1 + theta*alpha2 with alpha1 = p - q/2, alpha2 = q/2
     p, q = Fraction(alpha.a), Fraction(alpha.b)
     alpha1 = p - q / 2
-    alpha2 = q / 2
     lam_norm = leech_ip(lam, lam).a
     m3 = lam_norm // 3
     # beta parity: 2 beta + 1 = |lam|^2 mod 2
@@ -530,10 +544,8 @@ def min_height_scan(diagram):
     positions and checked for lattice membership; every root found equals
     a unit multiple of a diagram node.
     """
-    c = diagram.constants()
     points = [n.root for n in diagram.points]
     found = set()
-    four_sqrt3 = SqrtThree(4, 1)  # 4 + sqrt3
 
     cases = (
         (Eis(0, 0), 9),

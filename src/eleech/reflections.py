@@ -18,10 +18,6 @@ from .linalg import AutMatrix, LorentzForm, vec_add, vec_scale
 MINUS3 = Eis(-3, 0)
 
 
-def is_norm_root(v, form) -> bool:
-    return form.ip(v, v) == MINUS3
-
-
 def canonical_root(v):
     """The least unit multiple of v under the coordinate key order."""
     best = None

@@ -427,9 +427,6 @@ class SqrtThree:
         num = self * SqrtThree(other.p, -other.q)
         return SqrtThree(num.p / d, num.q / d)
 
-    def galois_conj(self) -> "SqrtThree":
-        return SqrtThree(self.p, -self.q)
-
     def to_float(self) -> float:
         return float(self.p) + float(self.q) * 3 ** 0.5
 

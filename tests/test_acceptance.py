@@ -1,13 +1,12 @@
 """The acceptance gate: one test per criterion, each printing a pass/fail
 line with its runtime.  All arithmetic checks are exact; criterion 10 is
-the designated numeric diagnostic.
+the designated numeric diagnostic.  Criteria 1-9 run their entries of the
+check registry ``eleech.checks``, which ``eleech verify-all`` runs too.
 """
 
 import time
 
-import pytest
-
-from eleech.rings import Eis, SqrtThree, OMEGA, OMEGA2, THETA, ZERO
+from eleech.checks import Context, run
 from eleech.linalg import FORM_E8H, FORM_LEECH_H
 
 
@@ -17,128 +16,45 @@ def _line(num, ok, took, text):
     assert ok, f"criterion {num} failed: {text}"
 
 
-def test_criterion_1_codes():
-    t0 = time.time()
-    from eleech.codes import tetracode, golay12, qr_code
+def _timed(ctx, *names):
+    """Whether the named registry entries pass, and their seconds."""
+    t0 = time.perf_counter()
+    _, ok = run(names, ctx)
+    return ok, time.perf_counter() - t0
 
-    we = {0: 1, 6: 264, 9: 440, 12: 24}
-    ok = (
-        len(tetracode()) == 9
-        and len(golay12()) == 729
-        and golay12().weight_enumerator() == we
-        and qr_code(11).weight_enumerator() == we
-    )
-    took = time.time() - t0
-    ok = ok and took < 1.0
-    _line(1, ok, took, "|C4| = 9, |C12| = 729, Golay weight enumerator, QR(11) matches; < 1 s")
+
+def test_criterion_1_codes():
+    ok, took = _timed(Context(), "codes")
+    _line(1, ok and took < 1.0, took,
+          "|C4| = 9, |C12| = 729, Golay weight enumerator, QR(11) matches; < 1 s")
 
 
 def test_criterion_2_lattices(shell):
-    from eleech.lattices import (
-        lattice_leech_h, lattice_3e8_h, shell_e8,
-        first_shell_by_coset_search, from_flat, leech_contains, flat_norm6,
-    )
-
-    t0 = time.time()
-    disc_ok = (
-        lattice_leech_h().discriminant() == 2187
-        and lattice_3e8_h().discriminant() == 2187
-    )
-    e8_ok = len(shell_e8()) == 240
-    fast_took = time.time() - t0
-
-    t1 = time.time()
-    other = first_shell_by_coset_search()
-    shell_ok = (
-        len(shell) == 196560
-        and len(set(shell)) == 196560
-        and set(shell) == other
-    )
-    members_ok = all(flat_norm6(f) for f in shell) and all(
-        leech_contains(from_flat(f)) is not None for f in shell[::97]
-    )
-    shell_took = time.time() - t1
-    ok = disc_ok and e8_ok and shell_ok and members_ok
-    ok = ok and fast_took < 1.0 and shell_took < 300.0
+    ctx = Context(shell=shell)
+    fast_ok, fast_took = _timed(ctx, "lattices_fast")
+    shell_ok, shell_took = _timed(ctx, "leech_shell")
+    ok = fast_ok and shell_ok and fast_took < 1.0 and shell_took < 300.0
     _line(2, ok, fast_took + shell_took,
           "disc(L) = 2187, |shell(E8,-3)| = 240, |shell(Leech,-6)| = 196560 by two methods")
 
 
 def test_criterion_3_diagram(diagram):
-    t0 = time.time()
-    c = diagram.constants()
-    form = diagram.form
-    norms = all(form.ip(n.root, n.root) == Eis(-3, 0) for n in diagram.nodes)
-    adj = diagram.adjacency()
-    from eleech.diagram import _dot3
-
-    incid = all(
-        adj[p.index][l.index] == (_dot3(l.triple, p.triple) == 0)
-        for p in diagram.points
-        for l in diagram.lines
-    )
-    idents = (
-        form.ip12(c.rho_hat, c.rho_hat).to_sqrt3() == SqrtThree(-78, 104)
-        and form.ip12(c.w_p, c.rho_hat).to_sqrt3() == SqrtThree(0, 13)
-        and form.ip(c.w_p, c.w_l) == Eis(-4, 0) * THETA * OMEGA
-        and c.fixed_lattice().discriminant() == 39
-    )
-    heights = all(diagram.height_sq(n.root) == SqrtThree(1, 0) for n in diagram.nodes)
-    took = time.time() - t0
-    ok = norms and incid and idents and heights and took < 1.0
-    _line(3, ok, took,
+    ok, took = _timed(Context(diagram=diagram), "diagram")
+    _line(3, ok and took < 1.0, took,
           "26 roots norm -3, adjacency = P2(F3), |rho|^2 = (4sqrt3-3)/26, "
           "<w_P,rho> = sqrt3/2, <w_P,w_L> = -4 theta w, disc(F) = 39, heights 1; < 1 s")
 
 
 def test_criterion_4_automorphisms(diagram):
-    t0 = time.time()
-    from eleech.diagram import presentation_generators
-
-    x, y = presentation_generators()
-    gx, gy = diagram.g_action(x), diagram.g_action(y)
-    gyi = gy.inverse()
-    xy, xyi = gx @ gy, gx @ gyi
-    head = xy @ xy @ xy @ xy @ xyi
-    relator = head @ head @ xy @ xy @ xyi @ xyi @ xy @ xyi @ xyi @ xy @ xy @ xyi
-    pres_ok = (
-        (gx @ gx).is_identity()
-        and (gy ** 3).is_identity()
-        and ((gx @ gy) ** 13).is_identity()
-        and relator.is_identity()
-    )
-    s = diagram.sigma()
-    sig_ok = (s ** 12).is_identity() and (s @ s).scalar() == -OMEGA
-    gram = [[ZERO] * 14 for _ in range(14)]
-    for i in range(12):
-        gram[i][i] = Eis(-1, 0)
-    gram[12][13] = -THETA
-    gram[13][12] = THETA
-    gram = tuple(tuple(r) for r in gram)
-    form_ok = all(a.preserves_form(gram) for a in (gx, gy, s))
-    took = time.time() - t0
-    ok = pres_ok and sig_ok and form_ok and took < 10.0
-    _line(4, ok, took,
+    ok, took = _timed(Context(diagram=diagram), "automorphisms")
+    _line(4, ok and took < 10.0, took,
           "PGL3(F3) presentation holds on the lattice, sigma^12 = 1, "
           "sigma^2 = -w, forms preserved; < 10 s")
 
 
 def test_criterion_5_isomorphism(diagram, chg):
-    t0 = time.time()
-    from eleech.isomorphism import (
-        load_e1, load_e1prime, e2_matrix, gram_of,
-        m666_from_e1prime, m666_reference,
-    )
-
-    gram_ok = gram_of(load_e1(), FORM_LEECH_H) == gram_of(e2_matrix(diagram), FORM_E8H)
-    # chg exists iff the bijection checks passed in the constructor
-    m666_ok = gram_of(m666_from_e1prime(load_e1prime()), FORM_LEECH_H) == gram_of(
-        m666_reference(diagram), FORM_E8H
-    )
-    form_ok = chg.preserves_form_on(load_e1()[:5])
-    took = time.time() - t0
-    ok = gram_ok and m666_ok and form_ok and took < 1.0
-    _line(5, ok, took,
+    ok, took = _timed(Context(diagram=diagram, chg=chg), "isomorphism")
+    _line(5, ok and took < 1.0, took,
           "Gram(E1) = Gram(E2), C and C^-1 lattice-integral, form-preserving, "
           "E1' M666 configuration; < 1 s (search counted separately)")
 
@@ -159,62 +75,28 @@ def test_criterion_5_opt_in_search(diagram, shell):
 
 
 def test_criterion_6_generation(diagram, generators):
-    t0 = time.time()
-    from eleech.reduction import certify_generators, check_certificate
-
-    certs = certify_generators(diagram, generators)
-    count_ok = len(certs) == 50
-    perturb_ok = max(c.perturbation_count() for c in certs) <= 1
-    replay_ok = all(check_certificate(c, diagram, generators) for c in certs)
-    took = time.time() - t0
-    ok = count_ok and perturb_ok and replay_ok and took < 300.0
-    _line(6, ok, took,
+    ok, took = _timed(Context(diagram=diagram, generators=generators), "generation")
+    _line(6, ok and took < 300.0, took,
           "50 generators certified with <= 1 perturbation each, "
           "all replays strictly height-decreasing; < 5 min")
 
 
 def test_criterion_7_min_height(diagram):
-    t0 = time.time()
-    from eleech.reduction import min_height_scan
-    from eleech.reflections import canonical_root
-
-    scan = min_height_scan(diagram)
-    want = sorted(
-        {canonical_root(n.root) for n in diagram.nodes},
-        key=lambda v: tuple(x.key() for x in v),
-    )
-    took = time.time() - t0
-    ok = scan == want and took < 60.0
-    _line(7, ok, took,
+    ok, took = _timed(Context(diagram=diagram), "min_height")
+    _line(7, ok and took < 60.0, took,
           "minimal-height scan returns exactly the 26 diagram roots up to units; < 1 min")
 
 
 def test_criterion_8_relations(diagram):
-    t0 = time.time()
-    from eleech.relations import spider_check, deflate_check, coxeter_table
-
-    sp, _ = spider_check(diagram)
-    rep = deflate_check(diagram, transports=False)
-    table = coxeter_table(diagram)
-    table_ok = all(row[3] for row in table)
-    took = time.time() - t0
-    ok = sp and rep["base"] and rep["A11"] and table_ok and took < 60.0
-    _line(8, ok, took,
+    ok, took = _timed(Context(diagram=diagram), "spider", "deflation", "coxeter")
+    _line(8, ok and took < 60.0, took,
           "S^20 = 1, deflation = w^2 a3, A^11 = 1, full Coxeter table "
           "(A5, D4 infinite via the cyclotomic criterion); < 1 min")
 
 
 def test_criterion_9_phi_flips():
-    from eleech.isomorphism import load_e1prime
-
-    e1p = load_e1prime()
-    t0 = time.time()
-    from eleech.relations import verify_phi_flips
-
-    rep = verify_phi_flips(e1p)
-    took = time.time() - t0
-    ok = all(rep.values()) and took < 1.0
-    _line(9, ok, took,
+    ok, took = _timed(Context(), "phi_flips")
+    _line(9, ok and took < 1.0, took,
           "phi_12, phi_23 order 2, generate S3, fix (0^12;0,1) and the "
           "spanning cell vector; < 1 s")
 

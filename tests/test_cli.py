@@ -90,13 +90,30 @@ def test_reduce_check_valid_certificate(tmp_path, diagram, generators, capsys):
     assert main(["reduce", "check", str(tmp_path)]) == 0
 
 
+def test_reduce_check_malformed_certificate_is_bad(tmp_path, capsys):
+    (tmp_path / "g01.cert").write_text("target: 1,0\nterminal: node=1 unit=1\n")
+    assert main(["reduce", "check", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == "checked: 1\nfailures: 1\nbad: g01.cert\nRESULT: FAIL\n"
+
+
+def test_reduce_check_ties_file_to_generator(tmp_path, diagram, generators, capsys):
+    from eleech.reduction import HeightReducer
+
+    text = HeightReducer(diagram).reduce(generators[2], (), max_perturb=0).serialize()
+    for name in ("g03.cert", "g04.cert", "x03.cert"):
+        (tmp_path / name).write_text(text)
+    assert main(["reduce", "check", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert out == "checked: 3\nfailures: 2\nbad: g04.cert\nbad: x03.cert\nRESULT: FAIL\n"
+
+
 def test_reduce_check_empty_dir_usage_error(tmp_path):
     assert main(["reduce", "check", str(tmp_path)]) == 2
 
 
 def test_reduce_run_writes_all_certificates(tmp_path, capsys):
     out = tmp_path / "certs"
-    assert main(["reduce", "run", "--all", "--out", str(out)]) == 0
+    assert main(["reduce", "run", "--out", str(out)]) == 0
     files = sorted(out.glob("*.cert"))
     assert len(files) == 50
     assert main(["reduce", "check", str(out)]) == 0
@@ -108,6 +125,21 @@ def test_verify_all_passes(capsys):
     assert out.strip().endswith("RESULT: PASS")
     assert "generation_50_certificates: ok" in out
     assert "leech_shell_196560_two_methods: ok" in out
+    assert "automorphisms: ok" in out
+
+
+def test_verify_all_reports_a_raising_check(monkeypatch, capsys):
+    from eleech import checks
+
+    def boom(ctx):
+        raise RuntimeError("witnesses do not cover")
+
+    registry = {"codes": checks.REGISTRY["codes"], "rad_m666": ("relations", boom)}
+    monkeypatch.setattr(checks, "REGISTRY", registry)
+    assert main(["verify-all"]) == 1
+    out = capsys.readouterr().out
+    assert "codes: ok\nrelations: FAIL\nerror: rad_m666: RuntimeError: witnesses do not cover\n" in out
+    assert out.strip().endswith("RESULT: FAIL")
 
 
 def test_data_dir_override(tmp_path, monkeypatch):

@@ -153,6 +153,32 @@ def test_certificate_roundtrip(diagram, generators):
     assert back.terminal == cert.terminal
 
 
+_TARGET = "target: " + " ".join(["0,0"] * 14)
+_TERMINAL = "terminal: node=1 unit=1"
+
+
+@pytest.mark.parametrize("text", [
+    "target: 1,0\n" + _TERMINAL,
+    _TARGET + "\nterminal: node=0 unit=1",
+    _TARGET + "\nterminal: node=27 unit=1",
+    _TARGET + "\nstep: node=0 eps=w\n" + _TERMINAL,
+    _TARGET + "\nstep: perturb=0 eps=w\n" + _TERMINAL,
+    _TARGET + "\nstep: perturb=51 eps=w\n" + _TERMINAL,
+    _TARGET + "\nstep: node=1 eps=i\n" + _TERMINAL,
+    _TARGET + "\nstep: node=1\n" + _TERMINAL,
+    _TARGET + "\nterminal: node=1 unit=i",
+    _TARGET + "\nterminal: node=1 unit",
+    _TARGET + "\nstep: node=1=2 eps=w\n" + _TERMINAL,
+], ids=[
+    "short_target", "terminal_node_0", "terminal_node_27", "step_node_0",
+    "perturb_0", "perturb_51", "bad_eps", "missing_eps", "unknown_unit",
+    "pair_without_value", "pair_with_two_values",
+])
+def test_certificate_parse_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        ReductionCertificate.parse(text)
+
+
 def test_reducer_keeps_no_search_state(diagram, generators):
     red = HeightReducer(diagram)
     before = dict(vars(red))
