@@ -79,7 +79,11 @@ def main(argv=None) -> int:
     except KeyError:
         print(f"unknown subcommand: {args.cmd}", file=sys.stderr)
         return 2
-    return handler(args)
+    try:
+        return handler(args)
+    except OSError as exc:  # a missing or unreadable input, an unwritable output
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _report(lines, passed: bool) -> int:
@@ -215,9 +219,8 @@ def _cmd_reduce(args) -> int:
     from .reduction import certify_generators, check_certificate, ReductionCertificate
 
     ctx = Context()
-    d, gens = ctx.diagram, ctx.generators
     if args.sub == "run":
-        certs = certify_generators(d, gens)
+        certs = certify_generators(ctx.diagram, ctx.generators)
         os.makedirs(args.out, exist_ok=True)
         for j, cert in enumerate(certs, start=1):
             with open(os.path.join(args.out, f"g{j:02d}.cert"), "w") as f:
@@ -235,6 +238,7 @@ def _cmd_reduce(args) -> int:
         if not names:
             print(f"no certificates in {args.dir}", file=sys.stderr)
             return 2
+        d, gens = ctx.diagram, ctx.generators
         bad = []
         for n in names:
             with open(os.path.join(args.dir, n)) as f:
@@ -259,6 +263,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_relations(args) -> int:
+    if args.sub != "verify":
+        print("usage: eleech relations verify", file=sys.stderr)
+        return 2
     from . import checks
 
     return _report(*checks.run(checks.names("relations"), checks.Context()))

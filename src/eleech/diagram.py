@@ -26,6 +26,7 @@ from .rings import (
     OMEGA2,
     ONE,
     ZERO,
+    UNITS,
     XI,
     SQRT3_C as SQRT3_C12,
 )
@@ -189,6 +190,10 @@ class Diagram:
         self.plane = plane
         self.by_name = {n.name: n for n in self.nodes}
         self._by_triple = {(n.kind, n.triple): n.index for n in self.nodes}
+        # the node roots are pairwise not unit multiples: 156 distinct keys
+        self._by_root = {
+            tuple(u * x for x in n.root): (n.index, u) for n in self.nodes for u in UNITS
+        }
         self.form = FORM_E8H
         self.points = [n for n in self.nodes if n.kind == "point"]
         self.lines = [n for n in self.nodes if n.kind == "line"]
@@ -220,6 +225,11 @@ class Diagram:
 
     def neighbors(self, idx):
         return [j for j in range(26) if self.adjacency()[idx][j]]
+
+    def node_of(self, v):
+        """(index, unit) with v == unit * (root of node index), or None
+        when v is no unit multiple of a node root."""
+        return self._by_root.get(tuple(v))
 
     # -- node-root basis ---------------------------------------------------
 

@@ -23,6 +23,7 @@ from .lattices import (
     in_l_leech_h,
     leech_ip,
 )
+from .reflections import canonical_root
 from .textio import parse_matrix
 
 
@@ -598,9 +599,7 @@ def null_vectors_of_cell(basis2):
                 continue
             w = tuple(x * a + y * b for a, b in zip(u, v))
             if FORM_LEECH_H.ip(w, w) == ZERO:
-                key = min(
-                    tuple((un * t).key() for t in w) for un in UNITS
-                )
+                key = canonical_root(w)
                 if key not in seen:
                     seen.add(key)
                     out.append(w)

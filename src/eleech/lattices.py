@@ -14,6 +14,7 @@ and the two vector sets are compared elsewhere as an acceptance gate.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, product
 
 from .rings import Eis, THETA, UNITS, ZERO, ONE
@@ -70,15 +71,11 @@ def h_ip(u, v) -> Eis:
     return hermitian_ip(u, v, H_GRAM)
 
 
-_GOLAY = None
-
-
+@cache
 def golay_words():
-    global _GOLAY
-    if _GOLAY is None:
-        _GOLAY = golay12()
-        _GOLAY.words()
-    return _GOLAY
+    code = golay12()
+    code.words()
+    return code
 
 
 def leech_contains(v):
@@ -113,15 +110,11 @@ def leech_contains(v):
     return (m, c, tuple(z))
 
 
-_TETRA = None
-
-
+@cache
 def tetra_words():
-    global _TETRA
-    if _TETRA is None:
-        _TETRA = tetracode()
-        _TETRA.words()
-    return _TETRA
+    code = tetracode()
+    code.words()
+    return code
 
 
 def e8_contains(v) -> bool:
@@ -393,9 +386,7 @@ def _hnf_basis(rows, ip):
     return tuple(basis)
 
 
-_LEECH_BASIS = None
-
-
+@cache
 def leech_basis():
     """A deterministic E-basis of the complex Leech lattice.
 
@@ -405,51 +396,43 @@ def leech_basis():
     of every row plus discriminant 3^6 (tested), which together force the
     row span to be the whole lattice.
     """
-    global _LEECH_BASIS
-    if _LEECH_BASIS is None:
-        gens = []
-        ones = [Eis(1, 0)] * 12
-        ones[0] = Eis(4, 0)  # m=1, c=0, z=e_1
-        gens.append(tuple(ones))
-        from .codes import GOLAY12_GENS
+    gens = []
+    ones = [Eis(1, 0)] * 12
+    ones[0] = Eis(4, 0)  # m=1, c=0, z=e_1
+    gens.append(tuple(ones))
+    from .codes import GOLAY12_GENS
 
-        for g in GOLAY12_GENS:
-            gens.append(tuple(THETA * Eis(x, 0) for x in g))
-        for i in range(11):
-            row = [ZERO] * 12
-            row[i] = Eis(3, 0)
-            row[i + 1] = Eis(-3, 0)
-            gens.append(tuple(row))
+    for g in GOLAY12_GENS:
+        gens.append(tuple(THETA * Eis(x, 0) for x in g))
+    for i in range(11):
         row = [ZERO] * 12
-        row[0] = Eis(3, 0) * THETA
+        row[i] = Eis(3, 0)
+        row[i + 1] = Eis(-3, 0)
         gens.append(tuple(row))
-        basis = _hnf_basis(gens, leech_ip)
-        if len(basis) != 12:
-            raise ArithmeticError("Leech spanning set does not have rank 12")
-        _LEECH_BASIS = basis
-    return _LEECH_BASIS
+    row = [ZERO] * 12
+    row[0] = Eis(3, 0) * THETA
+    gens.append(tuple(row))
+    basis = _hnf_basis(gens, leech_ip)
+    if len(basis) != 12:
+        raise ArithmeticError("Leech spanning set does not have rank 12")
+    return basis
 
 
-_E8_BASIS = None
-
-
+@cache
 def e8_basis():
-    global _E8_BASIS
-    if _E8_BASIS is None:
-        gens = []
-        from .codes import TETRACODE_GENS
+    gens = []
+    from .codes import TETRACODE_GENS
 
-        for g in TETRACODE_GENS:
-            gens.append(tuple(Eis(x, 0) for x in g))
-        for i in range(4):
-            row = [ZERO] * 4
-            row[i] = THETA
-            gens.append(tuple(row))
-        basis = _hnf_basis(gens, e8_ip)
-        if len(basis) != 4:
-            raise ArithmeticError("E8 spanning set does not have rank 4")
-        _E8_BASIS = basis
-    return _E8_BASIS
+    for g in TETRACODE_GENS:
+        gens.append(tuple(Eis(x, 0) for x in g))
+    for i in range(4):
+        row = [ZERO] * 4
+        row[i] = THETA
+        gens.append(tuple(row))
+    basis = _hnf_basis(gens, e8_ip)
+    if len(basis) != 4:
+        raise ArithmeticError("E8 spanning set does not have rank 4")
+    return basis
 
 
 def lattice_lambda() -> HermitianLattice:

@@ -33,7 +33,7 @@ from .rings import (
     unit_name,
     unit_from_name,
 )
-from .linalg import FORM_LEECH_H, FORM_E8H, vec_integral
+from .linalg import FORM_LEECH_H, FORM_E8H
 from .lattices import e8_ip, leech_ip, golay_words, in_l_e8h
 from .reflections import reflect, canonical_root
 from .textio import parse_matrix, parse_entry, format_vector
@@ -208,14 +208,6 @@ _EPS = {"w": OMEGA, "wbar": OMEGA2}
 _UNIT_NAMES = frozenset(map(unit_name, UNITS))
 
 
-def _unit_multiple_of_node(y, diagram):
-    for n in diagram.nodes:
-        for u in UNITS:
-            if tuple(u * x for x in n.root) == tuple(y):
-                return n.index, u
-    return None
-
-
 class HeightReducer:
     """Shared state for reducing many roots against one diagram."""
 
@@ -253,7 +245,7 @@ class HeightReducer:
         steps = []
         while budget > 0:
             budget -= 1
-            hit = _unit_multiple_of_node(y, self.diagram)
+            hit = self.diagram.node_of(y)
             if hit is not None:
                 return steps, hit
             nxt = self._descend_step(y)
@@ -333,8 +325,7 @@ def check_certificate(cert, diagram, generators) -> bool:
             y = reflect(generators[s[1] - 1], _EPS[s[2]], y, diagram.form)
             last = red.height_ns(y)
     k, uname = cert.terminal
-    want = tuple(unit_from_name(uname) * x for x in diagram.nodes[k].root)
-    return tuple(y) == want
+    return diagram.node_of(y) == (k, unit_from_name(uname))
 
 
 # ---------------------------------------------------------------------------
@@ -587,23 +578,25 @@ def _c12_sqrt3_plus4() -> Cyclo12:
 def _expand_positions(diagram, points, s, big_units, small_units):
     """Place the pairing values 3u (big) and theta*u (small) on distinct
     points, reconstruct r = sum -t_i x_i / 3 + s w_P / 3 and keep the
-    lattice roots of height 1 or less."""
+    lattice roots of height 1 or less.  3r is accumulated in Z[w]; r is
+    integral exactly when every component of 3r is divisible by 3."""
     from itertools import permutations
 
     out = []
-    c = diagram.constants()
-    wp = c.w_p
+    s_wp = [s * y for y in diagram.constants().w_p]
     values = [Eis(3, 0) * u for u in big_units] + [THETA * u for u in small_units]
     k = len(values)
     distinct_orders = set(permutations(values))
     for pos in combinations(range(13), k):
         for order in distinct_orders:
-            acc = [x * Fraction(1, 3) for x in (s * y for y in wp)]
+            acc = list(s_wp)
             for p, t in zip(pos, order):
                 for i in range(14):
-                    acc[i] = acc[i] - Fraction(1, 3) * (t * points[p][i])
-            r = vec_integral(acc)
-            if r is None or not in_l_e8h(r):
+                    acc[i] = acc[i] - t * points[p][i]
+            if any(x.a % 3 or x.b % 3 for x in acc):
+                continue
+            r = tuple(Eis(x.a // 3, x.b // 3) for x in acc)
+            if not in_l_e8h(r):
                 continue
             if diagram.form.ip(r, r) != Eis(-3, 0):
                 continue

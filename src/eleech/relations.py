@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from .rings import Eis, OMEGA, OMEGA2, ONE, ZERO, THETA, UNITS
 from .linalg import AutMatrix, int_charpoly, aut_from_images
@@ -42,7 +42,7 @@ class GroupWord:
 # exact order of an automorphism
 
 
-@lru_cache(maxsize=None)
+@cache
 def cyclotomic_poly(d: int):
     """Coefficients of Phi_d, ascending, exact integers."""
     # x^d - 1 = prod_{e | d} Phi_e

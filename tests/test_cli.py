@@ -111,6 +111,25 @@ def test_reduce_check_empty_dir_usage_error(tmp_path):
     assert main(["reduce", "check", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["reduce", "check", "{missing}"],
+    ["isom", "verify", "--e1", "{missing}"],
+    ["isom", "verify", "--e2", "{missing}"],
+    ["isom", "search", "--shell", "{missing}"],
+], ids=["reduce_check_dir", "isom_verify_e1", "isom_verify_e2", "isom_search_shell"])
+def test_missing_input_is_io_error(argv, tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    assert main([a.format(missing=missing) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and missing in err and err.count("\n") == 1
+
+
+def test_relations_without_subcommand_is_usage_error(capsys):
+    assert main(["relations"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_reduce_run_writes_all_certificates(tmp_path, capsys):
     out = tmp_path / "certs"
     assert main(["reduce", "run", "--out", str(out)]) == 0

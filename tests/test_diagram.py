@@ -3,7 +3,7 @@ import random
 import pytest
 
 from eleech.rings import (
-    Eis, Cyclo12, SqrtThree, ONE, OMEGA, OMEGA2, THETA, ZERO, XI, SQRT3_C,
+    Eis, Cyclo12, SqrtThree, ONE, OMEGA, OMEGA2, THETA, ZERO, XI, SQRT3_C, UNITS,
 )
 from eleech.diagram import (
     Diagram, ProjPlane, presentation_generators, pgl3_closure, pgl3_order,
@@ -178,6 +178,21 @@ def test_height_zero_and_reflected_node(diagram):
     b1 = diagram.by_name["b1"].root
     moved = reflect(b1, OMEGA, a, diagram.form)
     assert diagram.height_sq(moved) > SqrtThree(1, 0)
+
+
+def test_node_of_round_trips_every_unit_multiple(diagram):
+    for n in diagram.nodes:
+        for u in UNITS:
+            assert diagram.node_of([u * x for x in n.root]) == (n.index, u)
+
+
+def test_node_of_is_none_off_the_node_multiples(diagram, generators):
+    from eleech.reduction import HeightReducer
+
+    cert = HeightReducer(diagram).reduce(generators[2], (), max_perturb=0)
+    assert cert.steps
+    assert diagram.node_of(cert.target) is None
+    assert diagram.node_of((ZERO,) * 14) is None
 
 
 def test_c_squared_identities(diagram):

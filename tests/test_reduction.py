@@ -1,9 +1,14 @@
+import contextlib
+import io
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eleech.rings import Eis, ONE, OMEGA, OMEGA2, THETA, ZERO, UNITS, SqrtThree
+from eleech.rings import Eis, ONE, OMEGA, OMEGA2, THETA, ZERO, UNITS, SqrtThree, unit_name
 from eleech.linalg import FORM_LEECH_H, FORM_E8H
 from eleech.lattices import leech_ip, leech_contains, in_l_e8h
 from eleech.reflections import reflect
@@ -199,6 +204,62 @@ def test_corrupted_certificate_fails(diagram, generators):
 def test_empty_certificate_on_non_node_invalid(diagram, generators):
     cert = ReductionCertificate(generators[0], [], (0, "1"))
     assert not check_certificate(cert, diagram, generators)
+
+
+@pytest.fixture(scope="module")
+def sample_certs(diagram, generators):
+    """g03 (no perturbation) and g34 (one perturbation), as ``reduce run``
+    writes them."""
+    red = HeightReducer(diagram)
+    sources = [(j, generators[j - 1]) for j in (3, 4, 6)]
+    certs = {
+        3: red.reduce(generators[2], (), max_perturb=0),
+        34: red.reduce(generators[33], sources, max_perturb=1),
+    }
+    assert certs[3].steps and certs[34].perturbation_count() == 1
+    return certs
+
+
+MUTANTS = settings(max_examples=25, deadline=None)
+NAMED_UNITS = [unit_name(u) for u in UNITS]
+
+
+@MUTANTS
+@given(j=st.sampled_from((3, 34)), shift=st.one_of(
+    st.tuples(st.integers(0, 25), st.integers(0, 5)).filter(any), st.none()))
+def test_mutated_certificate_fails_replay(sample_certs, diagram, generators, j, shift):
+    """The terminal shifted to another of the 156 (node, unit) pairs, or
+    (shift None) the last step dropped: the reducer tests for a node hit
+    before every step, so the root it stepped from is no node multiple."""
+    cert = sample_certs[j]
+    steps, terminal = list(cert.steps), cert.terminal
+    if shift is None:
+        steps.pop()
+    else:
+        k, u = terminal
+        terminal = ((k + shift[0]) % 26,
+                    NAMED_UNITS[(NAMED_UNITS.index(u) + shift[1]) % 6])
+    assert check_certificate(ReductionCertificate(cert.target, steps, terminal),
+                             diagram, generators) is False
+
+
+@MUTANTS
+@given(j=st.sampled_from((3, 34)), i=st.integers(0, 13),
+       delta=st.builds(Eis, st.integers(-3, 3), st.integers(-3, 3)).filter(bool))
+def test_mutated_target_fails_reduce_check(sample_certs, j, i, delta):
+    from eleech.cli import main
+
+    cert = sample_certs[j]
+    target = list(cert.target)
+    target[i] = target[i] + delta
+    name = f"g{j:02d}.cert"
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, name).write_text(
+            ReductionCertificate(target, cert.steps, cert.terminal).serialize())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["reduce", "check", tmp]) == 1
+    assert f"bad: {name}\n" in out.getvalue()
 
 
 def test_conway_reduce_trivial():

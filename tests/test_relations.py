@@ -48,13 +48,8 @@ def test_spider_transported(diagram):
     aut = diagram.g_action(x)
     perm = {}
     for node in diagram.nodes:
-        img = aut.apply(node.root)
-        for other in diagram.nodes:
-            from eleech.rings import UNITS
-
-            if any(tuple(u * t for t in other.root) == tuple(img) for u in UNITS):
-                perm[node.name] = other.name
-                break
+        k, _ = diagram.node_of(aut.apply(node.root))
+        perm[node.name] = diagram.nodes[k].name
     word = GroupWord(diagram, tuple(perm[n] for n in SPIDER)).matrix()
     assert (word ** 20).is_identity()
 
