@@ -12,15 +12,19 @@ the simplex / E8-diagram / orthogonality / hyperbolic-completion steps.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, groupby, permutations, product
+from operator import itemgetter
 
-from .rings import Eis, OMEGA, OMEGA2, THETA, UNITS, ZERO, ONE
+from .rings import Eis, OMEGA, OMEGA2, THETA, UNITS, ZERO, ONE, eis_gcd
 from .linalg import FORM_E8H, FORM_LEECH_H, Basis, kernel, mat_mul, mat_vec, vec_integral
 from .lattices import (
+    _hnf_basis,
     flat_re_ip2,
     from_flat,
     in_l_leech_h,
+    lattice_leech_h,
     leech_ip,
 )
 from .reflections import canonical_root
@@ -171,8 +175,14 @@ def hand_root_shape(root):
 # the discovery calculation: simplex -> E8 tuples -> 3E8 -> hyperbolic cell
 
 
-def find_simplex(shell, size=24, start=0):
-    """A regular simplex of `size` first-shell vectors: all pairwise
+#: vertices of the regular simplex the search starts from
+SIMPLEX_SIZE = 24
+#: simplexes tried, one from each of the first shell vectors in order
+MAX_STARTS = 12
+
+
+def find_simplex(shell, start=0):
+    """A regular simplex of SIMPLEX_SIZE first-shell vectors: all pairwise
     differences again of minimal norm.  Deterministic greedy backtracking
     in shell order from the start-th vector; vertices are flat int tuples.
 
@@ -187,9 +197,9 @@ def find_simplex(shell, size=24, start=0):
     cands = [v for v in ordered if v != first and compatible(first, v)]
 
     def extend(clique, cands):
-        if len(clique) == size:
+        if len(clique) == SIMPLEX_SIZE:
             return clique
-        if len(clique) + len(cands) < size:
+        if len(clique) + len(cands) < SIMPLEX_SIZE:
             return None
         for i, v in enumerate(cands):
             rest = [w for w in cands[i + 1:] if compatible(v, w)]
@@ -231,13 +241,14 @@ def find_e8_quadruples(delta):
     beta exists iff the doubled pairings are even and the chain signs
     satisfy the cocycle conditions.
     """
-    d2 = _pairing_table(delta)
-    n = len(delta)
-    out = []
-    for quad in combinations(range(n), 4):
-        import itertools
+    return _quadruples(_pairing_table(delta))
 
-        for perm in itertools.permutations(quad):
+
+def _quadruples(d2):
+    """find_e8_quadruples from the pairing table d2 of the vertices."""
+    out = []
+    for quad in combinations(range(len(d2)), 4):
+        for perm in permutations(quad):
             if perm[0] > perm[3]:
                 continue  # chain reversal gives the same diagram
             betas = _chain_betas(perm, d2)
@@ -267,6 +278,43 @@ def _chain_betas(perm, d2):
     return None
 
 
+def compatible_pairs(quads, d2):
+    """(a, b, v0) for every pair a < b of quadruples whose chains lie on
+    disjoint vertices and are orthogonal once chain b's doubled betas are
+    shifted by the even v0: ba[i] - bb[j] + d2[pa[i]][pb[j]] == v0 for all
+    i, j.  Pairs come in ascending (a, b) order.
+
+    A join instead of a scan over all pairs: a vertex x off pa can carry
+    chain b only when shift[x] = ba[i] + d2[pa[i]][x] is the same for all
+    four i, so the partners of a are the quadruples on those vertices with
+    shift[pb[j]] - bb[j] one value for all j.
+    """
+    by_vertices = defaultdict(list)
+    for b, (pb, _) in enumerate(quads):
+        by_vertices[frozenset(pb)].append(b)
+    for a, (pa, ba) in enumerate(quads):
+        shift = {}
+        for x in range(len(d2)):
+            if x in pa:
+                continue
+            vals = {ba[i] + d2[pa[i]][x] for i in range(4)}
+            if len(vals) == 1:
+                shift[x] = vals.pop()
+        partners = []
+        for vertices in combinations(shift, 4):
+            for b in by_vertices.get(frozenset(vertices), ()):
+                if b <= a:
+                    continue
+                pb, bb = quads[b]
+                v0s = {shift[x] - y for x, y in zip(pb, bb)}
+                if len(v0s) == 1:
+                    v0 = v0s.pop()
+                    if v0 % 2 == 0:
+                        partners.append((b, v0))
+        for b, v0 in sorted(partners):
+            yield a, b, v0
+
+
 def psi_root(flat_lambda, beta2):
     """The root (lambda; 1, theta(-3 - |lambda|^2)/6 + beta) in Leech+H.
 
@@ -286,20 +334,15 @@ def quadruple_roots(delta, perm, betas):
     return tuple(psi_root(delta[i], b) for i, b in zip(perm, betas))
 
 
-def minimal_distance_candidates(shell, anchors):
-    """Shell vectors at minimal distance (-6 difference norm) from every
-    anchor (flat tuples)."""
-    out = []
-    anchors = list(anchors)
-    for v in shell:
-        ok = True
-        for a in anchors:
-            if v == a or flat_re_ip2(v, a) != 18:
-                ok = False
-                break
-        if ok:
-            out.append(v)
-    return out
+def _theta_shift(roots, hand_roots):
+    """The rational integer n with <r, s> = n theta for every root r and
+    hand root s, or None when there is no such n."""
+    ips = (FORM_LEECH_H.ip(r, s) for r in roots for s in hand_roots)
+    v = next(ips)
+    if not THETA.divides(v) or any(w != v for w in ips):
+        return None
+    n = v.exact_div(THETA)
+    return n.a if n.b == 0 else None
 
 
 def complete_to_3e8(delta_flats, quad_pair, candidates):
@@ -310,40 +353,23 @@ def complete_to_3e8(delta_flats, quad_pair, candidates):
     existing hands fixes the shift exactly when all cross inner products
     agree and are integer multiples of theta.
     """
-    import itertools
-
     pool = list(candidates)
     existing = [quadruple_roots(delta_flats, p, b) for p, b in quad_pair]
     hand_roots = [s for hand in existing for s in hand]
-    d2full = _pairing_table(pool)
-    for quad in combinations(range(len(pool)), 4):
-        for perm in itertools.permutations(quad):
-            if perm[0] > perm[3]:
-                continue
-            betas = _chain_betas(perm, d2full)
-            if betas is None:
-                continue
-            roots = tuple(psi_root(pool[i], b) for i, b in zip(perm, betas))
-            vals = {
-                FORM_LEECH_H.ip(r, s) for r in roots for s in hand_roots
-            }
-            if len(vals) != 1:
-                continue
-            v = vals.pop()
-            if not THETA.divides(v):
-                continue
-            n = v.exact_div(THETA)
-            if n.b != 0:
-                continue
-            cand = tuple(
-                r[:13] + (r[13] - Eis(n.a, 0),) for r in roots
-            )
-            if all(
-                FORM_LEECH_H.ip(r, s) == ZERO
-                for r in cand
-                for s in hand_roots
-            ):
-                return cand
+    for perm, betas in find_e8_quadruples(pool):
+        roots = quadruple_roots(pool, perm, betas)
+        n = _theta_shift(roots, hand_roots)
+        if n is None:
+            continue
+        cand = tuple(
+            r[:13] + (r[13] - Eis(n, 0),) for r in roots
+        )
+        if all(
+            FORM_LEECH_H.ip(r, s) == ZERO
+            for r in cand
+            for s in hand_roots
+        ):
+            return cand
     return None
 
 
@@ -351,8 +377,6 @@ def orthogonal_cell_basis(hand_roots):
     """An E-basis of the rank-2 orthogonal complement of the 12 hand roots
     inside Leech+H, found among bounded integer combinations of the
     standard basis; returns two vectors spanning a hyperbolic cell."""
-    from .lattices import lattice_leech_h
-
     L = lattice_leech_h()
     rows = []
     for r in hand_roots:
@@ -371,15 +395,11 @@ def orthogonal_cell_basis(hand_roots):
             for i in range(14):
                 v[i] = v[i] + c * b[i]
         vecs.append(tuple(v))
-    from .lattices import _hnf_basis
-
     basis = _hnf_basis(vecs, FORM_LEECH_H.ip)
     # saturate: divide rows by any common non-unit divisor and re-check
     out = []
     for v in basis:
         g = ZERO
-        from .rings import eis_gcd
-
         for x in v:
             g = eis_gcd(g, x)
         if g and not g.is_unit():
@@ -423,31 +443,15 @@ def _gauss_reduce_cell(u, v):
     return [u, v]
 
 
-def orthogonal_root_candidates(shell, delta_flats, hand_roots):
-    """First-shell vectors admitting a root (v; 1, *) orthogonal to every
-    root of the two hands: the minimal-distance condition (real parts)
-    plus a consistent integral beta shift (theta parts).
+def orthogonal_root_candidates(candidates, hand_roots):
+    """The candidates v (first-shell vectors at minimal distance from every
+    hand vertex) admitting a root (v; 1, *) orthogonal to every root of the
+    two hands: a consistent integral beta shift (theta parts).
 
     This is the step whose size the original calculation reports as 8.
     """
-    out = []
-    for v in minimal_distance_candidates(shell, delta_flats):
-        vals = set()
-        good = True
-        r0 = psi_root(v, 1)
-        for s in hand_roots:
-            ip = FORM_LEECH_H.ip(r0, s)
-            if not THETA.divides(ip):
-                good = False
-                break
-            n = ip.exact_div(THETA)
-            if n.b != 0:
-                good = False
-                break
-            vals.add(n.a)
-        if good and len(vals) == 1:
-            out.append(v)
-    return out
+    return [v for v in candidates
+            if _theta_shift((psi_root(v, 1),), hand_roots) is not None]
 
 
 class SearchResult:
@@ -458,11 +462,11 @@ class SearchResult:
         self.candidate_count = candidate_count
 
 
-def run_search(shell, e2_rows, max_starts=12, log=None):
+def run_search(shell, e2_rows, log=None):
     """The full discovery calculation.
 
-    Walks simplexes in deterministic order, scans pairs of root chains
-    for an orthogonal E8+E8 whose orthogonal-extension candidate list has
+    Walks simplexes in deterministic order, joins pairs of root chains
+    into an orthogonal E8+E8 whose orthogonal-extension candidate list has
     the reported size 8, completes to 3E8 among those candidates, closes
     with a hyperbolic cell, and arranges everything to the exact Gram of
     the reference basis.  Returns a SearchResult whose basis_rows satisfy
@@ -470,11 +474,11 @@ def run_search(shell, e2_rows, max_starts=12, log=None):
     """
     say = log or (lambda *_: None)
     g2 = gram_of(e2_rows, FORM_E8H)
-    for start in range(max_starts):
+    for start in range(MAX_STARTS):
         delta = find_simplex(shell, start=start)
         say(f"simplex from shell vector {start}")
-        quads = find_e8_quadruples(delta)
         d2 = _pairing_table(delta)
+        quads = _quadruples(d2)
         nbr_cache = {}
 
         def nbrs(i):
@@ -486,31 +490,17 @@ def run_search(shell, e2_rows, max_starts=12, log=None):
             return nbr_cache[i]
 
         seen = 0
-        for a in range(len(quads)):
-            pa, ba = quads[a]
-            sa = set(pa)
-            for b in range(a + 1, len(quads)):
+        for _, pairs in groupby(compatible_pairs(quads, d2), itemgetter(0)):
+            for a, b, v0 in pairs:
+                pa, ba = quads[a]
                 pb, bb = quads[b]
-                if sa & set(pb):
-                    continue
-                v0 = ba[0] - bb[0] + d2[pa[0]][pb[0]]
-                if v0 % 2:
-                    continue
-                okp = all(
-                    ba[i] - bb[j] + d2[pa[i]][pb[j]] == v0
-                    for i in range(4)
-                    for j in range(4)
-                )
-                if not okp:
-                    continue
                 bb2 = tuple(x + v0 for x in bb)
                 seen += 1
                 hand1 = quadruple_roots(delta, pa, ba)
                 hand2 = quadruple_roots(delta, pb, bb2)
-                anchors = [delta[i] for i in pa] + [delta[i] for i in pb]
                 cands = set.intersection(*[nbrs(i) for i in pa + pb])
                 ok = orthogonal_root_candidates(
-                    sorted(cands), anchors, list(hand1) + list(hand2)
+                    sorted(cands), list(hand1) + list(hand2)
                 )
                 if len(ok) != 8:
                     continue

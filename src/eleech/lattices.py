@@ -458,11 +458,7 @@ def lattice_leech_h() -> HermitianLattice:
         basis.append(tuple(row) + (ZERO, ZERO))
     basis.append((ZERO,) * 12 + (ONE, ZERO))
     basis.append((ZERO,) * 12 + (ZERO, ONE))
-
-    def member(v):
-        return leech_contains(v[:12]) is not None
-
-    return HermitianLattice("Leech+H", basis, FORM_LEECH_H.ip, member)
+    return HermitianLattice("Leech+H", basis, FORM_LEECH_H.ip, in_l_leech_h)
 
 
 def lattice_3e8_h() -> HermitianLattice:
@@ -477,11 +473,7 @@ def lattice_3e8_h() -> HermitianLattice:
             basis.append(tuple(v))
     basis.append((ZERO,) * 12 + (ONE, ZERO))
     basis.append((ZERO,) * 12 + (ZERO, ONE))
-
-    def member(v):
-        return all(e8_contains(v[4 * b: 4 * b + 4]) for b in range(3))
-
-    return HermitianLattice("3E8+H", basis, FORM_E8H.ip, member)
+    return HermitianLattice("3E8+H", basis, FORM_E8H.ip, in_l_e8h)
 
 
 def in_l_e8h(v) -> bool:

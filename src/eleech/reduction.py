@@ -206,6 +206,13 @@ def _choice(name, allowed):
 
 _EPS = {"w": OMEGA, "wbar": OMEGA2}
 _UNIT_NAMES = frozenset(map(unit_name, UNITS))
+#: descent steps one reduction may take before it gives up
+REDUCE_BUDGET = 10_000
+#: generators (1-based) certified without perturbation; in this order they
+#: are the perturbation sources of all the others
+PERTURB_SOURCES = (3, 4, 6)
+#: perturbations a generator's certificate may use
+MAX_PERTURB = 1
 
 
 class HeightReducer:
@@ -227,13 +234,13 @@ class HeightReducer:
         """|<rho_hat, y>|^2; proportional to ht^2, exact, cheap to compare."""
         return self.ip_rho(y).abs_sq()
 
-    def reduce(self, y0, perturb_sources=(), max_perturb=1, budget=10_000):
+    def reduce(self, y0, perturb_sources=(), max_perturb=1):
         """A certificate for y0, or None when stuck beyond the policy.
 
         perturb_sources: list of (index, root) usable for perturbation, in
         preference order; each is tried with eps = w then wbar.
         """
-        found = self._search(tuple(y0), perturb_sources, max_perturb, budget)
+        found = self._search(tuple(y0), perturb_sources, max_perturb, REDUCE_BUDGET)
         if found is None:
             return None
         steps, (k, u) = found
@@ -283,16 +290,16 @@ class HeightReducer:
         return None
 
 
-def certify_generators(diagram, generators, first=(3, 4, 6), max_perturb=1):
+def certify_generators(diagram, generators):
     """Certificates for all 50 generators.
 
-    The generators listed in ``first`` (1-based) are certified without
-    perturbation; the rest may perturb by those, in the listed order.
+    The generators in PERTURB_SOURCES are certified without perturbation;
+    the rest may perturb by those, in the listed order.
     """
     red = HeightReducer(diagram)
     certs = {}
     sources = []
-    for j in first:
+    for j in PERTURB_SOURCES:
         cert = red.reduce(generators[j - 1], (), max_perturb=0)
         if cert is None:
             raise RuntimeError(f"generator g_{j} failed perturbation-free reduction")
@@ -301,7 +308,7 @@ def certify_generators(diagram, generators, first=(3, 4, 6), max_perturb=1):
     for j in range(1, len(generators) + 1):
         if j in certs:
             continue
-        cert = red.reduce(generators[j - 1], sources, max_perturb=max_perturb)
+        cert = red.reduce(generators[j - 1], sources, max_perturb=MAX_PERTURB)
         if cert is None:
             raise RuntimeError(f"generator g_{j} stuck beyond perturbation policy")
         certs[j] = cert
@@ -310,9 +317,12 @@ def certify_generators(diagram, generators, first=(3, 4, 6), max_perturb=1):
 
 def check_certificate(cert, diagram, generators) -> bool:
     """Exact replay: strict height decrease off perturbations, terminal
-    equal to the stated unit multiple of the stated node."""
-    red = HeightReducer(diagram)
+    equal to the stated unit multiple of the stated node.  A target that
+    is no root of L fails before the replay."""
     y = cert.target
+    if not in_l_e8h(y) or diagram.form.ip(y, y) != Eis(-3, 0):
+        return False
+    red = HeightReducer(diagram)
     last = red.height_ns(y)
     for s in cert.steps:
         if s[0] == "node":

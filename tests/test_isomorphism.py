@@ -12,6 +12,7 @@ from eleech.isomorphism import (
     load_e1, load_e1prime, e2_matrix, gram_of, ChangeOfBasis,
     m666_from_e1prime, m666_reference, hand_root_shape, M666_ORDER,
     find_simplex, find_e8_quadruples, quadruple_roots, psi_root,
+    compatible_pairs, _pairing_table,
 )
 
 
@@ -127,6 +128,34 @@ def test_quadruple_roots_form_chains(shell):
         for j in range(i + 1, 4):
             n = FORM_LEECH_H.ip(roots[i], roots[j]).norm()
             assert n == (3 if j == i + 1 else 0)
+
+
+def test_compatible_pairs_match_brute_force(shell):
+    """The join finds, for each of the first 300 quadruples a, exactly the
+    later quadruples b that the all-pairs predicate accepts, in ascending
+    order: disjoint vertices and one even v0 = ba[i] - bb[j] +
+    d2[pa[i]][pb[j]] for all 16 (i, j).  From a = 215 on, some a have
+    three partners."""
+    delta = find_simplex(shell)
+    quads = find_e8_quadruples(delta)
+    d2 = _pairing_table(delta)
+    joined = {}
+    for a, b, v0 in compatible_pairs(quads, d2):
+        if a >= 300:
+            break
+        joined.setdefault(a, []).append((b, v0))
+    for a, (pa, ba) in enumerate(quads[:300]):
+        brute = []
+        for b in range(a + 1, len(quads)):
+            pb, bb = quads[b]
+            if not set(pa).isdisjoint(pb):
+                continue
+            v0 = ba[0] - bb[0] + d2[pa[0]][pb[0]]
+            if v0 % 2 == 0 and all(ba[i] - bb[j] + d2[pa[i]][pb[j]] == v0
+                                   for i in range(4) for j in range(4)):
+                brute.append((b, v0))
+        assert joined.get(a, []) == brute, a
+    assert joined
 
 
 def test_psi_root_is_root(shell):

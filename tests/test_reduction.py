@@ -222,30 +222,37 @@ def sample_certs(diagram, generators):
 
 MUTANTS = settings(max_examples=25, deadline=None)
 NAMED_UNITS = [unit_name(u) for u in UNITS]
+NONZERO_EIS = st.builds(Eis, st.integers(-3, 3), st.integers(-3, 3)).filter(bool)
 
 
 @MUTANTS
 @given(j=st.sampled_from((3, 34)), shift=st.one_of(
-    st.tuples(st.integers(0, 25), st.integers(0, 5)).filter(any), st.none()))
+    st.tuples(st.integers(0, 25), st.integers(0, 5)).filter(any), st.none(),
+    st.tuples(st.integers(0, 13), NONZERO_EIS)))
 def test_mutated_certificate_fails_replay(sample_certs, diagram, generators, j, shift):
-    """The terminal shifted to another of the 156 (node, unit) pairs, or
-    (shift None) the last step dropped: the reducer tests for a node hit
-    before every step, so the root it stepped from is no node multiple."""
+    """The terminal shifted to another of the 156 (node, unit) pairs,
+    (shift None) the last step dropped, or (shift (i, delta)) target entry
+    i moved by delta: the reducer tests for a node hit before every step,
+    so the root it stepped from is no node multiple, and the replay of a
+    moved target ends off the stated node multiple, or the target is no
+    root of L at all."""
     cert = sample_certs[j]
-    steps, terminal = list(cert.steps), cert.terminal
+    target, steps, terminal = list(cert.target), list(cert.steps), cert.terminal
     if shift is None:
         steps.pop()
+    elif isinstance(shift[1], Eis):
+        i, delta = shift
+        target[i] = target[i] + delta
     else:
         k, u = terminal
         terminal = ((k + shift[0]) % 26,
                     NAMED_UNITS[(NAMED_UNITS.index(u) + shift[1]) % 6])
-    assert check_certificate(ReductionCertificate(cert.target, steps, terminal),
+    assert check_certificate(ReductionCertificate(target, steps, terminal),
                              diagram, generators) is False
 
 
 @MUTANTS
-@given(j=st.sampled_from((3, 34)), i=st.integers(0, 13),
-       delta=st.builds(Eis, st.integers(-3, 3), st.integers(-3, 3)).filter(bool))
+@given(j=st.sampled_from((3, 34)), i=st.integers(0, 13), delta=NONZERO_EIS)
 def test_mutated_target_fails_reduce_check(sample_certs, j, i, delta):
     from eleech.cli import main
 
