@@ -10,13 +10,14 @@ entries; ``tests/test_acceptance.py`` times the entries of each criterion.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import combinations
 
 from . import isomorphism, lattices, reduction, relations
 from .codes import golay12, qr_code, tetracode
 from .diagram import Diagram, presentation_generators
-from .linalg import FORM_E8H, FORM_LEECH_H, mat_identity
+from .linalg import FORM_E8H, FORM_LEECH_H, mat_identity, mat_mul
 from .reflections import canonical_root
-from .rings import Eis, OMEGA, THETA, SqrtThree
+from .rings import Eis, ONE, OMEGA, THETA, ZERO, SqrtThree
 
 
 class Context:
@@ -140,6 +141,9 @@ def _automorphisms(ctx):
 
 def _lattices_fast(ctx):
     return _flags([
+        ("disc_leech_729", lattices.lattice_lambda().discriminant() == 729),
+        ("disc_e8_9", lattices.lattice_e8().discriminant() == 9),
+        ("disc_h_3", lattices.lattice_h().discriminant() == 3),
         ("disc_leech_h_2187", lattices.lattice_leech_h().discriminant() == 2187),
         ("disc_3e8_h_2187", lattices.lattice_3e8_h().discriminant() == 2187),
         ("shell_e8_240", len(lattices.shell_e8()) == 240),
@@ -212,6 +216,29 @@ def _phi_flips(ctx):
     return _flags(relations.verify_phi_flips(isomorphism.load_e1prime()).items())
 
 
+def _braid_relations(ctx):
+    """Adjacent node reflections braid and do not commute; the others
+    commute and do not braid.  The w-reflections in r_i and r_j fix
+    span(r_i, r_j)^perp pointwise, so when that span is nondegenerate a
+    relation holds on L iff it holds on the span, where in the basis
+    (r_i, r_j) the two reflections are 2x2 matrices."""
+    d = ctx.diagram
+    g, adj = d.gram(), d.adjacency()
+
+    def coeff(x):  # phi_i(v) = v + coeff(<r_i, v>) r_i
+        return ((ONE - OMEGA) * x).exact_div(Eis(3, 0))
+
+    ok = all(g[i][i] == Eis(-3, 0) for i in range(len(g)))
+    for i, j in combinations(range(len(g)), 2):
+        phi_i = ((OMEGA, coeff(g[i][j])), (ZERO, ONE))
+        phi_j = ((ONE, ZERO), (coeff(g[j][i]), OMEGA))
+        ij, ji = mat_mul(phi_i, phi_j), mat_mul(phi_j, phi_i)
+        braid = mat_mul(ij, phi_i) == mat_mul(ji, phi_j)
+        ok = (ok and g[i][i] * g[j][j] != g[i][j] * g[j][i]
+              and braid == adj[i][j] and (ij == ji) != adj[i][j])
+    return _flags([("braid_relations", ok)])
+
+
 def _rad_m666(ctx):
     adds = relations.rad_m666_covers_d(ctx.diagram)  # raises unless they cover all 26
     return [("rad_m666_covers_d", f"ok ({len(adds)} witnessed additions)")], True
@@ -233,4 +260,5 @@ REGISTRY = {
     "coxeter": ("relations", _coxeter),
     "phi_flips": ("relations", _phi_flips),
     "rad_m666": ("relations", _rad_m666),
+    "braid_relations": ("relations", _braid_relations),
 }

@@ -63,6 +63,8 @@ def main(argv=None) -> int:
     sub.add_parser("verify-all", help="every verification at once")
 
     args = parser.parse_args(argv)
+    from .textio import InputError
+
     if args.cmd is None:
         parser.print_help()
         return 2
@@ -81,7 +83,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return handler(args)
-    except OSError as exc:  # a missing or unreadable input, an unwritable output
+    except (OSError, InputError) as exc:  # a missing or malformed input, an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -166,13 +168,13 @@ def diagram_check_lines(d):
 
 def _cmd_isom(args) -> int:
     from .diagram import Diagram
-    from .textio import parse_matrix, format_matrix
+    from .textio import format_matrix, read_matrix
     from . import isomorphism as iso
 
     d = Diagram()
     if args.sub == "verify":
-        e1 = parse_matrix(open(args.e1).read()) if args.e1 else iso.load_e1()
-        e2 = parse_matrix(open(args.e2).read()) if args.e2 else iso.e2_matrix(d)
+        e1 = read_matrix(args.e1, 14) if args.e1 else iso.load_e1()
+        e2 = read_matrix(args.e2, 14) if args.e2 else iso.e2_matrix(d)
         try:
             chg = iso.ChangeOfBasis(e1, e2)
         except ValueError as exc:
@@ -198,11 +200,12 @@ def _cmd_isom(args) -> int:
         from . import lattices
 
         if args.shell:
-            rows = parse_matrix(open(args.shell).read())
-            shell = [lattices.to_flat(r) for r in rows]
+            shell = [lattices.to_flat(r) for r in read_matrix(args.shell, 12)]
         else:
             shell = lattices.first_shell_by_shapes()
         res = iso.run_search(shell, iso.e2_matrix(d), log=lambda *a: print(*a))
+        if res is None:
+            return _report([("error", "no simplex of the shell gives 8 candidates")], False)
         return _report(
             [
                 ("candidate_count", res.candidate_count),

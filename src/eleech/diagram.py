@@ -30,8 +30,10 @@ from .rings import (
     XI,
     SQRT3_C as SQRT3_C12,
 )
+from .lattices import HermitianLattice
 from .linalg import AutMatrix, FORM_E8H, aut_from_images, spanning_basis
 from .reflections import reflection_matrix
+from .textio import InputError
 
 E = Eis
 _O = ZERO
@@ -181,13 +183,11 @@ class Diagram:
         raw = _build_roots()
         self.nodes = []
         labeling = _load_labeling()
-        plane = ProjPlane()
         for idx, name in enumerate(NODE_NAMES):
             kind = "point" if name in POINT_NAMES else "line"
             self.nodes.append(
                 DiagramNode(idx, name, kind, raw[name], labeling[name])
             )
-        self.plane = plane
         self.by_name = {n.name: n for n in self.nodes}
         self._by_triple = {(n.kind, n.triple): n.index for n in self.nodes}
         # the node roots are pairwise not unit multiples: 156 distinct keys
@@ -379,9 +379,7 @@ class DiagramConstants:
         self.form = form
 
     def fixed_lattice(self):
-        from .lattices import HermitianLattice
-
-        return HermitianLattice("F", (self.w_p, self.w_l), self.form.ip)
+        return HermitianLattice((self.w_p, self.w_l), self.form.ip)
 
 
 def _points_on_line(diagram, line_node):
@@ -514,13 +512,25 @@ def data_text(name: str) -> str:
 
 
 def _load_labeling():
-    text = data_text("plane_labeling.txt")
+    """Node name -> canonical F3 triple.  Raises InputError unless the file
+    names each of the 26 nodes once, each with a nonzero triple, and no two
+    points and no two lines share a triple."""
     out = {}
-    for line in text.strip().splitlines():
-        if not line.strip() or line.startswith("#"):
+    for line in data_text("plane_labeling.txt").splitlines():
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        name, a, b, c = line.split()
-        out[name] = (int(a), int(b), int(c))
+        name, *triple = fields
+        try:
+            if name not in NODE_NAMES or name in out or len(triple) != 3:
+                raise ValueError
+            out[name] = _canon_triple(int(x) for x in triple)
+        except ValueError:
+            raise InputError(f"plane_labeling.txt: bad line {line.strip()!r}") from None
+    if len(out) != len(NODE_NAMES):
+        raise InputError(f"plane_labeling.txt: no triple for {set(NODE_NAMES) - set(out)}")
+    if len({(name in POINT_NAMES, t) for name, t in out.items()}) != len(out):
+        raise InputError("plane_labeling.txt: two points or two lines share a triple")
     return out
 
 

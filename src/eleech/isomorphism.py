@@ -34,13 +34,13 @@ from .textio import parse_matrix
 def load_e1():
     from .diagram import data_text
 
-    return parse_matrix(data_text("e1.txt"))
+    return parse_matrix(data_text("e1.txt"), "e1.txt", 14)
 
 
 def load_e1prime():
     from .diagram import data_text
 
-    return parse_matrix(data_text("e1prime.txt"))
+    return parse_matrix(data_text("e1prime.txt"), "e1prime.txt", 14)
 
 
 def e2_matrix(diagram):
@@ -185,6 +185,7 @@ def find_simplex(shell, start=0):
     """A regular simplex of SIMPLEX_SIZE first-shell vectors: all pairwise
     differences again of minimal norm.  Deterministic greedy backtracking
     in shell order from the start-th vector; vertices are flat int tuples.
+    None when the shell has no such simplex through that vector.
 
     |u - v|^2 = -6 for norm -6 vectors iff 2 Re sum conj(u_i) v_i = 18.
     """
@@ -208,10 +209,7 @@ def find_simplex(shell, start=0):
                 return got
         return None
 
-    got = extend([first], cands)
-    if got is None:
-        raise RuntimeError("no simplex found in the first shell")
-    return got
+    return extend([first], cands)
 
 
 def _pairing_table(delta):
@@ -470,12 +468,14 @@ def run_search(shell, e2_rows, log=None):
     the reported size 8, completes to 3E8 among those candidates, closes
     with a hyperbolic cell, and arranges everything to the exact Gram of
     the reference basis.  Returns a SearchResult whose basis_rows satisfy
-    Gram(rows) == Gram(e2_rows).
+    Gram(rows) == Gram(e2_rows), or None when no simplex tried gives one.
     """
     say = log or (lambda *_: None)
     g2 = gram_of(e2_rows, FORM_E8H)
-    for start in range(MAX_STARTS):
+    for start in range(min(MAX_STARTS, len(shell))):
         delta = find_simplex(shell, start=start)
+        if delta is None:
+            continue
         say(f"simplex from shell vector {start}")
         d2 = _pairing_table(delta)
         quads = _quadruples(d2)
@@ -520,7 +520,7 @@ def run_search(shell, e2_rows, log=None):
                 # deterministic: first success wins
             if seen > 4000:
                 break
-    raise RuntimeError("search exhausted without an 8-candidate configuration")
+    return None
 
 
 def assemble_basis(hands, g2, e2_rows):

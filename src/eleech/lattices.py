@@ -19,11 +19,13 @@ from itertools import combinations, product
 
 from .rings import Eis, THETA, UNITS, ZERO, ONE
 from .linalg import (
+    FORM_E8H,
+    FORM_LEECH_H,
     mat_det,
     hermitian_ip,
     vec_is_zero,
 )
-from .codes import golay12, tetracode
+from .codes import GOLAY12_GENS, TETRACODE_GENS, golay12, tetracode
 
 # flat int encoding of an E^12 vector: (a1, b1, a2, b2, ..., a12, b12)
 FlatVec = tuple
@@ -312,23 +314,16 @@ def flat_re_ip2(u, v) -> int:
     return s
 
 
-def flat_sub(u, v) -> FlatVec:
-    return tuple(x - y for x, y in zip(u, v))
-
-
 # ---------------------------------------------------------------------------
 # lattice descriptors
 
 
 class HermitianLattice:
-    """A lattice with a fixed basis, ambient form and membership test."""
+    """A lattice with a fixed basis and ambient form."""
 
-    def __init__(self, name, basis, ip, membership=None):
-        self.name = name
+    def __init__(self, basis, ip):
         self.basis = tuple(tuple(v) for v in basis)
-        self.rank = len(self.basis)
         self.ip = ip
-        self.membership = membership
         self._gram = None
 
     def gram(self):
@@ -343,11 +338,6 @@ class HermitianLattice:
         if d.b != 0:
             raise ValueError("Gram determinant not real")
         return abs(d.a)
-
-    def contains(self, v) -> bool:
-        if self.membership is None:
-            raise NotImplementedError(f"{self.name} has no membership test")
-        return self.membership(v)
 
 
 def _hnf_basis(rows, ip):
@@ -400,8 +390,6 @@ def leech_basis():
     ones = [Eis(1, 0)] * 12
     ones[0] = Eis(4, 0)  # m=1, c=0, z=e_1
     gens.append(tuple(ones))
-    from .codes import GOLAY12_GENS
-
     for g in GOLAY12_GENS:
         gens.append(tuple(THETA * Eis(x, 0) for x in g))
     for i in range(11):
@@ -421,8 +409,6 @@ def leech_basis():
 @cache
 def e8_basis():
     gens = []
-    from .codes import TETRACODE_GENS
-
     for g in TETRACODE_GENS:
         gens.append(tuple(Eis(x, 0) for x in g))
     for i in range(4):
@@ -436,34 +422,28 @@ def e8_basis():
 
 
 def lattice_lambda() -> HermitianLattice:
-    return HermitianLattice(
-        "Leech", leech_basis(), leech_ip, lambda v: leech_contains(v) is not None
-    )
+    return HermitianLattice(leech_basis(), leech_ip)
 
 
 def lattice_e8() -> HermitianLattice:
-    return HermitianLattice("E8", e8_basis(), e8_ip, e8_contains)
+    return HermitianLattice(e8_basis(), e8_ip)
 
 
 def lattice_h() -> HermitianLattice:
     basis = ((ONE, ZERO), (ZERO, ONE))
-    return HermitianLattice("H", basis, h_ip, lambda v: True)
+    return HermitianLattice(basis, h_ip)
 
 
 def lattice_leech_h() -> HermitianLattice:
-    from .linalg import FORM_LEECH_H
-
     basis = []
     for row in leech_basis():
         basis.append(tuple(row) + (ZERO, ZERO))
     basis.append((ZERO,) * 12 + (ONE, ZERO))
     basis.append((ZERO,) * 12 + (ZERO, ONE))
-    return HermitianLattice("Leech+H", basis, FORM_LEECH_H.ip, in_l_leech_h)
+    return HermitianLattice(basis, FORM_LEECH_H.ip)
 
 
 def lattice_3e8_h() -> HermitianLattice:
-    from .linalg import FORM_E8H
-
     basis = []
     for blk in range(3):
         for row in e8_basis():
@@ -473,7 +453,7 @@ def lattice_3e8_h() -> HermitianLattice:
             basis.append(tuple(v))
     basis.append((ZERO,) * 12 + (ONE, ZERO))
     basis.append((ZERO,) * 12 + (ZERO, ONE))
-    return HermitianLattice("3E8+H", basis, FORM_E8H.ip, in_l_e8h)
+    return HermitianLattice(basis, FORM_E8H.ip)
 
 
 def in_l_e8h(v) -> bool:
@@ -483,34 +463,3 @@ def in_l_e8h(v) -> bool:
 
 def in_l_leech_h(v) -> bool:
     return leech_contains(v[:12]) is not None
-
-
-def is_primitive(v) -> bool:
-    """No non-unit of Z[w] divides every coordinate."""
-    from .rings import eis_gcd
-
-    g = ZERO
-    for x in v:
-        g = eis_gcd(g, x)
-        if g.is_unit():
-            return True
-    return bool(g) and g.is_unit()
-
-
-def affine_e8_check(c, d, e, f, bprime, ip) -> bool:
-    """The lowest-root relation b' + (2+w)c + 2d + (2+w)e + f = 0 plus the
-    affine chain shape (b'-c-d-e-f consecutive adjacency, norms -3)."""
-    chain = (bprime, c, d, e, f)
-    for x in chain:
-        if ip(x, x) != Eis(-3, 0):
-            return False
-    for i in range(5):
-        for j in range(i + 1, 5):
-            n = ip(chain[i], chain[j]).norm()
-            want = 3 if j == i + 1 else 0
-            if n != want:
-                return False
-    lam = Eis(2, 1)
-    acc = [bprime[k] + lam * c[k] + Eis(2, 0) * d[k] + lam * e[k] + f[k]
-           for k in range(len(c))]
-    return all(not x for x in acc)

@@ -394,11 +394,6 @@ class AutMatrix:
             [[scale * x for x in row] for row in mat_inverse(self.mat)]
         )
 
-    def conj_transpose(self) -> "AutMatrix":
-        if self.k:
-            raise ValueError("conj_transpose only for integral matrices")
-        return AutMatrix(mat_conj_transpose(self.mat))
-
     def preserves_form(self, gram: EMatrix) -> bool:
         """Exact check of conj(M)^T G M == G (G integral Hermitian)."""
         mh = mat_conj_transpose(self.mat)

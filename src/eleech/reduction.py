@@ -100,7 +100,7 @@ def load_z_basis():
     """The pinned 24-vector Z-basis of the Leech lattice."""
     from .diagram import data_text
 
-    return parse_matrix(data_text("leech_zbasis.txt"))
+    return parse_matrix(data_text("leech_zbasis.txt"), "leech_zbasis.txt", 12)
 
 
 def build_generators(chg):
@@ -517,19 +517,6 @@ def _frac_norm_sum(v):
     for x in v:
         s += Fraction(x.a) ** 2 - Fraction(x.a) * Fraction(x.b) + Fraction(x.b) ** 2
     return s
-
-
-def galois_norm_ht(diagram, r) -> int:
-    """Nm(r): the rational norm of <r, rho_bar>/|rho_bar|^2 (diagnostic)."""
-    c = diagram.constants()
-    ipp = diagram.form.ip12(c.rho_hat, r).abs_sq()
-    ipm = diagram.form.ip12(c.rho_hat_minus, r).abs_sq()
-    np2 = SqrtThree(-78, 104) * SqrtThree(-78, 104)
-    nm2 = SqrtThree(-78, -104) * SqrtThree(-78, -104)
-    val = (ipp * 676 / np2) * (ipm * 676 / nm2)
-    if val.q != 0 or val.p.denominator != 1:
-        raise ArithmeticError("Nm(r) is not a rational integer")
-    return int(val.p)
 
 
 # ---------------------------------------------------------------------------

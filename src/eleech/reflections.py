@@ -1,4 +1,4 @@
-"""Complex reflections, adjacency/braiding and bounded radical closure.
+"""Complex reflections and canonical unit representatives of roots.
 
 A root is a primitive lattice vector of norm -3; the w-reflection
     phi_r^mu(v) = v - r (1 - mu) <r, v> / |r|^2
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rings import Eis, OMEGA, OMEGA2, THETA, UNITS
+from .rings import Eis, THETA, UNITS
 from .linalg import AutMatrix, LorentzForm, vec_add, vec_scale
 
 MINUS3 = Eis(-3, 0)
@@ -70,65 +70,3 @@ def _form_row(r, form: LorentzForm):
     out.append(THETA * r[13].conj())       # <r, e_13>
     out.append(-THETA * r[12].conj())      # <r, e_14>
     return tuple(out)
-
-
-def adjacent(a, b, form) -> bool:
-    """|<a,b>| = sqrt 3, i.e. norm(<a,b>) = 3; equivalent to braiding."""
-    return form.ip(a, b).norm() == 3
-
-
-def braid_check(a, b, form) -> bool:
-    """phi_a phi_b phi_a == phi_b phi_a phi_b as exact matrices."""
-    ma = reflection_matrix(a, OMEGA, form)
-    mb = reflection_matrix(b, OMEGA, form)
-    return ma @ mb @ ma == mb @ ma @ mb
-
-
-def commute_check(a, b, form) -> bool:
-    ma = reflection_matrix(a, OMEGA, form)
-    mb = reflection_matrix(b, OMEGA, form)
-    return ma @ mb == mb @ ma
-
-
-def radical_closure(phi, budget: int, form, sources: str = "initial"):
-    """Bounded saturation of a root set under reflections.
-
-    Starting from the canonicalized set phi, each round adds
-    canon(phi_a^{+-}(b)) for a in the reflecting pool and b in the newest
-    roots; ``sources`` picks the pool: "initial" restricts reflections to
-    the original roots (budget rounds then give exactly the length-budget
-    words Phi_(n)), "current" reflects the running set in itself (faster
-    growth, same limit).
-
-    Returns (roots, truncated): truncated is True when the last round
-    still added roots, i.e. the budget may have cut the closure short.
-    """
-    current = {canonical_root(tuple(v)) for v in phi}
-    initial = frozenset(current)
-    frontier = set(current)
-    for _ in range(budget):
-        if not frontier:
-            return frozenset(current), False
-        new = set()
-        if sources == "initial":
-            pairs = ((a, b) for a in initial for b in frontier)
-        else:
-            pairs = _current_pairs(current, frontier)
-        for a, b in pairs:
-            for mu in (OMEGA, OMEGA2):
-                c = canonical_root(reflect(a, mu, b, form))
-                if c not in current and c not in new:
-                    new.add(c)
-        current |= new
-        frontier = new
-    return frozenset(current), bool(frontier)
-
-
-def _current_pairs(current, frontier):
-    for a in current:
-        for b in frontier:
-            yield a, b
-    older = current - frontier
-    for a in frontier:
-        for b in older:
-            yield a, b

@@ -10,19 +10,38 @@ from __future__ import annotations
 from .rings import Eis
 
 
+class InputError(ValueError):
+    """A malformed input or data file."""
+
+
 def parse_entry(tok: str) -> Eis:
-    a, b = tok.split(",")
-    return Eis(int(a), int(b))
+    try:
+        a, b = tok.split(",")
+        return Eis(int(a), int(b))
+    except ValueError:
+        raise InputError(f"bad entry {tok!r}, expected a,b") from None
 
 
-def parse_matrix(text: str):
+def parse_matrix(text: str, source: str, width: int):
+    """The rows of the text, each of ``width`` entries.  An InputError
+    names ``source`` and the line."""
     rows = []
-    for line in text.splitlines():
+    for n, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append(tuple(parse_entry(t) for t in line.split()))
+        try:
+            rows.append(tuple(parse_entry(t) for t in line.split()))
+            if len(rows[-1]) != width:
+                raise InputError(f"{len(rows[-1])} entries, expected {width}")
+        except InputError as exc:
+            raise InputError(f"{source}:{n}: {exc}") from None
     return tuple(rows)
+
+
+def read_matrix(path, width: int):
+    with open(path) as f:
+        return parse_matrix(f.read(), path, width)
 
 
 def format_vector(v) -> str:

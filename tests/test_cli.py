@@ -125,6 +125,72 @@ def test_missing_input_is_io_error(argv, tmp_path, capsys):
     assert err.startswith("error: ") and missing in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["isom", "verify", "--e1", "{path}"], "x,y 1,0\n"),
+    (["isom", "verify", "--e2", "{path}"], "1,0 2\n"),
+    (["isom", "search", "--shell", "{path}"], "x,y\n"),
+    (["isom", "verify", "--e1", "{path}"], "1,0 0,0\n"),
+    (["isom", "search", "--shell", "{path}"], "3,0 3,0\n"),
+], ids=["isom_verify_e1", "isom_verify_e2", "isom_search_shell", "isom_verify_e1_width",
+        "isom_search_shell_width"])
+def test_malformed_input_is_io_error(argv, text, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main([a.format(path=path) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}:1: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, argv, edit", [
+    ("e1.txt", ["isom", "verify"], lambda row: row + " x,y"),
+    ("leech_zbasis.txt", ["reduce", "run", "--out", "{out}"], lambda row: row.rsplit(" ", 1)[0]),
+], ids=["e1_entry", "zbasis_width"])
+def test_malformed_data_file_is_io_error(name, argv, edit, tmp_path, monkeypatch, capsys):
+    from eleech.diagram import data_text
+
+    lines = data_text(name).splitlines()
+    lines[-1] = edit(lines[-1])
+    (tmp_path / name).write_text("\n".join(lines) + "\n")
+    monkeypatch.setenv("ELEECH_DATA_DIR", str(tmp_path))
+    assert main([a.format(out=tmp_path / "out") for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {name}:{len(lines)}: ")
+
+
+def test_shell_without_simplex_fails(tmp_path, capsys):
+    path = tmp_path / "shell.txt"
+    path.write_text(" ".join(["3,0", "-3,0"] + ["0,0"] * 10) + "\n")
+    assert main(["isom", "search", "--shell", str(path)]) == 1
+    assert capsys.readouterr().out.endswith("RESULT: FAIL\n")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: [l for l in lines if not l.startswith("d3 ")],
+    lambda lines: lines + ["d3 1 2 0"],
+    lambda lines: lines + ["x9 1 2 0"],
+    lambda lines: [("d3 0 3 0" if l.startswith("d3 ") else l) for l in lines],
+    lambda lines: [("d3 1 2" if l.startswith("d3 ") else l) for l in lines],
+    lambda lines: [("d3 1 2 x" if l.startswith("d3 ") else l) for l in lines],
+    lambda lines: [("c1 0 0 1" if l.startswith("c1 ") else l) for l in lines],
+], ids=["missing", "duplicate", "unknown", "zero", "short", "not_int", "shared_triple"])
+def test_bad_labeling_is_an_error(edit, tmp_path, monkeypatch, capsys):
+    from eleech import checks
+    from eleech.diagram import data_text
+
+    lines = edit(data_text("plane_labeling.txt").splitlines())
+    (tmp_path / "plane_labeling.txt").write_text("\n".join(lines) + "\n")
+    monkeypatch.setenv("ELEECH_DATA_DIR", str(tmp_path))
+    for sub in ("check", "dump"):
+        assert main(["diagram", sub]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: plane_labeling.txt: ")
+    monkeypatch.setattr(checks, "REGISTRY", {n: checks.REGISTRY[n] for n in ("codes", "diagram")})
+    assert main(["verify-all"]) == 1
+    out = capsys.readouterr().out
+    assert "codes: ok\ndiagram: FAIL\nerror: diagram: InputError: plane_labeling.txt: " in out
+
+
 def test_relations_without_subcommand_is_usage_error(capsys):
     assert main(["relations"]) == 2
     assert capsys.readouterr().out == ""

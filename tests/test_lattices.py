@@ -8,7 +8,6 @@ from eleech.lattices import (
     flat_norm6, flat_re_ip2, from_flat, to_flat,
     leech_basis, e8_basis,
     lattice_lambda, lattice_e8, lattice_h, lattice_leech_h, lattice_3e8_h,
-    affine_e8_check, is_primitive, in_l_e8h,
 )
 
 Z12 = (ZERO,) * 12
@@ -163,35 +162,3 @@ def test_lambda_sampled_norms_at_most_minus_6():
 def test_h_cell_form():
     assert h_ip((ONE, ZERO), (ZERO, ONE)) == -THETA
     assert h_ip((ONE, Eis(-1, -1)), (ONE, Eis(-1, -1))) == Eis(-3, 0)
-
-
-def test_affine_e8_check_from_diagram(diagram):
-    for i in (1, 2, 3):
-        c = diagram.by_name[f"c{i}"].root
-        d = diagram.by_name[f"d{i}"].root
-        e = diagram.by_name[f"e{i}"].root
-        f = diagram.by_name[f"f{i}"].root
-        lam = Eis(2, 1)
-        bprime = tuple(
-            -(lam * cc + Eis(2, 0) * dd + lam * ee + ff)
-            for cc, dd, ee, ff in zip(c, d, e, f)
-        )
-        assert in_l_e8h(bprime)
-        assert affine_e8_check(c, d, e, f, bprime, diagram.form.ip)
-        # a consistent unit rescaling keeps the relation
-        u = OMEGA
-        assert affine_e8_check(
-            tuple(u * x for x in c), tuple(u * x for x in d),
-            tuple(u * x for x in e), tuple(u * x for x in f),
-            tuple(u * x for x in bprime), diagram.form.ip,
-        )
-
-
-def test_affine_e8_check_rejects_zero(diagram):
-    z = (ZERO,) * 14
-    assert not affine_e8_check(z, z, z, z, z, diagram.form.ip)
-
-
-def test_primitivity():
-    assert is_primitive((ONE, THETA))
-    assert not is_primitive((THETA, Eis(3, 0)))

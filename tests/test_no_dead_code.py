@@ -1,0 +1,91 @@
+"""Every function and method in the package has a caller in the package
+or in the benchmark: a helper that nothing calls checks nothing.
+
+A name counts as called when it appears anywhere outside its own
+definition as a name, an attribute, an imported name or a dotted part of
+a string (the benchmark's span table names what it wraps as strings).
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import eleech
+
+PACKAGE = Path(eleech.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+BENCHMARK = sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
+
+#: called only from tests, and kept on purpose
+ALLOWED = {
+    "TernaryCode.min_weight": "the minimum distances the code tests check",
+    "TernaryCode.is_self_dual": "the self-duality of C12 the code tests check",
+    "BinaryCode.min_weight": "the minimum distance of the binary Golay code",
+    "ProjPlane.points_on": "the 4 points on a line of P2(F3)",
+    "ProjPlane.lines_through": "the 4 lines through a point of P2(F3)",
+    "Diagram.neighbors": "the node neighbourhoods the diagram tests walk",
+    "Diagram.rho_vec": "the Weyl vector summands the diagram tests sum",
+    "Diagram.c_squared": "the exact cosines the height tests compare",
+    "local_max_probe": "the float diagnostic of criterion 10",
+    "weyl_second_order_sign": "the exact second-order sign at the Weyl point",
+    "hand_root_shape": "the shape of the hand roots of the search",
+    "Basis.integral_coeffs": "lattice coordinates in a root basis",
+    "AutMatrix.apply12": "automorphisms on Z[zeta_12] vectors such as rho_hat",
+    "Translation.compose": "the group law of the Heisenberg translations",
+    "Cyclo12.to_eis": "the way back from Z[zeta_12] to Z[w]",
+    "SqrtThree.to_float": "the float view the numeric probe compares with",
+}
+
+
+def _references(tree) -> Counter:
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rpartition(".")[2]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(node.value.split("."))
+    return names
+
+
+def _definitions(tree):
+    """(qualified name, node) of the top-level functions and the methods
+    of top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item
+
+
+TREES = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES + BENCHMARK}
+REFERENCES = sum((_references(tree) for tree in TREES.values()), Counter())
+
+
+def _uncalled(path):
+    out = []
+    for qualname, node in _definitions(TREES[path]):
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if REFERENCES[name] - _references(node)[name] <= 0:
+            out.append(qualname)
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_function_has_a_caller(path):
+    uncalled = [q for q in _uncalled(path) if q not in ALLOWED]
+    assert not uncalled, f"{path.name}: nothing in the package or benchmark calls {uncalled}"
+
+
+def test_allowlist_names_only_uncalled_functions():
+    uncalled = {q for path in SOURCES for q in _uncalled(path)}
+    assert set(ALLOWED) <= uncalled, f"called now, drop from ALLOWED: {set(ALLOWED) - uncalled}"

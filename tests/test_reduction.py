@@ -16,7 +16,7 @@ from eleech.reduction import (
     R1, R2, RHO_NULL,
     Translation, minimal_zhalf, load_z_basis,
     HeightReducer, ReductionCertificate, check_certificate, certify_generators,
-    conway_reduce, h_value_sq, LeechCVP, galois_norm_ht,
+    conway_reduce, h_value_sq, LeechCVP,
 )
 
 EPS = {"w": OMEGA, "wbar": OMEGA2}
@@ -331,8 +331,3 @@ def test_cvp_within_covering_bound():
             d = x - y
             s += Fraction(d.a) ** 2 - Fraction(d.a) * Fraction(d.b) + Fraction(d.b) ** 2
         assert s <= 9
-
-
-def test_galois_norm_diagnostic(diagram):
-    for n in diagram.nodes[:4]:
-        assert galois_norm_ht(diagram, n.root) == 1

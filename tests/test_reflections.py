@@ -3,11 +3,9 @@ import random
 import pytest
 
 from eleech.rings import Eis, OMEGA, OMEGA2, THETA, UNITS, ZERO
-from eleech.reflections import (
-    reflect, reflection_matrix, adjacent, braid_check, commute_check,
-    canonical_root, radical_closure,
-)
-from eleech.linalg import FORM_E8H
+from eleech.checks import Context, run
+from eleech.diagram import Diagram
+from eleech.reflections import reflect, reflection_matrix, canonical_root
 
 
 def _random_lattice_vector(diagram, rng, spread=2):
@@ -60,15 +58,32 @@ def test_reflection_rejects_non_root(diagram):
 
 
 def test_adjacent_equals_braid_on_all_pairs(diagram):
+    """The 14x14 cross-check of the braid_relations entry's 2x2 argument."""
     adj = diagram.adjacency()
+    phi = [diagram.node_reflection(n.name) for n in diagram.nodes]
     for i in range(26):
         for j in range(i + 1, 26):
-            a = diagram.nodes[i].root
-            b = diagram.nodes[j].root
-            assert adjacent(a, b, diagram.form) == adj[i][j]
-            assert braid_check(a, b, diagram.form) == adj[i][j]
+            ab, ba = phi[i] @ phi[j], phi[j] @ phi[i]
+            assert (ab @ phi[i] == ba @ phi[j]) == adj[i][j]
             if not adj[i][j]:
-                assert commute_check(a, b, diagram.form)
+                assert ab == ba
+
+
+@pytest.mark.parametrize("pair, entry, cache_adjacency", [
+    (("a", "f"), lambda x: Eis(2, 0) * x, True),   # still an edge, but no longer braids
+    (("a", "f"), lambda x: Eis(2, 0) * x, False),  # no longer an edge, but does not commute
+    (("a", "c1"), lambda x: Eis(3, 0), False),     # degenerate span: 9 - N(3) = 0
+], ids=["braid", "commute", "degenerate"])
+def test_braid_relations_fail_on_a_perturbed_gram_entry(monkeypatch, pair, entry, cache_adjacency):
+    d = Diagram()
+    if cache_adjacency:
+        d.adjacency()
+    i, j = (d.by_name[name].index for name in pair)
+    gram = [list(row) for row in d.gram()]
+    gram[i][j] = entry(gram[i][j])
+    gram[j][i] = gram[i][j].conj()
+    monkeypatch.setattr(d, "gram", lambda: tuple(map(tuple, gram)))
+    assert run(["braid_relations"], Context(diagram=d)) == ([("braid_relations", "FAIL")], False)
 
 
 def test_reflection_conjugation(diagram):
@@ -92,41 +107,3 @@ def test_canonical_root_is_unit_invariant(diagram):
         c = canonical_root(node.root)
         for u in UNITS:
             assert canonical_root(tuple(u * x for x in node.root)) == c
-
-
-def test_radical_closure_singleton(diagram):
-    r = diagram.by_name["g1"].root
-    got, truncated = radical_closure([r], 3, diagram.form)
-    assert got == frozenset({canonical_root(r)})
-    assert not truncated
-
-
-def test_radical_closure_monotone_and_connected(diagram):
-    names = ("a", "b1", "c1")
-    roots = [diagram.by_name[n].root for n in names]
-    prev = None
-    for budget in (1, 2):
-        got, _ = radical_closure(roots, budget, diagram.form)
-        if prev is not None:
-            assert prev <= got
-        prev = got
-        # connectivity: every root reachable from the first by adjacency chains
-        all_roots = sorted(got, key=lambda v: tuple(x.key() for x in v))
-        seen = {all_roots[0]}
-        frontier = [all_roots[0]]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in all_roots:
-                    if b not in seen and diagram.form.ip(a, b).norm() == 3:
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        assert seen == set(all_roots)
-
-
-def test_radical_closure_current_mode_grows(diagram):
-    roots = [diagram.by_name[n].root for n in ("a", "b1", "b2")]
-    small, _ = radical_closure(roots, 1, diagram.form, sources="current")
-    bigger, _ = radical_closure(roots, 2, diagram.form, sources="current")
-    assert small < bigger
