@@ -15,7 +15,7 @@ from itertools import combinations
 from . import isomorphism, lattices, reduction, relations
 from .codes import golay12, qr_code, tetracode
 from .diagram import Diagram, presentation_generators
-from .linalg import FORM_E8H, FORM_LEECH_H, mat_identity, mat_mul
+from .linalg import FORM_E8H, FORM_LEECH_H, mat_mul
 from .reflections import canonical_root
 from .rings import Eis, ONE, OMEGA, THETA, ZERO, SqrtThree
 
@@ -129,13 +129,12 @@ def _automorphisms(ctx):
     head = xy @ xy @ xy @ xy @ xyi
     relator = head @ head @ xy @ xy @ xyi @ xyi @ xy @ xyi @ xyi @ xy @ xy @ xyi
     s = d.sigma()
-    gram = isomorphism.gram_of(mat_identity(14), FORM_E8H)
     return _flags([
         ("pgl3_presentation", (gx @ gx).is_identity() and (gy ** 3).is_identity()
          and (xy ** 13).is_identity() and relator.is_identity()),
         ("sigma_order_12", (s ** 12).is_identity()),
         ("sigma_squared_minus_w", (s @ s).scalar() == -OMEGA),
-        ("forms_preserved", all(a.preserves_form(gram) for a in (gx, gy, s))),
+        ("forms_preserved", all(a.preserves_form(FORM_E8H) for a in (gx, gy, s))),
     ])
 
 

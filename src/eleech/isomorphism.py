@@ -393,7 +393,7 @@ def orthogonal_cell_basis(hand_roots):
             for i in range(14):
                 v[i] = v[i] + c * b[i]
         vecs.append(tuple(v))
-    basis = _hnf_basis(vecs, FORM_LEECH_H.ip)
+    basis = _hnf_basis(vecs)
     # saturate: divide rows by any common non-unit divisor and re-check
     out = []
     for v in basis:
@@ -510,9 +510,7 @@ def run_search(shell, e2_rows, log=None):
                 if hand3 is None:
                     say("  no third chain; continuing")
                     continue
-                rows = assemble_basis(
-                    (hand1, hand2, hand3), g2, e2_rows
-                )
+                rows = assemble_basis((hand1, hand2, hand3), g2)
                 if rows is None:
                     say("  assembly failed; continuing")
                     continue
@@ -523,7 +521,7 @@ def run_search(shell, e2_rows, log=None):
     return None
 
 
-def assemble_basis(hands, g2, e2_rows):
+def assemble_basis(hands, g2):
     """Unit-rescale and order the three chains plus a hyperbolic null pair
     into a 14-row basis with Gram exactly g2."""
     target_hand = tuple(tuple(g2[i][j] for j in range(4)) for i in range(4))

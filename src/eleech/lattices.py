@@ -4,8 +4,9 @@ A Leech vector is a point of E^12 that
 decomposes as m*(1,...,1) + theta*c + 3*z with m in {0, +-1}, c a ternary
 Golay word and sum(z) = m mod theta.  E8 is the theta-lift of the
 tetracode in E^4.  Inner products: <u,v> = -(1/3) sum conj(u_i) v_i on the
-Leech side, -sum conj(u_i) v_i per E8 block, and the hyperbolic cell has
-Gram ((0, conj(theta)), (theta, 0)).
+Leech side and -sum conj(u_i) v_i per E8 block, both ``linalg.negdef_ip``;
+the hyperbolic cell H and the 14-coordinate lattices Leech+H and 3E8+H
+take their forms from ``linalg.LorentzForm``.
 
 First-shell enumeration for the Leech lattice is done twice, by
 independent strategies (explicit shape families vs. generic coset search),
@@ -22,7 +23,7 @@ from .linalg import (
     FORM_E8H,
     FORM_LEECH_H,
     mat_det,
-    hermitian_ip,
+    negdef_ip,
     vec_is_zero,
 )
 from .codes import GOLAY12_GENS, TETRACODE_GENS, golay12, tetracode
@@ -43,34 +44,12 @@ def from_flat(f) -> tuple:
     return tuple(Eis(f[2 * i], f[2 * i + 1]) for i in range(len(f) // 2))
 
 
-def negdef_ip(u, v, div3: bool) -> Eis:
-    """<u,v> = -(1/3 if div3 else 1) * sum conj(u_i) v_i."""
-    s = ZERO
-    for x, y in zip(u, v):
-        if x and y:
-            s = s + x.conj() * y
-    if div3:
-        qa, ra = divmod(s.a, 3)
-        qb, rb = divmod(s.b, 3)
-        if ra or rb:
-            raise ValueError("pairing not divisible by 3")
-        s = Eis(qa, qb)
-    return -s
-
-
 def leech_ip(u, v) -> Eis:
-    return negdef_ip(u, v, div3=True)
+    return negdef_ip(u, v, 3)
 
 
 def e8_ip(u, v) -> Eis:
-    return negdef_ip(u, v, div3=False)
-
-
-H_GRAM = ((ZERO, -THETA), (THETA, ZERO))  # ((0, conj(theta)), (theta, 0))
-
-
-def h_ip(u, v) -> Eis:
-    return hermitian_ip(u, v, H_GRAM)
+    return negdef_ip(u, v)
 
 
 @cache
@@ -340,7 +319,7 @@ class HermitianLattice:
         return abs(d.a)
 
 
-def _hnf_basis(rows, ip):
+def _hnf_basis(rows):
     """A triangular basis of the row span over the Euclidean domain Z[w]."""
     work = [list(r) for r in rows if not vec_is_zero(r)]
     ncols = len(rows[0])
@@ -400,7 +379,7 @@ def leech_basis():
     row = [ZERO] * 12
     row[0] = Eis(3, 0) * THETA
     gens.append(tuple(row))
-    basis = _hnf_basis(gens, leech_ip)
+    basis = _hnf_basis(gens)
     if len(basis) != 12:
         raise ArithmeticError("Leech spanning set does not have rank 12")
     return basis
@@ -415,7 +394,7 @@ def e8_basis():
         row = [ZERO] * 4
         row[i] = THETA
         gens.append(tuple(row))
-    basis = _hnf_basis(gens, e8_ip)
+    basis = _hnf_basis(gens)
     if len(basis) != 4:
         raise ArithmeticError("E8 spanning set does not have rank 4")
     return basis
@@ -430,8 +409,8 @@ def lattice_e8() -> HermitianLattice:
 
 
 def lattice_h() -> HermitianLattice:
-    basis = ((ONE, ZERO), (ZERO, ONE))
-    return HermitianLattice(basis, h_ip)
+    """The hyperbolic cell: the last two basis vectors of 3E8+H."""
+    return HermitianLattice(lattice_3e8_h().basis[12:], FORM_E8H.ip)
 
 
 def lattice_leech_h() -> HermitianLattice:

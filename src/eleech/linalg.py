@@ -68,21 +68,19 @@ def mat_scalar(n, s) -> EMatrix:
     return tuple(tuple(s if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-def hermitian_ip(u, v, g) -> Eis:
-    """conj(u)^T G v; conjugate linear in u, linear in v."""
-    if len(u) != len(v) or len(u) != len(g):
-        raise ValueError("dimension mismatch")
-    total = ZERO
-    for i, ui in enumerate(u):
-        uc = ui.conj()
-        row = g[i]
-        acc = ZERO
-        for j, vj in enumerate(v):
-            gij = row[j]
-            if gij:
-                acc = acc + gij * vj
-        total = total + uc * acc
-    return total
+def negdef_ip(u, v, den=1) -> Eis:
+    """-(1/den) sum conj(u_i) v_i, the division by den exact."""
+    s = ZERO
+    for x, y in zip(u, v):
+        if x and y:
+            s = s + x.conj() * y
+    if den != 1:
+        qa, ra = divmod(s.a, den)
+        qb, rb = divmod(s.b, den)
+        if ra or rb:
+            raise ValueError(f"pairing not divisible by {den}")
+        s = Eis(qa, qb)
+    return -s
 
 
 # ---------------------------------------------------------------------------
@@ -229,29 +227,30 @@ def aut_from_images(sources, targets, spanning=None) -> "AutMatrix":
 class LorentzForm:
     """The Hermitian form of a 14-dim Lorentzian coordinate system.
 
-    * negdef part: the first 12 coordinates, either minus the plain sum
-      (3E8+H system) or minus one third of it (Leech+H system);
-    * hyperbolic tail on the last two: <(al,be),(al',be')> =
-      conj(al)*conj(theta)*be' + conj(be)*theta*al'.
+    <u, v> = conj(u)^T gram v / den with the integral Hermitian matrix
+
+    * gram[i][i] = -1 on the first 12 coordinates, so that block is minus
+      the plain sum (den = 1, 3E8+H system) or minus one third of it
+      (den = 3, Leech+H system);
+    * den times the hyperbolic cell ((0, conj(theta)), (theta, 0)) on the
+      last two coordinates.
     """
 
-    def __init__(self, name: str, leech_scaled: bool):
+    def __init__(self, name: str, den: int):
         self.name = name
-        self.leech_scaled = leech_scaled
+        self.den = den
+        g = [[ZERO] * 14 for _ in range(14)]
+        for i in range(12):
+            g[i][i] = -ONE
+        g[12][13] = -THETA * den  # conj(theta) = -theta
+        g[13][12] = THETA * den
+        self.gram = tuple(tuple(row) for row in g)
 
     def ip(self, u, v) -> Eis:
         if len(u) != 14 or len(v) != 14:
             raise ValueError("LorentzForm expects 14 coordinates")
-        s = ZERO
-        for i in range(12):
-            if u[i] and v[i]:
-                s = s + u[i].conj() * v[i]
-        if self.leech_scaled:
-            s = _div3_eis(s)
-        al, be = u[12], u[13]
-        alp, bep = v[12], v[13]
-        h = al.conj() * (-THETA) * bep + be.conj() * THETA * alp
-        return h - s
+        h = u[13].conj() * THETA * v[12] - u[12].conj() * THETA * v[13]
+        return h + negdef_ip(u[:12], v[:12], self.den)
 
     def ip12(self, u, v) -> Cyclo12:
         """Same form with Z[zeta_12]-entried vectors (exact)."""
@@ -260,8 +259,8 @@ class LorentzForm:
         s = Cyclo12()
         for i in range(12):
             s = s + cu[i].conj() * cv[i]
-        if self.leech_scaled:
-            s = s.divide_exact_int(3)
+        if self.den != 1:
+            s = s.divide_exact_int(self.den)
         th = Cyclo12.from_eis(THETA)
         h = cu[12].conj() * (-th) * cv[13] + cu[13].conj() * th * cv[12]
         return h - s
@@ -270,16 +269,8 @@ class LorentzForm:
         return self.ip(u, u)
 
 
-def _div3_eis(x: Eis) -> Eis:
-    qa, ra = divmod(x.a, 3)
-    qb, rb = divmod(x.b, 3)
-    if ra or rb:
-        raise ValueError(f"{x} not divisible by 3; vector outside the lattice pairing")
-    return Eis(qa, qb)
-
-
-FORM_E8H = LorentzForm("3E8+H", leech_scaled=False)
-FORM_LEECH_H = LorentzForm("Leech+H", leech_scaled=True)
+FORM_E8H = LorentzForm("3E8+H", den=1)
+FORM_LEECH_H = LorentzForm("Leech+H", den=3)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +385,9 @@ class AutMatrix:
             [[scale * x for x in row] for row in mat_inverse(self.mat)]
         )
 
-    def preserves_form(self, gram: EMatrix) -> bool:
-        """Exact check of conj(M)^T G M == G (G integral Hermitian)."""
+    def preserves_form(self, form: LorentzForm) -> bool:
+        """Exact check of conj(M)^T G M == G on the form's integral gram."""
+        gram = form.gram
         mh = mat_conj_transpose(self.mat)
         lhs = mat_mul(mh, mat_mul(gram, self.mat))
         scale = 3 ** self.k  # conj(theta^k) theta^k = 3^k

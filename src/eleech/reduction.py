@@ -34,7 +34,7 @@ from .rings import (
     unit_from_name,
 )
 from .linalg import FORM_LEECH_H, FORM_E8H
-from .lattices import e8_ip, leech_ip, golay_words, in_l_e8h
+from .lattices import e8_ip, leech_contains, leech_ip, golay_words, in_l_e8h
 from .reflections import reflect, canonical_root
 from .textio import parse_matrix, parse_entry, format_vector
 
@@ -97,10 +97,12 @@ def minimal_zhalf(norm: int) -> Fraction:
 
 
 def load_z_basis():
-    """The pinned 24-vector Z-basis of the Leech lattice."""
+    """The pinned 24-vector Z-basis of the Leech lattice; an InputError
+    unless every row is a Leech vector."""
     from .diagram import data_text
 
-    return parse_matrix(data_text("leech_zbasis.txt"), "leech_zbasis.txt", 12)
+    return parse_matrix(data_text("leech_zbasis.txt"), "leech_zbasis.txt", 12,
+                        lambda v: leech_contains(v) is not None)
 
 
 def build_generators(chg):

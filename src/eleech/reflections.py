@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rings import Eis, THETA, UNITS
-from .linalg import AutMatrix, LorentzForm, vec_add, vec_scale
+from .rings import Eis, UNITS
+from .linalg import AutMatrix, mat_vec, vec_add, vec_scale
 
 MINUS3 = Eis(-3, 0)
 
@@ -44,9 +44,10 @@ def reflect(r, mu, v, form):
 def reflection_matrix(r, mu, form) -> AutMatrix:
     """The coordinate matrix of phi_r^mu as an exact AutMatrix."""
     n = len(r)
-    frow = _form_row(r, form)
+    # den <r, e_j> = (conj(r)^T gram)_j = conj((gram r)_j), gram Hermitian
+    frow = tuple(x.conj() for x in mat_vec(form.gram, r))
     # phi(v) = v - r (1-mu) <r,v> / (-3) = v + r (1-mu) <r,v> / 3
-    scale = (Eis(1, 0) - mu) * Eis(Fraction(1, 3), Fraction(0))
+    scale = (Eis(1, 0) - mu) * Eis(Fraction(1, 3 * form.den), Fraction(0))
     rows = []
     for i in range(n):
         row = []
@@ -57,16 +58,3 @@ def reflection_matrix(r, mu, form) -> AutMatrix:
             row.append(x)
         rows.append(tuple(row))
     return AutMatrix.from_rational(rows)
-
-
-def _form_row(r, form: LorentzForm):
-    """The row functional j -> <r, e_j> over Q(w)."""
-    out = []
-    for j in range(12):
-        x = r[j].conj()
-        if form.leech_scaled:
-            x = Eis(Fraction(x.a, 3), Fraction(x.b, 3))
-        out.append(-x)
-    out.append(THETA * r[13].conj())       # <r, e_13>
-    out.append(-THETA * r[12].conj())      # <r, e_14>
-    return tuple(out)

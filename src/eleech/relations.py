@@ -7,7 +7,7 @@ matrices in the written order, applied to column vectors).
 ``matrix_order`` decides finite vs infinite exactly: eigenvalues must be
 roots of unity (every irreducible factor of the real-form characteristic
 polynomial cyclotomic) and the matrix semisimple (checked by powering to
-the lcm of the cyclotomic orders).
+the lcm of the cyclotomic orders, which is then the order).
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .rings import Eis, OMEGA, OMEGA2, ONE, ZERO, THETA, UNITS
-from .linalg import AutMatrix, int_charpoly, aut_from_images
+from .rings import Eis, OMEGA, OMEGA2, ONE, ZERO, UNITS
+from .linalg import FORM_LEECH_H, AutMatrix, int_charpoly, aut_from_images
 from .reflections import reflect
 
 INFINITE = "infinite"
@@ -93,17 +93,15 @@ def _charpoly_rational(m: AutMatrix):
     return out
 
 
-def matrix_order(m: AutMatrix, bound: int = 200):
+def matrix_order(m: AutMatrix):
     """The exact order of m, or INFINITE.
 
-    Cyclotomic analysis of the characteristic polynomial first; a residual
-    non-cyclotomic factor or a failure of m^N = I at the candidate lcm N
-    certifies infinite order, otherwise the order is the least divisor of
-    N realizing the identity.  ``bound`` only caps the divisor scan as a
-    sanity limit; the decision itself never needs it.
+    Cyclotomic analysis of the characteristic polynomial: a residual
+    non-cyclotomic factor certifies infinite order.  Each factor Phi_d
+    gives an eigenvalue of exact order d, so every d divides a finite
+    order; hence with N the lcm of the d the order is N when m^N = I, and
+    m has infinite order (it is not semisimple) otherwise.
     """
-    if m.is_identity():
-        return 1
     p = _charpoly_rational(m)
     n = len(p) - 1
     orders = []
@@ -122,27 +120,7 @@ def matrix_order(m: AutMatrix, bound: int = 200):
     if len(p) > 1:
         return INFINITE
     big_n = math.lcm(*orders)
-    if not (m ** big_n).is_identity():
-        return INFINITE
-    best = big_n
-    for d in sorted(_divisors(big_n)):
-        if d <= bound or d == big_n:
-            if (m ** d).is_identity():
-                best = d
-                break
-    return best
-
-
-def _divisors(n):
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
+    return big_n if (m ** big_n).is_identity() else INFINITE
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +324,8 @@ def coxeter_table(diagram, alternates=0):
         got = None
         ok = True
         for emb in embs[: 1 + alternates]:
-            m = None
-            for idx in emb:
-                r = diagram.node_reflection(diagram.nodes[idx].name)
-                m = r if m is None else m @ r
-            o = matrix_order(m)
+            word = GroupWord(diagram, [diagram.nodes[idx].name for idx in emb])
+            o = matrix_order(word.matrix())
             if got is None:
                 got = o
             ok = ok and (o == expected)
@@ -407,41 +382,19 @@ def verify_phi_flips(e1p):
     roots = dict(zip(M666_ORDER, m666_from_e1prime(e1p)))
     phi12 = build_phi_flip(roots, fixed_hand=3)
     phi23 = build_phi_flip(roots, fixed_hand=1)
-    gram3 = _leech_h_gram_scaled()
     rho = (ZERO,) * 12 + (ZERO, ONE)
     rep = {}
     rep["phi12_order2"] = (phi12 @ phi12).is_identity()
     rep["phi23_order2"] = (phi23 @ phi23).is_identity()
-    rep["phi12_form"] = phi12.preserves_form(gram3)
-    rep["phi23_form"] = phi23.preserves_form(gram3)
+    rep["phi12_form"] = phi12.preserves_form(FORM_LEECH_H)
+    rep["phi23_form"] = phi23.preserves_form(FORM_LEECH_H)
     rep["phi12_fixes_rho"] = phi12.apply(rho) == rho
     rep["phi23_fixes_rho"] = phi23.apply(rho) == rho
     rep["phi12_fixes_cell"] = phi12.apply(FIXED_CELL_VECTOR) == FIXED_CELL_VECTOR
     rep["phi23_fixes_cell"] = phi23.apply(FIXED_CELL_VECTOR) == FIXED_CELL_VECTOR
     prod = phi12 @ phi23
     rep["s3_order3"] = (prod ** 3).is_identity() and not prod.is_identity()
-    els = {
-        _aut_key(AutMatrix.identity(14)),
-        _aut_key(phi12),
-        _aut_key(phi23),
-        _aut_key(prod),
-        _aut_key(phi23 @ phi12),
-        _aut_key(phi12 @ phi23 @ phi12),
-    }
+    els = {AutMatrix.identity(14), phi12, phi23, prod, phi23 @ phi12, phi12 @ phi23 @ phi12}
     rep["s3_six_elements"] = len(els) == 6
     rep["braid_flip_eq"] = (phi12 @ phi23 @ phi12) == (phi23 @ phi12 @ phi23)
     return rep
-
-
-def _aut_key(m: AutMatrix):
-    return (m.k, m.mat)
-
-
-def _leech_h_gram_scaled():
-    """3x the Leech+H coordinate form, as an integral Hermitian matrix."""
-    g = [[ZERO] * 14 for _ in range(14)]
-    for i in range(12):
-        g[i][i] = Eis(-1, 0)
-    g[12][13] = -THETA * Eis(3, 0)
-    g[13][12] = THETA * Eis(3, 0)
-    return tuple(tuple(r) for r in g)

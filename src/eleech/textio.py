@@ -22,9 +22,10 @@ def parse_entry(tok: str) -> Eis:
         raise InputError(f"bad entry {tok!r}, expected a,b") from None
 
 
-def parse_matrix(text: str, source: str, width: int):
-    """The rows of the text, each of ``width`` entries.  An InputError
-    names ``source`` and the line."""
+def parse_matrix(text: str, source: str, width: int, member=None):
+    """The rows of the text, each of ``width`` entries and, when given a
+    ``member`` predicate, each a vector it accepts.  An InputError names
+    ``source`` and the line."""
     rows = []
     for n, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -34,6 +35,8 @@ def parse_matrix(text: str, source: str, width: int):
             rows.append(tuple(parse_entry(t) for t in line.split()))
             if len(rows[-1]) != width:
                 raise InputError(f"{len(rows[-1])} entries, expected {width}")
+            if member is not None and not member(rows[-1]):
+                raise InputError("not a lattice vector")
         except InputError as exc:
             raise InputError(f"{source}:{n}: {exc}") from None
     return tuple(rows)

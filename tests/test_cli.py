@@ -145,7 +145,8 @@ def test_malformed_input_is_io_error(argv, text, tmp_path, capsys):
 @pytest.mark.parametrize("name, argv, edit", [
     ("e1.txt", ["isom", "verify"], lambda row: row + " x,y"),
     ("leech_zbasis.txt", ["reduce", "run", "--out", "{out}"], lambda row: row.rsplit(" ", 1)[0]),
-], ids=["e1_entry", "zbasis_width"])
+    ("leech_zbasis.txt", ["reduce", "run", "--out", "{out}"], lambda row: "1,0" + row[3:]),
+], ids=["e1_entry", "zbasis_width", "zbasis_not_leech"])
 def test_malformed_data_file_is_io_error(name, argv, edit, tmp_path, monkeypatch, capsys):
     from eleech.diagram import data_text
 

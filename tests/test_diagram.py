@@ -10,7 +10,7 @@ from eleech.diagram import (
     local_max_probe, _dot3, PGL3_ID, _matmul3,
 )
 from eleech.reflections import reflect
-from eleech.linalg import mat_det
+from eleech.linalg import FORM_E8H, mat_det
 
 MINUS3 = Eis(-3, 0)
 
@@ -268,19 +268,9 @@ def _proportional(u, v):
 
 
 def test_form_preservation_of_g_and_sigma(diagram):
-    gram = _e8h_gram()
     x, y = presentation_generators()
     for aut in (diagram.g_action(x), diagram.g_action(y), diagram.sigma()):
-        assert aut.preserves_form(gram)
-
-
-def _e8h_gram():
-    g = [[ZERO] * 14 for _ in range(14)]
-    for i in range(12):
-        g[i][i] = Eis(-1, 0)
-    g[12][13] = -THETA
-    g[13][12] = THETA
-    return tuple(tuple(r) for r in g)
+        assert aut.preserves_form(FORM_E8H)
 
 
 def test_g_fixes_weyl_data(diagram):

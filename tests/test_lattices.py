@@ -2,8 +2,9 @@ import random
 from itertools import product
 
 from eleech.rings import Eis, ONE, OMEGA, THETA, ZERO
+from eleech.linalg import FORM_E8H
 from eleech.lattices import (
-    leech_contains, e8_contains, leech_ip, e8_ip, h_ip,
+    leech_contains, e8_contains, leech_ip, e8_ip,
     shell_e8, first_shell_by_coset_search,
     flat_norm6, flat_re_ip2, from_flat, to_flat,
     leech_basis, e8_basis,
@@ -160,5 +161,7 @@ def test_lambda_sampled_norms_at_most_minus_6():
 
 
 def test_h_cell_form():
-    assert h_ip((ONE, ZERO), (ZERO, ONE)) == -THETA
-    assert h_ip((ONE, Eis(-1, -1)), (ONE, Eis(-1, -1))) == Eis(-3, 0)
+    e, f = lattice_h().basis
+    assert FORM_E8H.ip(e, f) == -THETA
+    r1 = tuple(x + Eis(-1, -1) * y for x, y in zip(e, f))
+    assert FORM_E8H.ip(r1, r1) == Eis(-3, 0)

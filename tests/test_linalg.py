@@ -4,38 +4,48 @@ import pytest
 
 from eleech.rings import Eis, ONE, OMEGA, OMEGA2, THETA, ZERO
 from eleech.linalg import (
-    hermitian_ip, mat_det, mat_inverse, mat_mul, mat_identity,
+    mat_det, mat_inverse, mat_mul, mat_identity,
     AutMatrix, mat_scalar, int_charpoly, Basis, FORM_E8H, FORM_LEECH_H,
 )
 
-H_GRAM = ((ZERO, -THETA), (THETA, ZERO))
+FORMS = (FORM_E8H, FORM_LEECH_H)
+
+
+def _h(al, be):
+    """The vector (0^12; al, be) of the hyperbolic cell."""
+    return (ZERO,) * 12 + (al, be)
 
 
 def test_hermitian_ip_h_cell():
     # conj-linear first argument: <(1,0),(0,1)> = conj(theta) = -theta
-    assert hermitian_ip((ONE, ZERO), (ZERO, ONE), H_GRAM) == -THETA
+    for form in FORMS:
+        assert form.ip(_h(ONE, ZERO), _h(ZERO, ONE)) == -THETA
 
 
 def test_hermitian_ip_r1_norm():
-    r1 = (ONE, OMEGA2)
-    assert hermitian_ip(r1, r1, H_GRAM) == Eis(-3, 0)
+    r1 = _h(ONE, OMEGA2)
+    for form in FORMS:
+        assert form.ip(r1, r1) == Eis(-3, 0)
 
 
 def test_hermitian_ip_zero_vector():
-    assert hermitian_ip((ONE, OMEGA), (ZERO, ZERO), H_GRAM) == ZERO
+    for form in FORMS:
+        assert form.ip(_h(ONE, OMEGA), _h(ZERO, ZERO)) == ZERO
 
 
 def test_hermitian_ip_conjugate_symmetry():
     random.seed(0)
     for _ in range(100):
-        u = tuple(Eis(random.randint(-5, 5), random.randint(-5, 5)) for _ in range(2))
-        v = tuple(Eis(random.randint(-5, 5), random.randint(-5, 5)) for _ in range(2))
-        assert hermitian_ip(u, v, H_GRAM) == hermitian_ip(v, u, H_GRAM).conj()
+        u = _h(*(Eis(random.randint(-5, 5), random.randint(-5, 5)) for _ in range(2)))
+        v = _h(*(Eis(random.randint(-5, 5), random.randint(-5, 5)) for _ in range(2)))
+        for form in FORMS:
+            assert form.ip(u, v) == form.ip(v, u).conj()
 
 
 def test_hermitian_ip_dimension_mismatch():
-    with pytest.raises(ValueError):
-        hermitian_ip((ONE,), (ONE, ZERO), H_GRAM)
+    for form in FORMS:
+        with pytest.raises(ValueError):
+            form.ip(_h(ONE, ZERO)[1:], _h(ONE, ZERO))
 
 
 def test_mat_det_and_inverse():

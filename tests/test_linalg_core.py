@@ -13,9 +13,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from eleech.diagram import pgl3_canon, _det3
 from eleech.isomorphism import load_e1, e2_matrix
+from eleech.lattices import lattice_3e8_h, lattice_leech_h
 from eleech.linalg import (
-    AutMatrix, independent, kernel, mat_det, mat_identity, mat_inverse,
-    mat_mul, mat_vec,
+    FORM_E8H, FORM_LEECH_H, AutMatrix, independent, kernel, mat_det,
+    mat_identity, mat_inverse, mat_mul, mat_vec,
 )
 from eleech.rings import Eis, OMEGA, OMEGA2, ONE, THETA, ZERO
 from eleech.reflections import reflection_matrix
@@ -137,6 +138,19 @@ def test_integral_accepts_fraction_integers():
     assert Eis(Fraction(4), Fraction(-2)).integral() == Eis(4, -2)
     assert type(Eis(Fraction(4), Fraction(-2)).integral().a) is int
     assert Eis(Fraction(1, 3), 0).integral() is None
+
+
+@SETTINGS
+@given(st.sampled_from([(FORM_E8H, lattice_3e8_h), (FORM_LEECH_H, lattice_leech_h)]),
+       st.lists(eis, min_size=28, max_size=28))
+def test_gram_codes_the_form(form_and_lattice, coeffs):
+    """conj(u)^T gram v == den <u, v> on lattice vectors u, v."""
+    form, lattice = form_and_lattice
+    basis = lattice().basis
+    u, v = (tuple(sum((c * b[i] for c, b in zip(cs, basis)), ZERO) for i in range(14))
+            for cs in (coeffs[:14], coeffs[14:]))
+    lhs = sum((x.conj() * y for x, y in zip(u, mat_vec(form.gram, v))), ZERO)
+    assert lhs == form.den * form.ip(u, v)
 
 
 @SETTINGS

@@ -1,5 +1,7 @@
 """Every function and method in the package has a caller in the package
-or in the benchmark: a helper that nothing calls checks nothing.
+or in the benchmark: a helper that nothing calls checks nothing.  And
+every parameter of a package function is read by its body: a parameter
+that nothing reads is a dead knob.
 
 A name counts as called when it appears anywhere outside its own
 definition as a name, an attribute, an imported name or a dotted part of
@@ -36,6 +38,14 @@ ALLOWED = {
     "Translation.compose": "the group law of the Heisenberg translations",
     "Cyclo12.to_eis": "the way back from Z[zeta_12] to Z[w]",
     "SqrtThree.to_float": "the float view the numeric probe compares with",
+}
+
+#: parameters a calling protocol fixes, kept although the body never reads them
+UNREAD_ALLOWED = {
+    "checks._codes(ctx)": "a registry entry is a function of the shared Context",
+    "checks._lattices_fast(ctx)": "a registry entry is a function of the shared Context",
+    "checks._phi_flips(ctx)": "a registry entry is a function of the shared Context",
+    "cli._cmd_verify_all(args)": "a subcommand handler takes the parsed arguments",
 }
 
 
@@ -89,3 +99,32 @@ def test_every_function_has_a_caller(path):
 def test_allowlist_names_only_uncalled_functions():
     uncalled = {q for path in SOURCES for q in _uncalled(path)}
     assert set(ALLOWED) <= uncalled, f"called now, drop from ALLOWED: {set(ALLOWED) - uncalled}"
+
+
+def _unread_parameters(path):
+    """``module.function(parameter)`` for each parameter of a function,
+    method, nested function or lambda that its body never reads; self, cls
+    and _-prefixed names are exempt."""
+    out = []
+    for node in ast.walk(TREES[path]):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        name = getattr(node, "name", "<lambda>")
+        out += [f"{path.stem}.{name}({p})" for p in params
+                if p not in read and p not in ("self", "cls") and not p.startswith("_")]
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    unread = [q for q in _unread_parameters(path) if q not in UNREAD_ALLOWED]
+    assert not unread, f"{path.name}: no body reads the parameters {unread}"
+
+
+def test_unread_allowlist_names_only_unread_parameters():
+    unread = {q for path in SOURCES for q in _unread_parameters(path)}
+    assert set(UNREAD_ALLOWED) <= unread, f"read now, drop from UNREAD_ALLOWED: {set(UNREAD_ALLOWED) - unread}"

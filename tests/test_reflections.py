@@ -5,6 +5,9 @@ import pytest
 from eleech.rings import Eis, OMEGA, OMEGA2, THETA, UNITS, ZERO
 from eleech.checks import Context, run
 from eleech.diagram import Diagram
+from eleech.lattices import lattice_3e8_h, lattice_leech_h
+from eleech.linalg import FORM_E8H, FORM_LEECH_H
+from eleech.reduction import R1, R2
 from eleech.reflections import reflect, reflection_matrix, canonical_root
 
 
@@ -99,6 +102,24 @@ def test_reflection_conjugation(diagram):
             lhs = gam @ m @ gam.inverse()
             rhs = reflection_matrix(gam.apply(node.root), OMEGA, diagram.form)
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("form, lattice, roots", [
+    (FORM_E8H, lattice_3e8_h, lambda d: [d.by_name[n].root for n in ("a", "z2", "d3")]),
+    (FORM_LEECH_H, lattice_leech_h, lambda d: [R1, R2]),
+], ids=["e8h", "leech_h"])
+def test_reflection_matrix_agrees_with_reflect(diagram, form, lattice, roots):
+    rng = random.Random(3)
+    basis = lattice().basis
+    for r in roots(diagram):
+        for mu in (OMEGA, OMEGA2):
+            m = reflection_matrix(r, mu, form)
+            for _ in range(10):
+                v = (ZERO,) * 14
+                for b in basis:
+                    c = Eis(rng.randint(-2, 2), rng.randint(-2, 2))
+                    v = tuple(x + c * y for x, y in zip(v, b))
+                assert m.apply(v) == reflect(r, mu, v, form)
 
 
 def test_canonical_root_is_unit_invariant(diagram):
