@@ -32,7 +32,7 @@ from .rings import (
 )
 from .lattices import HermitianLattice
 from .linalg import AutMatrix, FORM_E8H, aut_from_images, spanning_basis
-from .reflections import reflection_matrix
+from .reflections import NodeKernel, reflection_matrix
 from .textio import InputError
 
 E = Eis
@@ -192,7 +192,7 @@ class Diagram:
         self._by_triple = {(n.kind, n.triple): n.index for n in self.nodes}
         # the node roots are pairwise not unit multiples: 156 distinct keys
         self._by_root = {
-            tuple(u * x for x in n.root): (n.index, u) for n in self.nodes for u in UNITS
+            _int_key(u * x for x in n.root): (n.index, u) for n in self.nodes for u in UNITS
         }
         self.form = FORM_E8H
         self.points = [n for n in self.nodes if n.kind == "point"]
@@ -201,6 +201,7 @@ class Diagram:
         self._gram = None
         self._basis = None
         self._constants = None
+        self._kernel = None
         self._reflections = {}
 
     # -- adjacency ---------------------------------------------------------
@@ -229,7 +230,15 @@ class Diagram:
     def node_of(self, v):
         """(index, unit) with v == unit * (root of node index), or None
         when v is no unit multiple of a node root."""
-        return self._by_root.get(tuple(v))
+        return self._by_root.get(_int_key(v))
+
+    def node_kernel(self) -> NodeKernel:
+        """The integer kernel for chains of node reflections, built on
+        first use from the Gram matrix and rho_hat."""
+        if self._kernel is None:
+            self._kernel = NodeKernel(self.form, [n.root for n in self.nodes],
+                                      self.gram(), self.constants().rho_hat)
+        return self._kernel
 
     # -- node-root basis ---------------------------------------------------
 
@@ -388,6 +397,11 @@ def _points_on_line(diagram, line_node):
 
 def _lines_through_point(diagram, point_node):
     return [l for l in diagram.lines if diagram.adjacency()[point_node.index][l.index]]
+
+
+def _int_key(v):
+    """The coordinates of v as one flat int tuple, hashed and compared in C."""
+    return tuple(c for x in v for c in (x.a, x.b))
 
 
 def _sum_vectors(vs):

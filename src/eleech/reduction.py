@@ -35,7 +35,7 @@ from .rings import (
 )
 from .linalg import FORM_LEECH_H, FORM_E8H
 from .lattices import e8_ip, leech_contains, leech_ip, golay_words, in_l_e8h
-from .reflections import reflect, canonical_root
+from .reflections import NodeChain, reflect, canonical_root
 from .textio import parse_matrix, parse_entry, format_vector
 
 R1 = (ZERO,) * 12 + (ONE, OMEGA2)          # (0^12; 1, w^2)
@@ -223,11 +223,7 @@ class HeightReducer:
     def __init__(self, diagram):
         self.diagram = diagram
         self.form = diagram.form
-        c = diagram.constants()
-        self.rho_hat = c.rho_hat
-        self.t0 = [
-            self.form.ip12(self.rho_hat, n.root) for n in diagram.nodes
-        ]
+        self.rho_hat = diagram.constants().rho_hat
 
     def ip_rho(self, y) -> Cyclo12:
         return self.form.ip12(self.rho_hat, y)
@@ -250,20 +246,25 @@ class HeightReducer:
 
     def _search(self, y, perturb_sources, max_perturb, budget):
         """(steps, terminal hit) by strict descent from y, perturbing once
-        by a source when stuck and max_perturb allows; None when stuck."""
+        by a source when stuck and max_perturb allows; None when stuck.
+
+        The descent runs on a NodeChain; every unit multiple of a node
+        root has a node height, so only there is y looked up."""
+        chain = NodeChain(self.diagram.node_kernel(), y)
         steps = []
         while budget > 0:
             budget -= 1
-            hit = self.diagram.node_of(y)
-            if hit is not None:
-                return steps, hit
-            nxt = self._descend_step(y)
-            if nxt is not None:
-                k, eps_name, y = nxt
-                steps.append(("node", k, eps_name))
+            if chain.height in chain.kernel.node_heights:
+                hit = self.diagram.node_of(chain.vector())
+                if hit is not None:
+                    return steps, hit
+            step = chain.descend()
+            if step is not None:
+                steps.append(("node",) + step)
                 continue
             if max_perturb < 1:
                 return None
+            y = chain.vector()
             for idx, root in perturb_sources:
                 for eps_name in ("w", "wbar"):
                     y2 = reflect(root, _EPS[eps_name], y, self.form)
@@ -273,23 +274,6 @@ class HeightReducer:
                         return steps + [("perturb", idx, eps_name)] + tail, hit
             return None
         raise RuntimeError("height reduction budget exhausted")
-
-    def _descend_step(self, y):
-        """First (node, eps) strictly decreasing |<rho_hat, .>|^2."""
-        cur_ip = self.ip_rho(y)
-        cur_ns = cur_ip.abs_sq()
-        for k, node in enumerate(self.diagram.nodes):
-            q = self.form.ip(node.root, y)
-            if not q:
-                continue
-            for eps_name in ("w", "wbar"):
-                eps = _EPS[eps_name]
-                s = ((ONE - eps) * q).exact_div(Eis(3, 0))
-                new_ip = cur_ip + Cyclo12.from_eis(s) * self.t0[k]
-                if new_ip.abs_sq() < cur_ns:
-                    y2 = reflect(node.root, eps, y, self.form)
-                    return k, eps_name, y2
-        return None
 
 
 def certify_generators(diagram, generators):
@@ -455,7 +439,7 @@ def conway_reduce(mu, max_steps=200):
         if h2 == 1:
             return steps, y
         if h2 == 0:
-            raise ValueError("h = 0: input orthogonal concerns rho; not a valid start")
+            raise ValueError("h = 0: input is orthogonal to rho; not a valid start")
         al = y[12]
         w_l = tuple(x.frac_div(al) for x in y[:12])
         lam = cvp.find_within(w_l, bound=3)

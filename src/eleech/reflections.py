@@ -6,13 +6,16 @@ fixes the orthogonal complement of r and multiplies r by mu.  Roots that
 differ by a unit give the same reflections, so root sets are kept in a
 canonical unit representative: the least coordinate-key sequence over the
 six unit multiples (keys order Z[w] by norm, then a, then b).
+
+Chains of reflections in the 26 diagram roots run on ``NodeKernel`` in
+plain ints; ``reflect`` stays the independent 14-coordinate path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .rings import Eis, UNITS
+from .rings import Cyclo12, Eis, OMEGA, UNITS, cyclo12_abs_sq, sqrt3_sign
 from .linalg import AutMatrix, mat_vec, vec_add, vec_scale
 
 MINUS3 = Eis(-3, 0)
@@ -58,3 +61,122 @@ def reflection_matrix(r, mu, form) -> AutMatrix:
             row.append(x)
         rows.append(tuple(row))
     return AutMatrix.from_rational(rows)
+
+
+# ---------------------------------------------------------------------------
+# chains of node reflections on node pairings
+
+
+class NodeKernel:
+    """Chains of w-reflections in the node roots r_j, run on pairings.
+
+    The node roots span L (x) Q and the form is nondegenerate, so a vector
+    y is fixed by its pairings q_j = <r_j, y>.  The reflection
+    y -> y + s r_k with s = (1 - eps) q_k / 3 moves them by one Gram
+    column, q_j += s <r_j, r_k>, and moves <rho_hat, y> by
+    s <rho_hat, r_k>.  Pairings are flat int lists (a_0, b_0, a_1, ...)
+    for a_j + b_j w, and |<rho_hat, y>|^2 = p + q sqrt 3 is the int pair
+    (p, q).
+    """
+
+    def __init__(self, form, roots, gram, rho_hat):
+        self.form = form
+        self.roots = tuple(roots)
+        self.rho_hat = rho_hat
+        n = len(self.roots)
+        # column k: the nonzero <r_j, r_k> as (2j, a, b)
+        self.cols = tuple(
+            tuple((2 * j, gram[j][k].a, gram[j][k].b) for j in range(n) if gram[j][k])
+            for k in range(n)
+        )
+        # root k: its nonzero coordinates as (2i, a, b)
+        self.coords = tuple(
+            tuple((2 * i, x.a, x.b) for i, x in enumerate(r) if x) for r in self.roots
+        )
+        # <rho_hat, r_k> and w <rho_hat, r_k>: (a + b w) t = a t + b (w t)
+        t0 = [form.ip12(rho_hat, r) for r in self.roots]
+        w = Cyclo12.from_eis(OMEGA)
+        self.rho_cols = tuple((t.c, (w * t).c) for t in t0)
+        #: every unit multiple of a node root has one of these heights
+        self.node_heights = frozenset(cyclo12_abs_sq(t.c) for t in t0)
+
+    def column(self, k, unit):
+        """The pairings of unit * r_k: unit times column k of the Gram matrix."""
+        q = [0] * (2 * len(self.roots))
+        _add_scaled(q, self.cols[k], unit.a, unit.b)
+        return q
+
+    def reflect(self, q, k, eps_name):
+        """Reflect the vector with pairings q (changed in place) in node k
+        with eps = w or wbar; returns s as an int pair."""
+        sa, sb = _shift(q[2 * k], q[2 * k + 1], eps_name)
+        _add_scaled(q, self.cols[k], sa, sb)
+        return sa, sb
+
+
+class NodeChain:
+    """One vector y followed along node reflections: its pairings, its
+    Z[zeta_12] pairing with rho_hat, its height and y itself, all in ints.
+    A chain belongs to one descent."""
+
+    __slots__ = ("kernel", "q", "rho", "height", "y")
+
+    def __init__(self, kernel, y):
+        self.kernel = kernel
+        self.q = [c for r in kernel.roots for x in (kernel.form.ip(r, y),) for c in (x.a, x.b)]
+        self.rho = kernel.form.ip12(kernel.rho_hat, y).c
+        self.height = cyclo12_abs_sq(self.rho)
+        self.y = [c for x in y for c in (x.a, x.b)]
+
+    def vector(self):
+        y = self.y
+        return tuple(Eis(y[i], y[i + 1]) for i in range(0, len(y), 2))
+
+    def reflect(self, k, eps_name):
+        sa, sb = self.kernel.reflect(self.q, k, eps_name)
+        _add_scaled(self.y, self.kernel.coords[k], sa, sb)
+        self.rho = _rho_moved(self.rho, self.kernel.rho_cols[k], sa, sb)
+        self.height = cyclo12_abs_sq(self.rho)
+
+    def descend(self):
+        """Reflect by the first (node, eps) in scan order that strictly
+        lowers the height and return it; None when none does."""
+        hp, hq = self.height
+        q = self.q
+        for k, col in enumerate(self.kernel.rho_cols):
+            a, b = q[2 * k], q[2 * k + 1]
+            if not (a or b):
+                continue
+            for eps_name in ("w", "wbar"):
+                sa, sb = _shift(a, b, eps_name)
+                p, r = cyclo12_abs_sq(_rho_moved(self.rho, col, sa, sb))
+                if sqrt3_sign(p - hp, r - hq) < 0:
+                    self.reflect(k, eps_name)
+                    return k, eps_name
+        return None
+
+
+def _shift(a, b, eps_name):
+    """s = (1 - eps) (a + b w) / 3 as an int pair, with (1 - w) = (1, -1)
+    and (1 - wbar) = (2, 1); a ValueError unless theta divides a + b w."""
+    c, rem = divmod(a + b, 3)
+    if rem:
+        raise ValueError("a node pairing is not divisible by theta")
+    return (c, b - c) if eps_name == "w" else (a - c, c)
+
+
+def _add_scaled(v, entries, sa, sb):
+    """v += s * x in place, for the flat vector v and the sparse (2i, a, b)
+    entries of x."""
+    for i, a, b in entries:
+        t = sb * b
+        v[i] += sa * a - t
+        v[i + 1] += sa * b + sb * a - t
+
+
+def _rho_moved(rho, col, sa, sb):
+    """rho + s <rho_hat, r_k> for col = (<rho_hat, r_k>, w <rho_hat, r_k>)."""
+    (t0, t1, t2, t3), (u0, u1, u2, u3) = col
+    r0, r1, r2, r3 = rho
+    return (r0 + sa * t0 + sb * u0, r1 + sa * t1 + sb * u1,
+            r2 + sa * t2 + sb * u2, r3 + sa * t3 + sb * u3)

@@ -16,9 +16,8 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .rings import Eis, OMEGA, OMEGA2, ONE, ZERO, UNITS
+from .rings import Eis, OMEGA2, ONE, ZERO, UNITS
 from .linalg import FORM_LEECH_H, AutMatrix, int_charpoly, aut_from_images
-from .reflections import reflect
 
 INFINITE = "infinite"
 
@@ -143,14 +142,23 @@ TWELVE_GON = ("f1", "e1", "d1", "c1", "b1", "a", "b2", "c2", "d2", "e2", "f2", "
 
 def deflate_unit(diagram, gon_roots):
     """The unit u with phi_{y1} ... phi_{y10}(y11) == u * y12 for a
-    labeled 12-gon of root vectors, or None when no unit works."""
-    word = gon_roots[:10]
-    v = gon_roots[10]
-    for r in reversed(word):
-        v = reflect(r, OMEGA, v, diagram.form)
-    v = tuple(v)
+    labeled 12-gon of node roots (each up to a unit), or None when no unit
+    works.
+
+    Runs on node pairings: from the Gram column of y11, ten steps of the
+    node kernel, then a comparison with u times the column of y12; equal
+    pairings mean equal vectors.
+    """
+    kernel = diagram.node_kernel()
+    hits = [diagram.node_of(r) for r in gon_roots]
+    if None in hits:
+        raise ValueError("a 12-gon root is no unit multiple of a node root")
+    q = kernel.column(*hits[10])
+    for k, _ in reversed(hits[:10]):
+        kernel.reflect(q, k, "w")
+    k, unit = hits[11]
     for u in UNITS:
-        if v == tuple(u * x for x in gon_roots[11]):
+        if q == kernel.column(k, u * unit):
             return u
     return None
 

@@ -322,7 +322,18 @@ class Cyclo12:
 
     def abs_sq(self) -> "SqrtThree":
         """x * conj(x) as an exact element of Z[sqrt 3] (>= 0)."""
-        return (self * self.conj()).to_sqrt3()
+        return SqrtThree(*cyclo12_abs_sq(self.c))
+
+
+def cyclo12_abs_sq(c):
+    """(p, q) with x * conj(x) = p + q sqrt 3 for x with coefficients c.
+
+    Expanded with z^4 = z^2 - 1, x * conj(x) = p + q (2 z - z^3), and
+    2 z - z^3 = z + conj(z) = sqrt 3.
+    """
+    c0, c1, c2, c3 = c
+    return (c0 * c0 + c0 * c2 + c1 * c1 + c1 * c3 + c2 * c2 + c3 * c3,
+            c0 * c1 + c1 * c2 + c2 * c3)
 
 
 def _coerce12(x):
@@ -361,17 +372,7 @@ class SqrtThree:
         return hash((self.p, self.q))
 
     def sign(self) -> int:
-        p, q = self.p, self.q
-        if p == 0 and q == 0:
-            return 0
-        if p >= 0 and q >= 0:
-            return 1
-        if p <= 0 and q <= 0:
-            return -1
-        # opposite signs: compare p^2 with 3 q^2
-        d = p * p - 3 * q * q
-        big = 1 if d > 0 else (-1 if d < 0 else 0)
-        return big if p > 0 else -big
+        return sqrt3_sign(self.p, self.q)
 
     def __eq__(self, other):
         other = _coerce_s3(other)
@@ -429,6 +430,20 @@ class SqrtThree:
 
     def to_float(self) -> float:
         return float(self.p) + float(self.q) * 3 ** 0.5
+
+
+def sqrt3_sign(p, q) -> int:
+    """The sign of p + q sqrt 3 for rational (or int) p, q, exactly."""
+    if p == 0 and q == 0:
+        return 0
+    if p >= 0 and q >= 0:
+        return 1
+    if p <= 0 and q <= 0:
+        return -1
+    # opposite signs: compare p^2 with 3 q^2
+    d = p * p - 3 * q * q
+    big = 1 if d > 0 else (-1 if d < 0 else 0)
+    return big if p > 0 else -big
 
 
 def _coerce_s3(x):

@@ -1,4 +1,5 @@
-import os
+import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -197,11 +198,19 @@ def test_relations_without_subcommand_is_usage_error(capsys):
     assert capsys.readouterr().out == ""
 
 
+#: sha256 of each of the 50 certificates, pinned when they were first written
+PINNED_CERTIFICATES = Path(__file__).with_name("data") / "certificates.sha256"
+
+
 def test_reduce_run_writes_all_certificates(tmp_path, capsys):
     out = tmp_path / "certs"
     assert main(["reduce", "run", "--out", str(out)]) == 0
     files = sorted(out.glob("*.cert"))
     assert len(files) == 50
+    want = dict(line.split()[::-1] for line in PINNED_CERTIFICATES.read_text().splitlines()
+                if not line.startswith("#"))
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+    assert got == want
     assert main(["reduce", "check", str(out)]) == 0
 
 

@@ -1,16 +1,14 @@
-import random
-
 import pytest
 
 from eleech.rings import (
     Eis, Cyclo12, SqrtThree, ONE, OMEGA, OMEGA2, THETA, ZERO, XI, SQRT3_C, UNITS,
 )
 from eleech.diagram import (
-    Diagram, ProjPlane, presentation_generators, pgl3_closure, pgl3_order,
-    local_max_probe, _dot3, PGL3_ID, _matmul3,
+    ProjPlane, presentation_generators, pgl3_closure,
+    local_max_probe, _dot3, PGL3_ID,
 )
 from eleech.reflections import reflect
-from eleech.linalg import FORM_E8H, mat_det
+from eleech.linalg import FORM_E8H
 
 MINUS3 = Eis(-3, 0)
 

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from eleech.rings import Eis, ONE, OMEGA, OMEGA2, THETA, ZERO, UNITS
+from eleech.rings import Eis, ONE, OMEGA, ZERO
 from eleech.linalg import FORM_E8H, FORM_LEECH_H
 from eleech.lattices import (
     leech_contains, leech_ip, in_l_leech_h, in_l_e8h,
-    flat_re_ip2, flat_norm6, from_flat,
+    flat_re_ip2, flat_norm6,
 )
 from eleech.isomorphism import (
     load_e1, load_e1prime, e2_matrix, gram_of, ChangeOfBasis,

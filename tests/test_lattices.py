@@ -4,9 +4,9 @@ from itertools import product
 from eleech.rings import Eis, ONE, OMEGA, THETA, ZERO
 from eleech.linalg import FORM_E8H
 from eleech.lattices import (
-    leech_contains, e8_contains, leech_ip, e8_ip,
+    leech_contains, e8_contains, leech_ip,
     shell_e8, first_shell_by_coset_search,
-    flat_norm6, flat_re_ip2, from_flat, to_flat,
+    flat_norm6, from_flat, to_flat,
     leech_basis, e8_basis,
     lattice_lambda, lattice_e8, lattice_h, lattice_leech_h, lattice_3e8_h,
 )

@@ -4,8 +4,8 @@ import pytest
 
 from eleech.rings import Eis, ONE, OMEGA, OMEGA2, THETA, ZERO
 from eleech.linalg import (
-    mat_det, mat_inverse, mat_mul, mat_identity,
-    AutMatrix, mat_scalar, int_charpoly, Basis, FORM_E8H, FORM_LEECH_H,
+    mat_det, mat_inverse, mat_mul,
+    AutMatrix, mat_scalar, int_charpoly, FORM_E8H, FORM_LEECH_H,
 )
 
 FORMS = (FORM_E8H, FORM_LEECH_H)

@@ -1,7 +1,8 @@
 """Every function and method in the package has a caller in the package
 or in the benchmark: a helper that nothing calls checks nothing.  And
 every parameter of a package function is read by its body: a parameter
-that nothing reads is a dead knob.
+that nothing reads is a dead knob.  And every name a module of the
+package or of the tests imports is used in that module.
 
 A name counts as called when it appears anywhere outside its own
 definition as a name, an attribute, an imported name or a dotted part of
@@ -19,6 +20,7 @@ import eleech
 PACKAGE = Path(eleech.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 BENCHMARK = sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 #: called only from tests, and kept on purpose
 ALLOWED = {
@@ -128,3 +130,26 @@ def test_every_parameter_is_read(path):
 def test_unread_allowlist_names_only_unread_parameters():
     unread = {q for path in SOURCES for q in _unread_parameters(path)}
     assert set(UNREAD_ALLOWED) <= unread, f"read now, drop from UNREAD_ALLOWED: {set(UNREAD_ALLOWED) - unread}"
+
+
+def _unused_imports(tree):
+    """The names a module imports and never uses; a name listed in its
+    ``__all__`` is used (re-exported)."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_used(path):
+    unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not unused, f"{path.name}: imports {unused} and never uses them"

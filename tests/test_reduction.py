@@ -8,14 +8,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eleech.rings import Eis, ONE, OMEGA, OMEGA2, THETA, ZERO, UNITS, SqrtThree, unit_name
+from eleech.rings import Eis, ONE, OMEGA, OMEGA2, THETA, ZERO, UNITS, unit_name
 from eleech.linalg import FORM_LEECH_H, FORM_E8H
 from eleech.lattices import leech_ip, leech_contains, in_l_e8h
 from eleech.reflections import reflect
 from eleech.reduction import (
     R1, R2, RHO_NULL,
     Translation, minimal_zhalf, load_z_basis,
-    HeightReducer, ReductionCertificate, check_certificate, certify_generators,
+    HeightReducer, ReductionCertificate, check_certificate,
     conway_reduce, h_value_sq, LeechCVP,
 )
 
@@ -272,6 +272,17 @@ def test_mutated_target_fails_reduce_check(sample_certs, j, i, delta):
 def test_conway_reduce_trivial():
     steps, y = conway_reduce(R1)
     assert steps == [] and y == R1
+
+
+def test_conway_reduce_rejects_a_vector_orthogonal_to_rho():
+    """Middle coordinate 0 means <v, rho> = 0: a ValueError, before any
+    deeper code runs.  No root of L has it (Leech has no norm -3 vector),
+    so the inputs are rho itself and a Leech vector of norm -6."""
+    lam = (Eis(3, 0), Eis(-3, 0)) + (ZERO,) * 10
+    assert leech_contains(lam) is not None and leech_ip(lam, lam) == Eis(-6, 0)
+    for v in (RHO_NULL, lam + (ZERO, ONE)):
+        with pytest.raises(ValueError, match="input is orthogonal to rho"):
+            conway_reduce(v)
 
 
 def test_conway_reduce_random_words(diagram, chg):

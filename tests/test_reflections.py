@@ -1,14 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eleech.rings import Eis, OMEGA, OMEGA2, THETA, UNITS, ZERO
+from eleech.rings import Eis, OMEGA, OMEGA2, UNITS, ZERO, SqrtThree
 from eleech.checks import Context, run
 from eleech.diagram import Diagram
 from eleech.lattices import lattice_3e8_h, lattice_leech_h
 from eleech.linalg import FORM_E8H, FORM_LEECH_H
 from eleech.reduction import R1, R2
-from eleech.reflections import reflect, reflection_matrix, canonical_root
+from eleech.reflections import NodeChain, reflect, reflection_matrix, canonical_root
 
 
 def _random_lattice_vector(diagram, rng, spread=2):
@@ -128,3 +129,69 @@ def test_canonical_root_is_unit_invariant(diagram):
         c = canonical_root(node.root)
         for u in UNITS:
             assert canonical_root(tuple(u * x for x in node.root)) == c
+
+
+# ---------------------------------------------------------------------------
+# the node kernel against the 14-coordinate path
+
+
+NODE_WORDS = st.lists(st.tuples(st.integers(0, 25), st.sampled_from(("w", "wbar"))), max_size=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(j=st.integers(0, 49), word=NODE_WORDS)
+def test_node_chain_follows_reflect(diagram, generators, j, word):
+    """Along a word of node reflections from a generator, the chain's
+    pairings, <rho_hat, y> and y are those of the reflect chain."""
+    form, kernel = diagram.form, diagram.node_kernel()
+    rho_hat = diagram.constants().rho_hat
+    y = generators[j]
+    chain = NodeChain(kernel, y)
+    for k, eps_name in word:
+        chain.reflect(k, eps_name)
+        y = reflect(diagram.nodes[k].root, {"w": OMEGA, "wbar": OMEGA2}[eps_name], y, form)
+        assert chain.vector() == y
+        assert chain.q == [c for n in diagram.nodes
+                           for x in (form.ip(n.root, y),) for c in (x.a, x.b)]
+        assert chain.rho == form.ip12(rho_hat, y).c
+        assert SqrtThree(*chain.height) == form.ip12(rho_hat, y).abs_sq()
+
+
+@settings(max_examples=40, deadline=None)
+@given(j=st.integers(0, 49))
+def test_node_chain_descends_to_first_strict_decrease(diagram, generators, j):
+    """descend() takes the first (node, eps) in scan order whose reflect
+    image has a strictly smaller |<rho_hat, .>|^2."""
+    form, rho_hat = diagram.form, diagram.constants().rho_hat
+    y = generators[j]
+    chain = NodeChain(diagram.node_kernel(), y)
+    height = form.ip12(rho_hat, y).abs_sq()
+    want = None
+    for k, n in enumerate(diagram.nodes):
+        for eps_name, eps in (("w", OMEGA), ("wbar", OMEGA2)):
+            y2 = reflect(n.root, eps, y, form)
+            if want is None and form.ip12(rho_hat, y2).abs_sq() < height:
+                want = (k, eps_name, y2)
+    got = chain.descend()
+    if want is None:
+        assert got is None
+    else:
+        assert got == want[:2] and chain.vector() == want[2]
+
+
+def test_node_roots_share_one_height(diagram):
+    """All 156 unit multiples of node roots have one |<rho_hat, .>|^2
+    value, the only node height of the kernel; the reducer looks a vector
+    up only at that height."""
+    form, rho_hat = diagram.form, diagram.constants().rho_hat
+    heights = {form.ip12(rho_hat, tuple(u * x for x in n.root)).abs_sq()
+               for n in diagram.nodes for u in UNITS}
+    assert heights == {SqrtThree(57, -24)}
+    assert diagram.node_kernel().node_heights == {(57, -24)}
+
+
+def test_node_kernel_rejects_a_pairing_outside_theta(diagram):
+    q = diagram.node_kernel().column(0, OMEGA)
+    q[0] += 1
+    with pytest.raises(ValueError):
+        diagram.node_kernel().reflect(q, 0, "w")

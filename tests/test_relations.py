@@ -1,12 +1,14 @@
 import pytest
 
-from eleech.rings import Eis, OMEGA, OMEGA2, THETA, ZERO
+from eleech.rings import OMEGA, OMEGA2, UNITS
 from eleech.linalg import AutMatrix, mat_scalar
 from eleech.relations import (
     GroupWord, matrix_order, INFINITE, SPIDER, TWELVE_GON,
     spider_check, deflate_check, deflate_unit, coxeter_table, COXETER_TABLE,
     free_embeddings, verify_phi_flips, rad_m666_covers_d, cyclotomic_poly,
+    twelve_gon_orbit,
 )
+from eleech.reflections import reflect
 from eleech.isomorphism import load_e1prime
 
 
@@ -68,6 +70,33 @@ def test_deflation_unit_depends_on_start_part(diagram):
     rotated = roots[1:] + roots[:1]  # starts at a point now
     u = deflate_unit(diagram, rotated)
     assert u is not None and u != OMEGA2
+
+
+def _deflate_unit_by_reflect(diagram, gon_roots):
+    """The unit of deflate_unit by the 14-coordinate reflect chain."""
+    v = gon_roots[10]
+    for r in reversed(gon_roots[:10]):
+        v = reflect(r, OMEGA, v, diagram.form)
+    units = [u for u in UNITS if v == tuple(u * x for x in gon_roots[11])]
+    return units[0] if units else None
+
+
+def test_deflate_unit_agrees_with_reflect_chain(diagram):
+    gons = sorted(twelve_gon_orbit(diagram))
+    for gon in gons[::16]:
+        roots = tuple(diagram.nodes[i].root for i in gon)
+        assert deflate_unit(diagram, roots) == _deflate_unit_by_reflect(diagram, roots)
+    # a letter, y11 and y12 may be node roots times a unit
+    gon = [diagram.nodes[i].root for i in gons[5]]
+    for i, u in ((0, OMEGA2), (10, OMEGA), (11, -OMEGA)):
+        gon[i] = tuple(u * x for x in gon[i])
+    assert deflate_unit(diagram, tuple(gon)) == _deflate_unit_by_reflect(diagram, tuple(gon))
+
+
+def test_deflate_unit_rejects_a_root_off_the_diagram(diagram, generators):
+    roots = tuple(diagram.by_name[n].root for n in TWELVE_GON)
+    with pytest.raises(ValueError):
+        deflate_unit(diagram, roots[:10] + (generators[0], roots[11]))
 
 
 def test_twelve_gon_count_by_direct_enumeration(diagram):

@@ -6,7 +6,7 @@ import pytest
 from eleech.rings import (
     Eis, Cyclo12, SqrtThree,
     ONE, OMEGA, OMEGA2, THETA, UNITS, ZETA, XI, SQRT3_C, I_C,
-    eis_gcd, unit_name, unit_from_name,
+    eis_gcd, unit_name, unit_from_name, cyclo12_abs_sq, sqrt3_sign,
 )
 
 
@@ -143,6 +143,25 @@ def test_sqrt3_matches_float_on_clear_gaps():
         f = s.to_float()
         if abs(f) > 1e-6:
             assert (s.sign() > 0) == (f > 0)
+
+
+def test_cyclo12_abs_sq_is_the_product_with_the_conjugate():
+    random.seed(12)
+    for _ in range(2000):
+        c = tuple(random.randint(-60, 60) for _ in range(4))
+        x = Cyclo12(*c)
+        assert SqrtThree(*cyclo12_abs_sq(c)) == (x * x.conj()).to_sqrt3()
+
+
+def test_sqrt3_sign_on_ints_matches_float():
+    """|p + q sqrt 3| >= 1 / |p - q sqrt 3| > 1/1000 here unless p = q = 0,
+    so the float sign is exact."""
+    random.seed(13)
+    for _ in range(2000):
+        p, q = random.randint(-200, 200), random.randint(-120, 120)
+        f = p + q * 3 ** 0.5
+        assert sqrt3_sign(p, q) == (f > 0) - (f < 0)
+    assert sqrt3_sign(0, 0) == 0 and sqrt3_sign(-2, 1) == -1 and sqrt3_sign(2, -1) == 1
 
 
 def test_sqrt3_field_operations():
