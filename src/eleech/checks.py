@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
+from operator import matmul
 
 from . import isomorphism, lattices, reduction, relations
 from .codes import golay12, qr_code, tetracode
-from .diagram import Diagram, presentation_generators
+from .diagram import Diagram, _dot3, long_relator, presentation_generators
 from .linalg import FORM_E8H, FORM_LEECH_H, mat_mul
 from .reflections import canonical_root
 from .rings import Eis, ONE, OMEGA, THETA, ZERO, SqrtThree
@@ -101,7 +102,7 @@ def diagram_check_lines(d):
     return _flags([
         ("norms", all(d.form.ip(n.root, n.root) == Eis(-3, 0) for n in d.nodes)),
         ("adjacency_equals_incidence", all(
-            adj[p.index][l.index] == (sum(a * b for a, b in zip(l.triple, p.triple)) % 3 == 0)
+            adj[p.index][l.index] == (_dot3(l.triple, p.triple) == 0)
             for p in d.points
             for l in d.lines
         )),
@@ -125,9 +126,8 @@ def _automorphisms(ctx):
     d = ctx.diagram
     x, y = presentation_generators()
     gx, gy = d.g_action(x), d.g_action(y)
-    xy, xyi = gx @ gy, gx @ gy.inverse()
-    head = xy @ xy @ xy @ xy @ xyi
-    relator = head @ head @ xy @ xy @ xyi @ xyi @ xy @ xyi @ xyi @ xy @ xy @ xyi
+    xy = gx @ gy
+    relator = long_relator(xy, gx @ gy.inverse(), matmul)
     s = d.sigma()
     return _flags([
         ("pgl3_presentation", (gx @ gx).is_identity() and (gy ** 3).is_identity()
@@ -200,9 +200,9 @@ def _deflation(ctx):
 
 
 def _deflation_transports(ctx):
-    rep = relations.deflate_check(ctx.diagram)
-    lines, ok = _flags([("deflate_transports", rep["transports_ok"])])
-    return [("deflate_12gons", rep["distinct_12gons"])] + lines, ok
+    ok, gons = relations.deflate_transports(ctx.diagram)
+    lines, ok = _flags([("deflate_transports", ok)])
+    return [("deflate_12gons", gons)] + lines, ok
 
 
 def _coxeter(ctx):

@@ -134,41 +134,21 @@ def golay12() -> TernaryCode:
     return TernaryCode(12, GOLAY12_GENS)
 
 
-def _row_reduce_f3(rows):
-    """Row-reduce over F_3, returning a basis of the span."""
-    rows = [list(r) for r in rows]
+def _row_reduce(rows, p):
+    """Row-reduce over F_p, returning a basis of the span."""
     basis = []
     pivots = []
     for row in rows:
-        row = [x % 3 for x in row]
-        for p, b in zip(pivots, basis):
-            if row[p]:
-                f = (row[p] * b[p]) % 3  # b[p] is 1 after scaling
-                row = [(x - f * y) % 3 for x, y in zip(row, b)]
+        row = [x % p for x in row]
+        for piv, b in zip(pivots, basis):
+            if row[piv]:
+                f = row[piv]  # b[piv] is 1 after scaling
+                row = [(x - f * y) % p for x, y in zip(row, b)]
         nz = next((i for i, x in enumerate(row) if x), None)
         if nz is None:
             continue
-        inv = 1 if row[nz] == 1 else 2
-        row = [(x * inv) % 3 for x in row]
-        basis.append(row)
-        pivots.append(nz)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [basis[i] for i in order]
-
-
-def _row_reduce_f2(rows):
-    rows = [list(r) for r in rows]
-    basis = []
-    pivots = []
-    for row in rows:
-        row = [x % 2 for x in row]
-        for p, b in zip(pivots, basis):
-            if row[p]:
-                row = [x ^ y for x, y in zip(row, b)]
-        nz = next((i for i, x in enumerate(row) if x), None)
-        if nz is None:
-            continue
-        basis.append(row)
+        inv = pow(row[nz], -1, p)
+        basis.append([(x * inv) % p for x in row])
         pivots.append(nz)
     order = sorted(range(len(basis)), key=lambda i: pivots[i])
     return [basis[i] for i in order]
@@ -196,5 +176,5 @@ def qr_code(q: int):
         row = [base[0]] + [base[1 + ((x - s) % q)] for x in range(q)]
         shifts.append(row)
     if q == 11:
-        return TernaryCode(12, _row_reduce_f3(shifts))
-    return BinaryCode(24, _row_reduce_f2(shifts))
+        return TernaryCode(12, _row_reduce(shifts, 3))
+    return BinaryCode(24, _row_reduce(shifts, 2))

@@ -13,7 +13,7 @@ made on exact squares in Q(sqrt 3).
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 from importlib import resources
 from itertools import product
 
@@ -127,39 +127,6 @@ class DiagramNode:
 
     def __repr__(self):
         return f"DiagramNode({self.index}, {self.name!r}, {self.kind!r})"
-
-
-class ProjPlane:
-    """P2(F3): 13 point triples, 13 line triples, incidence l . x = 0.
-
-    Triples are canonical (first nonzero entry 1) tuples over {0, 1, 2}.
-    """
-
-    def __init__(self):
-        self.triples = _canonical_triples()
-        self.incidence = {
-            (l, x): _dot3(l, x) == 0 for l in self.triples for x in self.triples
-        }
-
-    def on(self, line, point) -> bool:
-        return self.incidence[(line, point)]
-
-    def points_on(self, line):
-        return [x for x in self.triples if self.on(line, x)]
-
-    def lines_through(self, point):
-        return [l for l in self.triples if self.on(l, point)]
-
-
-def _canonical_triples():
-    out = []
-    for t in product((0, 1, 2), repeat=3):
-        if t == (0, 0, 0):
-            continue
-        nz = next(x for x in t if x)
-        if nz == 1:
-            out.append(t)
-    return tuple(out)
 
 
 def _dot3(u, v) -> int:
@@ -549,7 +516,7 @@ def _load_labeling():
 
 
 # ---------------------------------------------------------------------------
-# F3 matrix helpers and PGL3(F3)
+# F3 matrix helpers, and PGL3(F3) as permutations of the plane
 
 
 def _matvec3(g, x):
@@ -585,83 +552,69 @@ def _inv3(g):
     )
 
 
-def _matmul3(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) % 3 for j in range(3))
-        for i in range(3)
-    )
+#: the 13 points of P2(F3) as canonical triples
+PLANE = tuple(t for t in product((0, 1, 2), repeat=3) if any(t) and _canon_triple(t) == t)
+
+#: the (x, y) pair of the PGL3(F3) presentation, as matrices over F3
+PRESENTATION_PAIR = (
+    ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+    ((0, 1, 0), (1, 1, 1), (0, 1, 2)),
+)
 
 
-def pgl3_canon(g):
-    """Scale so the first nonzero entry (row-major) is 1."""
-    flat = [x for row in g for x in row]
-    nz = next(x for x in flat if x)
-    if nz == 2:
-        return tuple(tuple((2 * x) % 3 for x in row) for row in g)
-    return tuple(tuple(x % 3 for x in row) for row in g)
+def plane_permutation(g):
+    """The permutation x -> g x of the 13 points, as a tuple of indices
+    into PLANE.  PGL3(F3) acts faithfully on the points."""
+    index = {t: i for i, t in enumerate(PLANE)}
+    return tuple(index[_canon_triple(_matvec3(g, t))] for t in PLANE)
 
 
-PGL3_ID = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def pgl3_closure(gens):
-    """All elements of the subgroup generated by gens, canonicalized."""
-    gens = [pgl3_canon(g) for g in gens]
-    seen = {PGL3_ID}
-    frontier = [PGL3_ID]
+def orbit(start, perms):
+    """Every image of the index tuple start under products of perms: the
+    images i -> perm[i] of its entries, closed by breadth-first search."""
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
-        for h in frontier:
-            for g in gens:
-                e = pgl3_canon(_matmul3(g, h))
-                if e not in seen:
-                    seen.add(e)
-                    nxt.append(e)
+        for t in frontier:
+            for perm in perms:
+                img = tuple(perm[i] for i in t)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
         frontier = nxt
     return seen
 
-def pgl3_order(g) -> int:
-    p = pgl3_canon(g)
-    cur = p
-    for k in range(1, 14):
-        if cur == PGL3_ID:
-            return k
-        cur = pgl3_canon(_matmul3(cur, p))
-    raise ValueError("order exceeds 13; not in PGL3(F3)?")
+
+def long_relator(xy, xyi, mul):
+    """((xy)^4 x y^-1)^2 (xy)^2 (x y^-1)^2 x y (x y^-1)^2 (xy)^2 x y^-1,
+    from xy, x y^-1 and the product mul of two group elements."""
+    head = reduce(mul, (xy, xy, xy, xy, xyi))
+    return reduce(mul, (head, head, xy, xy, xyi, xyi, xy, xyi, xyi, xy, xy, xyi))
 
 
 @cache
 def presentation_generators():
-    """A deterministic (x, y) pair realizing the PGL3(F3) presentation
-    x^2 = y^3 = (xy)^13 = ((xy)^4 x y^-1)^2 (xy)^2 (x y^-1)^2 x y (x y^-1)^2 (xy)^2 x y^-1 = 1.
-    """
-    all_mats = []
-    for flat in product((0, 1, 2), repeat=9):
-        g = (flat[0:3], flat[3:6], flat[6:9])
-        if _det3(g) and pgl3_canon(g) == g:
-            all_mats.append(g)
-    xs = [g for g in all_mats if pgl3_order(g) == 2]
-    ys = [g for g in all_mats if pgl3_order(g) == 3]
-    for x in xs:
-        for y in ys:
-            if pgl3_order(_matmul3(x, y)) != 13:
-                continue
-            if _long_relator_holds(x, y) and len(pgl3_closure([x, y])) == 5616:
-                return x, y
-    raise RuntimeError("no presentation pair found")
+    """PRESENTATION_PAIR, checked on the plane: x, y and xy are not 1,
+    x^2 = y^3 = (xy)^13 = 1, the long relator holds and x, y generate
+    all 5616 elements.  Raises RuntimeError naming the failed checks."""
+    x, y = PRESENTATION_PAIR
+    px, py, pyi = (plane_permutation(g) for g in (x, y, _inv3(y)))
+    one = tuple(range(len(PLANE)))
 
+    def mul(a, b):  # the permutation of the matrix product a b
+        return tuple(a[i] for i in b)
 
-def _long_relator_holds(x, y) -> bool:
-    yi = _inv3(y)
-    xy = _matmul3(x, y)
-    xyi = _matmul3(x, yi)
+    def power(a, n):
+        return reduce(mul, (a,) * n)
 
-    def mul(*ms):
-        out = PGL3_ID
-        for m in ms:
-            out = _matmul3(out, m)
-        return out
-
-    head = mul(xy, xy, xy, xy, xyi)
-    word = mul(head, head, xy, xy, xyi, xyi, xy, xyi, xyi, xy, xy, xyi)
-    return pgl3_canon(word) == PGL3_ID
+    pxy, pxyi = mul(px, py), mul(px, pyi)
+    failed = [name for name, ok in (
+        ("x, y, xy != 1", one not in (px, py, pxy)),
+        ("x^2 = y^3 = (xy)^13 = 1", power(px, 2) == power(py, 3) == power(pxy, 13) == one),
+        ("long relator", long_relator(pxy, pxyi, mul) == one),
+        ("order 5616", len(orbit(one, (px, py))) == 5616),
+    ) if not ok]
+    if failed:
+        raise RuntimeError(f"the presentation pair fails: {', '.join(failed)}")
+    return x, y

@@ -403,35 +403,17 @@ class AutMatrix:
         (1, w) column pair as [[a, -b], [b, a - b]].
         """
         n = self.n
+        scale = (-THETA) ** self.k  # theta^-k = (-theta)^k / 3^k
         rows = [[0] * (2 * n) for _ in range(2 * n)]
         for i in range(n):
             for j in range(n):
-                x = self.mat[i][j]
+                x = self.mat[i][j] * scale
                 a, b = x.a, x.b
                 rows[2 * i][2 * j] = a
                 rows[2 * i][2 * j + 1] = -b
                 rows[2 * i + 1][2 * j] = b
                 rows[2 * i + 1][2 * j + 1] = a - b
-        den = 1
-        if self.k:
-            # divide by theta^k: multiply by (-theta/3)^k in integer form
-            th = [[1, -2], [2, -1]]
-            for _ in range(self.k):
-                rows = _int_mat_mul(rows, _theta_inverse_scaled(n, th))
-                den *= 3
-        return rows, den
-
-
-def _theta_inverse_scaled(n, th):
-    """Block-diagonal integer matrix of multiplication by -theta = 3*theta^{-1}."""
-    size = 2 * n
-    m = [[0] * size for _ in range(size)]
-    for i in range(n):
-        m[2 * i][2 * i] = -th[0][0]
-        m[2 * i][2 * i + 1] = -th[0][1]
-        m[2 * i + 1][2 * i] = -th[1][0]
-        m[2 * i + 1][2 * i + 1] = -th[1][1]
-    return m
+        return rows, 3 ** self.k
 
 
 def _int_mat_mul(a, b):

@@ -458,7 +458,7 @@ def _conway_root(y, w_l, lam):
     """The reflecting root (lam; 1, theta(-3-|lam|^2)/6 + beta + n) and eps."""
     # w = (l; 1, alpha - theta |l|^2/6): alpha = w_beta + theta |l|^2 / 6
     w_beta = y[13].frac_div(y[12])
-    l_ns = _frac_norm_sum(w_l)  # sum |l_i|^2 in plain coordinates
+    l_ns = -e8_ip(w_l, w_l).a  # sum |l_i|^2 in plain coordinates
     # alpha = w_beta + theta * (-(l_ns/3))/6  (lattice norm is -l_ns/3)
     alpha = w_beta + THETA * Eis(Fraction(-l_ns, 18), Fraction(0))
     # alpha = alpha1 + theta*alpha2 with alpha1 = p - q/2, alpha2 = q/2
@@ -496,13 +496,6 @@ def _conway_root(y, w_l, lam):
         raise RuntimeError("the reflecting vector is not a norm -3 root")
     eps_name = "wbar" if tb <= 0 else "w"
     return r, eps_name
-
-
-def _frac_norm_sum(v):
-    s = Fraction(0)
-    for x in v:
-        s += Fraction(x.a) ** 2 - Fraction(x.a) * Fraction(x.b) + Fraction(x.b) ** 2
-    return s
 
 
 # ---------------------------------------------------------------------------

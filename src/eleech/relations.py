@@ -165,30 +165,16 @@ def deflate_unit(diagram, gon_roots):
 
 def twelve_gon_orbit(diagram):
     """All labeled 12-gons in the Q-orbit of the base one (node indices)."""
-    from .diagram import presentation_generators
+    from .diagram import orbit, presentation_generators
 
     x, y = presentation_generators()
     perms = [diagram.g_permutation(x), diagram.g_permutation(y), diagram.sigma_permutation()]
-    base_idx = tuple(diagram.by_name[n].index for n in TWELVE_GON)
-    seen = {base_idx}
-    frontier = [base_idx]
-    while frontier:
-        nxt = []
-        for gon in frontier:
-            for perm in perms:
-                img = tuple(perm[i] for i in gon)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return seen
+    return orbit(tuple(diagram.by_name[n].index for n in TWELVE_GON), perms)
 
 
 def deflate_check(diagram, transports=True):
     """The deflation relation: the base 12-gon identity (with the exact
-    unit w^2), A^11 = 1, and the identity transported around the full
-    Q-orbit of labeled 12-gons (unit w^2 whenever the labeling starts at
-    a line node, some unit always).
+    unit w^2), A^11 = 1, and, with transports, deflate_transports.
 
     Returns a dict report.
     """
@@ -207,17 +193,23 @@ def deflate_check(diagram, transports=True):
         "transports_ok": True,
         "distinct_12gons": 0,
     }
-    if not transports:
-        return report
+    if transports:
+        report["transports_ok"], report["distinct_12gons"] = deflate_transports(diagram)
+    return report
 
+
+def deflate_transports(diagram):
+    """The identity transported around the full Q-orbit of labeled
+    12-gons: (whether every labeling has a unit, w^2 whenever it starts
+    at a line node, and the number of distinct 12-gons)."""
     seen = twelve_gon_orbit(diagram)
-    report["distinct_12gons"] = len({frozenset(g) for g in seen})
+    ok = True
     for gon in sorted(seen):
         u = deflate_unit(diagram, tuple(diagram.nodes[i].root for i in gon))
         if u is None or (diagram.nodes[gon[0]].kind == "line" and u != OMEGA2):
-            report["transports_ok"] = False
+            ok = False
             break
-    return report
+    return ok, len({frozenset(g) for g in seen})
 
 
 def rad_m666_covers_d(diagram):

@@ -216,11 +216,12 @@ def test_reduce_run_writes_all_certificates(tmp_path, capsys):
 
 def test_verify_all_passes(capsys):
     assert main(["verify-all"]) == 0
-    out = capsys.readouterr().out
-    assert out.strip().endswith("RESULT: PASS")
-    assert "generation_50_certificates: ok" in out
-    assert "leech_shell_196560_two_methods: ok" in out
-    assert "automorphisms: ok" in out
+    *lines, elapsed, result = capsys.readouterr().out.splitlines()
+    assert lines == [f"{key}: ok" for key in (
+        "codes", "diagram", "automorphisms", "lattices_fast", "leech_shell_196560_two_methods",
+        "isomorphism", "generation_50_certificates", "min_height_26_nodes", "relations")]
+    assert elapsed.startswith("elapsed_seconds: ")
+    assert result == "RESULT: PASS"
 
 
 def test_verify_all_reports_a_raising_check(monkeypatch, capsys):

@@ -1,11 +1,15 @@
+import re
+
 import pytest
 
 from eleech.rings import (
     Eis, Cyclo12, SqrtThree, ONE, OMEGA, OMEGA2, THETA, ZERO, XI, SQRT3_C, UNITS,
 )
+from eleech import diagram as diagram_module
+from eleech.cli import main
 from eleech.diagram import (
-    ProjPlane, presentation_generators, pgl3_closure,
-    local_max_probe, _dot3, PGL3_ID,
+    PLANE, presentation_generators, plane_permutation, orbit,
+    local_max_probe, _dot3,
 )
 from eleech.reflections import reflect
 from eleech.linalg import FORM_E8H
@@ -63,14 +67,6 @@ def test_uniform_edge_inner_product(diagram):
         for l in diagram.lines:
             if adj[p.index][l.index]:
                 assert diagram.form.ip(p.root, l.root) == -OMEGA * THETA
-
-
-def test_plane_counts():
-    plane = ProjPlane()
-    assert len(plane.triples) == 13
-    for l in plane.triples:
-        assert len(plane.points_on(l)) == 4
-        assert len(plane.lines_through(l)) == 4
 
 
 def test_linear_relations_lines_give_w_p(diagram):
@@ -223,7 +219,7 @@ def test_sigma_properties(diagram):
 
 
 def test_g_action_identity(diagram):
-    ident = diagram.g_action(PGL3_ID)
+    ident = diagram.g_action(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert ident.is_identity()
 
 
@@ -251,18 +247,33 @@ def test_presentation_relations_on_lattice(diagram):
 def test_pgl3_order_5616_from_scratch():
     assert (27 - 1) * (27 - 3) * (27 - 9) // 2 == 5616
     x, y = presentation_generators()
-    group = pgl3_closure([x, y])
+    group = orbit(tuple(range(13)), [plane_permutation(x), plane_permutation(y)])
     assert len(group) == 5616
-    # orbit-stabilizer spot check on the point (0,0,1)
-    stab = sum(
-        1 for g in group
-        if _proportional(tuple(sum(g[i][j] * t for j, t in enumerate((0, 0, 1))) % 3 for i in range(3)), (0, 0, 1))
-    )
+    # orbit-stabilizer on the point (0,0,1)
+    i = PLANE.index((0, 0, 1))
+    stab = sum(1 for g in group if g[i] == i)
     assert stab * 13 == 5616
 
 
-def _proportional(u, v):
-    return u == v or tuple((2 * x) % 3 for x in u) == v
+@pytest.mark.parametrize("y, failed", [
+    (((0, 1, 0), (1, 0, 1), (1, 2, 0)), "long relator"),
+    (((0, 1, 0), (0, 0, 1), (1, 0, 0)), "x^2 = y^3 = (xy)^13 = 1, long relator, order 5616"),
+], ids=["relator", "subgroup"])
+def test_a_mutated_presentation_pair_fails(monkeypatch, capsys, y, failed):
+    """An order-3 y whose pair meets x^2 = y^3 = (xy)^13 = 1 but not the long
+    relator, and a y with which x generates S3, the permutation matrices.
+    A raising call is not cached, so the pinned pair is back afterwards."""
+    from eleech import checks
+
+    x, _ = diagram_module.PRESENTATION_PAIR
+    monkeypatch.setattr(diagram_module, "PRESENTATION_PAIR", (x, y))
+    presentation_generators.cache_clear()
+    with pytest.raises(RuntimeError, match=f"fails: {re.escape(failed)}$"):
+        presentation_generators()
+    monkeypatch.setattr(checks, "REGISTRY", {n: checks.REGISTRY[n] for n in ("codes", "automorphisms")})
+    assert main(["verify-all"]) == 1
+    out = capsys.readouterr().out
+    assert "codes: ok\nautomorphisms: FAIL\nerror: automorphisms: RuntimeError: " in out
 
 
 def test_form_preservation_of_g_and_sigma(diagram):

@@ -11,7 +11,7 @@ from itertools import permutations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from eleech.diagram import pgl3_canon, _det3
+from eleech.diagram import _det3
 from eleech.isomorphism import load_e1, e2_matrix
 from eleech.lattices import lattice_3e8_h, lattice_leech_h
 from eleech.linalg import (
@@ -165,7 +165,7 @@ def test_inverse_round_trips_on_reflections(diagram, idx, mu):
 
 invertible_f3 = st.lists(st.integers(0, 2), min_size=9, max_size=9).map(
     lambda f: (tuple(f[0:3]), tuple(f[3:6]), tuple(f[6:9]))
-).filter(lambda g: _det3(g) != 0).map(pgl3_canon)
+).filter(lambda g: _det3(g) != 0)
 
 
 @settings(max_examples=12, deadline=None)

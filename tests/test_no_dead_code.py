@@ -27,8 +27,6 @@ ALLOWED = {
     "TernaryCode.min_weight": "the minimum distances the code tests check",
     "TernaryCode.is_self_dual": "the self-duality of C12 the code tests check",
     "BinaryCode.min_weight": "the minimum distance of the binary Golay code",
-    "ProjPlane.points_on": "the 4 points on a line of P2(F3)",
-    "ProjPlane.lines_through": "the 4 lines through a point of P2(F3)",
     "Diagram.neighbors": "the node neighbourhoods the diagram tests walk",
     "Diagram.rho_vec": "the Weyl vector summands the diagram tests sum",
     "Diagram.c_squared": "the exact cosines the height tests compare",
