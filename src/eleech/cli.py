@@ -179,16 +179,13 @@ def _cmd_isom(args) -> int:
             chg = iso.ChangeOfBasis(e1, e2)
         except ValueError as exc:
             return _report([("error", str(exc))], False)
-        from .linalg import AutMatrix
-
-        cmat = AutMatrix.from_rational(chg.mat)
         out_lines = [
             ("gram_equal", "ok"),
             ("lattice_bijection", "ok"),
-            ("theta_power", cmat.k),
+            ("theta_power", chg.fwd.k),
         ]
-        text = f"# C * theta^{cmat.k}; apply to column vectors and divide\n"
-        text += format_matrix(cmat.mat)
+        text = f"# C * theta^{chg.fwd.k}; apply to column vectors and divide\n"
+        text += format_matrix(chg.fwd.mat)
         if args.out:
             with open(args.out, "w") as f:
                 f.write(text)

@@ -30,7 +30,7 @@ from .rings import (
     XI,
     SQRT3_C as SQRT3_C12,
 )
-from .lattices import HermitianLattice
+from .lattices import HermitianLattice, to_flat
 from .linalg import AutMatrix, FORM_E8H, aut_from_images, spanning_basis
 from .reflections import NodeKernel, reflection_matrix
 from .textio import InputError
@@ -159,7 +159,7 @@ class Diagram:
         self._by_triple = {(n.kind, n.triple): n.index for n in self.nodes}
         # the node roots are pairwise not unit multiples: 156 distinct keys
         self._by_root = {
-            _int_key(u * x for x in n.root): (n.index, u) for n in self.nodes for u in UNITS
+            to_flat(u * x for x in n.root): (n.index, u) for n in self.nodes for u in UNITS
         }
         self.form = FORM_E8H
         self.points = [n for n in self.nodes if n.kind == "point"]
@@ -197,7 +197,7 @@ class Diagram:
     def node_of(self, v):
         """(index, unit) with v == unit * (root of node index), or None
         when v is no unit multiple of a node root."""
-        return self._by_root.get(_int_key(v))
+        return self._by_root.get(to_flat(v))
 
     def node_kernel(self) -> NodeKernel:
         """The integer kernel for chains of node reflections, built on
@@ -210,10 +210,11 @@ class Diagram:
     # -- node-root basis ---------------------------------------------------
 
     def root_basis(self):
-        """14 nodes whose roots form a Q(w)-basis, with exact solver."""
+        """(nodes, inverse): 14 nodes whose roots form a Q(w)-basis, and
+        the inverse of the matrix with those roots as columns."""
         if self._basis is None:
-            picked, basis = spanning_basis([n.root for n in self.nodes])
-            self._basis = (tuple(self.nodes[i] for i in picked), basis)
+            picked, inverse = spanning_basis([n.root for n in self.nodes])
+            self._basis = (tuple(self.nodes[i] for i in picked), inverse)
         return self._basis
 
     def aut_from_node_images(self, image):
@@ -222,11 +223,11 @@ class Diagram:
         image: callable index -> coordinate vector.  The map is solved on
         the cached root basis and then verified on all 26 roots.
         """
-        chosen, basis = self.root_basis()
+        chosen, inverse = self.root_basis()
         return aut_from_images(
             [n.root for n in self.nodes],
             [tuple(image(n.index)) for n in self.nodes],
-            ([n.index for n in chosen], basis),
+            ([n.index for n in chosen], inverse),
         )
 
     def node_reflection(self, name) -> AutMatrix:
@@ -364,11 +365,6 @@ def _points_on_line(diagram, line_node):
 
 def _lines_through_point(diagram, point_node):
     return [l for l in diagram.lines if diagram.adjacency()[point_node.index][l.index]]
-
-
-def _int_key(v):
-    """The coordinates of v as one flat int tuple, hashed and compared in C."""
-    return tuple(c for x in v for c in (x.a, x.b))
 
 
 def _sum_vectors(vs):

@@ -18,12 +18,14 @@ from itertools import combinations, groupby, permutations, product
 from operator import itemgetter
 
 from .rings import Eis, OMEGA, OMEGA2, THETA, UNITS, ZERO, ONE, eis_gcd
-from .linalg import FORM_E8H, FORM_LEECH_H, Basis, kernel, mat_mul, mat_vec, vec_integral
+from .linalg import FORM_E8H, FORM_LEECH_H, aut_from_images, kernel
 from .lattices import (
     _hnf_basis,
     flat_re_ip2,
     from_flat,
+    in_l_e8h,
     in_l_leech_h,
+    lattice_3e8_h,
     lattice_leech_h,
     leech_ip,
 )
@@ -64,10 +66,10 @@ def gram_of(rows, form):
 class ChangeOfBasis:
     """The isometry sending sum t_i E1[i] to sum t_i E2[i].
 
-    Held as an exact rational coordinate matrix (the ambient E^14 is
-    strictly larger than the lattices, so theta denominators are normal);
-    integrality is the lattice-level statement, verified by mapping a
-    lattice basis each way and checking membership on the other side.
+    Held as the lattice maps ``fwd`` (Leech+H -> 3E8+H) and its inverse
+    ``back``; the constructor checks that each maps a lattice basis into
+    the other lattice.  ``to_e8h`` and ``to_leech_h`` raise ValueError on a
+    vector whose image is not integral.
     """
 
     def __init__(self, e1_rows, e2_rows):
@@ -78,35 +80,31 @@ class ChangeOfBasis:
         for row in e1_rows:
             if not in_l_leech_h(row):
                 raise ValueError("an E1 row is outside Leech+H")
-        b1 = Basis(e1_rows)
-        cols2 = tuple(zip(*e2_rows))
-        self.mat = mat_mul(cols2, b1._inv)
-        b2 = Basis(e2_rows)
-        cols1 = tuple(zip(*e1_rows))
-        self.inv = mat_mul(cols1, b2._inv)
+        self.fwd = aut_from_images(e1_rows, e2_rows)
+        self.back = self.fwd.inverse()
         self._check_lattice_bijection()
 
     def _check_lattice_bijection(self):
-        from .lattices import lattice_leech_h, lattice_3e8_h, in_l_e8h
-
         for v in lattice_leech_h().basis:
-            w = vec_integral(mat_vec(self.mat, v))
-            if w is None:
-                raise ValueError("C does not map Leech+H into 3E8+H")
+            try:
+                w = self.to_e8h(v)
+            except ValueError:
+                raise ValueError("C does not map Leech+H into 3E8+H") from None
             if not in_l_e8h(w):
                 raise ValueError("C image misses the 3E8+H lattice")
         for v in lattice_3e8_h().basis:
-            w = vec_integral(mat_vec(self.inv, v))
-            if w is None:
-                raise ValueError("C^-1 does not map 3E8+H into Leech+H")
+            try:
+                w = self.to_leech_h(v)
+            except ValueError:
+                raise ValueError("C^-1 does not map 3E8+H into Leech+H") from None
             if not in_l_leech_h(w):
                 raise ValueError("C^-1 image misses the Leech+H lattice")
 
     def to_e8h(self, v):
-        return _intify(mat_vec(self.mat, v))
+        return self.fwd.apply(v)
 
     def to_leech_h(self, v):
-        return _intify(mat_vec(self.inv, v))
+        return self.back.apply(v)
 
     def preserves_form_on(self, vectors) -> bool:
         for u in vectors:
@@ -114,15 +112,6 @@ class ChangeOfBasis:
                 if FORM_E8H.ip(self.to_e8h(u), self.to_e8h(v)) != FORM_LEECH_H.ip(u, v):
                     return False
         return True
-
-
-def _intify(v):
-    """v with its Z[w] entries as int pairs; other entries stay in Q(w)."""
-    out = []
-    for x in v:
-        y = x.integral()
-        out.append(x if y is None else y)
-    return tuple(out)
 
 
 M666_ORDER = (

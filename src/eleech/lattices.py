@@ -28,16 +28,13 @@ from .linalg import (
 )
 from .codes import GOLAY12_GENS, TETRACODE_GENS, golay12, tetracode
 
-# flat int encoding of an E^12 vector: (a1, b1, a2, b2, ..., a12, b12)
+# flat int encoding of an E^n vector: (a1, b1, a2, b2, ..., an, bn)
 FlatVec = tuple
 
 
 def to_flat(v) -> FlatVec:
-    out = []
-    for x in v:
-        out.append(x.a)
-        out.append(x.b)
-    return tuple(out)
+    """The coordinates of v as one flat int tuple, hashed and compared in C."""
+    return tuple(c for x in v for c in (x.a, x.b))
 
 
 def from_flat(f) -> tuple:

@@ -16,7 +16,6 @@ import math
 
 from .rings import Eis, Cyclo12, THETA, ZERO, ONE
 
-EVector = tuple
 EMatrix = tuple
 
 
@@ -179,29 +178,13 @@ def kernel(rows) -> list:
     return out
 
 
-class Basis:
-    """A cached invertible coordinate matrix with exact solve."""
-
-    def __init__(self, vectors):
-        self.vectors = tuple(tuple(v) for v in vectors)
-        self.cols = tuple(zip(*self.vectors))
-        self._inv = mat_inverse(self.cols)
-
-    def coeffs(self, v) -> EVector:
-        """Coefficients t with v = sum t_i * vectors[i] (exact, maybe Fractions)."""
-        return mat_vec(self._inv, v)
-
-    def integral_coeffs(self, v):
-        """Like coeffs but None when any coefficient is non-integral."""
-        return vec_integral(self.coeffs(v))
-
-
 def spanning_basis(vectors):
-    """(indices, Basis) of the first vectors that span the whole space."""
+    """(indices, inverse): the first vectors that span the whole space, and
+    the inverse of the matrix with those vectors as columns."""
     picked = independent(vectors)
     if len(picked) != len(vectors[0]):
         raise ValueError("vectors do not span the coordinate space")
-    return picked, Basis([vectors[i] for i in picked])
+    return picked, mat_inverse(tuple(zip(*(vectors[i] for i in picked))))
 
 
 def aut_from_images(sources, targets, spanning=None) -> "AutMatrix":
@@ -211,9 +194,9 @@ def aut_from_images(sources, targets, spanning=None) -> "AutMatrix":
     cached ``spanning_basis``), theta-cleared and checked on every pair.
     Raises ValueError when no lattice map sends each source to its target.
     """
-    picked, basis = spanning or spanning_basis(sources)
+    picked, inverse = spanning or spanning_basis(sources)
     cols = tuple(zip(*(targets[i] for i in picked)))
-    aut = AutMatrix.from_rational(mat_mul(cols, basis._inv))
+    aut = AutMatrix.from_rational(mat_mul(cols, inverse))
     for s, t in zip(sources, targets):
         if aut.apply(s) != tuple(t):
             raise ValueError("images are not those of one lattice map")
@@ -280,9 +263,9 @@ FORM_LEECH_H = LorentzForm("Leech+H", den=3)
 class AutMatrix:
     """A lattice automorphism as a coordinate matrix with theta denominator.
 
-    value = mat / theta^k.  theta * E^14 always lies inside the lattices we
-    act on, so k <= 1 after reduction; products temporarily raise k and are
-    reduced again.
+    value = mat / theta^k in lowest terms: after reduction k = 0 or some
+    entry of mat is not divisible by theta.  k has no fixed bound (the
+    change of basis Leech+H -> 3E8+H has k = 3); products are reduced again.
     """
 
     __slots__ = ("mat", "k", "n")

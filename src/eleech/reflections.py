@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .rings import Cyclo12, Eis, OMEGA, UNITS, cyclo12_abs_sq, sqrt3_sign
 from .linalg import AutMatrix, mat_vec, vec_add, vec_scale
+from .lattices import from_flat, to_flat
 
 MINUS3 = Eis(-3, 0)
 
@@ -123,14 +124,13 @@ class NodeChain:
 
     def __init__(self, kernel, y):
         self.kernel = kernel
-        self.q = [c for r in kernel.roots for x in (kernel.form.ip(r, y),) for c in (x.a, x.b)]
+        self.q = list(to_flat(kernel.form.ip(r, y) for r in kernel.roots))
         self.rho = kernel.form.ip12(kernel.rho_hat, y).c
         self.height = cyclo12_abs_sq(self.rho)
-        self.y = [c for x in y for c in (x.a, x.b)]
+        self.y = list(to_flat(y))
 
     def vector(self):
-        y = self.y
-        return tuple(Eis(y[i], y[i + 1]) for i in range(0, len(y), 2))
+        return from_flat(self.y)
 
     def reflect(self, k, eps_name):
         sa, sb = self.kernel.reflect(self.q, k, eps_name)

@@ -308,28 +308,21 @@ def free_embeddings(diagram, name, limit=None):
     return out
 
 
-def coxeter_table(diagram, alternates=0):
+def coxeter_table(diagram):
     """Realized Coxeter element orders for every free spherical Dynkin
-    subdiagram type, against the expected table; optionally re-checks a
-    few alternate embeddings per type.
+    subdiagram type, on its first embedding, against the expected table.
 
     Returns a list of (name, expected, got, ok) tuples.
     """
     rows = []
     for name, expected in COXETER_TABLE.items():
-        embs = free_embeddings(diagram, name, limit=1 + alternates)
+        embs = free_embeddings(diagram, name, limit=1)
         if not embs:
             rows.append((name, expected, None, False))
             continue
-        got = None
-        ok = True
-        for emb in embs[: 1 + alternates]:
-            word = GroupWord(diagram, [diagram.nodes[idx].name for idx in emb])
-            o = matrix_order(word.matrix())
-            if got is None:
-                got = o
-            ok = ok and (o == expected)
-        rows.append((name, expected, got, ok))
+        word = GroupWord(diagram, [diagram.nodes[idx].name for idx in embs[0]])
+        got = matrix_order(word.matrix())
+        rows.append((name, expected, got, got == expected))
     return rows
 
 

@@ -51,8 +51,9 @@ def test_diagram_check_passes(capsys):
 def test_isom_verify_writes_c(tmp_path, capsys):
     out = tmp_path / "c.txt"
     assert main(["isom", "verify", "--out", str(out)]) == 0
-    assert "theta_power" in capsys.readouterr().out
-    assert out.read_text().count("\n") >= 14
+    assert "theta_power: 3\n" in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f0cc8f0106c30c1b5f72015bb04ba1ff552019c841910d9fa7168eca004d659f")
 
 
 def test_isom_verify_rejects_bad_e1(tmp_path, capsys):

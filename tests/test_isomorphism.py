@@ -74,6 +74,23 @@ def test_gram_mismatch_rejected(diagram):
         ChangeOfBasis(tuple(e1), e2_matrix(diagram))
 
 
+def test_e2_off_the_lattice_rejected(diagram, tmp_path, capsys):
+    """Negating coordinate 0 keeps the Gram matrix; only the lattice
+    bijection check rejects the result."""
+    from eleech.cli import main
+    from eleech.textio import format_matrix
+
+    e2 = tuple((-row[0],) + row[1:] for row in e2_matrix(diagram))
+    assert gram_of(e2, FORM_E8H) == gram_of(e2_matrix(diagram), FORM_E8H)
+    with pytest.raises(ValueError, match=r"C image misses the 3E8\+H lattice"):
+        ChangeOfBasis(load_e1(), e2)
+    bad = tmp_path / "bad_e2.txt"
+    bad.write_text(format_matrix(e2))
+    assert main(["isom", "verify", "--e2", str(bad)]) == 1
+    assert capsys.readouterr().out == (
+        "error: C image misses the 3E8+H lattice\nRESULT: FAIL\n")
+
+
 def test_trivial_change_of_basis():
     """An identity-like sub-case: identical hyperbolic-cell bases give the
     identity map on the shared span."""

@@ -4,7 +4,7 @@ import pytest
 
 from eleech.rings import Eis, ONE, OMEGA, OMEGA2, THETA, ZERO
 from eleech.linalg import (
-    mat_det, mat_inverse, mat_mul,
+    mat_det, mat_inverse, mat_mul, mat_vec, vec_integral,
     AutMatrix, mat_scalar, int_charpoly, FORM_E8H, FORM_LEECH_H,
 )
 
@@ -92,9 +92,10 @@ def test_real_form_multiplicativity():
 
 
 def test_basis_solbecause_roundtrip(diagram):
-    chosen, basis = diagram.root_basis()
+    chosen, inverse = diagram.root_basis()
     v = diagram.by_name["z2"].root
-    t = basis.integral_coeffs(v) or basis.coeffs(v)
+    coeffs = mat_vec(inverse, v)
+    t = vec_integral(coeffs) or coeffs
     rebuilt = [ZERO] * 14
     for c, node in zip(t, chosen):
         for i in range(14):

@@ -33,7 +33,6 @@ ALLOWED = {
     "local_max_probe": "the float diagnostic of criterion 10",
     "weyl_second_order_sign": "the exact second-order sign at the Weyl point",
     "hand_root_shape": "the shape of the hand roots of the search",
-    "Basis.integral_coeffs": "lattice coordinates in a root basis",
     "AutMatrix.apply12": "automorphisms on Z[zeta_12] vectors such as rho_hat",
     "Translation.compose": "the group law of the Heisenberg translations",
     "Cyclo12.to_eis": "the way back from Z[zeta_12] to Z[w]",

@@ -162,9 +162,12 @@ def test_coxeter_spot_orders(diagram, name):
 
 
 def test_coxeter_alternate_embeddings(diagram):
-    rows = coxeter_table(diagram, alternates=3)
-    for name, exp, got, ok in rows:
-        assert ok, (name, exp, got)
+    for name, expected in COXETER_TABLE.items():
+        embs = free_embeddings(diagram, name, limit=4)
+        assert embs, name
+        for emb in embs:
+            word = GroupWord(diagram, [diagram.nodes[idx].name for idx in emb])
+            assert matrix_order(word.matrix()) == expected, (name, emb)
 
 
 def test_phi_flips(diagram):
