@@ -210,8 +210,8 @@ class Diagram:
     # -- node-root basis ---------------------------------------------------
 
     def root_basis(self):
-        """(nodes, inverse): 14 nodes whose roots form a Q(w)-basis, and
-        the inverse of the matrix with those roots as columns."""
+        """(nodes, (adj, d)): 14 nodes whose roots form a Q(w)-basis, and
+        the ``mat_inverse`` of the matrix with those roots as columns."""
         if self._basis is None:
             picked, inverse = spanning_basis([n.root for n in self.nodes])
             self._basis = (tuple(self.nodes[i] for i in picked), inverse)
@@ -404,8 +404,8 @@ def _cip(u, v):
 def local_max_probe(diagram, samples=1000, eps=1e-4, tol=1e-9, seed=0):
     """Numeric check that the Weyl point locally maximizes the distance
     to the 26 mirrors: generic perturbations do not raise the minimum
-    sinh^2-distance, and the special direction i*rho_minus lowers every
-    single mirror distance.  Returns a report dict (diagnostic only)."""
+    sinh^2-distance, and along the special direction i*rho_minus every
+    single mirror distance grows.  Returns a report dict (diagnostic only)."""
     import random as _random
 
     rng = _random.Random(seed)

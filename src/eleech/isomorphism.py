@@ -11,7 +11,6 @@ the simplex / E8-diagram / orthogonality / hyperbolic-completion steps.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, groupby, permutations, product
@@ -368,17 +367,15 @@ def orthogonal_cell_basis(hand_roots):
     rows = []
     for r in hand_roots:
         rows.append(tuple(FORM_LEECH_H.ip(r, b) for b in L.basis))
-    # kernel over Q(w) of the 12 x 14 matrix in basis coordinates
+    # integral kernel of the 12 x 14 matrix in basis coordinates: lattice
+    # vectors, HNF-reduced over E below
     kern = kernel(rows)
     if len(kern) != 2:
         raise ValueError("the hand roots do not leave a rank-2 complement")
-    # clear denominators into the lattice, then HNF-reduce over E
     vecs = []
     for t in kern:
-        den = math.lcm(*(c.denominator for x in t for c in (x.a, x.b)))
-        tt = tuple(Eis(int(x.a * den), int(x.b * den)) for x in t)
         v = [ZERO] * 14
-        for c, b in zip(tt, L.basis):
+        for c, b in zip(t, L.basis):
             for i in range(14):
                 v[i] = v[i] + c * b[i]
         vecs.append(tuple(v))

@@ -6,13 +6,12 @@ the second.  Lattice automorphisms are held as ``AutMatrix``: an exact
 coordinate-space matrix A / theta^k (theta-denominators arise because the
 coordinate lattice E^n may be strictly larger than the lattice acted on).
 One fraction-free elimination over Z[w] serves the determinant, the
-inverse, the choice of independent vectors and the kernel; Q(w) enters
-only in a final division.
+inverse, the choice of independent vectors and the kernel.  Nothing leaves
+Z[w]: an inverse is an integral matrix over one pivot d, and
+``AutMatrix.over`` clears such a denominator into a theta power.
 """
 
 from __future__ import annotations
-
-import math
 
 from .rings import Eis, Cyclo12, THETA, ZERO, ONE
 
@@ -29,17 +28,6 @@ def vec_scale(s, u):
 
 def vec_is_zero(u) -> bool:
     return not any(u)
-
-
-def vec_integral(v):
-    """v with every entry as a Z[w] element, or None when one is not."""
-    out = []
-    for x in v:
-        y = x.integral()
-        if y is None:
-            return None
-        out.append(y)
-    return tuple(out)
 
 
 def mat_vec(m, v):
@@ -87,7 +75,7 @@ def negdef_ip(u, v, den=1) -> Eis:
 
 
 def _eliminate(rows, width=None):
-    """Fraction-free Gauss-Jordan elimination of a Z[w] matrix (Bareiss).
+    """Bareiss's fraction-free Gauss-Jordan elimination of a Z[w] matrix.
 
     Pivots are taken column by column among the first ``width`` columns
     (all by default), each from the first row at or below the current one
@@ -146,14 +134,15 @@ def mat_det(m) -> Eis:
     return -d if sign < 0 else d
 
 
-def mat_inverse(m) -> EMatrix:
-    """Exact inverse over Q(w): eliminate [m | I] in Z[w], divide once."""
+def mat_inverse(m):
+    """(adj, d) with m adj = d I, both over Z[w], so m^-1 = adj / d:
+    eliminate [m | I] once."""
     n = len(m)
     aug = [tuple(row) + e for row, e in zip(m, mat_identity(n))]
     a, pivots, d, _ = _eliminate(aug, n)
     if len(pivots) < n:
         raise ValueError("singular matrix")
-    return tuple(tuple(x.frac_div(d) for x in row[n:]) for row in a)
+    return tuple(tuple(row[n:]) for row in a), d
 
 
 def independent(vectors) -> list:
@@ -163,24 +152,25 @@ def independent(vectors) -> list:
 
 
 def kernel(rows) -> list:
-    """Kernel basis over Q(w) of a matrix acting on column vectors: one
-    vector per free column, 1 there and 0 at the other free columns."""
+    """Kernel basis of a matrix acting on column vectors, in Z[w]: one
+    vector per free column, with the last pivot d there and 0 at the other
+    free columns."""
     a, pivots, d, _ = _eliminate(rows)
     out = []
     for f in range(len(rows[0])):
         if f in pivots:
             continue
         t = [ZERO] * len(rows[0])
-        t[f] = ONE
+        t[f] = d
         for row, c in zip(a, pivots):
-            t[c] = (-row[f]).frac_div(d)
+            t[c] = -row[f]
         out.append(tuple(t))
     return out
 
 
 def spanning_basis(vectors):
-    """(indices, inverse): the first vectors that span the whole space, and
-    the inverse of the matrix with those vectors as columns."""
+    """(indices, (adj, d)): the first vectors that span the whole space,
+    and the ``mat_inverse`` of the matrix with those vectors as columns."""
     picked = independent(vectors)
     if len(picked) != len(vectors[0]):
         raise ValueError("vectors do not span the coordinate space")
@@ -194,9 +184,9 @@ def aut_from_images(sources, targets, spanning=None) -> "AutMatrix":
     cached ``spanning_basis``), theta-cleared and checked on every pair.
     Raises ValueError when no lattice map sends each source to its target.
     """
-    picked, inverse = spanning or spanning_basis(sources)
+    picked, (adj, d) = spanning or spanning_basis(sources)
     cols = tuple(zip(*(targets[i] for i in picked)))
-    aut = AutMatrix.from_rational(mat_mul(cols, inverse))
+    aut = AutMatrix.over(mat_mul(cols, adj), d)
     for s, t in zip(sources, targets):
         if aut.apply(s) != tuple(t):
             raise ValueError("images are not those of one lattice map")
@@ -286,25 +276,22 @@ class AutMatrix:
         return cls(mat_identity(n))
 
     @classmethod
-    def from_rational(cls, rows) -> "AutMatrix":
-        """The AutMatrix equal to a Q(w) matrix: its entries times the least
-        theta power that makes them all integral, over that power.
+    def over(cls, mat, d) -> "AutMatrix":
+        """The AutMatrix equal to the Z[w] matrix mat / d.
 
-        A denominator 3^e is cleared by theta^(2e) = (-3)^e at the latest;
-        any other prime in a denominator raises ValueError.
+        d splits once into theta^e times a part prime to theta; every entry
+        is divided exactly by that part, which leaves mat' / theta^e.  A
+        failed division raises ValueError: mat / d is then no lattice map.
         """
-        den = math.lcm(*(c.denominator for row in rows for x in row for c in (x.a, x.b)))
-        while den % 3 == 0:
-            den //= 3
-        if den != 1:
-            raise ValueError("matrix is not theta-integral; not a lattice map")
-        k = 0
-        while True:
-            mat = [vec_integral(row) for row in rows]
-            if None not in mat:
-                return cls(mat, k)
-            rows = [[THETA * x for x in row] for row in rows]
-            k += 1
+        e = 0
+        while THETA.divides(d):
+            d = d.exact_div(THETA)
+            e += 1
+        try:
+            mat = [[x.exact_div(d) for x in row] for row in mat]
+        except ValueError:
+            raise ValueError("matrix is not theta-integral; not a lattice map") from None
+        return cls(mat, e)
 
     def __eq__(self, other):
         if not isinstance(other, AutMatrix):
@@ -332,8 +319,9 @@ class AutMatrix:
     def apply(self, v):
         """Image of a coordinate vector (entries Eis, exact)."""
         w = mat_vec(self.mat, v)
-        for _ in range(self.k):
-            w = tuple(x.exact_div(THETA) for x in w)
+        if self.k:
+            t = THETA ** self.k
+            w = tuple(x.exact_div(t) for x in w)
         return w
 
     def apply12(self, v):
@@ -346,9 +334,10 @@ class AutMatrix:
                 if a:
                     acc = acc + Cyclo12.from_eis(a) * x
             rows.append(acc)
-        th = Cyclo12.from_eis(THETA)
-        for _ in range(self.k):
-            rows = [(x * (-th)).divide_exact_int(3) for x in rows]
+        if self.k:
+            # theta^-k = (-theta)^k / 3^k
+            s = Cyclo12.from_eis((-THETA) ** self.k)
+            rows = [(x * s).divide_exact_int(3 ** self.k) for x in rows]
         return tuple(rows)
 
     def is_identity(self) -> bool:
@@ -362,11 +351,10 @@ class AutMatrix:
         return s if self.mat == mat_scalar(self.n, s) else None
 
     def inverse(self) -> "AutMatrix":
-        # value = mat / theta^k, so the inverse is theta^k * mat^{-1}
+        # value = mat / theta^k, so the inverse is theta^k adj / d
+        adj, d = mat_inverse(self.mat)
         scale = THETA ** self.k
-        return AutMatrix.from_rational(
-            [[scale * x for x in row] for row in mat_inverse(self.mat)]
-        )
+        return AutMatrix.over([[scale * x for x in row] for row in adj], d)
 
     def preserves_form(self, form: LorentzForm) -> bool:
         """Exact check of conj(M)^T G M == G on the form's integral gram."""

@@ -13,8 +13,6 @@ plain ints; ``reflect`` stays the independent 14-coordinate path.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .rings import Cyclo12, Eis, OMEGA, UNITS, cyclo12_abs_sq, sqrt3_sign
 from .linalg import AutMatrix, mat_vec, vec_add, vec_scale
 from .lattices import from_flat, to_flat
@@ -50,18 +48,14 @@ def reflection_matrix(r, mu, form) -> AutMatrix:
     n = len(r)
     # den <r, e_j> = (conj(r)^T gram)_j = conj((gram r)_j), gram Hermitian
     frow = tuple(x.conj() for x in mat_vec(form.gram, r))
-    # phi(v) = v - r (1-mu) <r,v> / (-3) = v + r (1-mu) <r,v> / 3
-    scale = (Eis(1, 0) - mu) * Eis(Fraction(1, 3 * form.den), Fraction(0))
-    rows = []
+    # phi(v) = v - r (1-mu) <r,v> / (-3) = v + r (1-mu) <r,v> / 3, so
+    # phi = (3 den I + r (1-mu) frow) / (3 den)
+    d = Eis(3 * form.den, 0)
+    col = [x * (Eis(1, 0) - mu) for x in r]
+    rows = [[c * f for f in frow] for c in col]
     for i in range(n):
-        row = []
-        for j in range(n):
-            x = r[i] * scale * frow[j]
-            if i == j:
-                x = x + Eis(1, 0)
-            row.append(x)
-        rows.append(tuple(row))
-    return AutMatrix.from_rational(rows)
+        rows[i][i] = rows[i][i] + d
+    return AutMatrix.over(rows, d)
 
 
 # ---------------------------------------------------------------------------

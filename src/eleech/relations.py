@@ -13,7 +13,6 @@ the lcm of the cyclotomic orders, which is then the order).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 
 from .rings import Eis, OMEGA2, ONE, ZERO, UNITS
@@ -50,10 +49,10 @@ def cyclotomic_poly(d: int):
     for e in range(1, d):
         if d % e == 0:
             den = _poly_mul(den, cyclotomic_poly(e))
-    q, r = _poly_divmod([Fraction(c) for c in num], [Fraction(c) for c in den])
+    q, r = _poly_divmod(num, den)
     if any(r):
         raise ArithmeticError(f"Phi_{d} division left a remainder")
-    return tuple(int(c) for c in q)
+    return tuple(q)
 
 
 def _poly_mul(a, b):
@@ -66,13 +65,13 @@ def _poly_mul(a, b):
 
 
 def _poly_divmod(num, den):
+    """(q, r) with num = q den + r, for a monic integer divisor den."""
     num = list(num)
     dl = len(den) - 1
-    lead = den[-1]
-    q = [Fraction(0)] * max(1, len(num) - dl)
+    q = [0] * max(1, len(num) - dl)
     while len(num) - 1 >= dl and any(num):
         k = len(num) - 1 - dl
-        c = num[-1] / lead
+        c = num[-1]
         q[k] = c
         for i, y in enumerate(den):
             num[k + i] -= c * y
@@ -81,14 +80,19 @@ def _poly_divmod(num, den):
     return q, num
 
 
-def _charpoly_rational(m: AutMatrix):
+def _charpoly(m: AutMatrix):
+    """The characteristic polynomial of m's real form, or None when a
+    coefficient is not an integer (then it is no product of cyclotomics)."""
     rows, den = m.real_form()
     coeffs = int_charpoly(rows)
     n = len(rows)
-    # p_M(x) = den^{-n} p_R(den x): coefficient k scales by den^{k-n}
+    # p_M(x) = den^{-n} p_R(den x): coefficient k is c_k / den^(n-k)
     out = []
-    for k, a in enumerate(coeffs):
-        out.append(Fraction(a) * Fraction(den) ** (k - n))
+    for k, c in enumerate(coeffs):
+        q, r = divmod(c, den ** (n - k))
+        if r:
+            return None
+        out.append(q)
     return out
 
 
@@ -101,7 +105,9 @@ def matrix_order(m: AutMatrix):
     order; hence with N the lcm of the d the order is N when m^N = I, and
     m has infinite order (it is not semisimple) otherwise.
     """
-    p = _charpoly_rational(m)
+    p = _charpoly(m)
+    if p is None:
+        return INFINITE
     n = len(p) - 1
     orders = []
     d = 1
@@ -110,8 +116,8 @@ def matrix_order(m: AutMatrix):
             break
         phi = cyclotomic_poly(d)
         if len(phi) <= len(p):
-            q, r = _poly_divmod(p, [Fraction(c) for c in phi])
-            if all(x == 0 for x in r):
+            q, r = _poly_divmod(p, phi)
+            if not any(r):
                 orders.append(d)
                 p = q
                 continue

@@ -21,9 +21,9 @@ from functools import total_ordering
 class Eis:
     """Eisenstein integer a + b*w, components normally plain ints.
 
-    Rational components (Fraction) are accepted so the same arithmetic
-    drives exact linear algebra over Q(w); lattice code only ever stores
-    integer components.
+    Rational components (Fraction) are accepted only for the Q(w)
+    arithmetic of the Conway CVP (``reduction``); linear algebra and every
+    lattice map stay in Z[w].
     """
 
     __slots__ = ("a", "b")

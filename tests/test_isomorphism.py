@@ -3,7 +3,7 @@ import random
 import pytest
 
 from eleech.rings import Eis, ONE, OMEGA, ZERO
-from eleech.linalg import FORM_E8H, FORM_LEECH_H
+from eleech.linalg import FORM_E8H, FORM_LEECH_H, AutMatrix
 from eleech.lattices import (
     leech_contains, leech_ip, in_l_leech_h, in_l_e8h,
     flat_re_ip2, flat_norm6,
@@ -41,6 +41,11 @@ def test_change_of_basis_maps_bases(diagram, chg):
     for r1, r2 in zip(load_e1(), e2_matrix(diagram)):
         assert chg.to_e8h(r1) == r2
         assert chg.to_leech_h(r2) == r1
+
+
+def test_change_of_basis_maps_compose_to_identity(chg):
+    assert (chg.fwd.k, chg.back.k) == (3, 1)
+    assert chg.fwd @ chg.back == chg.back @ chg.fwd == AutMatrix.identity(14)
 
 
 def test_change_of_basis_preserves_form(chg):

@@ -4,7 +4,7 @@ import pytest
 
 from eleech.rings import Eis, ONE, OMEGA, OMEGA2, THETA, ZERO
 from eleech.linalg import (
-    mat_det, mat_inverse, mat_mul, mat_vec, vec_integral,
+    mat_det, mat_inverse, mat_mul, mat_vec,
     AutMatrix, mat_scalar, int_charpoly, FORM_E8H, FORM_LEECH_H,
 )
 
@@ -58,10 +58,10 @@ def test_mat_det_and_inverse():
         d = mat_det(m)
         if not d:
             continue
-        inv = mat_inverse(m)
-        prod = mat_mul(m, inv)
+        adj, d = mat_inverse(m)
+        prod = mat_mul(m, adj)
         assert all(
-            prod[i][j] == (1 if i == j else 0) for i in range(4) for j in range(4)
+            prod[i][j] == (d if i == j else 0) for i in range(4) for j in range(4)
         )
 
 
@@ -92,15 +92,15 @@ def test_real_form_multiplicativity():
 
 
 def test_basis_solbecause_roundtrip(diagram):
-    chosen, inverse = diagram.root_basis()
+    chosen, (adj, d) = diagram.root_basis()
     v = diagram.by_name["z2"].root
-    coeffs = mat_vec(inverse, v)
-    t = vec_integral(coeffs) or coeffs
+    # z2 is a Q(w)-combination of the chosen roots: d v is a Z[w] one
+    t = mat_vec(adj, v)
     rebuilt = [ZERO] * 14
     for c, node in zip(t, chosen):
         for i in range(14):
             rebuilt[i] = rebuilt[i] + c * node.root[i]
-    assert tuple(rebuilt) == v
+    assert tuple(x.exact_div(d) for x in rebuilt) == v
 
 
 def test_forms_disagree_only_by_scaling():

@@ -5,19 +5,22 @@ determinants are cross-checked against the Leibniz formula, which shares
 no code with the elimination.
 """
 
+import inspect
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from eleech import linalg, reflections, relations
 from eleech.diagram import _det3
 from eleech.isomorphism import load_e1, e2_matrix
 from eleech.lattices import lattice_3e8_h, lattice_leech_h
 from eleech.linalg import (
-    FORM_E8H, FORM_LEECH_H, AutMatrix, independent, kernel, mat_det,
-    mat_identity, mat_inverse, mat_mul, mat_vec,
+    FORM_E8H, FORM_LEECH_H, AutMatrix, _eliminate, aut_from_images, independent,
+    kernel, mat_det, mat_identity, mat_inverse, mat_mul, mat_scalar, mat_vec,
 )
+from eleech.relations import INFINITE, matrix_order
 from eleech.rings import Eis, OMEGA, OMEGA2, ONE, THETA, ZERO
 from eleech.reflections import reflection_matrix
 
@@ -80,9 +83,9 @@ def test_inverse_times_matrix_is_identity(m):
         with pytest.raises(ValueError):
             mat_inverse(m)
         return
-    inv = mat_inverse(m)
-    assert mat_mul(inv, m) == mat_identity(len(m))
-    assert mat_mul(m, inv) == mat_identity(len(m))
+    adj, d = mat_inverse(m)
+    assert mat_mul(adj, m) == mat_scalar(len(m), d)
+    assert mat_mul(m, adj) == mat_scalar(len(m), d)
 
 
 @SETTINGS
@@ -101,8 +104,9 @@ def test_kernel_annihilates_and_has_nullity_dimension(rows):
     assert len(ker) == len(free) == len(rows[0]) - len(pivots)
     for t in ker:
         assert not any(mat_vec(rows, t))
-    # one free coordinate 1 and the other free coordinates 0
-    assert [[t[c] for c in free] for t in ker] == [list(e) for e in mat_identity(len(free))]
+    # one free coordinate the last pivot d and the other free coordinates 0
+    d = _eliminate(rows)[2]
+    assert [[t[c] for c in free] for t in ker] == [list(e) for e in mat_scalar(len(free), d)]
 
 
 @SETTINGS
@@ -120,18 +124,31 @@ def test_shipped_column_matrices(diagram, which):
     rows = load_e1() if which == "E1" else e2_matrix(diagram)
     m = tuple(zip(*rows))
     assert mat_det(m)
-    assert mat_mul(mat_inverse(m), m) == mat_identity(14)
+    adj, d = mat_inverse(m)
+    assert mat_mul(m, adj) == mat_scalar(14, d)
     assert independent(m) == list(range(14))
     assert kernel(m) == []
 
 
-def test_from_rational_clears_theta_and_rejects_other_primes():
-    third = Eis(Fraction(1, 3), Fraction(0))
-    a = AutMatrix.from_rational([[third, ZERO], [ZERO, ONE]])
+def test_over_clears_theta_and_rejects_other_primes():
+    three = Eis(3, 0)
+    a = AutMatrix.over([[ONE, ZERO], [ZERO, three]], three)
     assert a.k == 2 and a.mat == ((Eis(-1, 0), ZERO), (ZERO, Eis(-3, 0)))
-    assert AutMatrix.from_rational([[THETA * third]]) == AutMatrix([[-ONE]], 1)
+    assert AutMatrix.over([[THETA]], three) == AutMatrix([[-ONE]], 1)
     with pytest.raises(ValueError):
-        AutMatrix.from_rational([[Eis(Fraction(1, 2), Fraction(0))]])
+        AutMatrix.over([[ONE]], Eis(2, 0))
+    e = mat_identity(3)
+    with pytest.raises(ValueError):
+        aut_from_images([tuple(2 * x for x in v) for v in e], e)
+    # (1/theta) I has a real-form charpoly with non-integral coefficients
+    assert matrix_order(AutMatrix(mat_identity(14), 1)) == INFINITE
+
+
+@pytest.mark.parametrize("module", [linalg, reflections, relations], ids=lambda m: m.__name__)
+def test_lattice_maps_stay_in_z_w(module):
+    """Lattice maps are built from Z[w] data over one pivot: no Q(w) entries."""
+    source = inspect.getsource(module)
+    assert "Fraction" not in source and "frac_div" not in source
 
 
 def test_integral_accepts_fraction_integers():

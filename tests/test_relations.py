@@ -1,4 +1,5 @@
 import pytest
+import sympy
 
 from eleech.rings import OMEGA, OMEGA2, UNITS
 from eleech.linalg import AutMatrix, mat_scalar
@@ -17,6 +18,13 @@ def test_cyclotomic_polys():
     assert cyclotomic_poly(2) == (1, 1)
     assert cyclotomic_poly(3) == (1, 1, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_polys_match_sympy():
+    x = sympy.Symbol("x")
+    for d in range(1, 121):
+        coeffs = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()
+        assert cyclotomic_poly(d) == tuple(int(c) for c in reversed(coeffs))
 
 
 def test_matrix_order_identity_and_scalars():
