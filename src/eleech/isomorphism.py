@@ -12,11 +12,10 @@ the simplex / E8-diagram / orthogonality / hyperbolic-completion steps.
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
 from itertools import combinations, groupby, permutations, product
 from operator import itemgetter
 
-from .rings import Eis, OMEGA, OMEGA2, THETA, UNITS, ZERO, ONE, eis_gcd
+from .rings import Eis, OMEGA, OMEGA2, THETA, UNITS, ZERO, ONE, eis_gcd, round_half_even
 from .linalg import FORM_E8H, FORM_LEECH_H, aut_from_images, kernel
 from .lattices import (
     _hnf_basis,
@@ -410,12 +409,12 @@ def _gauss_reduce_cell(u, v):
         if a == 0:
             break
         b = ip(u, v)
-        base_a = Fraction(-b.a, a)
-        base_b = Fraction(-b.b, a)
+        base_a = round_half_even(-b.a, a)
+        base_b = round_half_even(-b.b, a)
         best = None
         for da in (-1, 0, 1):
             for db in (-1, 0, 1):
-                t = Eis(round(base_a) + da, round(base_b) + db)
+                t = Eis(base_a + da, base_b + db)
                 cand = tuple(x + t * y for x, y in zip(v, u))
                 n = abs(ip(cand, cand).a)
                 if best is None or n < best[0]:

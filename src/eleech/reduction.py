@@ -3,9 +3,9 @@
 * Heisenberg translations T_{lambda,z} act on Leech+H fixing the null
   vector rho = (0^12; 0, 1); applied to the two base roots they give the
   standard 50-root generating set, transported to 3E8+H coordinates.
-* ``reduce_height`` walks a root down to a unit multiple of one of the 26
-  diagram roots by reflections that strictly decrease the exact height,
-  with at most one perturbation by an already-certified generator.
+* ``HeightReducer.reduce`` walks a root down to a unit multiple of one of
+  the 26 diagram roots by reflections that strictly decrease the exact
+  height, with at most one perturbation by an already-certified generator.
 * ``conway_reduce`` is the other reduction: it lowers h(r) = |<r, rho>/theta|
   by reflections in the h = 1 root family, using an exact closest-vector
   search in the Leech lattice (the covering radius bound makes it work).
@@ -16,8 +16,6 @@
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .rings import (
@@ -30,11 +28,12 @@ from .rings import (
     ONE,
     ZERO,
     UNITS,
+    round_half_even,
     unit_name,
     unit_from_name,
 )
 from .linalg import FORM_LEECH_H, FORM_E8H
-from .lattices import e8_ip, leech_contains, leech_ip, golay_words, in_l_e8h
+from .lattices import leech_contains, leech_ip, golay_words, in_l_e8h
 from .reflections import NodeChain, reflect, canonical_root
 from .textio import parse_matrix, parse_entry, format_vector
 
@@ -44,18 +43,17 @@ RHO_NULL = (ZERO,) * 12 + (ZERO, ONE)      # (0^12; 0, 1)
 
 
 class Translation:
-    """T_{lambda, z} with z = theta * zhalf (zhalf a Fraction, 2*zhalf an
-    integer congruent to |lambda|^2 mod 2)."""
+    """T_{lambda, z} with z = theta * z2 / 2: z2 is an int congruent to
+    |lambda|^2 mod 2."""
 
-    def __init__(self, lam, zhalf):
+    def __init__(self, lam, z2: int):
         self.lam = tuple(lam)
-        self.zhalf = Fraction(zhalf)
+        self.z2 = z2
         n = leech_ip(self.lam, self.lam)
         if n.b != 0:
             raise ValueError("lambda norm not real")
         self.norm = n.a
-        two_z = 2 * self.zhalf
-        if two_z.denominator != 1 or (int(two_z) - self.norm) % 2:
+        if (z2 - self.norm) % 2:
             raise ValueError("z = theta*alpha/2 needs alpha = |lambda|^2 mod 2")
 
     def apply(self, v):
@@ -65,12 +63,11 @@ class Translation:
         ip = leech_ip(self.lam, mu)
         t1 = ip.exact_div(THETA)
         # conj(theta)^{-1} (z - |lam|^2/2) = -(alpha0 + theta*m)/2 with
-        # alpha0 = 2*zhalf, m = |lam|^2/3
-        alpha0 = int(2 * self.zhalf)
+        # alpha0 = z2, m = |lam|^2/3
         m3, r = divmod(self.norm, 3)
         if r:
             raise ValueError("lambda norm is not a multiple of 3; not a Leech vector")
-        half = Eis(-(alpha0 + m3), -2 * m3)
+        half = Eis(-(self.z2 + m3), -2 * m3)
         qa, ra = divmod(half.a, 2)
         qb, rb = divmod(half.b, 2)
         if ra or rb:
@@ -84,16 +81,16 @@ class Translation:
         lam = tuple(x + y for x, y in zip(self.lam, other.lam))
         ip = leech_ip(other.lam, self.lam)
         t = ip.exact_div(THETA)
-        bracket = Fraction(2 * t.a - t.b, 2)  # im<b,a> = theta * bracket
-        return Translation(lam, self.zhalf + other.zhalf + bracket)
+        # im<b,a> = theta * (2 t.a - t.b) / 2
+        return Translation(lam, self.z2 + other.z2 + 2 * t.a - t.b)
 
     def inverse(self) -> "Translation":
-        return Translation(tuple(-x for x in self.lam), -self.zhalf)
+        return Translation(tuple(-x for x in self.lam), -self.z2)
 
 
-def minimal_zhalf(norm: int) -> Fraction:
-    """The smallest admissible z/theta for a lambda of the given norm."""
-    return Fraction(abs(norm) % 2, 2)
+def minimal_z2(norm: int) -> int:
+    """The smallest admissible 2z/theta for a lambda of the given norm."""
+    return norm % 2
 
 
 def load_z_basis():
@@ -115,7 +112,7 @@ def build_generators(chg):
     lams = load_z_basis()
     gens_lh = [R1, R2]
     for lam in lams:
-        t = Translation(lam, minimal_zhalf(leech_ip(lam, lam).a))
+        t = Translation(lam, minimal_z2(leech_ip(lam, lam).a))
         gens_lh.append(t.apply(R1))
         gens_lh.append(t.apply(R2))
     out = []
@@ -336,20 +333,20 @@ def h_value_sq(r) -> int:
 class LeechCVP:
     """Exact closest-vector machinery for Q(w)-points against Leech.
 
-    find_within(t, bound): the best lattice vector lam with
+    find_within(num, den, bound): for the point t = num / den (num twelve
+    Z[w] numerators, den a positive int), the best lattice vector lam with
     sum |t_i - lam_i|^2 <= 3*bound in plain coordinate terms (lattice
     norm |t - lam|^2 >= -bound), scanning the (m, codeword) families with
     per-coordinate nearest rounding and a one-residue repair; None only
     when no family admits a vector within the bound (which would falsify
-    the covering-radius input).  All arithmetic is scaled-integer.
+    the covering-radius input).  All arithmetic is in ints, scaled by den.
     """
 
     def __init__(self):
         self.words = golay_words().words()
 
-    def find_within(self, t, bound=3):
-        den = math.lcm(*(c.denominator for x in t for c in (x.a, x.b)))
-        ti = [(int(x.a * den), int(x.b * den)) for x in t]
+    def find_within(self, num, den, bound=3):
+        ti = [(x.a, x.b) for x in num]
         limit = 9 * bound * den * den
         best = None
         best_total = None
@@ -427,9 +424,13 @@ def conway_reduce(mu, max_steps=200):
 
     Follows the transitivity proof: normalize to middle coordinate 1,
     pick a lattice vector within the covering bound of the Leech part,
-    center the imaginary part b with the integer shift n, then reflect
-    with eps = w or w^2 according to the sign of b.  Returns the step
-    list of (root, eps_name); h^2 strictly decreases in Z at every step.
+    center the imaginary part b with the integer shift k, then reflect
+    with eps = w or w^2 according to the sign of b.  Returns (steps, y):
+    the step list of (root, eps_name) and the reduced root y with
+    h(y) = 1; h^2 strictly decreases in Z at every step.
+
+    The normalized point y[:12] / y[12] is held as the Z[w] numerators
+    y_i * conj(y[12]) over the int denominator |y[12]|^2 = h^2.
     """
     cvp = LeechCVP()
     steps = []
@@ -440,12 +441,12 @@ def conway_reduce(mu, max_steps=200):
             return steps, y
         if h2 == 0:
             raise ValueError("h = 0: input is orthogonal to rho; not a valid start")
-        al = y[12]
-        w_l = tuple(x.frac_div(al) for x in y[:12])
-        lam = cvp.find_within(w_l, bound=3)
+        al = y[12].conj()
+        num = tuple(x * al for x in y[:12])
+        lam = cvp.find_within(num, h2, bound=3)
         if lam is None:
             raise RuntimeError("covering-radius bound violated; axiom falsified")
-        r, eps_name = _conway_root(y, w_l, lam)
+        r, eps_name = _conway_root(y, num, h2, lam)
         y2 = reflect(r, _EPS[eps_name], y, FORM_LEECH_H)
         if not h_value_sq(y2) < h2:
             raise RuntimeError("a Conway step did not decrease h; the proof's bound failed")
@@ -454,47 +455,33 @@ def conway_reduce(mu, max_steps=200):
     raise RuntimeError("conway_reduce exceeded max_steps")
 
 
-def _conway_root(y, w_l, lam):
-    """The reflecting root (lam; 1, theta(-3-|lam|^2)/6 + beta + n) and eps."""
-    # w = (l; 1, alpha - theta |l|^2/6): alpha = w_beta + theta |l|^2 / 6
-    w_beta = y[13].frac_div(y[12])
-    l_ns = -e8_ip(w_l, w_l).a  # sum |l_i|^2 in plain coordinates
-    # alpha = w_beta + theta * (-(l_ns/3))/6  (lattice norm is -l_ns/3)
-    alpha = w_beta + THETA * Eis(Fraction(-l_ns, 18), Fraction(0))
-    # alpha = alpha1 + theta*alpha2 with alpha1 = p - q/2, alpha2 = q/2
-    p, q = Fraction(alpha.a), Fraction(alpha.b)
-    alpha1 = p - q / 2
+def _conway_root(y, num, n, lam):
+    """The reflecting root (lam; 1, theta(-3-|lam|^2)/6 + beta + k) and eps,
+    for the point l = num / n (n = |y[12]|^2).  Every fraction below has
+    denominator 2n, 18n or 54n and is kept as its int numerator."""
+    # w = (l; 1, alpha - theta |l|^2/6) with y[13]/y[12] = nb/n; the real
+    # part alpha1 = (2 nb.a - nb.b)/(2n) of alpha, as |l|^2 cancels there
+    nb = y[13] * y[12].conj()
     lam_norm = leech_ip(lam, lam).a
     m3 = lam_norm // 3
-    # beta parity: 2 beta + 1 = |lam|^2 mod 2
-    beta = Fraction(1, 2) if lam_norm % 2 == 0 else Fraction(0)
-    # b/theta = (-n + alpha1 - beta)/3... derive exactly below.
-    ip = e8_ip(lam, w_l) * Fraction(1, 3)  # the Leech pairing over Q(w)
-    t = ip.frac_div(THETA)
-    bracket = Fraction(2 * Fraction(t.a) - Fraction(t.b), 2)  # [lam, l]
-    # b = n/theta + alpha1/conj(theta) + beta/theta - im<lam,l>/3
-    #   = theta * ( -n/3 + alpha1/3 - beta/3 - bracket/3 )
-    base = (alpha1 - beta - bracket) / 3
-    # choose n with base - n/3 in [-1/6, 1/6]
-    n = round(3 * base)
-    tb = base - Fraction(n, 3)
-    if tb > Fraction(1, 6) or tb < Fraction(-1, 6):
-        for cand in (n - 1, n + 1):
-            tb2 = base - Fraction(cand, 3)
-            if Fraction(-1, 6) <= tb2 <= Fraction(1, 6):
-                n = cand
-                tb = tb2
-                break
-    if not Fraction(-1, 6) <= tb <= Fraction(1, 6):
-        raise RuntimeError("no shift n centers the reflection coefficient")
-    tail_half = Fraction(-3 - m3 * 3, 6)  # theta coefficient (-3-|lam|^2)/6
-    tail = (THETA * Eis(tail_half, Fraction(0)) + Eis(beta + n, Fraction(0))).integral()
-    if tail is None:
+    # beta = beta2/2 with 2 beta + 1 = |lam|^2 mod 2
+    beta2 = 1 if lam_norm % 2 == 0 else 0
+    # <lam, l>/theta = p/(9n) with p = theta * sum conj(lam_i) num_i, so
+    # [lam, l] = (2 p.a - p.b)/(18n)
+    p = THETA * sum((x.conj() * v for x, v in zip(lam, num)), ZERO)
+    # b = theta * (base - k/3) with base = (alpha1 - beta - [lam, l])/3,
+    # and base54 = 54n * base
+    base54 = 9 * (2 * nb.a - nb.b) - 9 * n * beta2 - (2 * p.a - p.b)
+    # the nearest k centers b: |base - k/3| <= 1/6
+    k = round_half_even(base54, 18 * n)
+    # tail = theta * (-1 - m3)/2 + beta + k, with theta = 1 + 2w
+    tail_a, odd = divmod(beta2 - 1 - m3, 2)
+    if odd:
         raise RuntimeError("the reflecting root has a non-integral tail")
-    r = lam + (ONE, tail)
+    r = lam + (ONE, Eis(tail_a + k, -1 - m3))
     if FORM_LEECH_H.ip(r, r) != Eis(-3, 0):
         raise RuntimeError("the reflecting vector is not a norm -3 root")
-    eps_name = "wbar" if tb <= 0 else "w"
+    eps_name = "wbar" if base54 - 18 * n * k <= 0 else "w"
     return r, eps_name
 
 

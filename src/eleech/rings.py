@@ -19,12 +19,10 @@ from functools import total_ordering
 
 
 class Eis:
-    """Eisenstein integer a + b*w, components normally plain ints.
+    """Eisenstein integer a + b*w with int components.
 
-    Rational components (Fraction) are accepted only for the Q(w)
-    arithmetic of the Conway CVP (``reduction``); linear algebra and every
-    lattice map stay in Z[w].
-    """
+    The package computes in Z[w] only: a point of Q(w) is held as a Z[w]
+    numerator over a positive int denominator by its user."""
 
     __slots__ = ("a", "b")
 
@@ -47,7 +45,7 @@ class Eis:
     def __eq__(self, other):
         if isinstance(other, Eis):
             return self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.a == other and self.b == 0
         return NotImplemented
 
@@ -108,16 +106,6 @@ class Eis:
     def is_unit(self) -> bool:
         return self.norm() == 1
 
-    def integral(self):
-        """self as a Z[w] element with int components, or None when a
-        component is a non-integral Fraction (self outside Z[w])."""
-        a, b = self.a, self.b
-        if a.denominator != 1 or b.denominator != 1:
-            return None
-        if type(a) is int and type(b) is int:
-            return self
-        return Eis(int(a), int(b))
-
     def divides(self, x: "Eis") -> bool:
         """True iff x / self lies in Z[w].  self must be nonzero."""
         if not self:
@@ -137,14 +125,6 @@ class Eis:
         if ra or rb:
             raise ValueError(f"{self} not divisible by {d}")
         return Eis(qa, qb)
-
-    def frac_div(self, d: "Eis") -> "Eis":
-        """x / d in Q(w) (Fraction components)."""
-        if not d:
-            raise ZeroDivisionError
-        n = d.norm()
-        t = self * d.conj()
-        return Eis(Fraction(t.a, n), Fraction(t.b, n))
 
     def __divmod__(self, d: "Eis"):
         """Euclidean division: q, r with x = q*d + r and norm(r) < norm(d).
@@ -174,7 +154,7 @@ class Eis:
 def _coerce(x):
     if isinstance(x, Eis):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return Eis(x, 0)
     return None
 
@@ -182,6 +162,17 @@ def _coerce(x):
 def _round_div(a, n):
     """Nearest integer to a/n (n > 0), ties toward +infinity."""
     return (2 * a + n) // (2 * n)
+
+
+def round_half_even(p: int, q: int) -> int:
+    """Nearest integer to p/q (q nonzero, either sign), ties to even, as
+    Python's round() takes the rational p/q."""
+    if q < 0:
+        p, q = -p, -q
+    k, r = divmod(p, q)
+    if 2 * r > q or (2 * r == q and k % 2):
+        k += 1
+    return k
 
 
 ZERO = Eis(0, 0)
@@ -341,7 +332,7 @@ def _coerce12(x):
         return x
     if isinstance(x, Eis):
         return Cyclo12.from_eis(x)
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return Cyclo12(x)
     return None
 

@@ -6,13 +6,12 @@ no code with the elimination.
 """
 
 import inspect
-from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from eleech import linalg, reflections, relations
+from eleech import isomorphism, linalg, reduction, reflections, relations, rings
 from eleech.diagram import _det3
 from eleech.isomorphism import load_e1, e2_matrix
 from eleech.lattices import lattice_3e8_h, lattice_leech_h
@@ -144,17 +143,17 @@ def test_over_clears_theta_and_rejects_other_primes():
     assert matrix_order(AutMatrix(mat_identity(14), 1)) == INFINITE
 
 
-@pytest.mark.parametrize("module", [linalg, reflections, relations], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [
+    linalg, reflections, relations, reduction, isomorphism,
+    rings.Eis, rings._coerce, rings._coerce12,
+], ids=lambda m: m.__name__)
 def test_lattice_maps_stay_in_z_w(module):
-    """Lattice maps are built from Z[w] data over one pivot: no Q(w) entries."""
+    """Lattice maps, the Conway reduction and the search are built from
+    Z[w] data over one int or Z[w] denominator, and Eis holds int
+    components: no Q(w) entries anywhere outside SqrtThree."""
     source = inspect.getsource(module)
-    assert "Fraction" not in source and "frac_div" not in source
-
-
-def test_integral_accepts_fraction_integers():
-    assert Eis(Fraction(4), Fraction(-2)).integral() == Eis(4, -2)
-    assert type(Eis(Fraction(4), Fraction(-2)).integral().a) is int
-    assert Eis(Fraction(1, 3), 0).integral() is None
+    for word in ("Fraction", "frac_div", "integral(", "zhalf"):
+        assert word not in source
 
 
 @SETTINGS

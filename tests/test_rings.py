@@ -6,7 +6,7 @@ import pytest
 from eleech.rings import (
     Eis, Cyclo12, SqrtThree,
     ONE, OMEGA, OMEGA2, THETA, UNITS, ZETA, XI, SQRT3_C, I_C,
-    eis_gcd, unit_name, unit_from_name, cyclo12_abs_sq, sqrt3_sign,
+    eis_gcd, unit_name, unit_from_name, cyclo12_abs_sq, round_half_even, sqrt3_sign,
 )
 
 
@@ -83,6 +83,13 @@ def test_gcd_divides_both():
         g = eis_gcd(x, y)
         assert g.divides(x) or not x
         assert g.divides(y) or not y
+
+
+def test_round_half_even_matches_fraction_round():
+    """Ties go to the even neighbour, for either sign of q."""
+    for p in range(-40, 41):
+        for q in [*range(-12, 0), *range(1, 13)]:
+            assert round_half_even(p, q) == round(Fraction(p, q))
 
 
 def test_unit_names_roundtrip():
