@@ -164,6 +164,11 @@ class Diagram:
         self.form = FORM_E8H
         self.points = [n for n in self.nodes if n.kind == "point"]
         self.lines = [n for n in self.nodes if n.kind == "line"]
+        self._line_points = {
+            l.index: frozenset(p.index for p in self.points if _dot3(l.triple, p.triple) == 0)
+            for l in self.lines
+        }
+        self._line_through = {pts: i for i, pts in self._line_points.items()}
         self._adj = None
         self._gram = None
         self._basis = None
@@ -242,16 +247,15 @@ class Diagram:
 
     def g_permutation(self, g):
         """The node permutation of g in GL3(F3) mod scalars, as a tuple
-        index -> image index: points map by x -> g x, lines by l -> l g^{-1}."""
-        ginv = _inv3(g)
-        if ginv is None:
-            raise ValueError("g is not invertible over F_3")
-        return tuple(
-            self._by_triple["point", _canon_triple(_matvec3(g, n.triple))]
-            if n.kind == "point"
-            else self._by_triple["line", _canon_triple(_vecmat3(n.triple, ginv))]
-            for n in self.nodes
-        )
+        index -> image index: points map by x -> g x, and each line to the
+        line through the images of its points.  A singular g sends some
+        point to the zero triple and raises ValueError."""
+        perm = {p.index: self._by_triple["point", _canon_triple(_matvec3(g, p.triple))]
+                for p in self.points}
+        for l in self.lines:
+            images = frozenset(perm[i] for i in self._line_points[l.index])
+            perm[l.index] = self._line_through[images]
+        return tuple(perm[i] for i in range(len(self.nodes)))
 
     def g_action(self, g) -> AutMatrix:
         """The lattice automorphism induced by g in GL3(F3) mod scalars:
@@ -512,40 +516,11 @@ def _load_labeling():
 
 
 # ---------------------------------------------------------------------------
-# F3 matrix helpers, and PGL3(F3) as permutations of the plane
+# F3 matrices acting on triples, and PGL3(F3) as permutations of the plane
 
 
 def _matvec3(g, x):
     return tuple(sum(g[i][j] * x[j] for j in range(3)) % 3 for i in range(3))
-
-
-def _vecmat3(l, g):
-    return tuple(sum(l[i] * g[i][j] for i in range(3)) % 3 for j in range(3))
-
-
-def _det3(g) -> int:
-    return (
-        g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
-        - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
-        + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0])
-    ) % 3
-
-def _inv3(g):
-    d = _det3(g)
-    if d == 0:
-        return None
-    dinv = 1 if d == 1 else 2
-    cof = [
-        [
-            (g[(i + 1) % 3][(j + 1) % 3] * g[(i + 2) % 3][(j + 2) % 3]
-             - g[(i + 1) % 3][(j + 2) % 3] * g[(i + 2) % 3][(j + 1) % 3])
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-    return tuple(
-        tuple((dinv * cof[j][i]) % 3 for j in range(3)) for i in range(3)
-    )
 
 
 #: the 13 points of P2(F3) as canonical triples
@@ -595,7 +570,8 @@ def presentation_generators():
     x^2 = y^3 = (xy)^13 = 1, the long relator holds and x, y generate
     all 5616 elements.  Raises RuntimeError naming the failed checks."""
     x, y = PRESENTATION_PAIR
-    px, py, pyi = (plane_permutation(g) for g in (x, y, _inv3(y)))
+    px, py = plane_permutation(x), plane_permutation(y)
+    pyi = tuple(py.index(i) for i in range(len(py)))
     one = tuple(range(len(PLANE)))
 
     def mul(a, b):  # the permutation of the matrix product a b

@@ -300,23 +300,24 @@ def compatible_pairs(quads, d2):
             yield a, b, v0
 
 
-def psi_root(flat_lambda, beta2):
-    """The root (lambda; 1, theta(-3 - |lambda|^2)/6 + beta) in Leech+H.
+def psi_root(lam, beta2):
+    """The root (lam; 1, theta(-3 - |lam|^2)/6 + beta) in Leech+H, for a
+    Leech vector lam in Z[w] coordinates and beta = beta2/2.
 
-    beta2 is the doubled half-integer beta.  For first-shell lambda the
-    tail is theta/2 + beta which is integral exactly when beta2 is odd.
+    With |lam|^2 = 3 m the tail is theta (-1 - m)/2 + beta2/2; for
+    first-shell lam (m = -2) it is theta/2 + beta, integral exactly when
+    beta2 is odd.
     """
-    lam = from_flat(flat_lambda)
-    # theta/2 + beta = (1 + beta2)/2 + w
-    a, odd = divmod(1 + beta2, 2)
+    t = -1 - leech_ip(lam, lam).a // 3
+    # theta t/2 + beta2/2 = (t + beta2)/2 + t w
+    a, odd = divmod(t + beta2, 2)
     if odd:
-        raise ValueError("beta2 must be odd for an integral root tail")
-    tail = Eis(a, 1)
-    return lam + (ONE, tail)
+        raise ValueError("beta2 leaves the root tail non-integral")
+    return lam + (ONE, Eis(a, t))
 
 
 def quadruple_roots(delta, perm, betas):
-    return tuple(psi_root(delta[i], b) for i, b in zip(perm, betas))
+    return tuple(psi_root(from_flat(delta[i]), b) for i, b in zip(perm, betas))
 
 
 def _theta_shift(roots, hand_roots):
@@ -434,7 +435,7 @@ def orthogonal_root_candidates(candidates, hand_roots):
     This is the step whose size the original calculation reports as 8.
     """
     return [v for v in candidates
-            if _theta_shift((psi_root(v, 1),), hand_roots) is not None]
+            if _theta_shift((psi_root(from_flat(v), 1),), hand_roots) is not None]
 
 
 class SearchResult:

@@ -238,9 +238,6 @@ class LorentzForm:
         h = cu[12].conj() * (-th) * cv[13] + cu[13].conj() * th * cv[12]
         return h - s
 
-    def norm(self, u) -> Eis:
-        return self.ip(u, u)
-
 
 FORM_E8H = LorentzForm("3E8+H", den=1)
 FORM_LEECH_H = LorentzForm("Leech+H", den=3)
@@ -365,54 +362,38 @@ class AutMatrix:
         rhs = tuple(tuple(x * scale for x in row) for row in gram)
         return lhs == rhs
 
-    def real_form(self):
-        """The underlying 2n x 2n integer matrix divided by 3^(k/2)...
 
-        Returns (rows, den) with rows a 2n x 2n integer matrix over the
-        Z-basis (e_1, w e_1, e_2, w e_2, ...) and den an integer such that
-        the real matrix is rows/den.  Multiplication by a + bw acts on the
-        (1, w) column pair as [[a, -b], [b, a - b]].
-        """
-        n = self.n
-        scale = (-THETA) ** self.k  # theta^-k = (-theta)^k / 3^k
-        rows = [[0] * (2 * n) for _ in range(2 * n)]
-        for i in range(n):
-            for j in range(n):
-                x = self.mat[i][j] * scale
-                a, b = x.a, x.b
-                rows[2 * i][2 * j] = a
-                rows[2 * i][2 * j + 1] = -b
-                rows[2 * i + 1][2 * j] = b
-                rows[2 * i + 1][2 * j + 1] = a - b
-        return rows, 3 ** self.k
+# ---------------------------------------------------------------------------
+# characteristic polynomials
 
 
-def _int_mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+def poly_mul(a, b, zero=0):
+    """The product of two coefficient lists (either order, same for both)."""
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
-def int_charpoly(m) -> list:
-    """Characteristic polynomial of an integer matrix (Faddeev-LeVerrier).
+def charpoly(m) -> list:
+    """det(x I - m) of a square Z[w] matrix, division-free (Berkowitz).
 
-    Returns coefficients [c_0, ..., c_n] with p(x) = sum c_i x^i and
-    leading coefficient 1.  All arithmetic is exact.
+    Returns coefficients [c_0, ..., c_n] with p(x) = sum c_i x^i and c_n = 1.
+    With M the leading r x r block, R and C the rest of row and column r,
+    the leading (r+1)-block has polynomial T p_r, T lower-triangular
+    Toeplitz with first column t = (1, -m_rr, -R C, -R M C, ...,
+    -R M^(r-1) C): in descending coefficients, the product t p_r cut to
+    r + 2 terms (S. J. Berkowitz, Inform. Process. Lett. 18, 1984).
     """
-    n = len(m)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # M_0 = I
-    am = m
-    for k in range(1, n + 1):
-        amk = _int_mat_mul(am, mk) if k > 1 else [row[:] for row in m]
-        tr = sum(amk[i][i] for i in range(n))
-        c, r = divmod(tr, k)
-        if r:
-            raise ArithmeticError("Faddeev-LeVerrier divisibility failed")
-        c = -c
-        coeffs[n - k] = c
-        if k < n:
-            mk = [row[:] for row in amk]
-            for i in range(n):
-                mk[i][i] += c
-    return coeffs
+    p = [ONE]
+    for r, row in enumerate(m):
+        t = [ONE, -row[r]]
+        col = [m[i][r] for i in range(r)]
+        # zip stops at col's length r: row and m[:r] act as R and M
+        for _ in range(r):
+            t.append(-sum((a * x for a, x in zip(row, col)), start=ZERO))
+            col = mat_vec(m[:r], col)
+        p = poly_mul(t, p, ZERO)[: r + 2]
+    return p[::-1]

@@ -21,6 +21,7 @@ from itertools import combinations, combinations_with_replacement
 from .rings import (
     Cyclo12,
     Eis,
+    SQRT3_C,
     SqrtThree,
     THETA,
     OMEGA,
@@ -35,6 +36,7 @@ from .rings import (
 from .linalg import FORM_LEECH_H, FORM_E8H
 from .lattices import leech_contains, leech_ip, golay_words, in_l_e8h
 from .reflections import NodeChain, reflect, canonical_root
+from .isomorphism import psi_root
 from .textio import parse_matrix, parse_entry, format_vector
 
 R1 = (ZERO,) * 12 + (ONE, OMEGA2)          # (0^12; 1, w^2)
@@ -222,12 +224,9 @@ class HeightReducer:
         self.form = diagram.form
         self.rho_hat = diagram.constants().rho_hat
 
-    def ip_rho(self, y) -> Cyclo12:
-        return self.form.ip12(self.rho_hat, y)
-
     def height_ns(self, y) -> SqrtThree:
         """|<rho_hat, y>|^2; proportional to ht^2, exact, cheap to compare."""
-        return self.ip_rho(y).abs_sq()
+        return self.form.ip12(self.rho_hat, y).abs_sq()
 
     def reduce(self, y0, perturb_sources=(), max_perturb=1):
         """A certificate for y0, or None when stuck beyond the policy.
@@ -462,10 +461,8 @@ def _conway_root(y, num, n, lam):
     # w = (l; 1, alpha - theta |l|^2/6) with y[13]/y[12] = nb/n; the real
     # part alpha1 = (2 nb.a - nb.b)/(2n) of alpha, as |l|^2 cancels there
     nb = y[13] * y[12].conj()
-    lam_norm = leech_ip(lam, lam).a
-    m3 = lam_norm // 3
     # beta = beta2/2 with 2 beta + 1 = |lam|^2 mod 2
-    beta2 = 1 if lam_norm % 2 == 0 else 0
+    beta2 = 1 if leech_ip(lam, lam).a % 2 == 0 else 0
     # <lam, l>/theta = p/(9n) with p = theta * sum conj(lam_i) num_i, so
     # [lam, l] = (2 p.a - p.b)/(18n)
     p = THETA * sum((x.conj() * v for x, v in zip(lam, num)), ZERO)
@@ -474,19 +471,15 @@ def _conway_root(y, num, n, lam):
     base54 = 9 * (2 * nb.a - nb.b) - 9 * n * beta2 - (2 * p.a - p.b)
     # the nearest k centers b: |base - k/3| <= 1/6
     k = round_half_even(base54, 18 * n)
-    # tail = theta * (-1 - m3)/2 + beta + k, with theta = 1 + 2w
-    tail_a, odd = divmod(beta2 - 1 - m3, 2)
-    if odd:
-        raise RuntimeError("the reflecting root has a non-integral tail")
-    r = lam + (ONE, Eis(tail_a + k, -1 - m3))
-    if FORM_LEECH_H.ip(r, r) != Eis(-3, 0):
-        raise RuntimeError("the reflecting vector is not a norm -3 root")
     eps_name = "wbar" if base54 - 18 * n * k <= 0 else "w"
-    return r, eps_name
+    return psi_root(lam, beta2 + 2 * k), eps_name
 
 
 # ---------------------------------------------------------------------------
 # the minimal-height scan
+
+#: 4 + sqrt 3 in Z[zeta_12], the factor of s in 3 ht
+SQRT3_PLUS4 = SQRT3_C + Cyclo12(4)
 
 
 def min_height_scan(diagram):
@@ -522,7 +515,7 @@ def min_height_scan(diagram):
                     tsum = sum((Eis(3, 0) * u for u in bu), start=ZERO)
                     tsum = tsum + sum((THETA * u for u in su), start=ZERO)
                     # 3 ht = |s(4+sqrt3) - sum t_i|, exactly:
-                    val = s_c * _c12_sqrt3_plus4() - Cyclo12.from_eis(tsum)
+                    val = s_c * SQRT3_PLUS4 - Cyclo12.from_eis(tsum)
                     ht9 = val.abs_sq()  # 9 * ht^2
                     if ht9 > SqrtThree(9, 0):
                         continue
@@ -530,12 +523,6 @@ def min_height_scan(diagram):
                         _expand_positions(diagram, points, s, bu, su)
                     )
     return sorted(found, key=lambda v: tuple(x.key() for x in v))
-
-
-def _c12_sqrt3_plus4() -> Cyclo12:
-    from .rings import SQRT3_C
-
-    return SQRT3_C + Cyclo12(4)
 
 
 def _expand_positions(diagram, points, s, big_units, small_units):

@@ -5,9 +5,10 @@ letter acting last (so the matrix of a word is the product of the letter
 matrices in the written order, applied to column vectors).
 
 ``matrix_order`` decides finite vs infinite exactly: eigenvalues must be
-roots of unity (every irreducible factor of the real-form characteristic
-polynomial cyclotomic) and the matrix semisimple (checked by powering to
-the lcm of the cyclotomic orders, which is then the order).
+roots of unity (every irreducible factor of the integer polynomial
+p conj(p), p the characteristic polynomial over Z[w], cyclotomic) and the
+matrix semisimple (checked by powering to the lcm of the cyclotomic
+orders, which is then the order).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .rings import Eis, OMEGA2, ONE, ZERO, UNITS
-from .linalg import FORM_LEECH_H, AutMatrix, int_charpoly, aut_from_images
+from .rings import Eis, OMEGA2, ONE, THETA, ZERO, UNITS
+from .linalg import FORM_LEECH_H, AutMatrix, aut_from_images, charpoly, poly_mul
 
 INFINITE = "infinite"
 
@@ -48,20 +49,11 @@ def cyclotomic_poly(d: int):
     den = [1]
     for e in range(1, d):
         if d % e == 0:
-            den = _poly_mul(den, cyclotomic_poly(e))
+            den = poly_mul(den, cyclotomic_poly(e))
     q, r = _poly_divmod(num, den)
     if any(r):
         raise ArithmeticError(f"Phi_{d} division left a remainder")
     return tuple(q)
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _poly_divmod(num, den):
@@ -80,20 +72,31 @@ def _poly_divmod(num, den):
     return q, num
 
 
+def _totient(d: int) -> int:
+    """Euler's phi(d), the degree of Phi_d, by trial division."""
+    out, rest, q = d, d, 2
+    while q * q <= rest:
+        if rest % q == 0:
+            out -= out // q
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    return out - out // rest if rest > 1 else out
+
+
 def _charpoly(m: AutMatrix):
-    """The characteristic polynomial of m's real form, or None when a
-    coefficient is not an integer (then it is no product of cyclotomics)."""
-    rows, den = m.real_form()
-    coeffs = int_charpoly(rows)
-    n = len(rows)
-    # p_M(x) = den^{-n} p_R(den x): coefficient k is c_k / den^(n-k)
-    out = []
-    for k, c in enumerate(coeffs):
-        q, r = divmod(c, den ** (n - k))
-        if r:
-            return None
-        out.append(q)
-    return out
+    """The integer polynomial p conj(p), p the characteristic polynomial
+    of m over Q(w), or None when p is not integral (then p conj(p) is no
+    product of cyclotomics)."""
+    p = charpoly(m.mat)
+    n = len(p) - 1
+    # p_m(x) = theta^(-kn) p_mat(theta^k x): coefficient j is c_j / theta^(k(n-j))
+    try:
+        p = [c.exact_div(THETA ** (m.k * (n - j))) for j, c in enumerate(p)]
+    except ValueError:
+        return None
+    # the coefficients of p conj(p) are real, so b = 0
+    return [c.a for c in poly_mul(p, [c.conj() for c in p], ZERO)]
 
 
 def matrix_order(m: AutMatrix):
@@ -103,20 +106,18 @@ def matrix_order(m: AutMatrix):
     non-cyclotomic factor certifies infinite order.  Each factor Phi_d
     gives an eigenvalue of exact order d, so every d divides a finite
     order; hence with N the lcm of the d the order is N when m^N = I, and
-    m has infinite order (it is not semisimple) otherwise.
+    m has infinite order (it is not semisimple) otherwise.  Phi_d is tried
+    only when its degree phi(d) fits the residual's degree, and the scan
+    stops at d > 2 deg^2, past which phi(d) >= sqrt(d/2) exceeds it.
     """
     p = _charpoly(m)
     if p is None:
         return INFINITE
-    n = len(p) - 1
     orders = []
     d = 1
-    while len(p) > 1:
-        if d > 4 * n * n + 100:
-            break
-        phi = cyclotomic_poly(d)
-        if len(phi) <= len(p):
-            q, r = _poly_divmod(p, phi)
+    while len(p) > 1 and d <= 2 * (len(p) - 1) ** 2:
+        if _totient(d) < len(p):
+            q, r = _poly_divmod(p, cyclotomic_poly(d))
             if not any(r):
                 orders.append(d)
                 p = q

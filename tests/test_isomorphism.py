@@ -6,7 +6,7 @@ from eleech.rings import Eis, ONE, OMEGA, ZERO
 from eleech.linalg import FORM_E8H, FORM_LEECH_H, AutMatrix
 from eleech.lattices import (
     leech_contains, leech_ip, in_l_leech_h, in_l_e8h,
-    flat_re_ip2, flat_norm6,
+    flat_re_ip2, flat_norm6, from_flat,
 )
 from eleech.isomorphism import (
     load_e1, load_e1prime, e2_matrix, gram_of, ChangeOfBasis,
@@ -181,6 +181,8 @@ def test_compatible_pairs_match_brute_force(shell):
 
 
 def test_psi_root_is_root(shell):
-    r = psi_root(shell[0], 1)
+    lam = from_flat(shell[0])
+    r = psi_root(lam, 1)
+    assert r == lam + (ONE, Eis(1, 1))  # tail theta/2 + 1/2 = 1 + w
     assert FORM_LEECH_H.ip(r, r) == Eis(-3, 0)
     assert in_l_leech_h(r)

@@ -5,7 +5,7 @@ import pytest
 from eleech.rings import Eis, ONE, OMEGA, OMEGA2, THETA, ZERO
 from eleech.linalg import (
     mat_det, mat_inverse, mat_mul, mat_vec,
-    AutMatrix, mat_scalar, int_charpoly, FORM_E8H, FORM_LEECH_H,
+    AutMatrix, mat_scalar, charpoly, FORM_E8H, FORM_LEECH_H,
 )
 
 FORMS = (FORM_E8H, FORM_LEECH_H)
@@ -77,18 +77,14 @@ def test_aut_matrix_pow_and_inverse():
     assert w.scalar() == OMEGA
 
 
-def test_int_charpoly_triangular():
-    m = [[2, 1, 0], [0, 3, 0], [1, 0, 1]]
-    assert int_charpoly(m) == [-6, 11, -6, 1]
-
-
-def test_real_form_multiplicativity():
-    a = AutMatrix(mat_scalar(2, Eis(1, 1)))
-    rows, den = a.real_form()
-    assert den == 1
-    # multiplication by 1 + w on the (1, w) basis: 1 -> 1 + w, w -> w + w^2 = -1
-    assert rows[0][0] == 1 and rows[1][0] == 1
-    assert rows[0][1] == -1 and rows[1][1] == 0
+def test_charpoly_triangular():
+    # no off-diagonal entry lies on a cycle, so the diagonal gives the roots
+    m = [[THETA, OMEGA, ZERO], [ZERO, Eis(2), ZERO], [ONE, ZERO, OMEGA2]]
+    roots = (THETA, Eis(2), OMEGA2)
+    want = [ONE]
+    for r in roots:  # times (x - r), ascending coefficients
+        want = [-r * want[0]] + [a - r * b for a, b in zip(want, want[1:])] + [want[-1]]
+    assert charpoly(m) == want
 
 
 def test_basis_solbecause_roundtrip(diagram):

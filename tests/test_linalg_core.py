@@ -12,12 +12,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from eleech import isomorphism, linalg, reduction, reflections, relations, rings
-from eleech.diagram import _det3
 from eleech.isomorphism import load_e1, e2_matrix
 from eleech.lattices import lattice_3e8_h, lattice_leech_h
 from eleech.linalg import (
-    FORM_E8H, FORM_LEECH_H, AutMatrix, _eliminate, aut_from_images, independent,
-    kernel, mat_det, mat_identity, mat_inverse, mat_mul, mat_scalar, mat_vec,
+    FORM_E8H, FORM_LEECH_H, AutMatrix, _eliminate, aut_from_images, charpoly,
+    independent, kernel, mat_det, mat_identity, mat_inverse, mat_mul, mat_scalar,
+    mat_vec,
 )
 from eleech.relations import INFINITE, matrix_order
 from eleech.rings import Eis, OMEGA, OMEGA2, ONE, THETA, ZERO
@@ -73,6 +73,23 @@ def leibniz_det(m):
 @given(square(5))
 def test_det_matches_leibniz(m):
     assert mat_det(m) == leibniz_det(m)
+
+
+@SETTINGS
+@given(square())
+def test_charpoly_is_monic_annihilating_with_det_constant(m):
+    n = len(m)
+    p = charpoly(m)
+    assert len(p) == n + 1 and p[n] == ONE
+    # p(m) = 0, by Horner's scheme on matrices
+    acc = mat_scalar(n, p[n])
+    for c in reversed(p[:n]):
+        acc = tuple(
+            tuple(x + (c if i == j else ZERO) for j, x in enumerate(row))
+            for i, row in enumerate(mat_mul(acc, m))
+        )
+    assert acc == mat_scalar(n, ZERO)
+    assert p[0] == (-1) ** n * mat_det(m)
 
 
 @SETTINGS
@@ -179,9 +196,15 @@ def test_inverse_round_trips_on_reflections(diagram, idx, mu):
     assert inv == m @ m  # w-reflections have order 3
 
 
+def _det_f3(g):
+    return sum(
+        _sign(p) * g[0][p[0]] * g[1][p[1]] * g[2][p[2]] for p in permutations(range(3))
+    ) % 3
+
+
 invertible_f3 = st.lists(st.integers(0, 2), min_size=9, max_size=9).map(
     lambda f: (tuple(f[0:3]), tuple(f[3:6]), tuple(f[6:9]))
-).filter(lambda g: _det3(g) != 0)
+).filter(lambda g: _det_f3(g) != 0)
 
 
 @settings(max_examples=12, deadline=None)

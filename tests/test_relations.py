@@ -1,10 +1,12 @@
+import hashlib
+
 import pytest
 import sympy
 
-from eleech.rings import OMEGA, OMEGA2, UNITS
-from eleech.linalg import AutMatrix, mat_scalar
+from eleech.rings import Eis, OMEGA, OMEGA2, ONE, UNITS
+from eleech.linalg import AutMatrix, mat_identity, mat_scalar, poly_mul
 from eleech.relations import (
-    GroupWord, matrix_order, INFINITE, SPIDER, TWELVE_GON,
+    GroupWord, matrix_order, INFINITE, SPIDER, TWELVE_GON, _charpoly,
     spider_check, deflate_check, deflate_unit, coxeter_table, COXETER_TABLE,
     free_embeddings, verify_phi_flips, rad_m666_covers_d, cyclotomic_poly,
     twelve_gon_orbit,
@@ -33,6 +35,34 @@ def test_matrix_order_identity_and_scalars():
     assert matrix_order(w) == 3
     mw = AutMatrix(mat_scalar(14, -OMEGA))
     assert matrix_order(mw) == 6
+
+
+@pytest.mark.parametrize("n", [2, 14])
+def test_matrix_order_non_cyclotomic_factor(n, monkeypatch):
+    # [[2, 1], [1, 1]] has eigenvalues (3 +- sqrt5)/2: the integral
+    # polynomial keeps the non-cyclotomic factor (x^2 - 3x + 1)^2, and the
+    # order is decided before any power of the matrix is taken
+    m = [list(row) for row in mat_identity(n)]
+    m[0][:2], m[1][:2] = [Eis(2), ONE], [ONE, ONE]
+    a = AutMatrix(m)
+    want = [1, -6, 11, -6, 1]
+    for _ in range(2 * n - 4):
+        want = poly_mul(want, [-1, 1])
+    assert _charpoly(a) == want
+    monkeypatch.setattr(AutMatrix, "__pow__", lambda *_: pytest.fail("m ** N taken"))
+    assert matrix_order(a) == INFINITE
+
+
+def test_charpoly_digest(diagram):
+    """p conj(p) for the first embedding of every COXETER_TABLE type and
+    for the spider, pinned to the 28x28 real-form polynomials."""
+    mats = []
+    for name in COXETER_TABLE:
+        emb = free_embeddings(diagram, name, limit=1)[0]
+        mats.append(GroupWord(diagram, [diagram.nodes[i].name for i in emb]).matrix())
+    mats.append(GroupWord(diagram, SPIDER).matrix())
+    digest = hashlib.sha256(repr([_charpoly(m) for m in mats]).encode()).hexdigest()
+    assert digest == "49f3e35f44f0db86ac4d9e2658c725c5537c8c940d042051f304228352e32a63"
 
 
 def test_matrix_order_consistency(diagram):
