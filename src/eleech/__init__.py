@@ -2,7 +2,7 @@
 26-root projective-plane diagram and the reflection group they generate.
 
 Everything numerical in the verification paths is exact: Eisenstein and
-cyclotomic integer arithmetic, Q(sqrt 3) heights, integral certificates.
+cyclotomic integer arithmetic, Z[sqrt 3] heights, integral certificates.
 """
 
 from .rings import Eis, Cyclo12, SqrtThree, OMEGA, OMEGA2, THETA, UNITS

@@ -15,7 +15,7 @@ from operator import matmul
 
 from . import isomorphism, lattices, reduction, relations
 from .codes import golay12, qr_code, tetracode
-from .diagram import Diagram, _dot3, long_relator, presentation_generators
+from .diagram import NODE_HEIGHT_SQ, Diagram, _dot3, long_relator, presentation_generators
 from .linalg import FORM_E8H, FORM_LEECH_H, mat_mul
 from .reflections import canonical_root
 from .rings import Eis, ONE, OMEGA, THETA, ZERO, SqrtThree
@@ -117,7 +117,7 @@ def diagram_check_lines(d):
         ("disc_F_39", c.fixed_lattice().discriminant() == 39),
         ("rho_norm", d.form.ip12(c.rho_hat, c.rho_hat).to_sqrt3() == SqrtThree(-78, 104)),
         ("ip_wp_rho", d.form.ip12(c.w_p, c.rho_hat).to_sqrt3() == SqrtThree(0, 13)),
-        ("heights_one", all(d.height_sq(n.root) == SqrtThree(1, 0) for n in d.nodes)),
+        ("heights_one", all(d.height_sq(n.root) == NODE_HEIGHT_SQ for n in d.nodes)),
         ("linear_relations", d.verify_linear_relations()),
     ])
 

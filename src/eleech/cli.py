@@ -83,7 +83,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return handler(args)
-    except (OSError, InputError) as exc:  # a missing or malformed input, an unwritable output
+    # a missing, undecodable or malformed input, an unwritable output
+    except (OSError, UnicodeDecodeError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -241,11 +242,10 @@ def _cmd_reduce(args) -> int:
         d, gens = ctx.diagram, ctx.generators
         bad = []
         for n in names:
-            with open(os.path.join(args.dir, n)) as f:
-                text = f.read()
             try:
-                cert = ReductionCertificate.parse(text)
-            except ValueError:
+                with open(os.path.join(args.dir, n)) as f:
+                    cert = ReductionCertificate.parse(f.read())
+            except ValueError:  # malformed, or not text (UnicodeDecodeError)
                 bad.append(n)
                 continue
             # gNN.cert certifies generator NN

@@ -8,7 +8,8 @@ every incident (point, line) pair of roots pairs to -w*theta exactly.
 
 The scaled Weyl representative rho_hat = Sigma_P + xi * Sigma_L (26 times
 the Weyl vector) has Z[zeta_12] coordinates; every height statement is
-made on exact squares in Q(sqrt 3).
+made on the exact square |<rho_hat, r>|^2 in Z[sqrt 3], against its value
+NODE_HEIGHT_SQ on the node roots.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .rings import (
 )
 from .lattices import HermitianLattice, to_flat
 from .linalg import AutMatrix, FORM_E8H, aut_from_images, spanning_basis
-from .reflections import NodeKernel, reflection_matrix
+from .reflections import NodeKernel
 from .textio import InputError
 
 E = Eis
@@ -55,6 +56,9 @@ NODE_NAMES = (
     "z1", "z2", "z3",
     "d1", "d2", "d3",
 )
+
+#: |<rho_hat, r>|^2 = (4 sqrt3 - 3)^2 on every node root r: height 1
+NODE_HEIGHT_SQ = SqrtThree(57, -24)
 
 POINT_NAMES = frozenset(
     ["a", "c1", "c2", "c3", "e1", "e2", "e3", "a1", "a2", "a3", "g1", "g2", "g3"]
@@ -174,7 +178,6 @@ class Diagram:
         self._basis = None
         self._constants = None
         self._kernel = None
-        self._reflections = {}
 
     # -- adjacency ---------------------------------------------------------
 
@@ -234,14 +237,6 @@ class Diagram:
             [tuple(image(n.index)) for n in self.nodes],
             ([n.index for n in chosen], inverse),
         )
-
-    def node_reflection(self, name) -> AutMatrix:
-        """The w-reflection in the named node root, cached per diagram."""
-        got = self._reflections.get(name)
-        if got is None:
-            got = reflection_matrix(self.by_name[name].root, OMEGA, self.form)
-            self._reflections[name] = got
-        return got
 
     # -- diagram automorphisms ----------------------------------------------
 
@@ -321,19 +316,9 @@ class Diagram:
         return cv
 
     def height_sq(self, r) -> SqrtThree:
-        """Exact ht(r)^2 = |<rho_hat, r>|^2 / (4 sqrt3 - 3)^2."""
-        c = self.constants()
-        ip = self.form.ip12(c.rho_hat, r)
-        num = ip.abs_sq()
-        return num / c.height_den
-
-    def c_squared(self, u, v) -> SqrtThree:
-        """c(u,v)^2 = |<u,v>|^2 / (|u|^2 |v|^2), exact in Q(sqrt 3)."""
-        nu = self.form.ip12(u, u).to_sqrt3()
-        nv = self.form.ip12(v, v).to_sqrt3()
-        if not nu or not nv:
-            raise ValueError("c^2 needs nonzero-norm arguments")
-        return self.form.ip12(u, v).abs_sq() / (nu * nv)
+        """|<rho_hat, r>|^2 in Z[sqrt 3]: ht(r)^2 = height_sq(r) / (4 sqrt3 - 3)^2,
+        so ht(r) <= 1 exactly when height_sq(r) <= NODE_HEIGHT_SQ."""
+        return self.form.ip12(self.constants().rho_hat, r).abs_sq()
 
 
 class DiagramConstants:
@@ -355,8 +340,6 @@ class DiagramConstants:
         sl = tuple(Cyclo12.from_eis(x) for x in self.sigma_l)
         self.rho_hat = tuple(p + XI * l for p, l in zip(sp, sl))
         self.rho_hat_minus = tuple(p - XI * l for p, l in zip(sp, sl))
-        # |rho_hat|^2 = 26 (4 sqrt3 - 3); heights divide by (4 sqrt3 - 3)^2
-        self.height_den = SqrtThree(-3, 4) * SqrtThree(-3, 4)
         self.form = form
 
     def fixed_lattice(self):

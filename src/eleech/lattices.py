@@ -264,6 +264,7 @@ def first_shell_by_coset_search():
                     dfs(i + 1, budget - n, (res + zr) % 3)
                 flat[2 * i], flat[2 * i + 1] = 0, 0
             dfs(0, 18, 0)
+    del dfs  # its closure holds itself, a cycle that keeps found alive until a full gc
     return found
 
 

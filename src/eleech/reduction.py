@@ -33,6 +33,7 @@ from .rings import (
     unit_name,
     unit_from_name,
 )
+from .diagram import NODE_HEIGHT_SQ
 from .linalg import FORM_LEECH_H, FORM_E8H
 from .lattices import leech_contains, leech_ip, golay_words, in_l_e8h
 from .reflections import NodeChain, reflect, canonical_root
@@ -222,11 +223,7 @@ class HeightReducer:
     def __init__(self, diagram):
         self.diagram = diagram
         self.form = diagram.form
-        self.rho_hat = diagram.constants().rho_hat
-
-    def height_ns(self, y) -> SqrtThree:
-        """|<rho_hat, y>|^2; proportional to ht^2, exact, cheap to compare."""
-        return self.form.ip12(self.rho_hat, y).abs_sq()
+        self.kernel = diagram.node_kernel()
 
     def reduce(self, y0, perturb_sources=(), max_perturb=1):
         """A certificate for y0, or None when stuck beyond the policy.
@@ -246,7 +243,7 @@ class HeightReducer:
 
         The descent runs on a NodeChain; every unit multiple of a node
         root has a node height, so only there is y looked up."""
-        chain = NodeChain(self.diagram.node_kernel(), y)
+        chain = NodeChain(self.kernel, y)
         steps = []
         while budget > 0:
             budget -= 1
@@ -304,18 +301,17 @@ def check_certificate(cert, diagram, generators) -> bool:
     y = cert.target
     if not in_l_e8h(y) or diagram.form.ip(y, y) != Eis(-3, 0):
         return False
-    red = HeightReducer(diagram)
-    last = red.height_ns(y)
+    last = diagram.height_sq(y)
     for s in cert.steps:
         if s[0] == "node":
             y = reflect(diagram.nodes[s[1]].root, _EPS[s[2]], y, diagram.form)
-            ns = red.height_ns(y)
+            ns = diagram.height_sq(y)
             if not ns < last:
                 return False
             last = ns
         else:
             y = reflect(generators[s[1] - 1], _EPS[s[2]], y, diagram.form)
-            last = red.height_ns(y)
+            last = diagram.height_sq(y)
     k, uname = cert.terminal
     return diagram.node_of(y) == (k, unit_from_name(uname))
 
@@ -550,6 +546,6 @@ def _expand_positions(diagram, points, s, big_units, small_units):
                 continue
             if diagram.form.ip(r, r) != Eis(-3, 0):
                 continue
-            if diagram.height_sq(r) <= SqrtThree(1, 0):
+            if diagram.height_sq(r) <= NODE_HEIGHT_SQ:
                 out.append(canonical_root(r))
     return out

@@ -14,7 +14,7 @@ plain ints; ``reflect`` stays the independent 14-coordinate path.
 from __future__ import annotations
 
 from .rings import Cyclo12, Eis, OMEGA, UNITS, cyclo12_abs_sq, sqrt3_sign
-from .linalg import AutMatrix, mat_vec, vec_add, vec_scale
+from .linalg import AutMatrix, mat_identity, vec_add, vec_scale
 from .lattices import from_flat, to_flat
 
 MINUS3 = Eis(-3, 0)
@@ -43,19 +43,15 @@ def reflect(r, mu, v, form):
     return vec_add(v, vec_scale(s, r))
 
 
-def reflection_matrix(r, mu, form) -> AutMatrix:
-    """The coordinate matrix of phi_r^mu as an exact AutMatrix."""
-    n = len(r)
-    # den <r, e_j> = (conj(r)^T gram)_j = conj((gram r)_j), gram Hermitian
-    frow = tuple(x.conj() for x in mat_vec(form.gram, r))
-    # phi(v) = v - r (1-mu) <r,v> / (-3) = v + r (1-mu) <r,v> / 3, so
-    # phi = (3 den I + r (1-mu) frow) / (3 den)
+def word_matrix(letters, form) -> AutMatrix:
+    """The AutMatrix of the product of the reflections phi_r^mu, one per
+    letter (r, mu), leftmost acting last.  The letters act right to left on
+    the columns d e_j, d = 3 den, whose pairings and shifts stay in Z[w]."""
     d = Eis(3 * form.den, 0)
-    col = [x * (Eis(1, 0) - mu) for x in r]
-    rows = [[c * f for f in frow] for c in col]
-    for i in range(n):
-        rows[i][i] = rows[i][i] + d
-    return AutMatrix.over(rows, d)
+    cols = [vec_scale(d, e) for e in mat_identity(14)]
+    for r, mu in reversed(letters):
+        cols = [reflect(r, mu, v, form) for v in cols]
+    return AutMatrix.over(zip(*cols), d)
 
 
 # ---------------------------------------------------------------------------

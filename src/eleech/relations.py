@@ -1,8 +1,8 @@
 """Relations in Aut(L): spider, deflation, Coxeter orders, hand flips.
 
 Group words are products of w-reflections in diagram roots, leftmost
-letter acting last (so the matrix of a word is the product of the letter
-matrices in the written order, applied to column vectors).
+letter acting last: the matrix of a word is built by applying its letters
+right to left to the basis columns (``reflections.word_matrix``).
 
 ``matrix_order`` decides finite vs infinite exactly: eigenvalues must be
 roots of unity (every irreducible factor of the integer polynomial
@@ -16,8 +16,9 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .rings import Eis, OMEGA2, ONE, THETA, ZERO, UNITS
+from .rings import Eis, OMEGA, OMEGA2, ONE, THETA, ZERO, UNITS
 from .linalg import FORM_LEECH_H, AutMatrix, aut_from_images, charpoly, poly_mul
+from .reflections import word_matrix
 
 INFINITE = "infinite"
 
@@ -30,11 +31,8 @@ class GroupWord:
         self.letters = tuple(letters)
 
     def matrix(self) -> AutMatrix:
-        out = None
-        for name in self.letters:
-            m = self.diagram.node_reflection(name)
-            out = m if out is None else out @ m
-        return out if out is not None else AutMatrix.identity(14)
+        return word_matrix([(self.diagram.by_name[name].root, OMEGA) for name in self.letters],
+                           self.diagram.form)
 
 
 # ---------------------------------------------------------------------------

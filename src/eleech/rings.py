@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: Z[w], Z[zeta_12] and Q(sqrt 3).
+"""Exact scalar arithmetic: Z[w], Z[zeta_12] and Z[sqrt 3].
 
 Conventions
 -----------
@@ -6,7 +6,7 @@ Conventions
 * ``theta = w - conj(w) = 1 + 2w`` satisfies theta^2 = -3, conj(theta) = -theta.
 * ``Cyclo12(c0, c1, c2, c3)`` is c0 + c1*z + c2*z^2 + c3*z^3 with z a primitive
   12th root of unity, reduced by z^4 = z^2 - 1 (the 12th cyclotomic polynomial).
-* ``SqrtThree(p, q)`` is p + q*sqrt(3) with rational p, q and an exact total
+* ``SqrtThree(p, q)`` is p + q*sqrt(3) with int p, q and an exact total
   order (sign decided by sign analysis and squaring, never by floating point).
 
 Everything is immutable and hashable; no floating point anywhere.
@@ -14,7 +14,6 @@ Everything is immutable and hashable; no floating point anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import total_ordering
 
 
@@ -345,13 +344,13 @@ I_C = Cyclo12(0, 0, 0, 1)
 
 @total_ordering
 class SqrtThree:
-    """p + q*sqrt(3) with rational p, q; exactly ordered."""
+    """p + q*sqrt(3) with int p, q; exactly ordered."""
 
     __slots__ = ("p", "q")
 
     def __init__(self, p=0, q=0):
-        object.__setattr__(self, "p", Fraction(p))
-        object.__setattr__(self, "q", Fraction(q))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     def __setattr__(self, *_):
         raise AttributeError("SqrtThree is immutable")
@@ -409,22 +408,12 @@ class SqrtThree:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _coerce_s3(other)
-        if other is None:
-            return NotImplemented
-        d = other.p * other.p - 3 * other.q * other.q
-        if d == 0:
-            raise ZeroDivisionError
-        num = self * SqrtThree(other.p, -other.q)
-        return SqrtThree(num.p / d, num.q / d)
-
     def to_float(self) -> float:
         return float(self.p) + float(self.q) * 3 ** 0.5
 
 
 def sqrt3_sign(p, q) -> int:
-    """The sign of p + q sqrt 3 for rational (or int) p, q, exactly."""
+    """The sign of p + q sqrt 3, exactly."""
     if p == 0 and q == 0:
         return 0
     if p >= 0 and q >= 0:
@@ -440,6 +429,6 @@ def sqrt3_sign(p, q) -> int:
 def _coerce_s3(x):
     if isinstance(x, SqrtThree):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return SqrtThree(x, 0)
     return None

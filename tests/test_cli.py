@@ -98,6 +98,12 @@ def test_reduce_check_malformed_certificate_is_bad(tmp_path, capsys):
     assert capsys.readouterr().out == "checked: 1\nfailures: 1\nbad: g01.cert\nRESULT: FAIL\n"
 
 
+def test_reduce_check_undecodable_certificate_is_bad(tmp_path, capsys):
+    (tmp_path / "g01.cert").write_bytes(b"\xff\xfe\x00")
+    assert main(["reduce", "check", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == "checked: 1\nfailures: 1\nbad: g01.cert\nRESULT: FAIL\n"
+
+
 def test_reduce_check_ties_file_to_generator(tmp_path, diagram, generators, capsys):
     from eleech.reduction import HeightReducer
 
@@ -142,6 +148,15 @@ def test_malformed_input_is_io_error(argv, text, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {path}:1: ") and err.count("\n") == 1
+
+
+def test_undecodable_input_is_io_error(tmp_path, capsys):
+    path = tmp_path / "e1.txt"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert main(["isom", "verify", "--e1", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name, argv, edit", [

@@ -8,7 +8,7 @@ from eleech.rings import (
 from eleech import diagram as diagram_module
 from eleech.cli import main
 from eleech.diagram import (
-    PLANE, presentation_generators, plane_permutation, orbit,
+    NODE_HEIGHT_SQ, PLANE, presentation_generators, plane_permutation, orbit,
     local_max_probe, _dot3,
 )
 from eleech.reflections import reflect
@@ -162,8 +162,9 @@ def test_weyl_vector_alternative_form(diagram):
 
 
 def test_heights_of_nodes_are_one(diagram):
+    assert NODE_HEIGHT_SQ == SqrtThree(-3, 4) * SqrtThree(-3, 4)  # (4 sqrt3 - 3)^2
     for n in diagram.nodes:
-        assert diagram.height_sq(n.root) == SqrtThree(1, 0)
+        assert diagram.height_sq(n.root) == NODE_HEIGHT_SQ
 
 
 def test_height_zero_and_reflected_node(diagram):
@@ -171,7 +172,7 @@ def test_height_zero_and_reflected_node(diagram):
     a = diagram.by_name["a"].root
     b1 = diagram.by_name["b1"].root
     moved = reflect(b1, OMEGA, a, diagram.form)
-    assert diagram.height_sq(moved) > SqrtThree(1, 0)
+    assert diagram.height_sq(moved) > NODE_HEIGHT_SQ
 
 
 def test_node_of_round_trips_every_unit_multiple(diagram):
@@ -187,24 +188,6 @@ def test_node_of_is_none_off_the_node_multiples(diagram, generators):
     assert cert.steps
     assert diagram.node_of(cert.target) is None
     assert diagram.node_of((ZERO,) * 14) is None
-
-
-def test_c_squared_identities(diagram):
-    c = diagram.constants()
-    rho = c.rho_hat
-    # c(rho, r)^2 = -ht(r)^2 |rho|^2 / 3 on the 26 roots
-    rho_norm = SqrtThree(-3, 4) * (SqrtThree(1, 0) / SqrtThree(26, 0))
-    for n in (diagram.by_name["a"], diagram.by_name["z3"]):
-        c2 = diagram.c_squared(rho, n.root)
-        ht2 = diagram.height_sq(n.root)
-        assert c2 == SqrtThree(0, 0) - ht2 * rho_norm / SqrtThree(3, 0)
-    # c(u, u)^2 = 1 for positive-norm u
-    assert diagram.c_squared(c.w_p, c.w_p) == SqrtThree(1, 0)
-    # c(rho, w_P)^2 = (3/4) / (3 (4 sqrt3 - 3)/26)
-    want = SqrtThree(3, 0) / (
-        SqrtThree(4, 0) * (SqrtThree(3, 0) * rho_norm)
-    )
-    assert diagram.c_squared(rho, c.w_p) == want
 
 
 def test_sigma_properties(diagram):

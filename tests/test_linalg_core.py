@@ -5,13 +5,16 @@ determinants are cross-checked against the Leibniz formula, which shares
 no code with the elimination.
 """
 
+import importlib
 import inspect
+import pkgutil
 from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from eleech import isomorphism, linalg, reduction, reflections, relations, rings
+import eleech
+from eleech import rings
 from eleech.isomorphism import load_e1, e2_matrix
 from eleech.lattices import lattice_3e8_h, lattice_leech_h
 from eleech.linalg import (
@@ -21,7 +24,7 @@ from eleech.linalg import (
 )
 from eleech.relations import INFINITE, matrix_order
 from eleech.rings import Eis, OMEGA, OMEGA2, ONE, THETA, ZERO
-from eleech.reflections import reflection_matrix
+from eleech.reflections import word_matrix
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -161,13 +164,15 @@ def test_over_clears_theta_and_rejects_other_primes():
 
 
 @pytest.mark.parametrize("module", [
-    linalg, reflections, relations, reduction, isomorphism,
+    eleech,
+    *(importlib.import_module(f"eleech.{m.name}") for m in pkgutil.iter_modules(eleech.__path__)),
     rings.Eis, rings._coerce, rings._coerce12,
 ], ids=lambda m: m.__name__)
 def test_lattice_maps_stay_in_z_w(module):
     """Lattice maps, the Conway reduction and the search are built from
-    Z[w] data over one int or Z[w] denominator, and Eis holds int
-    components: no Q(w) entries anywhere outside SqrtThree."""
+    Z[w] data over one int or Z[w] denominator, Eis holds int components
+    and SqrtThree int components: no rational entries anywhere in the
+    package."""
     source = inspect.getsource(module)
     for word in ("Fraction", "frac_div", "integral(", "zhalf"):
         assert word not in source
@@ -189,7 +194,7 @@ def test_gram_codes_the_form(form_and_lattice, coeffs):
 @SETTINGS
 @given(st.integers(0, 25), st.sampled_from([OMEGA, OMEGA2]))
 def test_inverse_round_trips_on_reflections(diagram, idx, mu):
-    m = reflection_matrix(diagram.nodes[idx].root, mu, diagram.form)
+    m = word_matrix([(diagram.nodes[idx].root, mu)], diagram.form)
     inv = m.inverse()
     assert inv @ m == AutMatrix.identity(14)
     assert m @ inv == AutMatrix.identity(14)

@@ -29,7 +29,6 @@ ALLOWED = {
     "BinaryCode.min_weight": "the minimum distance of the binary Golay code",
     "Diagram.neighbors": "the node neighbourhoods the diagram tests walk",
     "Diagram.rho_vec": "the Weyl vector summands the diagram tests sum",
-    "Diagram.c_squared": "the exact cosines the height tests compare",
     "local_max_probe": "the float diagnostic of criterion 10",
     "weyl_second_order_sign": "the exact second-order sign at the Weyl point",
     "hand_root_shape": "the shape of the hand roots of the search",

@@ -7,9 +7,9 @@ from eleech.rings import Eis, OMEGA, OMEGA2, UNITS, ZERO, SqrtThree
 from eleech.checks import Context, run
 from eleech.diagram import Diagram
 from eleech.lattices import lattice_3e8_h, lattice_leech_h
-from eleech.linalg import FORM_E8H, FORM_LEECH_H
+from eleech.linalg import FORM_E8H, FORM_LEECH_H, AutMatrix
 from eleech.reduction import R1, R2
-from eleech.reflections import NodeChain, reflect, reflection_matrix, canonical_root
+from eleech.reflections import NodeChain, reflect, word_matrix, canonical_root
 
 
 def _random_lattice_vector(diagram, rng, spread=2):
@@ -64,7 +64,7 @@ def test_reflection_rejects_non_root(diagram):
 def test_adjacent_equals_braid_on_all_pairs(diagram):
     """The 14x14 cross-check of the braid_relations entry's 2x2 argument."""
     adj = diagram.adjacency()
-    phi = [diagram.node_reflection(n.name) for n in diagram.nodes]
+    phi = [word_matrix([(n.root, OMEGA)], diagram.form) for n in diagram.nodes]
     for i in range(26):
         for j in range(i + 1, 26):
             ab, ba = phi[i] @ phi[j], phi[j] @ phi[i]
@@ -99,9 +99,9 @@ def test_reflection_conjugation(diagram):
     sigma = diagram.sigma()
     for node in (diagram.by_name["a"], diagram.by_name["z2"], diagram.by_name["d3"]):
         for gam in (gamma, sigma):
-            m = reflection_matrix(node.root, OMEGA, diagram.form)
+            m = word_matrix([(node.root, OMEGA)], diagram.form)
             lhs = gam @ m @ gam.inverse()
-            rhs = reflection_matrix(gam.apply(node.root), OMEGA, diagram.form)
+            rhs = word_matrix([(gam.apply(node.root), OMEGA)], diagram.form)
             assert lhs == rhs
 
 
@@ -114,13 +114,23 @@ def test_reflection_matrix_agrees_with_reflect(diagram, form, lattice, roots):
     basis = lattice().basis
     for r in roots(diagram):
         for mu in (OMEGA, OMEGA2):
-            m = reflection_matrix(r, mu, form)
+            m = word_matrix([(r, mu)], form)
             for _ in range(10):
                 v = (ZERO,) * 14
                 for b in basis:
                     c = Eis(rng.randint(-2, 2), rng.randint(-2, 2))
                     v = tuple(x + c * y for x, y in zip(v, b))
                 assert m.apply(v) == reflect(r, mu, v, form)
+
+
+def test_word_matrix_is_the_product_of_its_letters(diagram):
+    """The leftmost letter acts last: the word's matrix is the product of
+    the one-letter matrices in the written order."""
+    letters = [(diagram.by_name[n].root, mu)
+               for n, mu in (("a", OMEGA), ("z2", OMEGA2), ("d3", OMEGA), ("b1", OMEGA2))]
+    one = [word_matrix([letter], diagram.form) for letter in letters]
+    assert word_matrix(letters, diagram.form) == one[0] @ one[1] @ one[2] @ one[3]
+    assert word_matrix([], diagram.form) == AutMatrix.identity(14)
 
 
 def test_canonical_root_is_unit_invariant(diagram):

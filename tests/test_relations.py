@@ -190,12 +190,14 @@ def test_embedding_is_induced(diagram):
             assert adj[emb[i]][emb[j]] == (frozenset((i, j)) in eset)
 
 
+@pytest.fixture(scope="module")
+def coxeter_rows(diagram):
+    return {r[0]: (r[1], r[2], r[3]) for r in coxeter_table(diagram)}
+
+
 @pytest.mark.parametrize("name", ["A1", "A2", "A5", "D4", "E7"])
-def test_coxeter_spot_orders(diagram, name):
-    rows = dict(
-        (r[0], (r[1], r[2], r[3])) for r in coxeter_table(diagram) if r[0] == name
-    )
-    exp, got, ok = rows[name]
+def test_coxeter_spot_orders(coxeter_rows, name):
+    exp, got, ok = coxeter_rows[name]
     assert ok and got == COXETER_TABLE[name]
 
 
@@ -236,12 +238,3 @@ def test_matrix_order_agrees_with_bounded_powering(diagram):
                 break
             cur = cur @ m
         assert first == n
-
-
-def test_node_reflection_cache_is_per_diagram(diagram):
-    from eleech.diagram import Diagram
-
-    other = Diagram()
-    assert diagram.node_reflection("a") is diagram.node_reflection("a")
-    assert other.node_reflection("a") is not diagram.node_reflection("a")
-    assert other.node_reflection("a") == diagram.node_reflection("a")
