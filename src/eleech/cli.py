@@ -84,7 +84,7 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     # a missing, undecodable or malformed input, an unwritable output
-    except (OSError, UnicodeDecodeError, InputError) as exc:
+    except (OSError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -218,6 +218,7 @@ def _cmd_isom(args) -> int:
 def _cmd_reduce(args) -> int:
     from .checks import Context
     from .reduction import certify_generators, check_certificate, ReductionCertificate
+    from .textio import read_text
 
     ctx = Context()
     if args.sub == "run":
@@ -243,9 +244,8 @@ def _cmd_reduce(args) -> int:
         bad = []
         for n in names:
             try:
-                with open(os.path.join(args.dir, n)) as f:
-                    cert = ReductionCertificate.parse(f.read())
-            except ValueError:  # malformed, or not text (UnicodeDecodeError)
+                cert = ReductionCertificate.parse(read_text(os.path.join(args.dir, n)))
+            except ValueError:  # malformed, or not text (InputError)
                 bad.append(n)
                 continue
             # gNN.cert certifies generator NN

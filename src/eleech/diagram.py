@@ -15,7 +15,6 @@ NODE_HEIGHT_SQ on the node roots.
 from __future__ import annotations
 
 from functools import cache, reduce
-from importlib import resources
 from itertools import product
 
 from .rings import (
@@ -29,12 +28,11 @@ from .rings import (
     ZERO,
     UNITS,
     XI,
-    SQRT3_C as SQRT3_C12,
 )
 from .lattices import HermitianLattice, to_flat
-from .linalg import AutMatrix, FORM_E8H, aut_from_images, spanning_basis
+from .linalg import AutMatrix, FORM_E8H, aut_from_images, spanning_basis, vec_add, vec_scale
 from .reflections import NodeKernel
-from .textio import InputError
+from .textio import InputError, data_text
 
 E = Eis
 _O = ZERO
@@ -202,6 +200,14 @@ class Diagram:
     def neighbors(self, idx):
         return [j for j in range(26) if self.adjacency()[idx][j]]
 
+    def relation_sum(self, node):
+        """c r + the sum of the roots adjacent to the node's root r, with
+        c = w^2 theta = sqrt3 xi on a line and c = -w theta = sqrt3 conj(xi)
+        on a point: w_P on every line and w_L on every point."""
+        c = W2 * THETA if node.kind == "line" else -W * THETA
+        return reduce(vec_add, (self.nodes[j].root for j in self.neighbors(node.index)),
+                      vec_scale(c, node.root))
+
     def node_of(self, v):
         """(index, unit) with v == unit * (root of node index), or None
         when v is no unit multiple of a node root."""
@@ -283,37 +289,21 @@ class Diagram:
 
     def verify_linear_relations(self) -> bool:
         """sqrt3 rho_i + Sigma_i is one fixed vector over the lines (w_P)
-        and one fixed vector over the points (xi w_L), exactly.
+        and one fixed vector over the points (xi w_L), exactly: on a point
+        the relation is taken times the unit conj(xi), which keeps it in
+        Z[w], so every node's ``relation_sum`` is w_P or w_L.
 
         The twelve independent differences of these relations generate all
         linear relations among the 26 roots.
         """
         c = self.constants()
-        adj = self.adjacency()
-        for l in self.lines:
-            s = tuple((W2 * THETA) * x for x in l.root)  # sqrt3 xi l = w^2 theta l
-            for p in self.points:
-                if adj[l.index][p.index]:
-                    s = tuple(a + b for a, b in zip(s, p.root))
-            if s != c.w_p:
-                return False
-        want = tuple(XI * Cyclo12.from_eis(x) for x in c.w_l)
-        for p in self.points:
-            s = tuple(SQRT3_C12 * Cyclo12.from_eis(x) for x in p.root)
-            for l in self.lines:
-                if adj[p.index][l.index]:
-                    s = tuple(a + XI * Cyclo12.from_eis(b) for a, b in zip(s, l.root))
-            if s != want:
-                return False
-        return True
+        return all(self.relation_sum(n) == (c.w_p if n.kind == "line" else c.w_l)
+                   for n in self.nodes)
 
     def rho_vec(self, idx):
         """rho_i as a Z[zeta_12] vector: points as-is, lines times xi."""
         n = self.nodes[idx]
-        cv = tuple(Cyclo12.from_eis(x) for x in n.root)
-        if n.kind == "line":
-            cv = tuple(XI * x for x in cv)
-        return cv
+        return vec_scale(XI if n.kind == "line" else Cyclo12(1), n.root)
 
     def height_sq(self, r) -> SqrtThree:
         """|<rho_hat, r>|^2 in Z[sqrt 3]: ht(r)^2 = height_sq(r) / (4 sqrt3 - 3)^2,
@@ -325,41 +315,16 @@ class DiagramConstants:
     """w_P, w_L, the sums Sigma_P / Sigma_L, and the Weyl representatives."""
 
     def __init__(self, diagram: Diagram):
-        form = diagram.form
-        self.w_p = _sum_vectors(
-            [tuple((W2 * THETA) * x for x in diagram.lines[0].root)]
-            + [p.root for p in _points_on_line(diagram, diagram.lines[0])]
-        )
-        self.w_l = _sum_vectors(
-            [tuple((-W * THETA) * x for x in diagram.points[0].root)]
-            + [l.root for l in _lines_through_point(diagram, diagram.points[0])]
-        )
-        self.sigma_p = _sum_vectors([p.root for p in diagram.points])
-        self.sigma_l = _sum_vectors([l.root for l in diagram.lines])
-        sp = tuple(Cyclo12.from_eis(x) for x in self.sigma_p)
-        sl = tuple(Cyclo12.from_eis(x) for x in self.sigma_l)
-        self.rho_hat = tuple(p + XI * l for p, l in zip(sp, sl))
-        self.rho_hat_minus = tuple(p - XI * l for p, l in zip(sp, sl))
-        self.form = form
+        self.w_p = diagram.relation_sum(diagram.lines[0])
+        self.w_l = diagram.relation_sum(diagram.points[0])
+        self.sigma_p = reduce(vec_add, (p.root for p in diagram.points))
+        self.sigma_l = reduce(vec_add, (l.root for l in diagram.lines))
+        self.rho_hat = tuple(p + XI * l for p, l in zip(self.sigma_p, self.sigma_l))
+        self.rho_hat_minus = tuple(p - XI * l for p, l in zip(self.sigma_p, self.sigma_l))
+        self.form = diagram.form
 
     def fixed_lattice(self):
         return HermitianLattice((self.w_p, self.w_l), self.form.ip)
-
-
-def _points_on_line(diagram, line_node):
-    return [p for p in diagram.points if diagram.adjacency()[line_node.index][p.index]]
-
-
-def _lines_through_point(diagram, point_node):
-    return [l for l in diagram.lines if diagram.adjacency()[point_node.index][l.index]]
-
-
-def _sum_vectors(vs):
-    out = list(vs[0])
-    for v in vs[1:]:
-        for i, x in enumerate(v):
-            out[i] = out[i] + x
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -460,19 +425,6 @@ def weyl_second_order_sign(diagram) -> int:
 
 # ---------------------------------------------------------------------------
 # plane labeling: pinned assignment node name -> triple
-
-
-def data_text(name: str) -> str:
-    """Contents of a shipped data file, honoring ELEECH_DATA_DIR."""
-    import os
-
-    override = os.environ.get("ELEECH_DATA_DIR")
-    if override:
-        path = os.path.join(override, name)
-        if os.path.exists(path):
-            with open(path) as f:
-                return f.read()
-    return resources.files("eleech.data").joinpath(name).read_text()
 
 
 def _load_labeling():

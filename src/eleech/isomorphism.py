@@ -28,18 +28,14 @@ from .lattices import (
     leech_ip,
 )
 from .reflections import canonical_root
-from .textio import parse_matrix
+from .textio import data_text, parse_matrix
 
 
 def load_e1():
-    from .diagram import data_text
-
     return parse_matrix(data_text("e1.txt"), "e1.txt", 14)
 
 
 def load_e1prime():
-    from .diagram import data_text
-
     return parse_matrix(data_text("e1prime.txt"), "e1prime.txt", 14)
 
 

@@ -1,6 +1,8 @@
 """Vectors, matrices and Hermitian forms over Z[w] (and Z[zeta_12]).
 
 Vectors are tuples of ring elements, matrices are tuples of row tuples.
+Matrices and forms have Z[w] entries; a vector may have Z[w] or Z[zeta_12]
+entries, and one pairing and one image map serve both rings.
 Hermitian forms are conjugate linear in the FIRST argument and linear in
 the second.  Lattice automorphisms are held as ``AutMatrix``: an exact
 coordinate-space matrix A / theta^k (theta-denominators arise because the
@@ -13,7 +15,9 @@ Z[w]: an inverse is an integral matrix over one pivot d, and
 
 from __future__ import annotations
 
-from .rings import Eis, Cyclo12, THETA, ZERO, ONE
+from operator import matmul
+
+from .rings import Eis, THETA, ZERO, ONE, power
 
 EMatrix = tuple
 
@@ -55,18 +59,14 @@ def mat_scalar(n, s) -> EMatrix:
     return tuple(tuple(s if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-def negdef_ip(u, v, den=1) -> Eis:
+def negdef_ip(u, v, den=1):
     """-(1/den) sum conj(u_i) v_i, the division by den exact."""
     s = ZERO
     for x, y in zip(u, v):
         if x and y:
             s = s + x.conj() * y
     if den != 1:
-        qa, ra = divmod(s.a, den)
-        qb, rb = divmod(s.b, den)
-        if ra or rb:
-            raise ValueError(f"pairing not divisible by {den}")
-        s = Eis(qa, qb)
+        s = s.divide_exact_int(den)
     return -s
 
 
@@ -219,24 +219,16 @@ class LorentzForm:
         g[13][12] = THETA * den
         self.gram = tuple(tuple(row) for row in g)
 
-    def ip(self, u, v) -> Eis:
+    def ip(self, u, v):
+        """<u, v> for Z[w] or Z[zeta_12] entries, in the ring of the entries."""
         if len(u) != 14 or len(v) != 14:
             raise ValueError("LorentzForm expects 14 coordinates")
         h = u[13].conj() * THETA * v[12] - u[12].conj() * THETA * v[13]
         return h + negdef_ip(u[:12], v[:12], self.den)
 
-    def ip12(self, u, v) -> Cyclo12:
-        """Same form with Z[zeta_12]-entried vectors (exact)."""
-        cu = [x if isinstance(x, Cyclo12) else Cyclo12.from_eis(x) for x in u]
-        cv = [x if isinstance(x, Cyclo12) else Cyclo12.from_eis(x) for x in v]
-        s = Cyclo12()
-        for i in range(12):
-            s = s + cu[i].conj() * cv[i]
-        if self.den != 1:
-            s = s.divide_exact_int(self.den)
-        th = Cyclo12.from_eis(THETA)
-        h = cu[12].conj() * (-th) * cv[13] + cu[13].conj() * th * cv[12]
-        return h - s
+    #: the same pairing under a second name, so that a trace counts the
+    #: pairings with the Z[zeta_12] vector rho_hat apart
+    ip12 = ip
 
 
 FORM_E8H = LorentzForm("3E8+H", den=1)
@@ -304,38 +296,16 @@ class AutMatrix:
     def __pow__(self, n: int) -> "AutMatrix":
         if n < 0:
             return self.inverse() ** (-n)
-        out = AutMatrix.identity(self.n)
-        base = self
-        while n:
-            if n & 1:
-                out = out @ base
-            base = base @ base
-            n >>= 1
-        return out
+        return power(self, n, AutMatrix.identity(self.n), matmul)
 
     def apply(self, v):
-        """Image of a coordinate vector (entries Eis, exact)."""
+        """Image of a coordinate vector with Z[w] or Z[zeta_12] entries:
+        theta^-k = (-theta)^k / 3^k, the division by 3^k exact."""
         w = mat_vec(self.mat, v)
         if self.k:
-            t = THETA ** self.k
-            w = tuple(x.exact_div(t) for x in w)
+            s, n = (-THETA) ** self.k, 3 ** self.k
+            w = tuple((x * s).divide_exact_int(n) for x in w)
         return w
-
-    def apply12(self, v):
-        """Image of a Z[zeta_12]-entried coordinate vector."""
-        cv = [x if isinstance(x, Cyclo12) else Cyclo12.from_eis(x) for x in v]
-        rows = []
-        for row in self.mat:
-            acc = Cyclo12()
-            for a, x in zip(row, cv):
-                if a:
-                    acc = acc + Cyclo12.from_eis(a) * x
-            rows.append(acc)
-        if self.k:
-            # theta^-k = (-theta)^k / 3^k
-            s = Cyclo12.from_eis((-THETA) ** self.k)
-            rows = [(x * s).divide_exact_int(3 ** self.k) for x in rows]
-        return tuple(rows)
 
     def is_identity(self) -> bool:
         return self.k == 0 and self.mat == mat_identity(self.n)

@@ -16,7 +16,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 from .rings import (
     Cyclo12,
@@ -38,7 +38,7 @@ from .linalg import FORM_LEECH_H, FORM_E8H
 from .lattices import leech_contains, leech_ip, golay_words, in_l_e8h
 from .reflections import NodeChain, reflect, canonical_root
 from .isomorphism import psi_root
-from .textio import parse_matrix, parse_entry, format_vector
+from .textio import data_text, parse_matrix, parse_entry, format_vector
 
 R1 = (ZERO,) * 12 + (ONE, OMEGA2)          # (0^12; 1, w^2)
 R2 = (ZERO,) * 12 + (ONE, -OMEGA)          # (0^12; 1, -w)
@@ -70,12 +70,7 @@ class Translation:
         m3, r = divmod(self.norm, 3)
         if r:
             raise ValueError("lambda norm is not a multiple of 3; not a Leech vector")
-        half = Eis(-(self.z2 + m3), -2 * m3)
-        qa, ra = divmod(half.a, 2)
-        qb, rb = divmod(half.b, 2)
-        if ra or rb:
-            raise ValueError("translation tail is not integral")
-        t2 = Eis(qa, qb) * al
+        t2 = Eis(-(self.z2 + m3), -2 * m3).divide_exact_int(2) * al
         return mu2 + (al, t1 + t2 + be)
 
     def compose(self, other: "Translation") -> "Translation":
@@ -99,8 +94,6 @@ def minimal_z2(norm: int) -> int:
 def load_z_basis():
     """The pinned 24-vector Z-basis of the Leech lattice; an InputError
     unless every row is a Leech vector."""
-    from .diagram import data_text
-
     return parse_matrix(data_text("leech_zbasis.txt"), "leech_zbasis.txt", 12,
                         lambda v: leech_contains(v) is not None)
 
@@ -502,7 +495,6 @@ def min_height_scan(diagram):
     }
 
     for s, total in cases:
-        s_c = Cyclo12.from_eis(s)
         for pat in patterns[total]:
             big = sum(1 for x in pat if x == 9)
             small = len(pat) - big
@@ -511,7 +503,7 @@ def min_height_scan(diagram):
                     tsum = sum((Eis(3, 0) * u for u in bu), start=ZERO)
                     tsum = tsum + sum((THETA * u for u in su), start=ZERO)
                     # 3 ht = |s(4+sqrt3) - sum t_i|, exactly:
-                    val = s_c * SQRT3_PLUS4 - Cyclo12.from_eis(tsum)
+                    val = SQRT3_PLUS4 * s - tsum
                     ht9 = val.abs_sq()  # 9 * ht^2
                     if ht9 > SqrtThree(9, 0):
                         continue
@@ -526,8 +518,6 @@ def _expand_positions(diagram, points, s, big_units, small_units):
     points, reconstruct r = sum -t_i x_i / 3 + s w_P / 3 and keep the
     lattice roots of height 1 or less.  3r is accumulated in Z[w]; r is
     integral exactly when every component of 3r is divisible by 3."""
-    from itertools import permutations
-
     out = []
     s_wp = [s * y for y in diagram.constants().w_p]
     values = [Eis(3, 0) * u for u in big_units] + [THETA * u for u in small_units]

@@ -13,7 +13,7 @@ plain ints; ``reflect`` stays the independent 14-coordinate path.
 
 from __future__ import annotations
 
-from .rings import Cyclo12, Eis, OMEGA, UNITS, cyclo12_abs_sq, sqrt3_sign
+from .rings import Eis, OMEGA, UNITS, cyclo12_abs_sq, sqrt3_sign
 from .linalg import AutMatrix, mat_identity, vec_add, vec_scale
 from .lattices import from_flat, to_flat
 
@@ -86,8 +86,7 @@ class NodeKernel:
         )
         # <rho_hat, r_k> and w <rho_hat, r_k>: (a + b w) t = a t + b (w t)
         t0 = [form.ip12(rho_hat, r) for r in self.roots]
-        w = Cyclo12.from_eis(OMEGA)
-        self.rho_cols = tuple((t.c, (w * t).c) for t in t0)
+        self.rho_cols = tuple((t.c, (t * OMEGA).c) for t in t0)
         #: every unit multiple of a node root has one of these heights
         self.node_heights = frozenset(cyclo12_abs_sq(t.c) for t in t0)
 

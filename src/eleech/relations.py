@@ -19,6 +19,8 @@ from functools import cache
 from .rings import Eis, OMEGA, OMEGA2, ONE, THETA, ZERO, UNITS
 from .linalg import FORM_LEECH_H, AutMatrix, aut_from_images, charpoly, poly_mul
 from .reflections import word_matrix
+from .diagram import orbit, presentation_generators
+from .isomorphism import m666_from_e1prime, M666_ORDER
 
 INFINITE = "infinite"
 
@@ -170,8 +172,6 @@ def deflate_unit(diagram, gon_roots):
 
 def twelve_gon_orbit(diagram):
     """All labeled 12-gons in the Q-orbit of the base one (node indices)."""
-    from .diagram import orbit, presentation_generators
-
     x, y = presentation_generators()
     perms = [diagram.g_permutation(x), diagram.g_permutation(y), diagram.sigma_permutation()]
     return orbit(tuple(diagram.by_name[n].index for n in TWELVE_GON), perms)
@@ -375,8 +375,6 @@ def verify_phi_flips(e1p):
 
     Returns a dict report; every value must be True.
     """
-    from .isomorphism import m666_from_e1prime, M666_ORDER
-
     roots = dict(zip(M666_ORDER, m666_from_e1prime(e1p)))
     phi12 = build_phi_flip(roots, fixed_hand=3)
     phi23 = build_phi_flip(roots, fixed_hand=1)

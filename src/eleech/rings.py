@@ -14,6 +14,7 @@ Everything is immutable and hashable; no floating point anywhere.
 
 from __future__ import annotations
 
+import operator
 from functools import total_ordering
 
 
@@ -83,16 +84,7 @@ class Eis:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Eis":
-        if n < 0:
-            raise ValueError("negative powers live in Q(w); invert explicitly")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, ONE)
 
     def conj(self) -> "Eis":
         # conj(a + bw) = (a - b) - bw
@@ -117,12 +109,14 @@ class Eis:
         """x / d, raising ValueError when the quotient is not integral."""
         if not d:
             raise ZeroDivisionError
-        n = d.norm()
-        t = self * d.conj()
-        qa, ra = divmod(t.a, n)
-        qb, rb = divmod(t.b, n)
+        return (self * d.conj()).divide_exact_int(d.norm())
+
+    def divide_exact_int(self, n: int) -> "Eis":
+        """x / n for an int n, raising ValueError unless both components divide."""
+        qa, ra = divmod(self.a, n)
+        qb, rb = divmod(self.b, n)
         if ra or rb:
-            raise ValueError(f"{self} not divisible by {d}")
+            raise ValueError(f"{self} not divisible by {n}")
         return Eis(qa, qb)
 
     def __divmod__(self, d: "Eis"):
@@ -148,6 +142,21 @@ class Eis:
     def key(self):
         """Total-order key: by norm, then a, then b."""
         return (self.norm(), self.a, self.b)
+
+
+def power(x, n: int, one, mul=operator.mul):
+    """x^n for n >= 0 by square and multiply, with the unit one and the
+    product mul; a negative n raises ValueError (invert explicitly)."""
+    if n < 0:
+        raise ValueError("negative power; invert explicitly")
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return out
 
 
 def _coerce(x):
@@ -269,14 +278,7 @@ class Cyclo12:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Cyclo12":
-        out = Cyclo12(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, Cyclo12(1))
 
     def conj(self) -> "Cyclo12":
         # conj(z) = z - z^3, conj(z^2) = 1 - z^2, conj(z^3) = -z^3
@@ -284,6 +286,7 @@ class Cyclo12:
         return Cyclo12(c0 + c2, c1, -c2, -c1 - c3)
 
     def divide_exact_int(self, n: int) -> "Cyclo12":
+        """x / n for an int n, raising ValueError unless every component divides."""
         out = []
         for x in self.c:
             q, r = divmod(x, n)

@@ -1,4 +1,5 @@
-"""The ``a,b`` text format for vectors and matrices over Z[w].
+"""The ``a,b`` text format for vectors and matrices over Z[w], and the
+reading of input and shipped data files.
 
 One row per line, whitespace-separated entries, each entry ``a,b`` for
 a + w b; blank lines and ``#`` comments are skipped.  Negation replaces
@@ -6,6 +7,9 @@ any overline notation on input.
 """
 
 from __future__ import annotations
+
+import os
+from importlib import resources
 
 from .rings import Eis
 
@@ -42,9 +46,27 @@ def parse_matrix(text: str, source: str, width: int, member=None):
     return tuple(rows)
 
 
+def read_text(path) -> str:
+    """The text of a file; an InputError names the file when it is not text."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def read_matrix(path, width: int):
-    with open(path) as f:
-        return parse_matrix(f.read(), path, width)
+    return parse_matrix(read_text(path), path, width)
+
+
+def data_text(name: str) -> str:
+    """Contents of a shipped data file, honoring ELEECH_DATA_DIR."""
+    override = os.environ.get("ELEECH_DATA_DIR")
+    if override:
+        path = os.path.join(override, name)
+        if os.path.exists(path):
+            return read_text(path)
+    return resources.files("eleech.data").joinpath(name).read_text()
 
 
 def format_vector(v) -> str:

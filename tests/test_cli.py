@@ -156,7 +156,17 @@ def test_undecodable_input_is_io_error(tmp_path, capsys):
     assert main(["isom", "verify", "--e1", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+def test_undecodable_data_file_is_io_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "e1.txt"
+    path.write_bytes(b"\xff\xfe\x00")
+    monkeypatch.setenv("ELEECH_DATA_DIR", str(tmp_path))
+    assert main(["isom", "verify"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name, argv, edit", [
@@ -165,7 +175,7 @@ def test_undecodable_input_is_io_error(tmp_path, capsys):
     ("leech_zbasis.txt", ["reduce", "run", "--out", "{out}"], lambda row: "1,0" + row[3:]),
 ], ids=["e1_entry", "zbasis_width", "zbasis_not_leech"])
 def test_malformed_data_file_is_io_error(name, argv, edit, tmp_path, monkeypatch, capsys):
-    from eleech.diagram import data_text
+    from eleech.textio import data_text
 
     lines = data_text(name).splitlines()
     lines[-1] = edit(lines[-1])
@@ -194,7 +204,7 @@ def test_shell_without_simplex_fails(tmp_path, capsys):
 ], ids=["missing", "duplicate", "unknown", "zero", "short", "not_int", "shared_triple"])
 def test_bad_labeling_is_an_error(edit, tmp_path, monkeypatch, capsys):
     from eleech import checks
-    from eleech.diagram import data_text
+    from eleech.textio import data_text
 
     lines = edit(data_text("plane_labeling.txt").splitlines())
     (tmp_path / "plane_labeling.txt").write_text("\n".join(lines) + "\n")
@@ -255,7 +265,7 @@ def test_verify_all_reports_a_raising_check(monkeypatch, capsys):
 
 
 def test_data_dir_override(tmp_path, monkeypatch):
-    from eleech.diagram import data_text
+    from eleech.textio import data_text
 
     (tmp_path / "plane_labeling.txt").write_text("# override marker\n")
     monkeypatch.setenv("ELEECH_DATA_DIR", str(tmp_path))

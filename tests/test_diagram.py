@@ -198,7 +198,7 @@ def test_sigma_properties(diagram):
     c = diagram.constants()
     assert s.apply(c.sigma_p) == tuple(-OMEGA * x for x in c.sigma_l)
     assert s.apply(c.sigma_l) == c.sigma_p
-    assert s.apply12(c.rho_hat) == tuple(XI * x for x in c.rho_hat)
+    assert s.apply(c.rho_hat) == tuple(XI * x for x in c.rho_hat)
 
 
 def test_g_action_identity(diagram):
@@ -271,7 +271,7 @@ def test_g_fixes_weyl_data(diagram):
     for aut in (diagram.g_action(x), diagram.g_action(y)):
         assert aut.apply(c.w_p) == c.w_p
         assert aut.apply(c.w_l) == c.w_l
-        assert aut.apply12(c.rho_hat) == c.rho_hat
+        assert aut.apply(c.rho_hat) == c.rho_hat
 
 
 def test_fixed_lattice_primitive(diagram):

@@ -20,10 +20,10 @@ from eleech.lattices import lattice_3e8_h, lattice_leech_h
 from eleech.linalg import (
     FORM_E8H, FORM_LEECH_H, AutMatrix, _eliminate, aut_from_images, charpoly,
     independent, kernel, mat_det, mat_identity, mat_inverse, mat_mul, mat_scalar,
-    mat_vec,
+    mat_vec, vec_scale,
 )
 from eleech.relations import INFINITE, matrix_order
-from eleech.rings import Eis, OMEGA, OMEGA2, ONE, THETA, ZERO
+from eleech.rings import Cyclo12, Eis, OMEGA, OMEGA2, ONE, THETA, ZERO
 from eleech.reflections import word_matrix
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -189,6 +189,50 @@ def test_gram_codes_the_form(form_and_lattice, coeffs):
             for cs in (coeffs[:14], coeffs[14:]))
     lhs = sum((x.conj() * y for x, y in zip(u, mat_vec(form.gram, v))), ZERO)
     assert lhs == form.den * form.ip(u, v)
+
+
+cyclo12 = st.builds(Cyclo12, *(st.integers(-4, 4),) * 4)
+
+
+def _lattice_vector(lattice, coeffs):
+    return tuple(sum((c * b[i] for c, b in zip(coeffs, lattice().basis)), ZERO)
+                 for i in range(14))
+
+
+def _lift(v):
+    return tuple(Cyclo12.from_eis(x) for x in v)
+
+
+@SETTINGS
+@given(st.sampled_from([(FORM_E8H, lattice_3e8_h), (FORM_LEECH_H, lattice_leech_h)]),
+       st.lists(eis, min_size=28, max_size=28), cyclo12, cyclo12)
+def test_pairing_is_ring_generic(form_and_lattice, coeffs, a, b):
+    """Lifting to Z[zeta_12] commutes with the pairing, and the pairing is
+    conjugate linear in u and linear in v over Z[zeta_12]."""
+    form, lattice = form_and_lattice
+    u, v = _lattice_vector(lattice, coeffs[:14]), _lattice_vector(lattice, coeffs[14:])
+    want = Cyclo12.from_eis(form.ip(u, v))
+    assert form.ip(_lift(u), _lift(v)) == want
+    assert form.ip(vec_scale(a, u), vec_scale(b, v)) == a.conj() * b * want
+
+
+@SETTINGS
+@given(st.sampled_from(["reflection", "sigma", "fwd"]),
+       st.lists(eis, min_size=14, max_size=14), cyclo12)
+def test_image_map_is_ring_generic(diagram, chg, which, coeffs, a):
+    """Lifting to Z[zeta_12] commutes with AutMatrix.apply, and apply is
+    linear over Z[zeta_12]: on a node reflection (k = 0), sigma (k = 1)
+    and the change of basis to 3E8+H (k = 3)."""
+    aut, lattice = {
+        "reflection": (word_matrix([(diagram.nodes[5].root, OMEGA)], FORM_E8H), lattice_3e8_h),
+        "sigma": (diagram.sigma(), lattice_3e8_h),
+        "fwd": (chg.fwd, lattice_leech_h),
+    }[which]
+    assert aut.k == {"reflection": 0, "sigma": 1, "fwd": 3}[which]
+    v = _lattice_vector(lattice, coeffs)
+    image = aut.apply(v)
+    assert aut.apply(_lift(v)) == _lift(image)
+    assert aut.apply(vec_scale(a, v)) == vec_scale(a, image)
 
 
 @SETTINGS

@@ -1,12 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import eleech
 from eleech.rings import (
     Eis, Cyclo12, SqrtThree,
     ONE, OMEGA, OMEGA2, THETA, UNITS, ZETA, XI, SQRT3_C, I_C,
-    eis_gcd, unit_name, unit_from_name, cyclo12_abs_sq, round_half_even, sqrt3_sign,
+    eis_gcd, unit_name, unit_from_name, cyclo12_abs_sq, power, round_half_even, sqrt3_sign,
 )
 
 
@@ -176,3 +181,48 @@ def test_sqrt3_field_operations():
         b = SqrtThree(random.randint(-9, 9), random.randint(-9, 9))
         assert a * b == b * a
         assert (a - b) + b == a
+
+
+def test_power_matches_repeated_products():
+    random.seed(15)
+    for _ in range(50):
+        x = Eis(random.randint(-5, 5), random.randint(-5, 5))
+        c = Cyclo12(*(random.randint(-3, 3) for _ in range(4)))
+        ex, ec = ONE, Cyclo12(1)
+        for n in range(12):
+            assert x ** n == ex and power(x, n, ONE) == ex
+            assert c ** n == ec
+            ex, ec = ex * x, ec * c
+    assert XI ** 12 == 1 and XI ** 6 == -1
+    assert power(3, 5, 1) == 243 and power(2, 0, 1) == 1
+
+
+def test_negative_powers_raise():
+    with pytest.raises(ValueError):
+        Eis(2, 1) ** -1
+    with pytest.raises(ValueError):
+        power(ONE, -2, ONE)
+
+
+def test_cyclo12_negative_power_raises_not_hangs():
+    """XI ** -1 must end in ValueError; run apart, so a loop that never
+    ends fails on the timeout instead of stalling the suite."""
+    code = ("from eleech.rings import XI\n"
+            "try:\n    XI ** -1\nexcept ValueError:\n    print('ValueError')\n")
+    src = str(Path(eleech.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=30)
+    assert out.stdout == "ValueError\n"
+
+
+def test_divide_exact_int():
+    assert Eis(6, -4).divide_exact_int(2) == Eis(3, -2)
+    assert Eis(-9, 3).divide_exact_int(-3) == Eis(3, -1)
+    assert Cyclo12(4, -2, 0, 6).divide_exact_int(2) == Cyclo12(2, -1, 0, 3)
+    for x in (Eis(6, 4), Eis(4, 6), Cyclo12(3, 3, 4, 3)):
+        with pytest.raises(ValueError):
+            x.divide_exact_int(3)
+    assert Eis(5, 1).exact_div(Eis(2, 1)) == Eis(2, -1)  # (2 - w)(2 + w) = 5 + w
+    with pytest.raises(ValueError):
+        Eis(1, 0).exact_div(THETA)
