@@ -179,6 +179,7 @@ def _generation(ctx):
         ("certificates_50", len(certs) == 50),
         ("perturbations_at_most_1", max(c.perturbation_count() for c in certs) <= 1),
         ("replays", all(reduction.check_certificate(c, d, gens) for c in certs)),
+        ("z_basis_24", reduction.is_z_basis(reduction.load_z_basis())),
     ])
 
 

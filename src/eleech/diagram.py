@@ -28,6 +28,7 @@ from .rings import (
     ZERO,
     UNITS,
     XI,
+    power,
 )
 from .lattices import HermitianLattice, to_flat
 from .linalg import AutMatrix, FORM_E8H, aut_from_images, spanning_basis, vec_add, vec_scale
@@ -512,13 +513,11 @@ def presentation_generators():
     def mul(a, b):  # the permutation of the matrix product a b
         return tuple(a[i] for i in b)
 
-    def power(a, n):
-        return reduce(mul, (a,) * n)
-
     pxy, pxyi = mul(px, py), mul(px, pyi)
     failed = [name for name, ok in (
         ("x, y, xy != 1", one not in (px, py, pxy)),
-        ("x^2 = y^3 = (xy)^13 = 1", power(px, 2) == power(py, 3) == power(pxy, 13) == one),
+        ("x^2 = y^3 = (xy)^13 = 1",
+         power(px, 2, one, mul) == power(py, 3, one, mul) == power(pxy, 13, one, mul) == one),
         ("long relator", long_relator(pxy, pxyi, mul) == one),
         ("order 5616", len(orbit(one, (px, py))) == 5616),
     ) if not ok]

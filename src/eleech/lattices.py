@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations, product
 
-from .rings import Eis, THETA, UNITS, ZERO, ONE
+from .rings import Eis, THETA, UNITS, ZERO, ONE, OMEGA, OMEGA2
 from .linalg import (
     FORM_E8H,
     FORM_LEECH_H,
@@ -123,13 +123,10 @@ def shell_e8():
     return out
 
 
-def _unit_for_class(target: Eis) -> Eis:
-    """The unique unit congruent to target mod 3."""
-    for u in UNITS:
-        d = u - target
-        if d.a % 3 == 0 and d.b % 3 == 0:
-            return u
-    raise ValueError(f"no unit matches {target} mod 3")
+def _coset_entry(x, m, d):
+    """(a, b, z mod theta) for the entry x = a + b w = m + theta*d + 3z."""
+    z = (x - m - THETA * d).divide_exact_int(3)
+    return x.a, x.b, z.mod_theta()
 
 
 def first_shell_by_shapes():
@@ -141,77 +138,63 @@ def first_shell_by_shapes():
     * m=+-1: eleven/ten coset-minimal unit entries with one norm-7 or two
       norm-4 replacements, z-sum filtered.
 
-    Returns a list of flat int tuples.
+    The coset entries are tabulated once per digit as (a, b, z mod theta),
+    so the loops over the Golay words only look them up.  Returns a list
+    of flat int tuples.
     """
     out = []
-    golay = golay_words()
+    words = golay_words().words()
 
     # family m=0, c=0: 3z with z two units summing to 0 mod theta
-    plus = [u for u in UNITS if u.mod_theta() == 1]
-    minus = [u for u in UNITS if u.mod_theta() == 2]
     for i, j in combinations(range(12), 2):
         for ui in UNITS:
-            pool = minus if ui.mod_theta() == 1 else plus
-            for uj in pool:
-                flat = [0] * 24
-                flat[2 * i], flat[2 * i + 1] = 3 * ui.a, 3 * ui.b
-                flat[2 * j], flat[2 * j + 1] = 3 * uj.a, 3 * uj.b
-                out.append(tuple(flat))
-
-    # family m=0, weight-6 words: entries theta * (c_i * eta_i)
-    # z_i mod theta for eta in {1, w, w^2} is {0, c_i, -c_i}
-    eta_res = (0, 1, -1)
-    etas = (Eis(1, 0), Eis(0, 1), Eis(-1, -1))
-    for c in golay.words():
-        support = [i for i, ci in enumerate(c) if ci]
-        if len(support) != 6:
-            continue
-        csup = [c[i] for i in support]
-        for combo in product(range(3), repeat=6):
-            if sum(eta_res[k] * ci for k, ci in zip(combo, csup)) % 3:
-                continue
-            flat = [0] * 24
-            for pos, k, ci in zip(support, combo, csup):
-                e = THETA * (Eis(ci, 0) * etas[k])
-                flat[2 * pos], flat[2 * pos + 1] = e.a, e.b
-            out.append(tuple(flat))
-
-    # families m=+-1: per-coordinate coset contains one unit u0, one
-    # norm-4 element -2*u0 and two norm-7 elements u0*(1+3w), u0*(1+3w^2)
-    for m in (1, -1):
-        me = Eis(m, 0)
-        for c in golay.words():
-            base_units = []
-            for ci in c:
-                base_units.append(_unit_for_class(me + THETA * Eis(ci, 0)))
-            base_res = []
-            base_flat = []
-            for x, ci in zip(base_units, c):
-                z = (x - me - THETA * Eis(ci, 0)).exact_div(Eis(3, 0))
-                base_res.append(z.mod_theta())
-                base_flat.append((x.a, x.b))
-            res0 = sum(base_res) % 3
-            target = m % 3
-
-            def emit(repls):
-                flat = [0] * 24
-                for i, (a, b) in enumerate(base_flat):
-                    flat[2 * i], flat[2 * i + 1] = a, b
-                r = res0
-                for pos, e in repls:
-                    flat[2 * pos], flat[2 * pos + 1] = e.a, e.b
-                    znew = (e - me - THETA * Eis(c[pos], 0)).exact_div(Eis(3, 0))
-                    r = (r - base_res[pos] + znew.mod_theta()) % 3
-                if r == target:
+            for uj in UNITS:
+                if (ui.mod_theta() + uj.mod_theta()) % 3 == 0:
+                    flat = [0] * 24
+                    flat[2 * i: 2 * i + 2] = 3 * ui.a, 3 * ui.b
+                    flat[2 * j: 2 * j + 2] = 3 * uj.a, 3 * uj.b
                     out.append(tuple(flat))
 
-            for pos in range(12):
-                u0 = base_units[pos]
-                for mult in (Eis(1, 3), Eis(1, 3).conj()):
-                    emit([(pos, u0 * mult)])
+    # family m=0, weight-6 words: entries theta * d * eta, eta in {1, w, w^2}
+    etas = {d: [_coset_entry(THETA * d * eta, 0, d) for eta in (ONE, OMEGA, OMEGA2)]
+            for d in (-1, 1)}
+    for c in words:
+        support = [i for i, d in enumerate(c) if d]
+        if len(support) != 6:
+            continue
+        for choice in product(*(etas[c[i]] for i in support)):
+            if sum(e[2] for e in choice) % 3:
+                continue
+            flat = [0] * 24
+            for pos, (a, b, _) in zip(support, choice):
+                flat[2 * pos: 2 * pos + 2] = a, b
+            out.append(tuple(flat))
+
+    # families m=+-1: per-coordinate coset contains one unit u, one
+    # norm-4 element -2u and two norm-7 elements u(1+3w), u(1+3w^2)
+    for m in (1, -1):
+        cosets = {}
+        for d in (-1, 0, 1):
+            u = next(u for u in UNITS if Eis(3, 0).divides(u - m - THETA * d))
+            cosets[d] = [_coset_entry(x, m, d)
+                         for x in (u, -2 * u, u * Eis(1, 3), u * Eis(-2, -3))]
+        for c in words:
+            cols = [cosets[d] for d in c]
+            base = [t for col in cols for t in col[0][:2]]
+            res0 = sum(col[0][2] for col in cols) - m
+
+            def emit(repls):
+                if (res0 + sum(e[2] - cols[pos][0][2] for pos, e in repls)) % 3 == 0:
+                    flat = base.copy()
+                    for pos, (a, b, _) in repls:
+                        flat[2 * pos: 2 * pos + 2] = a, b
+                    out.append(tuple(flat))
+
+            for pos, col in enumerate(cols):
+                emit([(pos, col[2])])
+                emit([(pos, col[3])])
             for p, q in combinations(range(12), 2):
-                emit([(p, Eis(-2, 0) * base_units[p]),
-                      (q, Eis(-2, 0) * base_units[q])])
+                emit([(p, cols[p][1]), (q, cols[q][1])])
     return out
 
 

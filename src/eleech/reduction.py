@@ -34,7 +34,7 @@ from .rings import (
     unit_from_name,
 )
 from .diagram import NODE_HEIGHT_SQ
-from .linalg import FORM_LEECH_H, FORM_E8H
+from .linalg import FORM_LEECH_H, FORM_E8H, mat_det, negdef_ip
 from .lattices import leech_contains, leech_ip, golay_words, in_l_e8h
 from .reflections import NodeChain, reflect, canonical_root
 from .isomorphism import psi_root
@@ -96,6 +96,27 @@ def load_z_basis():
     unless every row is a Leech vector."""
     return parse_matrix(data_text("leech_zbasis.txt"), "leech_zbasis.txt", 12,
                         lambda v: leech_contains(v) is not None)
+
+
+def is_z_basis(rows) -> bool:
+    """True iff the Leech vectors ``rows`` are a Z-basis of the Leech
+    lattice.  The real form (2 s.a - s.b)/9, s = sum conj(u_i) v_i, makes
+    Leech an even unimodular Z-lattice of rank 24, so 24 of its vectors
+    span it exactly when their Gram matrix has an even diagonal and
+    determinant 1 (the index squared)."""
+    if len(rows) != 24:
+        return False
+    gram = []
+    for u in rows:
+        row = []
+        for v in rows:
+            s = -negdef_ip(u, v)
+            g, r = divmod(2 * s.a - s.b, 9)
+            if r:
+                return False
+            row.append(Eis(g))
+        gram.append(row)
+    return all(gram[i][i].a % 2 == 0 for i in range(24)) and mat_det(gram) == 1
 
 
 def build_generators(chg):
@@ -318,93 +339,81 @@ def h_value_sq(r) -> int:
     return r[12].norm()
 
 
+#: lattice-norm bound of ``LeechCVP.find_within``: the Leech lattice has
+#: minimal norm 6 and covering radius sqrt 3 here, so every point lies
+#: within norm 3 of a lattice vector, and a point with none is impossible
+COVERING_BOUND = 3
+
+
 class LeechCVP:
     """Exact closest-vector machinery for Q(w)-points against Leech.
 
-    find_within(num, den, bound): for the point t = num / den (num twelve
-    Z[w] numerators, den a positive int), the best lattice vector lam with
-    sum |t_i - lam_i|^2 <= 3*bound in plain coordinate terms (lattice
-    norm |t - lam|^2 >= -bound), scanning the (m, codeword) families with
-    per-coordinate nearest rounding and a one-residue repair; None only
-    when no family admits a vector within the bound (which would falsify
-    the covering-radius input).  All arithmetic is in ints, scaled by den.
+    find_within(num, den): for the point t = num / den (num twelve Z[w]
+    numerators, den a positive int), the best lattice vector lam with
+    sum |t_i - lam_i|^2 <= 3*COVERING_BOUND in plain coordinate terms
+    (lattice norm |t - lam|^2 >= -COVERING_BOUND), scanning the
+    (m, codeword) families with per-coordinate nearest rounding and a
+    one-residue repair; None only when no family admits a vector within
+    the bound (which would falsify the covering-radius input).  All
+    arithmetic is in ints, scaled by den.
     """
 
     def __init__(self):
         self.words = golay_words().words()
 
-    def find_within(self, num, den, bound=3):
-        ti = [(x.a, x.b) for x in num]
-        limit = 9 * bound * den * den
+    def find_within(self, num, den):
+        # a scanned total below cap is within the bound and below the best so far
+        cap = 9 * COVERING_BOUND * den * den + 1
         best = None
-        best_total = None
         for m in (0, 1, -1):
-            cost = []  # [coord][digit] -> sorted list of (c, z, zres)
-            for a, b in ti:
-                percoord = {}
-                for d in (-1, 0, 1):
-                    base = Eis(m, 0) + THETA * Eis(d, 0)
-                    percoord[d] = _round_options_scaled(
-                        a - den * base.a, b - den * base.b, den
-                    )
-                cost.append(percoord)
+            # [coord][digit] -> the coset entry of m + theta*digit + 3E nearest t
+            opts = [{d: _coset_options(x.a - den * (m + d), x.b - 2 * den * d, den)
+                     for d in (-1, 0, 1)} for x in num]
             for c in self.words:
-                total0 = 0
-                cap = limit if best_total is None else min(limit, best_total)
-                for i, d in enumerate(c):
-                    total0 += cost[i][d][0][0]
-                    if total0 > cap:
+                total = res = 0
+                for col, d in zip(opts, c):
+                    o = col[d]
+                    total += o[0]
+                    if total >= cap:
                         break
-                if total0 > cap:
-                    continue
-                res = 0
-                for i, d in enumerate(c):
-                    res += cost[i][d][0][2]
-                need = (m - res) % 3
-                total = total0
-                repair = None
-                if need:
-                    bestpen = None
-                    for i, d in enumerate(c):
-                        opts = cost[i][d]
-                        base_r = opts[0][2]
-                        for opt in opts[1:]:
-                            if (opt[2] - base_r) % 3 == need:
-                                pen = opt[0] - opts[0][0]
-                                if bestpen is None or pen < bestpen[0]:
-                                    bestpen = (pen, i, opt)
-                                break
-                    if bestpen is None:
-                        continue
-                    total = total0 + bestpen[0]
-                    repair = bestpen
-                if total <= limit and (best_total is None or total < best_total):
-                    lam = []
-                    for i, d in enumerate(c):
-                        opt = cost[i][d][0]
-                        if repair is not None and repair[1] == i:
-                            opt = repair[2]
-                        lam.append(Eis(m, 0) + THETA * Eis(d, 0) + Eis(3, 0) * opt[1])
-                    best_total = total
-                    best = tuple(lam)
-        return best
+                    res += o[2]
+                else:
+                    # the residue repair: the cheapest coordinate, the first on ties
+                    row = [col[d] for col, d in zip(opts, c)]
+                    need = (m - res) % 3
+                    pen, k = (min((o[3][need][0], i) for i, o in enumerate(row))
+                              if need else (0, -1))
+                    if total + pen < cap:
+                        cap = total + pen
+                        best = (m, c, [o[3][need][1] if i == k else o[1]
+                                       for i, o in enumerate(row)])
+        if best is None:
+            return None
+        m, c, zs = best
+        return tuple(Eis(m + d + 3 * za, 2 * d + 3 * zb) for d, (za, zb) in zip(c, zs))
 
 
-def _round_options_scaled(na, nb, den):
-    """Candidates z near (na + nb*w)/(3*den), as (cost, z, zres) with
-    cost = 9*den^2*|q - z|^2, sorted ascending."""
+def _coset_options(na, nb, den):
+    """The nearest z to q = (na + nb*w)/(3*den), as (cost, z, z mod theta,
+    repairs) with cost = 9*den^2*|q - z|^2 and z an int pair; repairs maps
+    each residue shift mod 3 to (extra cost, z) of the next nearest z with
+    that shift.  Candidates are the 3x3 box around the rounded q, which
+    holds every residue; ties are kept in box order."""
     d3 = 3 * den
     ra = (2 * na + d3) // (2 * d3)
     rb = (2 * nb + d3) // (2 * d3)
-    opts = []
-    for da in (0, -1, 1):
-        for db in (0, -1, 1):
-            za, zb = ra + da, rb + db
+    box = []
+    for za in (ra, ra - 1, ra + 1):
+        for zb in (rb, rb - 1, rb + 1):
             ea, eb = na - d3 * za, nb - d3 * zb
-            cost = ea * ea - ea * eb + eb * eb
-            opts.append((cost, Eis(za, zb), (za + zb) % 3))
-    opts.sort(key=lambda o: o[0])
-    return opts
+            box.append((ea * ea - ea * eb + eb * eb, (za, zb)))
+    box.sort(key=lambda o: o[0])
+    cost, z = box[0]
+    res = sum(z) % 3
+    repairs = {}
+    for c, zz in box[1:]:
+        repairs.setdefault((sum(zz) - res) % 3, (c - cost, zz))
+    return cost, z, res, repairs
 
 
 def conway_reduce(mu, max_steps=200):
@@ -431,7 +440,7 @@ def conway_reduce(mu, max_steps=200):
             raise ValueError("h = 0: input is orthogonal to rho; not a valid start")
         al = y[12].conj()
         num = tuple(x * al for x in y[:12])
-        lam = cvp.find_within(num, h2, bound=3)
+        lam = cvp.find_within(num, h2)
         if lam is None:
             raise RuntimeError("covering-radius bound violated; axiom falsified")
         r, eps_name = _conway_root(y, num, h2, lam)

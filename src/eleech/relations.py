@@ -281,8 +281,10 @@ def dynkin_edges(name):
 
 
 def free_embeddings(diagram, name, limit=None):
-    """Induced embeddings of the Dynkin graph into the 16-node diagram,
-    lexicographically ordered by the image tuple."""
+    """Induced embeddings of the Dynkin graph into the 16-node diagram, in
+    the order of the depth-first search: lexicographic in the positions of
+    the images in M666_NODES, not in their node indices (A2 lists (17, 1),
+    b1 then c1, before (1, 17))."""
     n, edges = dynkin_edges(name)
     nodes = [diagram.by_name[m] for m in M666_NODES]
     idxs = [m.index for m in nodes]

@@ -40,7 +40,8 @@ class Eis:
         return f"{self.a},{self.b}"
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # equal values hash equally: Eis(a, 0) == a
+        return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def __eq__(self, other):
         if isinstance(other, Eis):
@@ -227,7 +228,9 @@ class Cyclo12:
         return f"Cyclo12{self.c}"
 
     def __hash__(self):
-        return hash(self.c)
+        # equal values hash equally: an element of Z[w] hashes as its Eis
+        c0, c1, c2, c3 = self.c
+        return hash(self.c) if c1 or c3 else hash(Eis(c0 + c2, c2))
 
     def __eq__(self, other):
         other = _coerce12(other)
@@ -362,7 +365,8 @@ class SqrtThree:
         return f"SqrtThree({self.p}, {self.q})"
 
     def __hash__(self):
-        return hash((self.p, self.q))
+        # equal values hash equally: SqrtThree(p, 0) == p
+        return hash((self.p, self.q)) if self.q else hash(self.p)
 
     def sign(self) -> int:
         return sqrt3_sign(self.p, self.q)

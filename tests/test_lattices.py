@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -165,3 +166,12 @@ def test_h_cell_form():
     assert FORM_E8H.ip(e, f) == -THETA
     r1 = tuple(x + Eis(-1, -1) * y for x, y in zip(e, f))
     assert FORM_E8H.ip(r1, r1) == Eis(-3, 0)
+
+
+#: sha256 of repr(first_shell_by_shapes()), the list in its emitted order
+SHAPES_SHELL_SHA256 = "748e167486b72f5a1d53ffb1ee40d2faed964563d8553014eab6c39571ae28f4"
+
+
+def test_shell_by_shapes_order_pinned(shell):
+    """The shape families emit the 196560 vectors in one fixed order."""
+    assert hashlib.sha256(repr(shell).encode()).hexdigest() == SHAPES_SHELL_SHA256

@@ -10,14 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from eleech.rings import Eis, ONE, OMEGA, OMEGA2, THETA, ZERO, UNITS, unit_name
 from eleech.linalg import FORM_LEECH_H, FORM_E8H
-from eleech.lattices import leech_ip, leech_contains, in_l_e8h
+from eleech.lattices import leech_ip, leech_contains, in_l_e8h, golay_words
 from eleech.reflections import reflect
 from eleech.textio import format_vector
 from eleech.reduction import (
     R1, R2, RHO_NULL,
-    Translation, minimal_z2, load_z_basis,
+    Translation, minimal_z2, load_z_basis, is_z_basis,
     HeightReducer, ReductionCertificate, check_certificate,
-    conway_reduce, h_value_sq, LeechCVP,
+    conway_reduce, h_value_sq, LeechCVP, COVERING_BOUND,
 )
 
 EPS = {"w": OMEGA, "wbar": OMEGA2}
@@ -29,6 +29,15 @@ def test_base_roots():
     assert FORM_LEECH_H.ip(R1, R2) == Eis(2, 0) * THETA * OMEGA
 
 
+def _real_ip(u, v):
+    s = ZERO
+    for x, y in zip(u, v):
+        s = s + x.conj() * y
+    val = 2 * s.a - s.b
+    assert val % 9 == 0
+    return val // 9
+
+
 def test_z_basis_spans_over_z():
     """Real-form Gram of the pinned 24 vectors has determinant 1."""
     rows = load_z_basis()
@@ -36,18 +45,22 @@ def test_z_basis_spans_over_z():
     for row in rows:
         assert leech_contains(row) is not None
 
-    def real_ip(u, v):
-        s = ZERO
-        for x, y in zip(u, v):
-            s = s + x.conj() * y
-        val = 2 * s.a - s.b
-        assert val % 9 == 0
-        return val // 9
-
-    g = [[real_ip(u, v) for v in rows] for u in rows]
+    g = [[_real_ip(u, v) for v in rows] for u in rows]
     det = _int_det([row[:] for row in g])
     assert det == 1
     assert all(g[i][i] % 2 == 0 for i in range(24))
+    assert is_z_basis(rows)
+
+
+def test_doubled_row_is_no_z_basis():
+    """Rows that are Leech vectors but span a sublattice of index 2 (Gram
+    determinant 4), or are one short, fail the Z-basis check."""
+    rows = list(load_z_basis())
+    rows[5] = tuple(2 * x for x in rows[5])
+    assert leech_contains(rows[5]) is not None
+    assert _int_det([[_real_ip(u, v) for v in rows] for u in rows]) == 4
+    assert not is_z_basis(rows)
+    assert not is_z_basis(load_z_basis()[:23])
 
 
 def _int_det(a):
@@ -342,8 +355,102 @@ def test_cvp_within_covering_bound():
     zb = load_z_basis()
     for _ in range(20):
         num = [Eis(random.randint(-60, 60), random.randint(-60, 60)) for _ in range(12)]
-        lam = cvp.find_within(num, 7, bound=3)
+        lam = cvp.find_within(num, 7)
         assert lam is not None
         assert leech_contains(lam) is not None
         # coordinate distance: sum |num_i/7 - lam_i|^2 <= 9 (lattice norm >= -3)
         assert sum((x - 7 * y).norm() for x, y in zip(num, lam)) <= 9 * 49
+
+
+def _reference_find_within(words, num, den, bound):
+    """The coset scan as first written: the rounding options rebuilt per
+    (m, coordinate, digit) as Eis triples, and a repair found by scanning
+    each coordinate's sorted options per word."""
+    ti = [(x.a, x.b) for x in num]
+    limit = 9 * bound * den * den
+    best = None
+    best_total = None
+    for m in (0, 1, -1):
+        cost = []
+        for a, b in ti:
+            percoord = {}
+            for d in (-1, 0, 1):
+                base = Eis(m, 0) + THETA * Eis(d, 0)
+                percoord[d] = _round_options_scaled(a - den * base.a, b - den * base.b, den)
+            cost.append(percoord)
+        for c in words:
+            total0 = 0
+            cap = limit if best_total is None else min(limit, best_total)
+            for i, d in enumerate(c):
+                total0 += cost[i][d][0][0]
+                if total0 > cap:
+                    break
+            if total0 > cap:
+                continue
+            res = 0
+            for i, d in enumerate(c):
+                res += cost[i][d][0][2]
+            need = (m - res) % 3
+            total = total0
+            repair = None
+            if need:
+                bestpen = None
+                for i, d in enumerate(c):
+                    opts = cost[i][d]
+                    base_r = opts[0][2]
+                    for opt in opts[1:]:
+                        if (opt[2] - base_r) % 3 == need:
+                            pen = opt[0] - opts[0][0]
+                            if bestpen is None or pen < bestpen[0]:
+                                bestpen = (pen, i, opt)
+                            break
+                if bestpen is None:
+                    continue
+                total = total0 + bestpen[0]
+                repair = bestpen
+            if total <= limit and (best_total is None or total < best_total):
+                lam = []
+                for i, d in enumerate(c):
+                    opt = cost[i][d][0]
+                    if repair is not None and repair[1] == i:
+                        opt = repair[2]
+                    lam.append(Eis(m, 0) + THETA * Eis(d, 0) + Eis(3, 0) * opt[1])
+                best_total = total
+                best = tuple(lam)
+    return best
+
+
+def _round_options_scaled(na, nb, den):
+    """Candidates z near (na + nb*w)/(3*den), as (cost, z, zres) with
+    cost = 9*den^2*|q - z|^2, sorted ascending."""
+    d3 = 3 * den
+    ra = (2 * na + d3) // (2 * d3)
+    rb = (2 * nb + d3) // (2 * d3)
+    opts = []
+    for da in (0, -1, 1):
+        for db in (0, -1, 1):
+            za, zb = ra + da, rb + db
+            ea, eb = na - d3 * za, nb - d3 * zb
+            cost = ea * ea - ea * eb + eb * eb
+            opts.append((cost, Eis(za, zb), (za + zb) % 3))
+    opts.sort(key=lambda o: o[0])
+    return opts
+
+
+def test_cvp_matches_reference_scan():
+    """find_within on its per-digit int tables returns the lattice vector
+    (or None) of the reference scan on 320 seeded points, denominators 1
+    to 91 and numerator spans 3 to 500; the points put the winner in every
+    family m = 0, 1, -1 and call for both residue repairs."""
+    rng = random.Random(19)
+    cvp = LeechCVP()
+    words = golay_words().words()
+    families = set()
+    for _ in range(320):
+        den, span = rng.randint(1, 91), rng.randint(3, 500)
+        num = [Eis(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(12)]
+        lam = cvp.find_within(num, den)
+        assert lam == _reference_find_within(words, num, den, COVERING_BOUND)
+        if lam is not None:
+            families.add(leech_contains(lam)[0])
+    assert families == {0, 1, -1}

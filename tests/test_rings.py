@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import eleech
 from eleech.rings import (
@@ -226,3 +227,27 @@ def test_divide_exact_int():
     assert Eis(5, 1).exact_div(Eis(2, 1)) == Eis(2, -1)  # (2 - w)(2 + w) = 5 + w
     with pytest.raises(ValueError):
         Eis(1, 0).exact_div(THETA)
+
+
+INTS = st.integers(-10**6, 10**6)
+FRACTIONS = st.fractions(max_denominator=9)
+
+
+@given(a=INTS, b=INTS, c2=INTS, q=FRACTIONS)
+def test_equal_values_hash_equally(a, b, c2, q):
+    """x == y implies hash(x) == hash(y) across int, Eis, Cyclo12 and
+    SqrtThree, so a set or dict that mixes them holds each value once;
+    Fraction components still hash."""
+    x = Eis(a, b)
+    pairs = [
+        (Eis(a, 0), a),
+        (Cyclo12.from_eis(x), x),
+        (Cyclo12(a, 0, c2, 0), Eis(a + c2, c2)),
+        (SqrtThree(a, 0), a),
+        (Eis(Fraction(a), 0), a),
+        (SqrtThree(Fraction(a), 0), a),
+    ]
+    for u, v in pairs:
+        assert u == v and hash(u) == hash(v)
+    assert all(isinstance(hash(u), int) for u in (Eis(q, q), SqrtThree(q, q)))
+    assert len({Eis(1, 0), Cyclo12(1), 1}) == 1
