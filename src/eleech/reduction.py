@@ -16,6 +16,7 @@
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
 
 from .rings import (
@@ -356,64 +357,100 @@ class LeechCVP:
     one-residue repair; None only when no family admits a vector within
     the bound (which would falsify the covering-radius input).  All
     arithmetic is in ints, scaled by den.
+
+    Per m the 12 coordinates split into three blocks of 4, and each block
+    gets one table over its 81 digit patterns (``_block_table``), so a
+    word costs 3 lookups.  The first strict minimum in (m, word) order
+    wins, its repair at the cheapest coordinate, the first on ties; only
+    the winner's lattice vector is built.
     """
 
     def __init__(self):
         self.words = golay_words().words()
+        self.blocks = _word_blocks()
 
     def find_within(self, num, den):
         # a scanned total below cap is within the bound and below the best so far
         cap = 9 * COVERING_BOUND * den * den + 1
         best = None
         for m in (0, 1, -1):
-            # [coord][digit] -> the coset entry of m + theta*digit + 3E nearest t
-            opts = [{d: _coset_options(x.a - den * (m + d), x.b - 2 * den * d, den)
-                     for d in (-1, 0, 1)} for x in num]
-            for c in self.words:
-                total = res = 0
-                for col, d in zip(opts, c):
-                    o = col[d]
-                    total += o[0]
-                    if total >= cap:
-                        break
-                    res += o[2]
-                else:
+            # [coord][digit + 1] -> the coset entry of m + theta*digit + 3E nearest t
+            opts = [[_coset_options(x.a - den * (m + d), x.b - 2 * den * d, den)
+                     for d in (-1, 0, 1)] for x in num]
+            t0, t1, t2 = (_block_table(opts, 4 * b) for b in range(3))
+            for c, (i0, i1, i2) in zip(self.words, self.blocks):
+                e0, e1, e2 = t0[i0], t1[i1], t2[i2]
+                total = e0[0] + e1[0] + e2[0]
+                if total < cap:
+                    need = (m - e0[1] - e1[1] - e2[1]) % 3
                     # the residue repair: the cheapest coordinate, the first on ties
-                    row = [col[d] for col, d in zip(opts, c)]
-                    need = (m - res) % 3
-                    pen, k = (min((o[3][need][0], i) for i, o in enumerate(row))
+                    pen, k = (min(e0[1 + need], e1[1 + need], e2[1 + need])
                               if need else (0, -1))
                     if total + pen < cap:
                         cap = total + pen
-                        best = (m, c, [o[3][need][1] if i == k else o[1]
-                                       for i, o in enumerate(row)])
+                        best = (m, c, need, k, opts)
         if best is None:
             return None
-        m, c, zs = best
+        m, c, need, k, opts = best
+        row = [col[d + 1] for col, d in zip(opts, c)]
+        zs = [o[2 + need][1] if i == k else o[1] for i, o in enumerate(row)]
         return tuple(Eis(m + d + 3 * za, 2 * d + 3 * zb) for d, (za, zb) in zip(c, zs))
+
+
+@cache
+def _word_blocks():
+    """Each Golay word's three block indices, in ``golay_words().words()``
+    order: the digits d_0..d_3 of coordinates 4b..4b+3 sit at index
+    sum (d_j + 1) * 3**(3 - j) of block b's table."""
+    return tuple(tuple(sum((d + 1) * 3 ** (3 - j) for j, d in enumerate(c[b:b + 4]))
+                       for b in (0, 4, 8)) for c in golay_words().words())
+
+
+def _block_table(opts, first):
+    """The 81 digit patterns of coordinates first..first+3, in the index
+    order of ``_word_blocks``, as (cost, residue sum, (pen, i) of the
+    cheapest residue-1 repair, the same for residue 2) with i the global
+    coordinate; built one coordinate at a time from the first one's
+    entries.  A (pen, i) pair compares by pen, then by i, so a tie keeps
+    the lower coordinate."""
+    entries = [[(o[0], o[2], (o[3][0], i), (o[4][0], i)) for o in opts[i]]
+               for i in range(first, first + 4)]
+    table = entries[0]
+    for col in entries[1:]:
+        table = [(e[0] + o[0], e[1] + o[1], e[2] if e[2] <= o[2] else o[2],
+                  e[3] if e[3] <= o[3] else o[3]) for e in table for o in col]
+    return table
 
 
 def _coset_options(na, nb, den):
     """The nearest z to q = (na + nb*w)/(3*den), as (cost, z, z mod theta,
-    repairs) with cost = 9*den^2*|q - z|^2 and z an int pair; repairs maps
-    each residue shift mod 3 to (extra cost, z) of the next nearest z with
-    that shift.  Candidates are the 3x3 box around the rounded q, which
-    holds every residue; ties are kept in box order."""
+    repair 1, repair 2) with cost = 9*den^2*|q - z|^2 and z an int pair;
+    repair s is (extra cost, z) of the nearest z whose residue is shifted
+    by s mod 3.  Candidates are the 3x3 box around the rounded q, which
+    holds every residue, walked once in box order: the first strict
+    minimum overall and the first strict minimum of each residue class
+    are kept.  The overall one is tracked on its own, since a minimum of
+    the class minima would break cost ties by class, not by box order."""
     d3 = 3 * den
     ra = (2 * na + d3) // (2 * d3)
     rb = (2 * nb + d3) // (2 * d3)
-    box = []
+    top = None
+    by_res = [None, None, None]
     for za in (ra, ra - 1, ra + 1):
+        ea = na - d3 * za
         for zb in (rb, rb - 1, rb + 1):
-            ea, eb = na - d3 * za, nb - d3 * zb
-            box.append((ea * ea - ea * eb + eb * eb, (za, zb)))
-    box.sort(key=lambda o: o[0])
-    cost, z = box[0]
+            eb = nb - d3 * zb
+            c = ea * ea - ea * eb + eb * eb
+            r = (za + zb) % 3
+            low = by_res[r]
+            if low is None or c < low[0]:
+                by_res[r] = low = (c, (za, zb))
+                if top is None or c < top[0]:
+                    top = low
+    cost, z = top
     res = sum(z) % 3
-    repairs = {}
-    for c, zz in box[1:]:
-        repairs.setdefault((sum(zz) - res) % 3, (c - cost, zz))
-    return cost, z, res, repairs
+    (c1, z1), (c2, z2) = by_res[(res + 1) % 3], by_res[(res + 2) % 3]
+    return cost, z, res, (c1 - cost, z1), (c2 - cost, z2)
 
 
 def conway_reduce(mu, max_steps=200):

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import random
 import tempfile
@@ -13,11 +14,13 @@ from eleech.linalg import FORM_LEECH_H, FORM_E8H
 from eleech.lattices import leech_ip, leech_contains, in_l_e8h, golay_words
 from eleech.reflections import reflect
 from eleech.textio import format_vector
+from eleech import reduction
 from eleech.reduction import (
     R1, R2, RHO_NULL,
     Translation, minimal_z2, load_z_basis, is_z_basis,
     HeightReducer, ReductionCertificate, check_certificate,
     conway_reduce, h_value_sq, LeechCVP, COVERING_BOUND,
+    _coset_options, _word_blocks,
 )
 
 EPS = {"w": OMEGA, "wbar": OMEGA2}
@@ -454,3 +457,47 @@ def test_cvp_matches_reference_scan():
         if lam is not None:
             families.add(leech_contains(lam)[0])
     assert families == {0, 1, -1}
+
+
+def _reference_coset_options(na, nb, den):
+    """The nearest z and its two residue repairs read off the sorted box:
+    (cost, z, residue, (extra cost, z) per shift 1 and 2)."""
+    opts = _round_options_scaled(na, nb, den)
+    cost, z, res = opts[0]
+    repairs = [next((c - cost, (zz.a, zz.b)) for c, zz, r in opts[1:] if (r - res) % 3 == s)
+               for s in (1, 2)]
+    return (cost, (z.a, z.b), res, *repairs)
+
+
+def test_coset_options_match_sorted_box():
+    """The one-pass box walk keeps the sorted box's choices: every (na, nb)
+    in [-12, 12]^2 for den 1 to 3, where exact cost ties are dense, and
+    10^4 seeded points with large numerators."""
+    points = [(na, nb, den) for den in (1, 2, 3)
+              for na in range(-12, 13) for nb in range(-12, 13)]
+    rng = random.Random(23)
+    for _ in range(10_000):
+        den = rng.randint(1, 300)
+        span = 3 * den * rng.randint(1, 200)
+        points.append((rng.randint(-span, span), rng.randint(-span, span), den))
+    for na, nb, den in points:
+        assert _coset_options(na, nb, den) == _reference_coset_options(na, nb, den)
+
+
+def test_word_blocks_decode_to_the_golay_words():
+    """The cached block indices of each word give back its 12 digits, word
+    for word in the order of golay_words().words()."""
+    def digits(i):
+        return tuple((i // 3 ** (3 - j)) % 3 - 1 for j in range(4))
+
+    decoded = [sum((digits(i) for i in idx), ()) for idx in _word_blocks()]
+    assert decoded == list(golay_words().words())
+    assert len(decoded) == 729
+
+
+def test_reduction_has_no_float():
+    """The Conway reduction stays in ints: no float and no infinity
+    sentinel in the module."""
+    source = inspect.getsource(reduction)
+    assert "float" not in source
+    assert "math.inf" not in source
