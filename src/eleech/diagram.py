@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import cache, reduce
 from itertools import product
+from operator import mul
 
 from .rings import (
     Cyclo12,
@@ -28,6 +29,7 @@ from .rings import (
     ZERO,
     UNITS,
     XI,
+    cyclo12_abs_sq,
     power,
 )
 from .lattices import HermitianLattice, to_flat
@@ -309,7 +311,15 @@ class Diagram:
     def height_sq(self, r) -> SqrtThree:
         """|<rho_hat, r>|^2 in Z[sqrt 3]: ht(r)^2 = height_sq(r) / (4 sqrt3 - 3)^2,
         so ht(r) <= 1 exactly when height_sq(r) <= NODE_HEIGHT_SQ."""
-        return self.form.ip12(self.constants().rho_hat, r).abs_sq()
+        return SqrtThree(*height_pair(self.constants().rho_row, to_flat(r)))
+
+
+def height_pair(rho_row, flat):
+    """|<rho_hat, y>|^2 = p + q sqrt 3 as the int pair (p, q), for y given by
+    its flat ints and rho_row = ``DiagramConstants.rho_row``.  The form of
+    3E8+H has den 1, so each row dot product is one coordinate of
+    <rho_hat, y>."""
+    return cyclo12_abs_sq([sum(map(mul, r, flat)) for r in rho_row])
 
 
 class DiagramConstants:
@@ -322,6 +332,8 @@ class DiagramConstants:
         self.sigma_l = reduce(vec_add, (l.root for l in diagram.lines))
         self.rho_hat = tuple(p + XI * l for p, l in zip(self.sigma_p, self.sigma_l))
         self.rho_hat_minus = tuple(p - XI * l for p, l in zip(self.sigma_p, self.sigma_l))
+        #: the form row of rho_hat: four int rows, one per Z[zeta_12] coordinate
+        self.rho_row = diagram.form.row(self.rho_hat)
         self.form = diagram.form
 
     def fixed_lattice(self):

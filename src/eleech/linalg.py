@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from operator import matmul
 
-from .rings import Eis, THETA, ZERO, ONE, power
+from .rings import Cyclo12, Eis, OMEGA, THETA, ZERO, ONE, power
 
 EMatrix = tuple
 
@@ -218,6 +218,9 @@ class LorentzForm:
         g[12][13] = -THETA * den  # conj(theta) = -theta
         g[13][12] = THETA * den
         self.gram = tuple(tuple(row) for row in g)
+        # the nonzero entries of each gram column, as (row index, entry)
+        self._cols = tuple(tuple((i, x) for i, x in enumerate(col) if x)
+                           for col in zip(*self.gram))
 
     def ip(self, u, v):
         """<u, v> for Z[w] or Z[zeta_12] entries, in the ring of the entries."""
@@ -229,6 +232,25 @@ class LorentzForm:
     #: the same pairing under a second name, so that a trace counts the
     #: pairings with the Z[zeta_12] vector rho_hat apart
     ip12 = ip
+
+    def row(self, u):
+        """The row conj(u)^T gram as int rows, one per int coordinate of
+        the ring of u (a, b in Z[w]; c0..c3 in Z[zeta_12]): for a Z[w]
+        vector v, coordinate k of <u, v> is
+        sum(row[k][i] * to_flat(v)[i]) / den, the division exact when the
+        pairing is integral.  Entry t_j of the row meets v_j = a + b w as
+        a t_j + b (w t_j), so it fills the two flat places of v_j."""
+        zero = ZERO * u[0]  # in the ring of u, so that every t has its width
+        places = []
+        for col in self._cols:
+            t = sum((u[i].conj() * x for i, x in col if u[i]), start=zero)
+            places += (_coords(t), _coords(t * OMEGA if t else t))
+        return tuple(zip(*places))
+
+
+def _coords(x):
+    """The int coordinates of a Z[w] or Z[zeta_12] element."""
+    return x.c if isinstance(x, Cyclo12) else (x.a, x.b)
 
 
 FORM_E8H = LorentzForm("3E8+H", den=1)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
+from operator import mul
 
 from .rings import (
     Cyclo12,
@@ -31,12 +32,13 @@ from .rings import (
     ZERO,
     UNITS,
     round_half_even,
+    sqrt3_sign,
     unit_name,
     unit_from_name,
 )
-from .diagram import NODE_HEIGHT_SQ
+from .diagram import NODE_HEIGHT_SQ, height_pair
 from .linalg import FORM_LEECH_H, FORM_E8H, mat_det, negdef_ip
-from .lattices import leech_contains, leech_ip, golay_words, in_l_e8h
+from .lattices import from_flat, leech_contains, leech_ip, golay_words, in_l_e8h, to_flat
 from .reflections import NodeChain, reflect, canonical_root
 from .isomorphism import psi_root
 from .textio import data_text, parse_matrix, parse_entry, format_vector
@@ -222,6 +224,7 @@ def _choice(name, allowed):
 
 
 _EPS = {"w": OMEGA, "wbar": OMEGA2}
+_ONE_MINUS = {name: ONE - eps for name, eps in _EPS.items()}
 _UNIT_NAMES = frozenset(map(unit_name, UNITS))
 #: descent steps one reduction may take before it gives up
 REDUCE_BUDGET = 10_000
@@ -312,23 +315,46 @@ def certify_generators(diagram, generators):
 def check_certificate(cert, diagram, generators) -> bool:
     """Exact replay: strict height decrease off perturbations, terminal
     equal to the stated unit multiple of the stated node.  A target that
-    is no root of L fails before the replay."""
+    is no root of L, and a node root or named generator whose norm is not
+    -3, fail before the replay.
+
+    The replay runs on flat ints and does not use the ``NodeKernel`` that
+    wrote the certificate.  Each reflecting root r is read once per call
+    as its form row; the form of 3E8+H has den 1, so <r, y> is two int
+    dot products, and a step is y += s r with s = (1 - eps) <r, y> / 3,
+    the division exact as in ``reflect``.  The height is read off
+    rho_hat's row by ``height_pair``, as ``Diagram.height_sq`` reads it."""
     y = cert.target
     if not in_l_e8h(y) or diagram.form.ip(y, y) != Eis(-3, 0):
         return False
-    last = diagram.height_sq(y)
-    for s in cert.steps:
-        if s[0] == "node":
-            y = reflect(diagram.nodes[s[1]].root, _EPS[s[2]], y, diagram.form)
-            ns = diagram.height_sq(y)
-            if not ns < last:
-                return False
-            last = ns
-        else:
-            y = reflect(generators[s[1] - 1], _EPS[s[2]], y, diagram.form)
-            last = diagram.height_sq(y)
+    roots = {("node", n.index): n.root for n in diagram.nodes}
+    roots.update((("perturb", j), generators[j - 1]) for kind, j, _ in cert.steps
+                 if kind == "perturb")
+    mirrors = {}
+    for key, r in roots.items():
+        row, flat = diagram.form.row(r), to_flat(r)
+        if [sum(map(mul, x, flat)) for x in row] != [-3, 0]:
+            return False
+        # the row and the nonzero coordinates of r as (flat index, a, b)
+        mirrors[key] = row, tuple((i, flat[i], flat[i + 1]) for i in range(0, len(flat), 2)
+                                  if flat[i] or flat[i + 1])
+    rho_row = diagram.constants().rho_row
+    y = list(to_flat(y))
+    last = height_pair(rho_row, y)
+    for kind, k, eps_name in cert.steps:
+        (ra, rb), coords = mirrors[kind, k]
+        s = (_ONE_MINUS[eps_name] * Eis(sum(map(mul, ra, y)), sum(map(mul, rb, y)))
+             ).divide_exact_int(3)
+        for i, a, b in coords:
+            t = s.b * b
+            y[i] += s.a * a - t
+            y[i + 1] += s.a * b + s.b * a - t
+        p, q = height_pair(rho_row, y)
+        if kind == "node" and sqrt3_sign(p - last[0], q - last[1]) >= 0:
+            return False
+        last = p, q
     k, uname = cert.terminal
-    return diagram.node_of(y) == (k, unit_from_name(uname))
+    return diagram.node_of(from_flat(y)) == (k, unit_from_name(uname))
 
 
 # ---------------------------------------------------------------------------

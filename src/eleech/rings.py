@@ -33,6 +33,10 @@ class Eis:
     def __setattr__(self, *_):
         raise AttributeError("Eis is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild the value from its ints, not by setattr
+        return Eis, (self.a, self.b)
+
     def __repr__(self):
         return f"Eis({self.a}, {self.b})"
 
@@ -224,6 +228,9 @@ class Cyclo12:
     def __setattr__(self, *_):
         raise AttributeError("Cyclo12 is immutable")
 
+    def __reduce__(self):
+        return Cyclo12, self.c
+
     def __repr__(self):
         return f"Cyclo12{self.c}"
 
@@ -360,6 +367,9 @@ class SqrtThree:
 
     def __setattr__(self, *_):
         raise AttributeError("SqrtThree is immutable")
+
+    def __reduce__(self):
+        return SqrtThree, (self.p, self.q)
 
     def __repr__(self):
         return f"SqrtThree({self.p}, {self.q})"

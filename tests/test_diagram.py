@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eleech.rings import (
     Eis, Cyclo12, SqrtThree, ONE, OMEGA, OMEGA2, THETA, ZERO, XI, SQRT3_C, UNITS,
@@ -165,6 +166,16 @@ def test_heights_of_nodes_are_one(diagram):
     assert NODE_HEIGHT_SQ == SqrtThree(-3, 4) * SqrtThree(-3, 4)  # (4 sqrt3 - 3)^2
     for n in diagram.nodes:
         assert diagram.height_sq(n.root) == NODE_HEIGHT_SQ
+
+
+@settings(max_examples=50, deadline=None)
+@given(v=st.lists(st.builds(Eis, st.integers(-20, 20), st.integers(-20, 20)),
+                  min_size=14, max_size=14))
+def test_height_sq_matches_the_pairing(diagram, v):
+    """The height read off rho_hat's form row is |<rho_hat, v>|^2 of the
+    Z[zeta_12] pairing."""
+    rho_hat = diagram.constants().rho_hat
+    assert diagram.height_sq(v) == diagram.form.ip12(rho_hat, v).abs_sq()
 
 
 def test_height_zero_and_reflected_node(diagram):

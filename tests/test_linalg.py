@@ -1,12 +1,16 @@
 import random
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eleech.rings import Eis, ONE, OMEGA, OMEGA2, THETA, ZERO
+from eleech.rings import Eis, ONE, OMEGA, OMEGA2, THETA, XI, ZERO
 from eleech.linalg import (
     mat_det, mat_inverse, mat_mul, mat_vec,
     AutMatrix, mat_scalar, charpoly, FORM_E8H, FORM_LEECH_H,
 )
+from eleech.lattices import to_flat
+from eleech.reduction import load_z_basis
 
 FORMS = (FORM_E8H, FORM_LEECH_H)
 
@@ -102,3 +106,40 @@ def test_basis_solbecause_roundtrip(diagram):
 def test_forms_disagree_only_by_scaling():
     v = (ZERO,) * 12 + (ONE, OMEGA2)
     assert FORM_E8H.ip(v, v) == FORM_LEECH_H.ip(v, v) == Eis(-3, 0)
+
+
+EIS = st.builds(Eis, st.integers(-9, 9), st.integers(-9, 9))
+
+
+def _leech_h(coeffs, al, be):
+    """sum c_j z_j over the pinned Z-basis of Leech, then (al, be): a vector
+    of Leech+H, on which the pairing of den 3 is integral."""
+    lam = [ZERO] * 12
+    for c, z in zip(coeffs, load_z_basis()):
+        lam = [x + c * y for x, y in zip(lam, z)]
+    return tuple(lam) + (al, be)
+
+
+#: vectors on which each form's pairing is integral, by den
+VECTORS = {
+    1: st.lists(EIS, min_size=14, max_size=14).map(tuple),
+    3: st.builds(_leech_h, st.lists(st.integers(-2, 2), min_size=24, max_size=24), EIS, EIS),
+}
+
+
+@pytest.mark.parametrize("form", FORMS, ids=lambda f: f.name)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_form_row_dot_is_the_pairing(form, data):
+    """den <u, v> is the dot product of u's form row with the flat ints of
+    v, coordinate by coordinate, for Z[w] and Z[zeta_12] left vectors."""
+    u, w, v = (data.draw(VECTORS[form.den]) for _ in range(3))
+    flat = to_flat(v)
+
+    def dots(x):
+        return tuple(sum(map(mul, r, flat)) for r in form.row(x))
+
+    ip = form.ip(u, v)
+    assert dots(u) == (form.den * ip.a, form.den * ip.b)
+    u12 = tuple(x + XI * y for x, y in zip(u, w))
+    assert dots(u12) == tuple(form.den * c for c in form.ip12(u12, v).c)

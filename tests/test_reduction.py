@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import hashlib
 import inspect
 import io
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eleech.rings import Eis, ONE, OMEGA, OMEGA2, THETA, ZERO, UNITS, unit_name
+from eleech.rings import Eis, ONE, OMEGA, OMEGA2, THETA, ZERO, UNITS, unit_name, unit_from_name
+from eleech.diagram import DiagramNode
 from eleech.linalg import FORM_LEECH_H, FORM_E8H
 from eleech.lattices import leech_ip, leech_contains, in_l_e8h, golay_words
 from eleech.reflections import reflect
@@ -268,6 +270,96 @@ def test_mutated_certificate_fails_replay(sample_certs, diagram, generators, j, 
                              diagram, generators) is False
 
 
+def _reference_check_certificate(cert, diagram, generators):
+    """The replay as first written: one 14-coordinate ``reflect`` per step,
+    and the height |<rho_hat, y>|^2 of the Z[zeta_12] pairing."""
+    form = diagram.form
+    rho_hat = diagram.constants().rho_hat
+    y = cert.target
+    if not in_l_e8h(y) or form.ip(y, y) != Eis(-3, 0):
+        return False
+    last = form.ip12(rho_hat, y).abs_sq()
+    for kind, k, eps_name in cert.steps:
+        root = diagram.nodes[k].root if kind == "node" else generators[k - 1]
+        y = reflect(root, EPS[eps_name], y, form)
+        height = form.ip12(rho_hat, y).abs_sq()
+        if kind == "node" and not height < last:
+            return False
+        last = height
+    k, uname = cert.terminal
+    return diagram.node_of(y) == (k, unit_from_name(uname))
+
+
+@MUTANTS
+@given(j=st.sampled_from((3, 34)), data=st.data(), change=st.sampled_from(
+    (None, "eps", "node", "drop", "target")))
+def test_replay_matches_the_reference(sample_certs, diagram, generators, j, data, change):
+    """check_certificate on form rows gives the reference replay's verdict
+    on the sample certificates and on mutants of them: one step's eps
+    flipped, one node step's node swapped for another, one step dropped,
+    or one target entry moved."""
+    cert = sample_certs[j]
+    target, steps = list(cert.target), list(cert.steps)
+    if change == "target":
+        i = data.draw(st.integers(0, 13))
+        target[i] = target[i] + data.draw(NONZERO_EIS)
+    elif change == "node":
+        i = data.draw(st.sampled_from([i for i, s in enumerate(steps) if s[0] == "node"]))
+        steps[i] = ("node", (steps[i][1] + data.draw(st.integers(1, 25))) % 26, steps[i][2])
+    elif change is not None:
+        i = data.draw(st.integers(0, len(steps) - 1))
+        if change == "drop":
+            del steps[i]
+        else:
+            kind, k, eps_name = steps[i]
+            steps[i] = (kind, k, "wbar" if eps_name == "w" else "w")
+    mutant = ReductionCertificate(target, steps, cert.terminal)
+    want = _reference_check_certificate(mutant, diagram, generators)
+    assert check_certificate(mutant, diagram, generators) is want
+    assert want or change is not None
+
+
+def test_replay_rejects_a_step_that_keeps_the_height(sample_certs, diagram, generators):
+    """A node step in a root orthogonal to the current vector fixes it, so
+    the height stays equal and the strict decrease fails the step.  The
+    step goes in at the first such point of g03's replay."""
+    cert = sample_certs[3]
+    y = cert.target
+    for i, (_, k, eps_name) in enumerate(cert.steps):
+        y = reflect(diagram.nodes[k].root, EPS[eps_name], y, diagram.form)
+        fixed = [n.index for n in diagram.nodes if not diagram.form.ip(n.root, y)]
+        if fixed:
+            break
+    steps = cert.steps[:i + 1] + [("node", fixed[0], "w")] + cert.steps[i + 1:]
+    stalled = ReductionCertificate(cert.target, steps, cert.terminal)
+    assert _reference_check_certificate(stalled, diagram, generators) is False
+    assert check_certificate(stalled, diagram, generators) is False
+
+
+@pytest.mark.parametrize("named", (True, False), ids=("named_node", "other_node"))
+def test_replay_rejects_a_node_root_of_wrong_norm(sample_certs, diagram, generators, named):
+    """A diagram with a node root of norm -12 fails the replay with False,
+    not an exception, whether or not a step names that node: every node
+    norm is checked once, before the replay."""
+    cert = sample_certs[3]
+    used = {s[1] for s in cert.steps if s[0] == "node"}
+    k = min(used) if named else min(set(range(26)) - used)
+    bad = copy.copy(diagram)
+    bad.nodes = list(diagram.nodes)
+    n = diagram.nodes[k]
+    bad.nodes[k] = DiagramNode(k, n.name, n.kind, tuple(2 * x for x in n.root), n.triple)
+    assert check_certificate(cert, bad, generators) is False
+
+
+def test_replay_rejects_a_perturbation_by_a_non_root(sample_certs, diagram, generators):
+    """A perturb step naming a generator of norm -12 fails with False."""
+    cert = sample_certs[34]
+    j = next(s[1] for s in cert.steps if s[0] == "perturb")
+    gens = list(generators)
+    gens[j - 1] = tuple(2 * x for x in gens[j - 1])
+    assert check_certificate(cert, diagram, gens) is False
+
+
 @MUTANTS
 @given(j=st.sampled_from((3, 34)), i=st.integers(0, 13), delta=NONZERO_EIS)
 def test_mutated_target_fails_reduce_check(sample_certs, j, i, delta):
@@ -444,14 +536,23 @@ def test_cvp_matches_reference_scan():
     """find_within on its per-digit int tables returns the lattice vector
     (or None) of the reference scan on 320 seeded points, denominators 1
     to 91 and numerator spans 3 to 500; the points put the winner in every
-    family m = 0, 1, -1 and call for both residue repairs."""
+    family m = 0, 1, -1 and call for both residue repairs.  40 more points
+    over denominators 1 to 3 repeat one to three numerators across their
+    coordinates, so that equal repair costs tie between coordinates of
+    one block, where the first coordinate must win."""
     rng = random.Random(19)
     cvp = LeechCVP()
     words = golay_words().words()
     families = set()
+    points = []
     for _ in range(320):
         den, span = rng.randint(1, 91), rng.randint(3, 500)
-        num = [Eis(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(12)]
+        points.append(([Eis(rng.randint(-span, span), rng.randint(-span, span))
+                        for _ in range(12)], den))
+    for _ in range(40):
+        pool = [Eis(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(1, 3))]
+        points.append(([rng.choice(pool) for _ in range(12)], rng.randint(1, 3)))
+    for num, den in points:
         lam = cvp.find_within(num, den)
         assert lam == _reference_find_within(words, num, den, COVERING_BOUND)
         if lam is not None:

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -251,3 +253,14 @@ def test_equal_values_hash_equally(a, b, c2, q):
         assert u == v and hash(u) == hash(v)
     assert all(isinstance(hash(u), int) for u in (Eis(q, q), SqrtThree(q, q)))
     assert len({Eis(1, 0), Cyclo12(1), 1}) == 1
+
+
+@given(a=INTS, b=INTS, c2=INTS, c3=INTS)
+def test_copy_and_pickle_round_trip(a, b, c2, c3):
+    """copy, deepcopy and a pickle round trip rebuild an equal value with an
+    equal hash, and the value stays immutable."""
+    for x in (Eis(a, b), Cyclo12(a, b, c2, c3), SqrtThree(a, b)):
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x) and y == x and hash(y) == hash(x)
+            with pytest.raises(AttributeError, match="immutable"):
+                y.a = 0
