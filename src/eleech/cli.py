@@ -197,8 +197,13 @@ def _cmd_isom(args) -> int:
     if args.sub == "search":
         from . import lattices
 
+        def first_shell(v):  # a norm -6 Leech vector
+            return (lattices.flat_norm6(lattices.to_flat(v))
+                    and lattices.leech_contains(v) is not None)
+
         if args.shell:
-            shell = [lattices.to_flat(r) for r in read_matrix(args.shell, 12)]
+            rows = read_matrix(args.shell, 12, first_shell)
+            shell = [lattices.to_flat(r) for r in rows]
         else:
             shell = lattices.first_shell_by_shapes()
         res = iso.run_search(shell, iso.e2_matrix(d), log=lambda *a: print(*a))

@@ -13,19 +13,20 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import combinations, groupby, permutations, product
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .rings import Eis, OMEGA, OMEGA2, THETA, UNITS, ZERO, ONE, eis_gcd, round_half_even
 from .linalg import FORM_E8H, FORM_LEECH_H, aut_from_images, kernel
 from .lattices import (
     _hnf_basis,
-    flat_re_ip2,
     from_flat,
+    im_row,
     in_l_e8h,
     in_l_leech_h,
     lattice_3e8_h,
     lattice_leech_h,
     leech_ip,
+    re_row,
 )
 from .reflections import canonical_root
 from .textio import data_text, parse_matrix
@@ -164,21 +165,21 @@ SIMPLEX_SIZE = 24
 MAX_STARTS = 12
 
 
+def neighbours(vectors, u):
+    """The flat first-shell vectors v among ``vectors`` at minimal distance
+    from the first-shell vector u, in order: |u - v|^2 = -6 for norm -6
+    vectors iff 2 Re sum conj(u_i) v_i = 18.  u itself gives 36."""
+    row = re_row(u)
+    return [v for v in vectors if sum(map(mul, row, v)) == 18]
+
+
 def find_simplex(shell, start=0):
     """A regular simplex of SIMPLEX_SIZE first-shell vectors: all pairwise
     differences again of minimal norm.  Deterministic greedy backtracking
     in shell order from the start-th vector; vertices are flat int tuples.
     None when the shell has no such simplex through that vector.
-
-    |u - v|^2 = -6 for norm -6 vectors iff 2 Re sum conj(u_i) v_i = 18.
     """
     ordered = sorted(shell)
-
-    def compatible(u, v):
-        return flat_re_ip2(u, v) == 18
-
-    first = ordered[start]
-    cands = [v for v in ordered if v != first and compatible(first, v)]
 
     def extend(clique, cands):
         if len(clique) == SIMPLEX_SIZE:
@@ -186,31 +187,32 @@ def find_simplex(shell, start=0):
         if len(clique) + len(cands) < SIMPLEX_SIZE:
             return None
         for i, v in enumerate(cands):
-            rest = [w for w in cands[i + 1:] if compatible(v, w)]
-            got = extend(clique + [v], rest)
+            got = extend(clique + [v], neighbours(cands[i + 1:], v))
             if got is not None:
                 return got
         return None
 
-    return extend([first], cands)
+    first = ordered[start]
+    return extend([first], neighbours(ordered, first))
+
+
+def _doubled_pairing(v, row):
+    """D[v][u] = 2[v, u], [x, y] = Im<x, y>/sqrt 3, for a flat v and the
+    ``im_row`` of u: the row's dot product with v divided by 3, exact for
+    Leech vectors; a ValueError when it is not."""
+    d, r = divmod(sum(map(mul, row, v)), 3)
+    if r:
+        raise ValueError("not a pair of Leech vectors")
+    return d
 
 
 def _pairing_table(delta):
-    """D[i][j] = 2*[delta_i, delta_j] (an exact integer for Leech vectors).
+    """D[i][j] = 2[delta_i, delta_j] for flat Leech vectors (antisymmetric).
 
-    [a,b] = Im<a,b>/theta; for <a,b> = theta (p + q w) this equals p - q/2.
+    For <x, y> = theta (p + q w), [x, y] = p - q/2.
     """
-    n = len(delta)
-    vecs = [from_flat(f) for f in delta]
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            ip = leech_ip(vecs[i], vecs[j])
-            t = ip.exact_div(THETA)
-            table[i][j] = 2 * t.a - t.b
-    return table
+    rows = [im_row(d) for d in delta]
+    return [[_doubled_pairing(v, row) for row in rows] for v in delta]
 
 
 def find_e8_quadruples(delta):
@@ -239,24 +241,20 @@ def _quadruples(d2):
 
 
 def _chain_betas(perm, d2):
-    """Doubled beta values (odd ints) making perm an A4 chain, or None."""
-    def p(i, j):
-        return d2[perm[i]][perm[j]]
+    """Doubled beta values (odd ints) making perm an A4 chain, or None.
 
-    if any(p(i, j) % 2 for i in range(4) for j in range(i + 1, 4)):
+    From beta_0 = 1/2 the three non-edges force b_2 = 1 + p02,
+    b_3 = 1 + p03 and b_1 = b_3 - p13; each edge sign
+    e = b_i - b_(i+1) + p_i,(i+1) must then be +-2.
+    """
+    ps = [d2[perm[i]][perm[j]] for i, j in combinations(range(4), 2)]
+    if any(p % 2 for p in ps):
         return None
-    for e1 in (2, -2):  # doubled chain signs
-        for e2 in (2, -2):
-            for e3 in (2, -2):
-                b = [1, 0, 0, 0]  # doubled betas, start at 1 (beta_0 = 1/2)
-                b[1] = b[0] + p(0, 1) - e1
-                b[2] = b[1] + p(1, 2) - e2
-                b[3] = b[2] + p(2, 3) - e3
-                if (b[0] - b[2] + p(0, 2) == 0 and
-                        b[0] - b[3] + p(0, 3) == 0 and
-                        b[1] - b[3] + p(1, 3) == 0):
-                    return tuple(b)
-    return None
+    p01, p02, p03, p12, p13, p23 = ps
+    signs = (p01 + p13 - p03, p03 + p12 - p02 - p13, p02 + p23 - p03)
+    if any(e not in (2, -2) for e in signs):
+        return None
+    return (1, 1 + p03 - p13, 1 + p02, 1 + p03)
 
 
 def compatible_pairs(quads, d2):
@@ -316,42 +314,28 @@ def quadruple_roots(delta, perm, betas):
     return tuple(psi_root(from_flat(delta[i]), b) for i, b in zip(perm, betas))
 
 
-def _theta_shift(roots, hand_roots):
-    """The rational integer n with <r, s> = n theta for every root r and
-    hand root s, or None when there is no such n."""
-    ips = (FORM_LEECH_H.ip(r, s) for r in roots for s in hand_roots)
-    v = next(ips)
-    if not THETA.divides(v) or any(w != v for w in ips):
-        return None
-    n = v.exact_div(THETA)
-    return n.a if n.b == 0 else None
+# The pairing rule.  For first-shell lambda, mu at minimal distance and odd
+# doubled betas b, c:  <psi(lambda, b), psi(mu, c)> = theta (D + b - c)/2
+# with D = 2[lambda, mu].  So the search decides orthogonality on the ints
+# D + b - c and builds roots only for the chains it keeps.  A hand is a
+# list of (flat vertex, doubled beta) pairs.
 
 
-def complete_to_3e8(delta_flats, quad_pair, candidates):
-    """A third chain among the candidates, orthogonal to both hands.
+def complete_to_3e8(hand, candidates):
+    """A third chain among the flat candidates (a list), orthogonal to the
+    hand, as four roots; None when there is none.
 
-    Shifting every beta of a chain by an integer n adds n*theta to each
-    inner product against a (lambda; 1, *) root, so orthogonality to the
-    existing hands fixes the shift exactly when all cross inner products
-    agree and are integer multiples of theta.
+    Shifting a chain's doubled betas by 2n adds -n theta to each pairing
+    with the hand, so a chain fits exactly when D[v_j][delta_i] + b_j - c_i
+    is one value 2n over its vertices v_j and the hand's (delta_i, c_i).
     """
-    pool = list(candidates)
-    existing = [quadruple_roots(delta_flats, p, b) for p, b in quad_pair]
-    hand_roots = [s for hand in existing for s in hand]
-    for perm, betas in find_e8_quadruples(pool):
-        roots = quadruple_roots(pool, perm, betas)
-        n = _theta_shift(roots, hand_roots)
-        if n is None:
-            continue
-        cand = tuple(
-            r[:13] + (r[13] - Eis(n, 0),) for r in roots
-        )
-        if all(
-            FORM_LEECH_H.ip(r, s) == ZERO
-            for r in cand
-            for s in hand_roots
-        ):
-            return cand
+    rows = [(im_row(d), c) for d, c in hand]
+    for perm, betas in find_e8_quadruples(candidates):
+        shifts = {_doubled_pairing(candidates[j], row) + b - c
+                  for j, b in zip(perm, betas) for row, c in rows}
+        if len(shifts) == 1:
+            n2 = shifts.pop()
+            return quadruple_roots(candidates, perm, tuple(b - n2 for b in betas))
     return None
 
 
@@ -423,15 +407,16 @@ def _gauss_reduce_cell(u, v):
     return [u, v]
 
 
-def orthogonal_root_candidates(candidates, hand_roots):
-    """The candidates v (first-shell vectors at minimal distance from every
-    hand vertex) admitting a root (v; 1, *) orthogonal to every root of the
-    two hands: a consistent integral beta shift (theta parts).
+def orthogonal_root_candidates(candidates, hand):
+    """The flat candidates v (first-shell vectors at minimal distance from
+    every hand vertex) admitting a root (v; 1, *) orthogonal to every root
+    of the hand: D[v][delta_i] - c_i is one value over the hand.
 
     This is the step whose size the original calculation reports as 8.
     """
+    rows = [(im_row(d), c) for d, c in hand]
     return [v for v in candidates
-            if _theta_shift((psi_root(from_flat(v), 1),), hand_roots) is not None]
+            if len({_doubled_pairing(v, row) - c for row, c in rows}) == 1]
 
 
 class SearchResult:
@@ -465,10 +450,7 @@ def run_search(shell, e2_rows, log=None):
 
         def nbrs(i):
             if i not in nbr_cache:
-                d = delta[i]
-                nbr_cache[i] = {
-                    v for v in shell if v != d and flat_re_ip2(v, d) == 18
-                }
+                nbr_cache[i] = set(neighbours(shell, delta[i]))
             return nbr_cache[i]
 
         seen = 0
@@ -478,20 +460,18 @@ def run_search(shell, e2_rows, log=None):
                 pb, bb = quads[b]
                 bb2 = tuple(x + v0 for x in bb)
                 seen += 1
-                hand1 = quadruple_roots(delta, pa, ba)
-                hand2 = quadruple_roots(delta, pb, bb2)
+                hand = [(delta[i], c) for i, c in zip(pa + pb, ba + bb2)]
                 cands = set.intersection(*[nbrs(i) for i in pa + pb])
-                ok = orthogonal_root_candidates(
-                    sorted(cands), list(hand1) + list(hand2)
-                )
+                ok = orthogonal_root_candidates(sorted(cands), hand)
                 if len(ok) != 8:
                     continue
                 say(f"  pair #{seen}: candidate count 8")
-                quad_pair = ((pa, ba), (pb, bb2))
-                hand3 = complete_to_3e8(delta, quad_pair, ok)
+                hand3 = complete_to_3e8(hand, ok)
                 if hand3 is None:
                     say("  no third chain; continuing")
                     continue
+                hand1 = quadruple_roots(delta, pa, ba)
+                hand2 = quadruple_roots(delta, pb, bb2)
                 rows = assemble_basis((hand1, hand2, hand3), g2)
                 if rows is None:
                     say("  assembly failed; continuing")

@@ -259,19 +259,19 @@ def flat_norm6(flat) -> bool:
     return s == 18
 
 
-def flat_re_ip2(u, v) -> int:
-    """2 * Re(sum conj(u_i) v_i) for flat vectors (integer, exact).
+def re_row(u) -> FlatVec:
+    """The int row of a flat vector u whose dot product with a flat v is
+    2 Re sum conj(u_i) v_i.  With u_i = c + dw and v_i = a + bw the term
+    is (2a - b)c + (2b - a)d, so the row holds 2c - d, 2d - c."""
+    return tuple(x for c, d in zip(u[::2], u[1::2]) for x in (2 * c - d, 2 * d - c))
 
-    With u_i = a + bw, v_i = c + dw: Re(conj(u_i) v_i) = A - B/2 where
-    A = (a-b)c + bd and B = (a-b)d - bc + bd.
-    """
-    s = 0
-    for i in range(0, 24, 2):
-        a, b = u[i], u[i + 1]
-        c, d = v[i], v[i + 1]
-        ab = a - b
-        s += 2 * (ab * c + b * d) - (ab * d - b * c + b * d)
-    return s
+
+def im_row(u) -> FlatVec:
+    """The int row of a flat vector u whose dot product with a flat v is
+    (2/sqrt 3) Im sum conj(u_i) v_i = sum b_i c_i - a_i d_i (u_i = c + dw,
+    v_i = a + bw): three times 2[v, u], [x, y] = Im<x, y>/sqrt 3 for the
+    Leech form.  The row holds -d, c."""
+    return tuple(x for c, d in zip(u[::2], u[1::2]) for x in (-d, c))
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,10 @@ from .rings import (
     unit_from_name,
 )
 from .diagram import NODE_HEIGHT_SQ, height_pair
-from .linalg import FORM_LEECH_H, FORM_E8H, mat_det, negdef_ip
-from .lattices import from_flat, leech_contains, leech_ip, golay_words, in_l_e8h, to_flat
+from .linalg import FORM_LEECH_H, FORM_E8H, mat_det
+from .lattices import (
+    from_flat, golay_words, in_l_e8h, leech_contains, leech_ip, re_row, to_flat,
+)
 from .reflections import NodeChain, reflect, canonical_root
 from .isomorphism import psi_root
 from .textio import data_text, parse_matrix, parse_entry, format_vector
@@ -106,15 +108,16 @@ def is_z_basis(rows) -> bool:
     lattice.  The real form (2 s.a - s.b)/9, s = sum conj(u_i) v_i, makes
     Leech an even unimodular Z-lattice of rank 24, so 24 of its vectors
     span it exactly when their Gram matrix has an even diagonal and
-    determinant 1 (the index squared)."""
+    determinant 1 (the index squared).  ``re_row`` gives 2 s.a - s.b."""
     if len(rows) != 24:
         return False
+    flats = [to_flat(v) for v in rows]
     gram = []
-    for u in rows:
+    for u in flats:
+        re_u = re_row(u)
         row = []
-        for v in rows:
-            s = -negdef_ip(u, v)
-            g, r = divmod(2 * s.a - s.b, 9)
+        for v in flats:
+            g, r = divmod(sum(map(mul, re_u, v)), 9)
             if r:
                 return False
             row.append(Eis(g))

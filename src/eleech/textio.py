@@ -40,7 +40,7 @@ def parse_matrix(text: str, source: str, width: int, member=None):
             if len(rows[-1]) != width:
                 raise InputError(f"{len(rows[-1])} entries, expected {width}")
             if member is not None and not member(rows[-1]):
-                raise InputError("not a lattice vector")
+                raise InputError("not a vector of the expected lattice or shell")
         except InputError as exc:
             raise InputError(f"{source}:{n}: {exc}") from None
     return tuple(rows)
@@ -55,8 +55,8 @@ def read_text(path) -> str:
         raise InputError(f"{path}: {exc}") from None
 
 
-def read_matrix(path, width: int):
-    return parse_matrix(read_text(path), path, width)
+def read_matrix(path, width: int, member=None):
+    return parse_matrix(read_text(path), path, width, member)
 
 
 def data_text(name: str) -> str:

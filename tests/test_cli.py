@@ -186,6 +186,19 @@ def test_malformed_data_file_is_io_error(name, argv, edit, tmp_path, monkeypatch
     assert out == "" and err.startswith(f"error: {name}:{len(lines)}: ")
 
 
+@pytest.mark.parametrize("row", [
+    "3,0 3,0" + " 0,0" * 10,           # norm -6, but z sums to 2 mod theta
+    "3,0 -3,0 3,0 -3,0" + " 0,0" * 8,  # a Leech vector of norm -12
+], ids=["off_the_lattice", "wrong_norm"])
+def test_shell_row_not_in_the_first_shell_is_io_error(row, tmp_path, capsys):
+    path = tmp_path / "shell.txt"
+    path.write_text("3,0 -3,0" + " 0,0" * 10 + "\n" + row + "\n")
+    assert main(["isom", "search", "--shell", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}:2: ") and err.count("\n") == 1
+
+
 def test_shell_without_simplex_fails(tmp_path, capsys):
     path = tmp_path / "shell.txt"
     path.write_text(" ".join(["3,0", "-3,0"] + ["0,0"] * 10) + "\n")

@@ -1,18 +1,21 @@
 import random
+from itertools import combinations, islice, permutations
+from operator import mul
 
 import pytest
 
-from eleech.rings import Eis, ONE, OMEGA, ZERO
+from eleech.rings import Eis, ONE, OMEGA, THETA, ZERO
 from eleech.linalg import FORM_E8H, FORM_LEECH_H, AutMatrix
 from eleech.lattices import (
     leech_contains, leech_ip, in_l_leech_h, in_l_e8h,
-    flat_re_ip2, flat_norm6, from_flat,
+    flat_norm6, from_flat, re_row,
 )
 from eleech.isomorphism import (
     load_e1, load_e1prime, e2_matrix, gram_of, ChangeOfBasis,
     m666_from_e1prime, m666_reference, hand_root_shape, M666_ORDER,
     find_simplex, find_e8_quadruples, quadruple_roots, psi_root,
-    compatible_pairs, _pairing_table,
+    compatible_pairs, complete_to_3e8, neighbours, orthogonal_root_candidates,
+    _pairing_table, _quadruples,
 )
 
 
@@ -134,7 +137,7 @@ def test_simplex_witness(shell):
         for j in range(i + 1, 24):
             assert flat_norm6(tuple(x - y for x, y in zip(delta[i], delta[j])))
     # heredity: any 2-subset is a valid partial clique
-    assert flat_re_ip2(delta[0], delta[1]) == 18
+    assert sum(map(mul, re_row(delta[0]), delta[1])) == 18
 
 
 def test_quadruple_roots_form_chains(shell):
@@ -186,3 +189,142 @@ def test_psi_root_is_root(shell):
     assert r == lam + (ONE, Eis(1, 1))  # tail theta/2 + 1/2 = 1 + w
     assert FORM_LEECH_H.ip(r, r) == Eis(-3, 0)
     assert in_l_leech_h(r)
+
+
+# ---------------------------------------------------------------------------
+# the pairing rule, and the search steps as they were on Eis roots
+
+
+def test_psi_pairing_rule(shell):
+    """<psi(lam, b), psi(mu, c)> = theta (D[lam][mu] + b - c)/2 for seeded
+    first-shell neighbours lam, mu and odd doubled betas b, c, against the
+    Leech+H form; most pairs have D != 0, so a flipped sign fails."""
+    rng = random.Random(19)
+    nonzero = 0
+    for lam in rng.sample(shell, 4):
+        for mu in rng.sample(neighbours(shell, lam), 25):
+            d = _pairing_table([lam, mu])[0][1]
+            b, c = (2 * rng.randint(-4, 3) + 1 for _ in range(2))
+            ip = FORM_LEECH_H.ip(psi_root(from_flat(lam), b), psi_root(from_flat(mu), c))
+            n, odd = divmod(d + b - c, 2)
+            assert not odd and ip == THETA * Eis(n, 0)
+            nonzero += d != 0
+    assert nonzero > 20
+
+
+def _reference_pairing_table(delta):
+    """D[i][j] = 2[delta_i, delta_j] from the Eis pairing leech_ip."""
+    vecs = [from_flat(f) for f in delta]
+    table = [[0] * len(delta) for _ in delta]
+    for i, u in enumerate(vecs):
+        for j, v in enumerate(vecs):
+            if i != j:
+                t = leech_ip(u, v).exact_div(THETA)
+                table[i][j] = 2 * t.a - t.b
+    return table
+
+
+def _reference_chain_betas(perm, d2):
+    """The chain's doubled betas by trying all eight doubled chain signs."""
+    def p(i, j):
+        return d2[perm[i]][perm[j]]
+
+    if any(p(i, j) % 2 for i in range(4) for j in range(i + 1, 4)):
+        return None
+    for e1 in (2, -2):
+        for e2 in (2, -2):
+            for e3 in (2, -2):
+                b = [1, 0, 0, 0]
+                b[1] = b[0] + p(0, 1) - e1
+                b[2] = b[1] + p(1, 2) - e2
+                b[3] = b[2] + p(2, 3) - e3
+                if (b[0] - b[2] + p(0, 2) == 0 and
+                        b[0] - b[3] + p(0, 3) == 0 and
+                        b[1] - b[3] + p(1, 3) == 0):
+                    return tuple(b)
+    return None
+
+
+def _reference_quadruples(d2):
+    return [(perm, betas)
+            for quad in combinations(range(len(d2)), 4)
+            for perm in permutations(quad) if perm[0] < perm[3]
+            for betas in [_reference_chain_betas(perm, d2)] if betas is not None]
+
+
+def _reference_theta_shift(roots, hand_roots):
+    """The rational integer n with <r, s> = n theta for every root r and
+    hand root s, or None."""
+    ips = (FORM_LEECH_H.ip(r, s) for r in roots for s in hand_roots)
+    v = next(ips)
+    if not THETA.divides(v) or any(w != v for w in ips):
+        return None
+    n = v.exact_div(THETA)
+    return n.a if n.b == 0 else None
+
+
+def _reference_candidates(candidates, hand_roots):
+    return [v for v in candidates
+            if _reference_theta_shift((psi_root(from_flat(v), 1),), hand_roots) is not None]
+
+
+def _reference_third_chain(pool, hand_roots):
+    d2 = _reference_pairing_table(pool)
+    for perm, betas in _reference_quadruples(d2):
+        roots = quadruple_roots(pool, perm, betas)
+        n = _reference_theta_shift(roots, hand_roots)
+        if n is None:
+            continue
+        cand = tuple(r[:13] + (r[13] - Eis(n, 0),) for r in roots)
+        if all(FORM_LEECH_H.ip(r, s) == ZERO for r in cand for s in hand_roots):
+            return cand
+    return None
+
+
+def _simplex_and_table(shell, start):
+    delta = find_simplex(shell, start)
+    return delta, _pairing_table(delta)
+
+
+@pytest.fixture(scope="module")
+def simplex0(shell):
+    return _simplex_and_table(shell, 0)
+
+
+def test_pairing_table_matches_leech_ip(shell, simplex0):
+    delta, d2 = simplex0
+    assert d2 == _reference_pairing_table(delta)
+    sample = random.Random(3).sample(shell, 30)
+    assert _pairing_table(sample) == _reference_pairing_table(sample)
+
+
+def test_quadruples_match_the_sign_loop(simplex0):
+    _, d2 = simplex0
+    assert _quadruples(d2) == _reference_quadruples(d2)
+
+
+def test_search_steps_match_the_eis_references(shell, simplex0):
+    """On the first 300 compatible pairs of simplex 0, and on the first 3
+    of simplex 1 (the third is where run_search succeeds): the integer
+    candidate filter equals the _theta_shift filter on the hand roots,
+    and the third chain among those candidates equals the one the Eis
+    search finds (a chain or None both ways)."""
+    chains = 0
+    for delta, d2, count in (simplex0 + (300,), (*_simplex_and_table(shell, 1), 3)):
+        quads = _quadruples(d2)
+        nbrs = {}
+        for a, b, v0 in islice(compatible_pairs(quads, d2), count):
+            (pa, ba), (pb, bb) = quads[a], quads[b]
+            bb2 = tuple(x + v0 for x in bb)
+            hand = [(delta[i], c) for i, c in zip(pa + pb, ba + bb2)]
+            hand_roots = quadruple_roots(delta, pa, ba) + quadruple_roots(delta, pb, bb2)
+            for i in pa + pb:
+                if i not in nbrs:
+                    nbrs[i] = set(neighbours(shell, delta[i]))
+            cands = sorted(set.intersection(*[nbrs[i] for i in pa + pb]))
+            ok = orthogonal_root_candidates(cands, hand)
+            assert ok == _reference_candidates(cands, hand_roots)
+            third = complete_to_3e8(hand, ok)
+            assert third == _reference_third_chain(ok, hand_roots)
+            chains += third is not None
+    assert chains

@@ -1,13 +1,14 @@
 import hashlib
 import random
 from itertools import product
+from operator import mul
 
 from eleech.rings import Eis, ONE, OMEGA, THETA, ZERO
-from eleech.linalg import FORM_E8H
+from eleech.linalg import FORM_E8H, negdef_ip
 from eleech.lattices import (
     leech_contains, e8_contains, leech_ip,
     shell_e8, first_shell_by_coset_search,
-    flat_norm6, from_flat, to_flat,
+    flat_norm6, from_flat, to_flat, re_row, im_row,
     leech_basis, e8_basis,
     lattice_lambda, lattice_e8, lattice_h, lattice_leech_h, lattice_3e8_h,
 )
@@ -109,6 +110,17 @@ def test_shell_members_all_contained(shell):
     for f in random.sample(shell, 2000):
         assert flat_norm6(f)
         assert leech_contains(from_flat(f)) is not None
+
+
+def test_pairing_rows_read_the_hermitian_sum():
+    """For s = sum conj(u_i) v_i: re_row(u) . v = 2 Re s = 2 s.a - s.b and
+    im_row(u) . v = (2/sqrt 3) Im s = s.b, on seeded vectors."""
+    rng = random.Random(5)
+    for _ in range(500):
+        u, v = ([rng.randint(-9, 9) for _ in range(24)] for _ in range(2))
+        s = -negdef_ip(from_flat(u), from_flat(v))
+        assert sum(map(mul, re_row(u), v)) == 2 * s.a - s.b
+        assert sum(map(mul, im_row(u), v)) == s.b
 
 
 def test_discriminants():
