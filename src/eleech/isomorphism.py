@@ -12,10 +12,10 @@ the simplex / E8-diagram / orthogonality / hyperbolic-completion steps.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import combinations, groupby, permutations, product
+from itertools import combinations, groupby, permutations
 from operator import itemgetter, mul
 
-from .rings import Eis, OMEGA, OMEGA2, THETA, UNITS, ZERO, ONE, eis_gcd, round_half_even
+from .rings import Eis, OMEGA, OMEGA2, THETA, UNITS, ZERO, ONE, eis_gcd
 from .linalg import FORM_E8H, FORM_LEECH_H, aut_from_images, kernel
 from .lattices import (
     _hnf_basis,
@@ -28,7 +28,6 @@ from .lattices import (
     leech_ip,
     re_row,
 )
-from .reflections import canonical_root
 from .textio import data_text, parse_matrix
 
 
@@ -340,9 +339,9 @@ def complete_to_3e8(hand, candidates):
 
 
 def orthogonal_cell_basis(hand_roots):
-    """An E-basis of the rank-2 orthogonal complement of the 12 hand roots
-    inside Leech+H, found among bounded integer combinations of the
-    standard basis; returns two vectors spanning a hyperbolic cell."""
+    """A basis of the rank-2 orthogonal complement of the 12 hand roots
+    inside Leech+H, from the integral kernel of their pairings with the
+    lattice basis; for a 3E8 hand it spans a hyperbolic cell."""
     L = lattice_leech_h()
     rows = []
     for r in hand_roots:
@@ -365,46 +364,41 @@ def orthogonal_cell_basis(hand_roots):
     for v in basis:
         g = ZERO
         for x in v:
-            g = eis_gcd(g, x)
+            g = eis_gcd(g, x)[0]
         if g and not g.is_unit():
             w = tuple(x.exact_div(g) for x in v)
             if in_l_leech_h(w):
                 v = w
         out.append(v)
-    return _gauss_reduce_cell(out[0], out[1])
+    return out
 
 
-def _gauss_reduce_cell(u, v):
-    """Gauss-reduce a rank-2 Lorentzian basis so vector norms get small
-    (a hyperbolic cell reduces to null-ish vectors, making the null
-    vector box search effective)."""
+def null_pair(u, v):
+    """Null vectors n1, n2 with <n1, n2> = theta spanning the same Z[w]
+    lattice as u, v, or None when the Gram determinant of u, v is not -3
+    (the determinant of such a pair).
+
+    With a = <u, u>, b = <u, v>, c = <v, v> and D = ac - |b|^2,
+    a |xu + yv|^2 = |ax + by|^2 + D |y|^2, so D = -3 makes
+    (x, y) = (theta - b, a) null; (1, 0) when u itself is.  Divided by
+    their gcd g = px + qy, n1 = xu + yv is primitive and m = -qu + pv
+    completes it to a basis.  Then |<n1, m>|^2 = 3, e = theta / <n1, m> is
+    a unit, and n2 = e m - (|m|^2 / 3) w n1 is null with <n1, n2> = theta.
+    """
     ip = FORM_LEECH_H.ip
-
-    def norm_abs(w):
-        return abs(ip(w, w).a)
-
-    for _ in range(400):
-        if norm_abs(u) > norm_abs(v):
-            u, v = v, u
-        a = ip(u, u).a
-        if a == 0:
-            break
-        b = ip(u, v)
-        base_a = round_half_even(-b.a, a)
-        base_b = round_half_even(-b.b, a)
-        best = None
-        for da in (-1, 0, 1):
-            for db in (-1, 0, 1):
-                t = Eis(base_a + da, base_b + db)
-                cand = tuple(x + t * y for x, y in zip(v, u))
-                n = abs(ip(cand, cand).a)
-                if best is None or n < best[0]:
-                    best = (n, cand)
-        if best[0] < norm_abs(v):
-            v = best[1]
-        else:
-            break
-    return [u, v]
+    a, b, c = ip(u, u).a, ip(u, v), ip(v, v).a
+    if a * c - b.norm() != -3:
+        return None
+    x, y = (THETA - b, Eis(a)) if a else (ONE, ZERO)
+    g, p, q = eis_gcd(x, y)
+    x, y = x.exact_div(g), y.exact_div(g)
+    n1 = tuple(x * s + y * t for s, t in zip(u, v))
+    m = tuple(p * t - q * s for s, t in zip(u, v))
+    e = THETA.exact_div(ip(n1, m))
+    k, r = divmod(ip(m, m).a, 3)
+    if r:
+        return None
+    return n1, tuple(e * s - k * OMEGA * t for s, t in zip(m, n1))
 
 
 def orthogonal_root_candidates(candidates, hand):
@@ -477,15 +471,14 @@ def run_search(shell, e2_rows, log=None):
                     say("  assembly failed; continuing")
                     continue
                 return SearchResult(delta, (hand1, hand2, hand3), rows, len(ok))
-                # deterministic: first success wins
             if seen > 4000:
                 break
     return None
 
 
 def assemble_basis(hands, g2):
-    """Unit-rescale and order the three chains plus a hyperbolic null pair
-    into a 14-row basis with Gram exactly g2."""
+    """Unit-rescale and order the three chains, then close with the null
+    pair of their orthogonal cell: 14 rows with Gram exactly g2, or None."""
     target_hand = tuple(tuple(g2[i][j] for j in range(4)) for i in range(4))
     arranged = []
     for hand in hands:
@@ -494,20 +487,7 @@ def assemble_basis(hands, g2):
             return None
         arranged.append(got)
     all_roots = [r for hand in arranged for r in hand]
-    cell = orthogonal_cell_basis(all_roots)
-    nulls = null_vectors_of_cell(cell)
-    pair = None
-    for n1 in nulls:
-        for n2 in nulls:
-            for u in UNITS:
-                cand = tuple(u * x for x in n2)
-                if FORM_LEECH_H.ip(n1, cand) == THETA:
-                    pair = (n1, cand)
-                    break
-            if pair:
-                break
-        if pair:
-            break
+    pair = null_pair(*orthogonal_cell_basis(all_roots))
     if pair is None:
         return None
     rows = tuple(all_roots) + pair
@@ -517,40 +497,18 @@ def assemble_basis(hands, g2):
 
 
 def _arrange_hand(chain, target):
-    """Units and direction making a 4-chain Gram equal the target block."""
-    for seq in (chain, tuple(reversed(chain))):
-        for us in product(UNITS, repeat=4):
-            cand = tuple(
-                tuple(u * x for x in r) for u, r in zip(us, seq)
-            )
-            good = True
-            for i in range(4):
-                for j in range(4):
-                    if FORM_LEECH_H.ip(cand[i], cand[j]) != target[i][j]:
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
-                return cand
+    """Units and direction making a 4-chain Gram equal the target block:
+    the first root keeps unit 1, and each next unit is forced by the
+    target's pairing with the root before."""
+    for seq in (chain, chain[::-1]):
+        cand = [seq[0]]
+        for i, r in enumerate(seq[1:]):
+            try:
+                u = target[i][i + 1].exact_div(FORM_LEECH_H.ip(cand[i], r))
+            except ValueError:
+                break
+            cand.append(tuple(u * x for x in r))
+        else:
+            if gram_of(cand, FORM_LEECH_H) == target:
+                return tuple(cand)
     return None
-
-
-def null_vectors_of_cell(basis2):
-    """Primitive null vectors x*u + y*v for small x, y, up to units."""
-    u, v = basis2
-    out = []
-    seen = set()
-    rng = range(-4, 5)
-    coeffs = [Eis(a, b) for a in rng for b in rng]
-    for x in coeffs:
-        for y in coeffs:
-            if not x and not y:
-                continue
-            w = tuple(x * a + y * b for a, b in zip(u, v))
-            if FORM_LEECH_H.ip(w, w) == ZERO:
-                key = canonical_root(w)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(w)
-    return out

@@ -35,13 +35,13 @@ def vec_is_zero(u) -> bool:
 
 
 def mat_vec(m, v):
-    return tuple(sum((a * x for a, x in zip(row, v)), start=ZERO) for row in m)
+    return tuple(sum((a * x for a, x in zip(row, v) if a and x), start=ZERO) for row in m)
 
 
 def mat_mul(a, b):
     bt = tuple(zip(*b))
     return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), start=ZERO) for col in bt)
+        tuple(sum((x * y for x, y in zip(row, col) if x and y), start=ZERO) for col in bt)
         for row in a
     )
 

@@ -210,11 +210,15 @@ def unit_from_name(s: str) -> Eis:
     return _NAME_UNITS[s]
 
 
-def eis_gcd(x: Eis, y: Eis) -> Eis:
-    """A gcd in the Euclidean domain Z[w] (well defined up to units)."""
+def eis_gcd(x: Eis, y: Eis):
+    """(g, s, t): a gcd g of x and y in the Euclidean domain Z[w] (well
+    defined up to units) and Bezout coefficients with g = s*x + t*y."""
+    s, t, s1, t1 = ONE, ZERO, ZERO, ONE
     while y:
-        x, y = y, x % y
-    return x
+        q, r = divmod(x, y)
+        x, y = y, r
+        s, t, s1, t1 = s1, t1, s - q * s1, t - q * t1
+    return x, s, t
 
 
 class Cyclo12:

@@ -299,13 +299,13 @@ def test_fixed_lattice_primitive(diagram):
     d1 = ZERO
     for row in rows:
         for x in row:
-            d1 = eis_gcd(d1, x)
+            d1 = eis_gcd(d1, x)[0]
     assert d1.is_unit()
     d2 = ZERO
     for i in range(14):
         for j in range(i + 1, 14):
             minor = rows[0][i] * rows[1][j] - rows[0][j] * rows[1][i]
-            d2 = eis_gcd(d2, minor)
+            d2 = eis_gcd(d2, minor)[0]
     # second elementary divisor = d2/d1, a unit iff gcd of minors is one
     assert d2.is_unit()
 

@@ -1,10 +1,11 @@
 import random
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice, permutations, product
 from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eleech.rings import Eis, ONE, OMEGA, THETA, ZERO
+from eleech.rings import Eis, ONE, OMEGA, THETA, UNITS, ZERO
 from eleech.linalg import FORM_E8H, FORM_LEECH_H, AutMatrix
 from eleech.lattices import (
     leech_contains, leech_ip, in_l_leech_h, in_l_e8h,
@@ -15,7 +16,7 @@ from eleech.isomorphism import (
     m666_from_e1prime, m666_reference, hand_root_shape, M666_ORDER,
     find_simplex, find_e8_quadruples, quadruple_roots, psi_root,
     compatible_pairs, complete_to_3e8, neighbours, orthogonal_root_candidates,
-    _pairing_table, _quadruples,
+    assemble_basis, null_pair, _arrange_hand, _pairing_table, _quadruples,
 )
 
 
@@ -291,6 +292,11 @@ def simplex0(shell):
     return _simplex_and_table(shell, 0)
 
 
+@pytest.fixture(scope="module")
+def simplex1(shell):
+    return _simplex_and_table(shell, 1)
+
+
 def test_pairing_table_matches_leech_ip(shell, simplex0):
     delta, d2 = simplex0
     assert d2 == _reference_pairing_table(delta)
@@ -303,14 +309,14 @@ def test_quadruples_match_the_sign_loop(simplex0):
     assert _quadruples(d2) == _reference_quadruples(d2)
 
 
-def test_search_steps_match_the_eis_references(shell, simplex0):
+def test_search_steps_match_the_eis_references(shell, simplex0, simplex1):
     """On the first 300 compatible pairs of simplex 0, and on the first 3
     of simplex 1 (the third is where run_search succeeds): the integer
     candidate filter equals the _theta_shift filter on the hand roots,
     and the third chain among those candidates equals the one the Eis
     search finds (a chain or None both ways)."""
     chains = 0
-    for delta, d2, count in (simplex0 + (300,), (*_simplex_and_table(shell, 1), 3)):
+    for delta, d2, count in (simplex0 + (300,), simplex1 + (3,)):
         quads = _quadruples(d2)
         nbrs = {}
         for a, b, v0 in islice(compatible_pairs(quads, d2), count):
@@ -328,3 +334,103 @@ def test_search_steps_match_the_eis_references(shell, simplex0):
             assert third == _reference_third_chain(ok, hand_roots)
             chains += third is not None
     assert chains
+
+
+# ---------------------------------------------------------------------------
+# the basis assembly: hand units and the hyperbolic cell
+
+
+def _reference_arrange_hand(chain, target):
+    """The chain's units and direction by trying all 6^4 unit tuples."""
+    for seq in (chain, tuple(reversed(chain))):
+        for us in product(UNITS, repeat=4):
+            cand = tuple(
+                tuple(u * x for x in r) for u, r in zip(us, seq)
+            )
+            good = True
+            for i in range(4):
+                for j in range(4):
+                    if FORM_LEECH_H.ip(cand[i], cand[j]) != target[i][j]:
+                        good = False
+                        break
+                if not good:
+                    break
+            if good:
+                return cand
+    return None
+
+
+@pytest.fixture(scope="module")
+def search_hands(shell, simplex1):
+    """The three chains run_search keeps: simplex 1, third compatible pair,
+    and the third chain among its 8 candidates."""
+    delta, d2 = simplex1
+    quads = _quadruples(d2)
+    a, b, v0 = list(islice(compatible_pairs(quads, d2), 3))[-1]
+    (pa, ba), (pb, bb) = quads[a], quads[b]
+    bb2 = tuple(x + v0 for x in bb)
+    hand = [(delta[i], c) for i, c in zip(pa + pb, ba + bb2)]
+    cands = shell
+    for i in pa + pb:
+        cands = neighbours(cands, delta[i])
+    ok = orthogonal_root_candidates(sorted(cands), hand)
+    assert len(ok) == 8
+    return (quadruple_roots(delta, pa, ba), quadruple_roots(delta, pb, bb2),
+            complete_to_3e8(hand, ok))
+
+
+def _hand_target(diagram):
+    g2 = gram_of(e2_matrix(diagram), FORM_E8H)
+    return tuple(tuple(g2[i][j] for j in range(4)) for i in range(4))
+
+
+def test_arrange_hand_matches_the_unit_loop(search_hands, diagram):
+    """The forced units give the unit loop's first hit, on the search's
+    hands and on seeded copies with random units, half of them reversed."""
+    target = _hand_target(diagram)
+    rng = random.Random(20)
+    hands = list(search_hands)
+    for hand in search_hands:
+        for k in range(6):
+            copy = tuple(tuple(u * x for x in r)
+                         for u, r in zip(rng.choices(UNITS, k=4), hand))
+            hands.append(copy[::-1] if k % 2 else copy)
+    for hand in hands:
+        got = _arrange_hand(hand, target)
+        assert got is not None
+        assert got == _reference_arrange_hand(hand, target)
+
+
+def test_assemble_basis_closes_with_a_null_pair(search_hands, diagram):
+    g2 = gram_of(e2_matrix(diagram), FORM_E8H)
+    rows = assemble_basis(search_hands, g2)
+    assert gram_of(rows, FORM_LEECH_H) == g2
+    target = _hand_target(diagram)
+    assert rows[:12] == tuple(r for hand in search_hands
+                              for r in _reference_arrange_hand(hand, target))
+    n1, n2 = rows[12:]
+    assert FORM_LEECH_H.ip(n1, n1) == FORM_LEECH_H.ip(n2, n2) == ZERO
+    assert FORM_LEECH_H.ip(n1, n2) == THETA
+
+
+#: a Z[w] matrix of unit determinant as steps (u, v) -> (v, e u + t v)
+CELL_MOVES = st.lists(st.tuples(st.sampled_from(UNITS),
+                                st.builds(Eis, st.integers(-5, 5), st.integers(-5, 5))),
+                      max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(moves=CELL_MOVES)
+def test_null_pair_of_a_moved_cell(moves):
+    """Any basis u, v of the coordinate cell (0^12; 0, 1), (0^12; 1, 0) of
+    Leech+H gives two null vectors pairing to theta that span the same
+    lattice; u, 2v spans a sublattice of Gram determinant -12 and gives
+    None."""
+    u, v = (ZERO,) * 12 + (ZERO, ONE), (ZERO,) * 12 + (ONE, ZERO)
+    for e, t in moves:
+        u, v = v, tuple(e * x + t * y for x, y in zip(u, v))
+    n1, n2 = null_pair(u, v)
+    assert gram_of((n1, n2), FORM_LEECH_H) == ((ZERO, THETA), (-THETA, ZERO))
+    assert n1[:12] == n2[:12] == (ZERO,) * 12
+    assert (n1[12] * n2[13] - n1[13] * n2[12]).is_unit()
+    assert null_pair(u, tuple(2 * x for x in v)) is None

@@ -88,9 +88,10 @@ def test_gcd_divides_both():
         y = Eis(random.randint(-30, 30), random.randint(-30, 30))
         if not x and not y:
             continue
-        g = eis_gcd(x, y)
+        g, s, t = eis_gcd(x, y)
         assert g.divides(x) or not x
         assert g.divides(y) or not y
+        assert g == s * x + t * y
 
 
 def test_round_half_even_matches_fraction_round():
