@@ -90,6 +90,7 @@ def _codes(ctx):
     return _flags([
         ("tetracode_9", len(tetracode()) == 9),
         ("golay12_729", len(c12) == 729),
+        ("c12_self_dual", c12.is_self_dual()),
         ("golay12_weights", we == {0: 1, 6: 264, 9: 440, 12: 24}),
         ("qr11_weights", qr_code(11).weight_enumerator() == we),
     ])

@@ -77,9 +77,6 @@ class TernaryCode:
             we[k] = we.get(k, 0) + 1
         return we
 
-    def min_weight(self) -> int:
-        return min(k for k in self.weight_enumerator() if k > 0)
-
     def is_self_dual(self) -> bool:
         if 2 * self.dimension != self.length:
             return False
@@ -121,9 +118,6 @@ class BinaryCode:
             k = sum(w)
             we[k] = we.get(k, 0) + 1
         return we
-
-    def min_weight(self) -> int:
-        return min(k for k in self.weight_enumerator() if k > 0)
 
 
 def tetracode() -> TernaryCode:

@@ -497,18 +497,16 @@ def assemble_basis(hands, g2):
 
 
 def _arrange_hand(chain, target):
-    """Units and direction making a 4-chain Gram equal the target block:
-    the first root keeps unit 1, and each next unit is forced by the
-    target's pairing with the root before."""
-    for seq in (chain, chain[::-1]):
-        cand = [seq[0]]
-        for i, r in enumerate(seq[1:]):
-            try:
-                u = target[i][i + 1].exact_div(FORM_LEECH_H.ip(cand[i], r))
-            except ValueError:
-                break
-            cand.append(tuple(u * x for x in r))
-        else:
-            if gram_of(cand, FORM_LEECH_H) == target:
-                return tuple(cand)
-    return None
+    """Units making a 4-chain Gram equal the target block: the first root
+    keeps unit 1, and each next unit is forced by the target's pairing
+    with the root before.  A forced unit is the ratio of two pairings
+    that are theta times a unit, so an A4 chain matches in the direction
+    it is given; None when the Gram still differs."""
+    cand = [chain[0]]
+    for i, r in enumerate(chain[1:]):
+        try:
+            u = target[i][i + 1].exact_div(FORM_LEECH_H.ip(cand[i], r))
+        except ValueError:
+            return None
+        cand.append(tuple(u * x for x in r))
+    return tuple(cand) if gram_of(cand, FORM_LEECH_H) == target else None

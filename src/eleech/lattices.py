@@ -9,8 +9,10 @@ the hyperbolic cell H and the 14-coordinate lattices Leech+H and 3E8+H
 take their forms from ``linalg.LorentzForm``.
 
 First-shell enumeration for the Leech lattice is done twice, by
-independent strategies (explicit shape families vs. generic coset search),
-and the two vector sets are compared elsewhere as an acceptance gate.
+independent strategies, and the two vector sets are compared elsewhere as
+an acceptance gate: explicit shape families, which build only the
+vectors that meet the z-sum condition, and a generic coset search, which
+joins tables of 4-coordinate blocks grouped by (norm, z residue).
 """
 
 from __future__ import annotations
@@ -133,10 +135,12 @@ def first_shell_by_shapes():
     """The 196560 norm -6 Leech vectors, enumerated by (m, c) shape family.
 
     * m=0, c=0: v = 3z with two unit entries of opposite class mod theta;
-    * m=0, c of weight 6: v = theta*(unit lift of c) on the support,
-      filtered by the z-sum condition;
+    * m=0, c of weight 6: v = theta*(unit lift of c) on the support; the
+      z-sum condition fixes the unit on the last support position;
     * m=+-1: eleven/ten coset-minimal unit entries with one norm-7 or two
-      norm-4 replacements, z-sum filtered.
+      norm-4 replacements; each replacement's change of the z-sum is
+      tabulated per digit, so only the replacements that meet the z-sum
+      condition are built.
 
     The coset entries are tabulated once per digit as (a, b, z mod theta),
     so the loops over the Golay words only look them up.  Returns a list
@@ -155,16 +159,19 @@ def first_shell_by_shapes():
                     flat[2 * j: 2 * j + 2] = 3 * uj.a, 3 * uj.b
                     out.append(tuple(flat))
 
-    # family m=0, weight-6 words: entries theta * d * eta, eta in {1, w, w^2}
+    # family m=0, weight-6 words: entries theta * d * eta, eta in {1, w, w^2};
+    # the three etas of a digit have distinct z residues, so the last one is
+    # the eta whose residue brings the sum to 0
     etas = {d: [_coset_entry(THETA * d * eta, 0, d) for eta in (ONE, OMEGA, OMEGA2)]
             for d in (-1, 1)}
+    closing = {d: {-e[2] % 3: e for e in etas[d]} for d in (-1, 1)}
     for c in words:
         support = [i for i, d in enumerate(c) if d]
         if len(support) != 6:
             continue
-        for choice in product(*(etas[c[i]] for i in support)):
-            if sum(e[2] for e in choice) % 3:
-                continue
+        last = closing[c[support[5]]]
+        for choice in product(*(etas[c[i]] for i in support[:5])):
+            choice += (last[sum(e[2] for e in choice) % 3],)
             flat = [0] * 24
             for pos, (a, b, _) in zip(support, choice):
                 flat[2 * pos: 2 * pos + 2] = a, b
@@ -173,81 +180,107 @@ def first_shell_by_shapes():
     # families m=+-1: per-coordinate coset contains one unit u, one
     # norm-4 element -2u and two norm-7 elements u(1+3w), u(1+3w^2)
     for m in (1, -1):
-        cosets = {}
+        cosets, res_u = {}, {}
         for d in (-1, 0, 1):
             u = next(u for u in UNITS if Eis(3, 0).divides(u - m - THETA * d))
-            cosets[d] = [_coset_entry(x, m, d)
-                         for x in (u, -2 * u, u * Eis(1, 3), u * Eis(-2, -3))]
+            entries = [_coset_entry(x, m, d)
+                       for x in (u, -2 * u, u * Eis(1, 3), u * Eis(-2, -3))]
+            res_u[d] = entries[0][2]
+            # (a, b) of each entry and its change of the z residue from u's
+            cosets[d] = [((a, b), (r - res_u[d]) % 3) for a, b, r in entries]
         for c in words:
             cols = [cosets[d] for d in c]
-            base = [t for col in cols for t in col[0][:2]]
-            res0 = sum(col[0][2] for col in cols) - m
-
-            def emit(repls):
-                if (res0 + sum(e[2] - cols[pos][0][2] for pos, e in repls)) % 3 == 0:
-                    flat = base.copy()
-                    for pos, (a, b, _) in repls:
-                        flat[2 * pos: 2 * pos + 2] = a, b
-                    out.append(tuple(flat))
-
+            base = [t for col in cols for t in col[0][0]]
+            # the z-sum condition asks the replacements to change u's
+            # residues by need in all
+            need = (m - sum(res_u[d] for d in c)) % 3
             for pos, col in enumerate(cols):
-                emit([(pos, col[2])])
-                emit([(pos, col[3])])
-            for p, q in combinations(range(12), 2):
-                emit([(p, cols[p][1]), (q, cols[q][1])])
+                for ab, delta in col[2:]:
+                    if delta == need:
+                        flat = base.copy()
+                        flat[2 * pos: 2 * pos + 2] = ab
+                        out.append(tuple(flat))
+            # two norm-4 replacements at p < q, their changes summing to need
+            by_delta = ([], [], [])
+            for q, col in enumerate(cols):
+                by_delta[col[1][1]].append(q)
+            for p, col in enumerate(cols):
+                for q in by_delta[(need - col[1][1]) % 3]:
+                    if q > p:
+                        flat = base.copy()
+                        flat[2 * p: 2 * p + 2] = col[1][0]
+                        flat[2 * q: 2 * q + 2] = cols[q][1][0]
+                        out.append(tuple(flat))
+    return out
+
+
+def _coset_candidates(m, d):
+    """The entries x = m + theta*d + 3z of norm <= 18 as (a, b, norm,
+    z mod theta), listed from the box |e|, |f| <= 3 of z = e + f w."""
+    base = Eis(m, 0) + THETA * Eis(d, 0)
+    cands = []
+    for e, f in product(range(-3, 4), repeat=2):
+        x = base + Eis(3 * e, 3 * f)
+        if x.norm() <= 18:
+            cands.append((x.a, x.b, x.norm(), Eis(e, f).mod_theta()))
+    return cands
+
+
+def _extend_groups(groups, col, cap):
+    """Partial flat tuples one coordinate longer: groups maps (norm, z
+    residue) to tuples; each is extended by every entry of col that keeps
+    the norm at most cap."""
+    out = {}
+    for (n, r), tuples in groups.items():
+        for a, b, nx, zr in col:
+            if n + nx <= cap:
+                out.setdefault((n + nx, (r + zr) % 3), []).extend(t + (a, b) for t in tuples)
     return out
 
 
 def first_shell_by_coset_search():
-    """Independent enumeration: per-(m, c) depth-first search over cosets.
+    """Independent enumeration: per-(m, c) search over cosets, joined by
+    blocks of 4 coordinates.
 
     For each coordinate the allowed entries are the elements of
     m + theta*c_i + 3E of norm <= 18, listed exhaustively from a bounding
-    box; a budgeted DFS walks all 12 coordinates, and the z-sum condition
-    is applied at the leaves.  Returns a set of flat int tuples.
+    box.  For each m the 4-coordinate blocks are tabulated by their digit
+    tuple, grouping the block's partial vectors by (norm, z residue); a
+    block extends the table of its 3-digit prefix by one coordinate.  A
+    partial vector is kept only while some Golay word leaves it room: its
+    norm plus the least norms of that word's other coordinates is at most
+    18.  A word's vectors join its three blocks: for each group of the
+    first two blocks, the third block's group with the remaining norm and
+    the residue that makes sum(z) = m mod theta.  Returns a set of flat
+    int tuples.
     """
-    golay = golay_words()
-    # per (m in {0,1,-1}, digit in {-1,0,1}): list of (a, b, norm, z_res)
-    tables = {}
-    for m in (0, 1, -1):
-        me = Eis(m, 0)
-        for d in (-1, 0, 1):
-            base = me + THETA * Eis(d, 0)
-            cands = []
-            for e, f in product(range(-3, 4), repeat=2):
-                x = base + Eis(3 * e, 3 * f)
-                n = x.norm()
-                if n <= 18:
-                    z = Eis(e, f)
-                    cands.append((x.a, x.b, n, z.mod_theta()))
-            cands.sort(key=lambda t: t[2])
-            tables[(m, d)] = tuple(cands)
-
+    words = golay_words().words()
     found = set()
     for m in (0, 1, -1):
         target = m % 3
-        for c in golay.words():
-            cols = [tables[(m, d)] for d in c]
-            minsuffix = [0] * 13
-            for i in range(11, -1, -1):
-                minsuffix[i] = minsuffix[i + 1] + cols[i][0][2]
-            if minsuffix[0] > 18:
-                continue
-            flat = [0] * 24
-            def dfs(i, budget, res):
-                if i == 12:
-                    if budget == 0 and res == target:
-                        found.add(tuple(flat))
-                    return
-                rest = minsuffix[i + 1]
-                for a, b, n, zr in cols[i]:
-                    if n + rest > budget:
-                        break
-                    flat[2 * i], flat[2 * i + 1] = a, b
-                    dfs(i + 1, budget - n, (res + zr) % 3)
-                flat[2 * i], flat[2 * i + 1] = 0, 0
-            dfs(0, 18, 0)
-    del dfs  # its closure holds itself, a cycle that keeps found alive until a full gc
+        cols = {d: _coset_candidates(m, d) for d in (-1, 0, 1)}
+        least = {d: min(e[2] for e in col) for d, col in cols.items()}
+        # digit prefix of a block -> the largest norm its partial vectors may
+        # have; a prefix is entered before its extensions
+        cap = {}
+        for c in words:
+            rest = 18 - sum(least[d] for d in c)
+            for k in (0, 4, 8):
+                room = rest
+                for i in range(k, k + 4):
+                    room += least[c[i]]
+                    cap[c[k:i + 1]] = max(cap.get(c[k:i + 1], room), room)
+        # digit prefix -> groups; the next m's tables replace this m's
+        memo = {(): {(0, 0): [()]}}
+        for key, room in cap.items():
+            memo[key] = _extend_groups(memo[key[:-1]], cols[key[-1]], room)
+        for c in words:
+            g1, g2, g3 = memo[c[0:4]], memo[c[4:8]], memo[c[8:12]]
+            for (n1, r1), xs in g1.items():
+                for (n2, r2), ys in g2.items():
+                    zs = g3.get((18 - n1 - n2, (target - r1 - r2) % 3))
+                    if zs:
+                        found.update(x + y + z for x in xs for y in ys for z in zs)
     return found
 
 

@@ -11,14 +11,16 @@
   search in the Leech lattice (the covering radius bound makes it work).
 * ``min_height_scan`` enumerates every root of height <= 1 from the case
   split over <r, w_P> and the point-pairing tuple, confirming the 26
-  diagram roots are exactly the minimal-height roots up to units.
+  diagram roots are exactly the minimal-height roots up to units; the
+  placements of the pairing values on the 13 points are walked as prefix
+  sums of flat ints.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations, combinations_with_replacement, permutations
-from operator import mul
+from itertools import combinations_with_replacement, permutations
+from operator import add, mul
 
 from .rings import (
     Cyclo12,
@@ -591,26 +593,49 @@ def min_height_scan(diagram):
 def _expand_positions(diagram, points, s, big_units, small_units):
     """Place the pairing values 3u (big) and theta*u (small) on distinct
     points, reconstruct r = sum -t_i x_i / 3 + s w_P / 3 and keep the
-    lattice roots of height 1 or less.  3r is accumulated in Z[w]; r is
-    integral exactly when every component of 3r is divisible by 3."""
-    out = []
-    s_wp = [s * y for y in diagram.constants().w_p]
+    lattice roots of height 1 or less.
+
+    3r is a prefix sum of flat ints, extended point by point by the rows
+    -t x_p tabulated once per call; r is integral exactly when every int
+    of 3r is divisible by 3, so the last value's point is read off an index
+    of its rows mod 3."""
     values = [Eis(3, 0) * u for u in big_units] + [THETA * u for u in small_units]
-    k = len(values)
-    distinct_orders = set(permutations(values))
-    for pos in combinations(range(13), k):
-        for order in distinct_orders:
-            acc = list(s_wp)
-            for p, t in zip(pos, order):
-                for i in range(14):
-                    acc[i] = acc[i] - t * points[p][i]
-            if any(x.a % 3 or x.b % 3 for x in acc):
-                continue
-            r = tuple(Eis(x.a // 3, x.b // 3) for x in acc)
-            if not in_l_e8h(r):
-                continue
-            if diagram.form.ip(r, r) != Eis(-3, 0):
-                continue
-            if diagram.height_sq(r) <= NODE_HEIGHT_SQ:
-                out.append(canonical_root(r))
+    tables = {}
+    for t in set(values):
+        rows = [to_flat(-t * x for x in pt) for pt in points]
+        # -row mod 3 -> the points whose row completes a sum to 0 mod 3
+        index = {}
+        for p, row in enumerate(rows):
+            index.setdefault(tuple(-x % 3 for x in row), []).append(p)
+        tables[t] = rows, index
+    start = to_flat(s * y for y in diagram.constants().w_p)
+    sums = []
+    for order in set(permutations(values)):
+        _walk([tables[t] for t in order], 0, start, sums)
+    out = []
+    for acc in sums:
+        r = from_flat([x // 3 for x in acc])
+        if not in_l_e8h(r):
+            continue
+        if diagram.form.ip(r, r) != Eis(-3, 0):
+            continue
+        if diagram.height_sq(r) <= NODE_HEIGHT_SQ:
+            out.append(canonical_root(r))
     return out
+
+
+#: x -> x % 3
+_MOD3 = (3).__rmod__
+
+
+def _walk(steps, start, acc, sums):
+    """Place the steps on increasing points from start on, each (rows,
+    index) step adding its row at its point to the flat prefix sum acc.
+    Appends to sums each full sum that is 0 mod 3."""
+    rows, index = steps[0]
+    if len(steps) == 1:
+        sums += [tuple(map(add, acc, rows[p]))
+                 for p in index.get(tuple(map(_MOD3, acc)), ()) if p >= start]
+        return
+    for p in range(start, len(rows) - len(steps) + 1):
+        _walk(steps[1:], p + 1, tuple(map(add, acc, rows[p])), sums)

@@ -1,0 +1,57 @@
+"""Each check fails on a fault of its own.
+
+``FAULTS`` maps a registry entry to a fault: a monkeypatch that corrupts
+the input the entry checks, never the check itself.  With the fault in
+place the entry must fail, and ``eleech verify-all`` must print the
+entry's summary key as FAIL and exit 1.
+"""
+
+import pytest
+
+from eleech import lattices, reduction
+from eleech.checks import Context, REGISTRY, run
+from eleech.cli import main
+from eleech.reflections import canonical_root
+
+
+def _coset_search_misses_a_vector(monkeypatch, diagram):
+    search = lattices.first_shell_by_coset_search
+
+    def faulty():
+        found = search()
+        found.remove(min(found))
+        return found
+
+    monkeypatch.setattr(lattices, "first_shell_by_coset_search", faulty)
+
+
+def _walk_misses_a_root(monkeypatch, diagram):
+    expand = reduction._expand_positions
+    victim = canonical_root(diagram.nodes[0].root)
+    monkeypatch.setattr(reduction, "_expand_positions",
+                        lambda *args: [r for r in expand(*args) if r != victim])
+
+
+#: registry entry -> fault
+FAULTS = {
+    "leech_shell": _coset_search_misses_a_vector,
+    "min_height": _walk_misses_a_root,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_fault_fails_its_entry(name, monkeypatch, diagram, shell):
+    FAULTS[name](monkeypatch, diagram)
+    _, ok = run([name], Context(diagram=diagram, shell=shell))
+    assert not ok
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_verify_all_reports_the_fault(name, monkeypatch, capsys, diagram):
+    FAULTS[name](monkeypatch, diagram)
+    assert main(["verify-all"]) == 1
+    *lines, elapsed, result = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if not line.endswith(": ok")]
+    assert failed == [f"{REGISTRY[name][0]}: FAIL"]
+    assert elapsed.startswith("elapsed_seconds: ")
+    assert result == "RESULT: FAIL"

@@ -25,9 +25,6 @@ TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 #: called only from tests, and kept on purpose
 ALLOWED = {
-    "TernaryCode.min_weight": "the minimum distances the code tests check",
-    "TernaryCode.is_self_dual": "the self-duality of C12 the code tests check",
-    "BinaryCode.min_weight": "the minimum distance of the binary Golay code",
     "Diagram.rho_vec": "the Weyl vector summands the diagram tests sum",
     "local_max_probe": "the float diagnostic of criterion 10",
     "weyl_second_order_sign": "the exact second-order sign at the Weyl point",

@@ -5,16 +5,17 @@ import inspect
 import io
 import random
 import tempfile
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eleech.rings import Eis, ONE, OMEGA, OMEGA2, THETA, ZERO, UNITS, unit_name, unit_from_name
-from eleech.diagram import DiagramNode
+from eleech.diagram import NODE_HEIGHT_SQ, DiagramNode
 from eleech.linalg import FORM_LEECH_H, FORM_E8H
 from eleech.lattices import leech_ip, leech_contains, in_l_e8h, golay_words
-from eleech.reflections import reflect
+from eleech.reflections import canonical_root, reflect
 from eleech.textio import format_vector
 from eleech import reduction
 from eleech.reduction import (
@@ -594,6 +595,55 @@ def test_word_blocks_decode_to_the_golay_words():
     decoded = [sum((digits(i) for i in idx), ()) for idx in _word_blocks()]
     assert decoded == list(golay_words().words())
     assert len(decoded) == 729
+
+
+def _reference_expand_positions(diagram, points, s, big_units, small_units):
+    """Place the pairing values 3u (big) and theta*u (small) on distinct
+    points, reconstruct r = sum -t_i x_i / 3 + s w_P / 3 and keep the
+    lattice roots of height 1 or less.  3r is accumulated in Z[w]; r is
+    integral exactly when every component of 3r is divisible by 3."""
+    out = []
+    s_wp = [s * y for y in diagram.constants().w_p]
+    values = [Eis(3, 0) * u for u in big_units] + [THETA * u for u in small_units]
+    k = len(values)
+    distinct_orders = set(permutations(values))
+    for pos in combinations(range(13), k):
+        for order in distinct_orders:
+            acc = list(s_wp)
+            for p, t in zip(pos, order):
+                for i in range(14):
+                    acc[i] = acc[i] - t * points[p][i]
+            if any(x.a % 3 or x.b % 3 for x in acc):
+                continue
+            r = tuple(Eis(x.a // 3, x.b // 3) for x in acc)
+            if not in_l_e8h(r):
+                continue
+            if diagram.form.ip(r, r) != Eis(-3, 0):
+                continue
+            if diagram.height_sq(r) <= NODE_HEIGHT_SQ:
+                out.append(canonical_root(r))
+    return out
+
+
+def test_expand_positions_matches_the_eis_reference(diagram, monkeypatch):
+    """The flat-int walk returns the Eis reference's list, in its order,
+    on every case of min_height_scan that passes the height prescreen."""
+    walk = reduction._expand_positions
+    cases = []
+
+    def record(*args):
+        cases.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(reduction, "_expand_positions", record)
+    reduction.min_height_scan(diagram)
+    assert len(cases) == 39
+    found = 0
+    for args in cases:
+        got = walk(*args)
+        assert got == _reference_expand_positions(*args)
+        found += len(got)
+    assert found == 91
 
 
 def test_reduction_has_no_float():
