@@ -390,10 +390,14 @@ class LeechCVP:
     arithmetic is in ints, scaled by den.
 
     Per m the 12 coordinates split into three blocks of 4, and each block
-    gets one table over its 81 digit patterns (``_block_table``), so a
-    word costs 3 lookups.  The first strict minimum in (m, word) order
-    wins, its repair at the cheapest coordinate, the first on ties; only
-    the winner's lattice vector is built.
+    gets one table of packed ints (cost << 5) + residue sum over its 81
+    digit patterns (``_block_table``), so a word's nearest rounding costs
+    3 lookups and 2 additions and meets the cap in one comparison.  Only a
+    word that gets under the cap is repaired: its repair is the least
+    (pen << 4) + i over its 12 coordinates i, read off the rounding
+    options, so the cheapest coordinate wins and the first one on ties.
+    The first strict minimum in (m, word) order wins; only the winner's
+    lattice vector is built.
     """
 
     def __init__(self):
@@ -409,22 +413,25 @@ class LeechCVP:
             opts = [[_coset_options(x.a - den * (m + d), x.b - 2 * den * d, den)
                      for d in (-1, 0, 1)] for x in num]
             t0, t1, t2 = (_block_table(opts, 4 * b) for b in range(3))
+            cap5 = cap << 5
             for c, (i0, i1, i2) in zip(self.words, self.blocks):
-                e0, e1, e2 = t0[i0], t1[i1], t2[i2]
-                total = e0[0] + e1[0] + e2[0]
-                if total < cap:
-                    need = (m - e0[1] - e1[1] - e2[1]) % 3
-                    # the residue repair: the cheapest coordinate, the first on ties
-                    pen, k = (min(e0[1 + need], e1[1 + need], e2[1 + need])
-                              if need else (0, -1))
-                    if total + pen < cap:
-                        cap = total + pen
-                        best = (m, c, need, k, opts)
+                packed = t0[i0] + t1[i1] + t2[i2]
+                if packed < cap5:
+                    need = (m - (packed & 31)) % 3
+                    # the repair: the least pen, then the first coordinate
+                    key = min((col[d + 1][2 + need][0] << 4) + i
+                              for i, (col, d) in enumerate(zip(opts, c))) if need else 0
+                    total = (packed >> 5) + (key >> 4)
+                    if total < cap:
+                        cap, cap5 = total, total << 5
+                        best = (m, c, need, key & 15, opts)
         if best is None:
             return None
         m, c, need, k, opts = best
         row = [col[d + 1] for col, d in zip(opts, c)]
-        zs = [o[2 + need][1] if i == k else o[1] for i, o in enumerate(row)]
+        zs = [o[1] for o in row]
+        if need:
+            zs[k] = row[k][2 + need][1]
         return tuple(Eis(m + d + 3 * za, 2 * d + 3 * zb) for d, (za, zb) in zip(c, zs))
 
 
@@ -439,18 +446,13 @@ def _word_blocks():
 
 def _block_table(opts, first):
     """The 81 digit patterns of coordinates first..first+3, in the index
-    order of ``_word_blocks``, as (cost, residue sum, (pen, i) of the
-    cheapest residue-1 repair, the same for residue 2) with i the global
-    coordinate; built one coordinate at a time from the first one's
-    entries.  A (pen, i) pair compares by pen, then by i, so a tie keeps
-    the lower coordinate."""
-    entries = [[(o[0], o[2], (o[3][0], i), (o[4][0], i)) for o in opts[i]]
-               for i in range(first, first + 4)]
-    table = entries[0]
-    for col in entries[1:]:
-        table = [(e[0] + o[0], e[1] + o[1], e[2] if e[2] <= o[2] else o[2],
-                  e[3] if e[3] <= o[3] else o[3]) for e in table for o in col]
-    return table
+    order of ``_word_blocks``, as one int each: (cost << 5) + residue sum.
+    A word's residue sum is at most 2 * 12 < 32, so the sum of its three
+    blocks' entries packs its cost and residue sum the same way."""
+    e0, e1, e2, e3 = ([(o[0] << 5) + o[2] for o in opts[i]] for i in range(first, first + 4))
+    high = [x + y for x in e0 for y in e1]
+    low = [x + y for x in e2 for y in e3]
+    return [x + y for x in high for y in low]
 
 
 def _coset_options(na, nb, den):
@@ -458,30 +460,39 @@ def _coset_options(na, nb, den):
     repair 1, repair 2) with cost = 9*den^2*|q - z|^2 and z an int pair;
     repair s is (extra cost, z) of the nearest z whose residue is shifted
     by s mod 3.  Candidates are the 3x3 box around the rounded q, which
-    holds every residue, walked once in box order: the first strict
-    minimum overall and the first strict minimum of each residue class
-    are kept.  The overall one is tracked on its own, since a minimum of
-    the class minima would break cost ties by class, not by box order."""
+    holds every residue; box position 3*i + j has za = ra, ra - 1, ra + 1
+    for i = 0, 1, 2 and zb likewise for j.  The class shifted by 0 from
+    the rounded point sits at positions 0, 5, 7, by 1 at 2, 4, 6 and by 2
+    at 1, 3, 8; each class keeps its first strict minimum in box order,
+    and the least (cost, position) of the three is the first overall."""
     d3 = 3 * den
     ra = (2 * na + d3) // (2 * d3)
     rb = (2 * nb + d3) // (2 * d3)
-    top = None
-    by_res = [None, None, None]
-    for za in (ra, ra - 1, ra + 1):
-        ea = na - d3 * za
-        for zb in (rb, rb - 1, rb + 1):
-            eb = nb - d3 * zb
-            c = ea * ea - ea * eb + eb * eb
-            r = (za + zb) % 3
-            low = by_res[r]
-            if low is None or c < low[0]:
-                by_res[r] = low = (c, (za, zb))
-                if top is None or c < top[0]:
-                    top = low
-    cost, z = top
-    res = sum(z) % 3
-    (c1, z1), (c2, z2) = by_res[(res + 1) % 3], by_res[(res + 2) % 3]
-    return cost, z, res, (c1 - cost, z1), (c2 - cost, z2)
+    # the offsets q - z per axis, scaled by 3*den, at i (or j) = 0, 1, 2
+    a0 = na - d3 * ra
+    b0 = nb - d3 * rb
+    a1, a2, b1, b2 = a0 + d3, a0 - d3, b0 + d3, b0 - d3
+    c0, p0, z0 = a0 * a0 - a0 * b0 + b0 * b0, 0, (ra, rb)
+    if (x := a1 * a1 - a1 * b2 + b2 * b2) < c0:
+        c0, p0, z0 = x, 5, (ra - 1, rb + 1)
+    if (x := a2 * a2 - a2 * b1 + b1 * b1) < c0:
+        c0, p0, z0 = x, 7, (ra + 1, rb - 1)
+    c1, p1, z1 = a0 * a0 - a0 * b2 + b2 * b2, 2, (ra, rb + 1)
+    if (x := a1 * a1 - a1 * b1 + b1 * b1) < c1:
+        c1, p1, z1 = x, 4, (ra - 1, rb - 1)
+    if (x := a2 * a2 - a2 * b0 + b0 * b0) < c1:
+        c1, p1, z1 = x, 6, (ra + 1, rb)
+    c2, p2, z2 = a0 * a0 - a0 * b1 + b1 * b1, 1, (ra, rb - 1)
+    if (x := a1 * a1 - a1 * b0 + b0 * b0) < c2:
+        c2, p2, z2 = x, 3, (ra - 1, rb)
+    if (x := a2 * a2 - a2 * b2 + b2 * b2) < c2:
+        c2, p2, z2 = x, 8, (ra + 1, rb + 1)
+    r = ra + rb
+    if (c0, p0) <= (c1, p1) and (c0, p0) <= (c2, p2):
+        return c0, z0, r % 3, (c1 - c0, z1), (c2 - c0, z2)
+    if (c1, p1) < (c2, p2):
+        return c1, z1, (r + 1) % 3, (c2 - c1, z2), (c0 - c1, z0)
+    return c2, z2, (r + 2) % 3, (c0 - c2, z0), (c1 - c2, z1)
 
 
 def conway_reduce(mu, max_steps=200):

@@ -27,8 +27,8 @@ class Eis:
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set_a(self, a)
+        _set_b(self, b)
 
     def __setattr__(self, *_):
         raise AttributeError("Eis is immutable")
@@ -149,6 +149,10 @@ class Eis:
         return (self.norm(), self.a, self.b)
 
 
+# construction stores through the slot descriptors, past the raising __setattr__
+_set_a, _set_b = Eis.a.__set__, Eis.b.__set__
+
+
 def power(x, n: int, one, mul=operator.mul):
     """x^n for n >= 0 by square and multiply, with the unit one and the
     product mul; a negative n raises ValueError (invert explicitly)."""
@@ -227,7 +231,7 @@ class Cyclo12:
     __slots__ = ("c",)
 
     def __init__(self, c0=0, c1=0, c2=0, c3=0):
-        object.__setattr__(self, "c", (c0, c1, c2, c3))
+        _set_c(self, (c0, c1, c2, c3))
 
     def __setattr__(self, *_):
         raise AttributeError("Cyclo12 is immutable")
@@ -332,6 +336,9 @@ class Cyclo12:
         return SqrtThree(*cyclo12_abs_sq(self.c))
 
 
+_set_c = Cyclo12.c.__set__
+
+
 def cyclo12_abs_sq(c):
     """(p, q) with x * conj(x) = p + q sqrt 3 for x with coefficients c.
 
@@ -366,8 +373,8 @@ class SqrtThree:
     __slots__ = ("p", "q")
 
     def __init__(self, p=0, q=0):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        _set_p(self, p)
+        _set_q(self, q)
 
     def __setattr__(self, *_):
         raise AttributeError("SqrtThree is immutable")
@@ -431,6 +438,9 @@ class SqrtThree:
 
     def to_float(self) -> float:
         return float(self.p) + float(self.q) * 3 ** 0.5
+
+
+_set_p, _set_q = SqrtThree.p.__set__, SqrtThree.q.__set__
 
 
 def sqrt3_sign(p, q) -> int:

@@ -8,8 +8,9 @@ entry's summary key as FAIL and exit 1.
 
 import pytest
 
-from eleech import lattices, reduction
+from eleech import checks, lattices, reduction
 from eleech.checks import Context, REGISTRY, run
+from eleech.codes import GOLAY12_GENS, TernaryCode
 from eleech.cli import main
 from eleech.reflections import canonical_root
 
@@ -32,8 +33,15 @@ def _walk_misses_a_root(monkeypatch, diagram):
                         lambda *args: [r for r in expand(*args) if r != victim])
 
 
+def _golay_generator_entry_changed(monkeypatch, diagram):
+    gens = [list(g) for g in GOLAY12_GENS]
+    gens[0][7] = 0
+    monkeypatch.setattr(checks, "golay12", lambda: TernaryCode(12, gens))
+
+
 #: registry entry -> fault
 FAULTS = {
+    "codes": _golay_generator_entry_changed,
     "leech_shell": _coset_search_misses_a_vector,
     "min_height": _walk_misses_a_root,
 }

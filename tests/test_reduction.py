@@ -561,6 +561,32 @@ def test_cvp_matches_reference_scan():
     assert families == {0, 1, -1}
 
 
+def test_cvp_matches_reference_scan_at_large_denominators():
+    """find_within on big ints: 30 seeded points with denominators 10^6 to
+    10^12 and numerators up to 30 times the denominator, so the packed
+    (cost << 5) + residue entries run past 2^80, give the reference scan's
+    vector.  The winners fall in every family m = 0, 1, -1, and some need
+    the repair of residue shift 1, some of shift 2."""
+    rng = random.Random(29)
+    cvp = LeechCVP()
+    words = golay_words().words()
+    families, shifts = set(), set()
+    for _ in range(30):
+        den = rng.randint(10 ** 6, 10 ** rng.randint(6, 12))
+        span = rng.randint(1, 30) * den
+        num = [Eis(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(12)]
+        lam = cvp.find_within(num, den)
+        assert lam == _reference_find_within(words, num, den, COVERING_BOUND)
+        m, c, z = leech_contains(lam)
+        families.add(m)
+        for x, d, zi in zip(num, c, z):
+            cost, near, res, *_ = _coset_options(x.a - den * (m + d), x.b - 2 * den * d, den)
+            if (zi.a, zi.b) != near:
+                shifts.add((zi.a + zi.b - res) % 3)
+    assert families == {0, 1, -1}
+    assert shifts == {1, 2}
+
+
 def _reference_coset_options(na, nb, den):
     """The nearest z and its two residue repairs read off the sorted box:
     (cost, z, residue, (extra cost, z) per shift 1 and 2)."""
