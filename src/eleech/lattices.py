@@ -286,9 +286,9 @@ def first_shell_by_coset_search():
 
 def flat_norm6(flat) -> bool:
     s = 0
-    for i in range(12):
-        a, b = flat[2 * i], flat[2 * i + 1]
-        s += a * a - a * b + b * b
+    it = iter(flat)
+    for a, b in zip(it, it):  # the coordinates a + bw, each of norm a^2 - ab + b^2
+        s += a * (a - b) + b * b
     return s == 18
 
 

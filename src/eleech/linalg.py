@@ -15,6 +15,7 @@ Z[w]: an inverse is an integral matrix over one pivot d, and
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import matmul
 
 from .rings import Cyclo12, Eis, OMEGA, THETA, ZERO, ONE, power
@@ -135,20 +136,9 @@ def mat_det(m) -> Eis:
 
 
 def mat_inverse(m):
-    """(adj, d) with m adj = d I, both over Z[w], so m^-1 = adj / d:
-    eliminate [m | I] once."""
-    n = len(m)
-    aug = [tuple(row) + e for row, e in zip(m, mat_identity(n))]
-    a, pivots, d, _ = _eliminate(aug, n)
-    if len(pivots) < n:
-        raise ValueError("singular matrix")
-    return tuple(tuple(row[n:]) for row in a), d
-
-
-def independent(vectors) -> list:
-    """Indices of the vectors independent of all earlier ones: the first
-    basis of their span, in order."""
-    return _eliminate(tuple(zip(*vectors)))[1]
+    """(adj, d) with m adj = d I, both over Z[w], so m^-1 = adj / d; a
+    singular m raises ValueError."""
+    return spanning_basis(tuple(zip(*m)))[1]
 
 
 def kernel(rows) -> list:
@@ -170,11 +160,15 @@ def kernel(rows) -> list:
 
 def spanning_basis(vectors):
     """(indices, (adj, d)): the first vectors that span the whole space,
-    and the ``mat_inverse`` of the matrix with those vectors as columns."""
-    picked = independent(vectors)
-    if len(picked) != len(vectors[0]):
+    and the ``mat_inverse`` of the matrix with those vectors as columns,
+    from one elimination of [vectors^T | I] (a column with no pivot moves
+    no row, so the right block is that of the picked columns alone)."""
+    m = len(vectors)
+    aug = [col + e for col, e in zip(zip(*vectors), mat_identity(len(vectors[0])))]
+    a, picked, d, _ = _eliminate(aug, m)
+    if len(picked) != len(aug):
         raise ValueError("vectors do not span the coordinate space")
-    return picked, mat_inverse(tuple(zip(*(vectors[i] for i in picked))))
+    return picked, (tuple(tuple(row[m:]) for row in a), d)
 
 
 def aut_from_images(sources, targets, spanning=None) -> "AutMatrix":
@@ -261,6 +255,23 @@ FORM_LEECH_H = LorentzForm("Leech+H", den=3)
 # Automorphisms as exact coordinate matrices A / theta^k
 
 
+def _v3(n, cap):
+    """min(cap, v_3(n)) for an int n != 0.  For a nonzero x in Z[w] the
+    theta-valuation is v_3(norm x), because 3 = -theta^2 ramifies."""
+    v = 0
+    while v < cap and n % 3 == 0:
+        n //= 3
+        v += 1
+    return v
+
+
+def _untheta(xs, j):
+    """The entries of xs (Z[w] or Z[zeta_12]) over theta^j, each divisible:
+    theta^-j = (-theta)^j / 3^j, the division by 3^j exact."""
+    s, n = (-THETA) ** j, 3 ** j
+    return tuple((x * s).divide_exact_int(n) for x in xs)
+
+
 class AutMatrix:
     """A lattice automorphism as a coordinate matrix with theta denominator.
 
@@ -278,9 +289,16 @@ class AutMatrix:
         self._reduce()
 
     def _reduce(self):
-        while self.k > 0 and all(THETA.divides(x) for row in self.mat for x in row):
-            self.mat = tuple(tuple(x.exact_div(THETA) for x in row) for row in self.mat)
-            self.k -= 1
+        # strip theta^j at once, j the least theta-valuation of an entry
+        j = self.k
+        for x in chain.from_iterable(self.mat):
+            if not j:
+                return
+            if x:
+                j = _v3(x.norm(), j)
+        if j:
+            self.mat = tuple(_untheta(row, j) for row in self.mat)
+            self.k -= j
 
     @classmethod
     def identity(cls, n=14) -> "AutMatrix":
@@ -290,14 +308,15 @@ class AutMatrix:
     def over(cls, mat, d) -> "AutMatrix":
         """The AutMatrix equal to the Z[w] matrix mat / d.
 
-        d splits once into theta^e times a part prime to theta; every entry
-        is divided exactly by that part, which leaves mat' / theta^e.  A
-        failed division raises ValueError: mat / d is then no lattice map.
+        d splits once into theta^e (e = v_3 of its norm) times a part prime
+        to theta; every entry is divided exactly by that part, which leaves
+        mat' / theta^e.  A failed division raises ValueError: mat / d is
+        then no lattice map; a zero d raises ZeroDivisionError.
         """
-        e = 0
-        while THETA.divides(d):
-            d = d.exact_div(THETA)
-            e += 1
+        if not d:
+            raise ZeroDivisionError("AutMatrix.over a zero denominator")
+        e = _v3(d.norm(), d.norm())  # v_3(n) < n: the cap never binds
+        d, = _untheta((d,), e)
         try:
             mat = [[x.exact_div(d) for x in row] for row in mat]
         except ValueError:
@@ -321,13 +340,9 @@ class AutMatrix:
         return power(self, n, AutMatrix.identity(self.n), matmul)
 
     def apply(self, v):
-        """Image of a coordinate vector with Z[w] or Z[zeta_12] entries:
-        theta^-k = (-theta)^k / 3^k, the division by 3^k exact."""
+        """Image of a coordinate vector with Z[w] or Z[zeta_12] entries."""
         w = mat_vec(self.mat, v)
-        if self.k:
-            s, n = (-THETA) ** self.k, 3 ** self.k
-            w = tuple((x * s).divide_exact_int(n) for x in w)
-        return w
+        return _untheta(w, self.k) if self.k else w
 
     def is_identity(self) -> bool:
         return self.k == 0 and self.mat == mat_identity(self.n)

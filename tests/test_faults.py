@@ -8,11 +8,13 @@ entry's summary key as FAIL and exit 1.
 
 import pytest
 
-from eleech import checks, lattices, reduction
+from eleech import checks, isomorphism, lattices, reduction, relations
 from eleech.checks import Context, REGISTRY, run
 from eleech.codes import GOLAY12_GENS, TernaryCode
 from eleech.cli import main
+from eleech.diagram import PRESENTATION_PAIR
 from eleech.reflections import canonical_root
+from eleech.rings import Eis
 
 
 def _coset_search_misses_a_vector(monkeypatch, diagram):
@@ -39,11 +41,40 @@ def _golay_generator_entry_changed(monkeypatch, diagram):
     monkeypatch.setattr(checks, "golay12", lambda: TernaryCode(12, gens))
 
 
+def _presentation_relator_fails(monkeypatch, diagram):
+    # x^2 = y^3 = (xy)^13 = 1 still hold for this y; the long relator does not
+    x, _ = PRESENTATION_PAIR
+    y = ((0, 1, 1), (1, 1, 0), (1, 1, 2))
+    monkeypatch.setattr(checks, "presentation_generators", lambda: (x, y))
+
+
+def _coxeter_order_changed(monkeypatch, diagram):
+    monkeypatch.setattr(relations, "COXETER_TABLE", {**relations.COXETER_TABLE, "E8": 30})
+
+
+def _m666_root_perturbed(monkeypatch, diagram):
+    # root a with coordinate 5 moved by 3: both flips still build, phi_23 no
+    # longer preserves the form
+    m666 = isomorphism.m666_from_e1prime
+
+    def faulty(e1p):
+        roots = list(m666(e1p))
+        a = list(roots[0])
+        a[5] += Eis(3, 0)
+        roots[0] = tuple(a)
+        return roots
+
+    monkeypatch.setattr(relations, "m666_from_e1prime", faulty)
+
+
 #: registry entry -> fault
 FAULTS = {
+    "automorphisms": _presentation_relator_fails,
     "codes": _golay_generator_entry_changed,
+    "coxeter": _coxeter_order_changed,
     "leech_shell": _coset_search_misses_a_vector,
     "min_height": _walk_misses_a_root,
+    "phi_flips": _m666_root_perturbed,
 }
 
 

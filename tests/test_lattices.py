@@ -112,6 +112,29 @@ def test_shell_members_all_contained(shell):
         assert leech_contains(from_flat(f)) is not None
 
 
+def _reference_flat_norm6(flat):
+    s = 0
+    for i in range(12):
+        a, b = flat[2 * i], flat[2 * i + 1]
+        s += a * a - a * b + b * b
+    return s == 18
+
+
+def test_flat_norm6_matches_the_coordinate_loop(shell):
+    """On the whole shell, and on seeded off-shell flats: random small ones
+    and shell vectors with one int coordinate moved by 1."""
+    assert all(map(_reference_flat_norm6, shell)) and all(map(flat_norm6, shell))
+    rng = random.Random(23)
+    off = [tuple(rng.randint(-r, r) for _ in range(24)) for r in (1, 2, 3) for _ in range(2000)]
+    for f in rng.sample(shell, 2000):
+        g = list(f)
+        g[rng.randrange(24)] += rng.choice((-1, 1))
+        off.append(tuple(g))
+    want = [_reference_flat_norm6(f) for f in off]
+    assert 0 < sum(want) < len(off)
+    assert [flat_norm6(f) for f in off] == want
+
+
 def test_pairing_rows_read_the_hermitian_sum():
     """For s = sum conj(u_i) v_i: re_row(u) . v = 2 Re s = 2 s.a - s.b and
     im_row(u) . v = (2/sqrt 3) Im s = s.b, on seeded vectors."""

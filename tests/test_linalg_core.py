@@ -19,8 +19,8 @@ from eleech.isomorphism import load_e1, e2_matrix
 from eleech.lattices import lattice_3e8_h, lattice_leech_h
 from eleech.linalg import (
     FORM_E8H, FORM_LEECH_H, AutMatrix, _eliminate, aut_from_images, charpoly,
-    independent, kernel, mat_det, mat_identity, mat_inverse, mat_mul, mat_scalar,
-    mat_vec, vec_scale,
+    kernel, mat_det, mat_identity, mat_inverse, mat_mul, mat_scalar, mat_vec,
+    spanning_basis, vec_scale,
 )
 from eleech.relations import INFINITE, matrix_order
 from eleech.rings import Cyclo12, Eis, OMEGA, OMEGA2, ONE, THETA, ZERO
@@ -29,13 +29,15 @@ from eleech.reflections import word_matrix
 SETTINGS = settings(max_examples=60, deadline=None)
 
 eis = st.builds(Eis, st.integers(-4, 4), st.integers(-4, 4))
+#: entries that are zero about half the time
+sparse = st.one_of(st.just(ZERO), eis)
 
 
-def matrices(min_rows=1, max_rows=6, min_cols=1, max_cols=6):
+def matrices(min_rows=1, max_rows=6, min_cols=1, max_cols=6, entries=eis):
     return st.integers(min_rows, max_rows).flatmap(
         lambda n: st.integers(min_cols, max_cols).flatmap(
             lambda m: st.lists(
-                st.lists(eis, min_size=m, max_size=m).map(tuple),
+                st.lists(entries, min_size=m, max_size=m).map(tuple),
                 min_size=n, max_size=n,
             ).map(tuple)
         )
@@ -110,7 +112,7 @@ def test_inverse_times_matrix_is_identity(m):
 @SETTINGS
 @given(square())
 def test_full_rank_exactly_when_det_nonzero(m):
-    full = len(independent(m)) == len(m)
+    full = len(_eliminate(tuple(zip(*m)))[1]) == len(m)
     assert full == bool(mat_det(m))
 
 
@@ -118,7 +120,7 @@ def test_full_rank_exactly_when_det_nonzero(m):
 @given(matrices())
 def test_kernel_annihilates_and_has_nullity_dimension(rows):
     ker = kernel(rows)
-    pivots = independent(tuple(zip(*rows)))
+    pivots = _eliminate(rows)[1]
     free = [c for c in range(len(rows[0])) if c not in pivots]
     assert len(ker) == len(free) == len(rows[0]) - len(pivots)
     for t in ker:
@@ -131,10 +133,10 @@ def test_kernel_annihilates_and_has_nullity_dimension(rows):
 @SETTINGS
 @given(matrices())
 def test_independent_picks_the_first_basis(rows):
-    picked = independent(rows)
+    picked = _eliminate(tuple(zip(*rows)))[1]
     for i in range(len(rows)):
         before = [j for j in picked if j < i]
-        grows = len(independent([rows[j] for j in before] + [rows[i]])) > len(before)
+        grows = len(_eliminate(tuple(zip(*[rows[j] for j in before], rows[i])))[1]) > len(before)
         assert (i in picked) == grows
 
 
@@ -145,7 +147,7 @@ def test_shipped_column_matrices(diagram, which):
     assert mat_det(m)
     adj, d = mat_inverse(m)
     assert mat_mul(m, adj) == mat_scalar(14, d)
-    assert independent(m) == list(range(14))
+    assert _eliminate(tuple(zip(*m)))[1] == list(range(14))
     assert kernel(m) == []
 
 
@@ -161,6 +163,110 @@ def test_over_clears_theta_and_rejects_other_primes():
         aut_from_images([tuple(2 * x for x in v) for v in e], e)
     # (1/theta) I has a real-form charpoly with non-integral coefficients
     assert matrix_order(AutMatrix(mat_identity(14), 1)) == INFINITE
+
+
+def test_over_rejects_a_zero_denominator():
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        AutMatrix.over([[ONE, ZERO], [ZERO, THETA]], ZERO)
+
+
+# ---------------------------------------------------------------------------
+# the theta clearing and the spanning basis against the loops they replace
+
+
+def _reference_reduce(mat, k):
+    """Lowest terms of mat / theta^k, one factor of theta per pass."""
+    while k > 0 and all(THETA.divides(x) for row in mat for x in row):
+        mat = tuple(tuple(x.exact_div(THETA) for x in row) for row in mat)
+        k -= 1
+    return mat, k
+
+
+def _reference_over(mat, d):
+    """mat / d as (mat, k), stripping theta from d one factor at a time."""
+    e = 0
+    while THETA.divides(d):
+        d = d.exact_div(THETA)
+        e += 1
+    try:
+        mat = tuple(tuple(x.exact_div(d) for x in row) for row in mat)
+    except ValueError:
+        raise ValueError("matrix is not theta-integral; not a lattice map") from None
+    return _reference_reduce(mat, e)
+
+
+def _reference_spanning_basis(vectors):
+    """The first spanning vectors by one elimination, then the inverse of
+    their column matrix by a second elimination of [m | I]."""
+    picked = _eliminate(tuple(zip(*vectors)))[1]
+    if len(picked) != len(vectors[0]):
+        raise ValueError("vectors do not span the coordinate space")
+    m = tuple(zip(*(vectors[i] for i in picked)))
+    n = len(m)
+    a, _, d, _ = _eliminate([row + e for row, e in zip(m, mat_identity(n))], n)
+    return picked, (tuple(tuple(row[n:]) for row in a), d)
+
+
+def _times(mat, s):
+    return tuple(tuple(s * x for x in row) for row in mat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(max_rows=4, max_cols=4, entries=sparse), st.integers(0, 5), st.integers(0, 7),
+       st.integers(0, 7).map(lambda i: i == 0))
+def test_reduce_matches_the_theta_loop(m, j, k, blank):
+    """Random Z[w] matrices times theta^j (zero entries included, and the
+    all-zero matrix when blank) over theta^k, k = 0 included."""
+    mat = _times(m, ZERO if blank else THETA ** j)
+    a = AutMatrix(mat, k)
+    assert (a.mat, a.k) == _reference_reduce(mat, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(max_rows=4, max_cols=4, entries=sparse), st.integers(0, 4), st.integers(0, 5),
+       st.sampled_from([ONE, OMEGA, -OMEGA2, Eis(2, 0), Eis(3, 1), Eis(-1, 3)]),
+       st.booleans())
+def test_over_matches_the_theta_loop(m, j, e, p, divisible):
+    """d = theta^e p with p a unit or prime to theta, so d has a factor of
+    3 or not; the entries carry p (the division is exact) or not."""
+    d = THETA ** e * p
+    mat = _times(m, THETA ** j * (p if divisible else ONE))
+    try:
+        want = _reference_over(mat, d)
+    except ValueError:
+        with pytest.raises(ValueError):
+            AutMatrix.over(mat, d)
+        return
+    a = AutMatrix.over(mat, d)
+    assert (a.mat, a.k) == want
+
+
+@st.composite
+def spanning_sets(draw):
+    """n to n + 4 vectors in n coordinates, some of them Z[w] combinations
+    of earlier ones, so that dependent vectors sit among the spanning ones."""
+    n = draw(st.integers(1, 5))
+    vectors = []
+    for _ in range(draw(st.integers(n, n + 4))):
+        if vectors and draw(st.booleans()):
+            cs = draw(st.lists(eis, min_size=len(vectors), max_size=len(vectors)))
+            vectors.append(tuple(sum((c * v[i] for c, v in zip(cs, vectors)), ZERO)
+                                 for i in range(n)))
+        else:
+            vectors.append(tuple(draw(st.lists(sparse, min_size=n, max_size=n))))
+    return vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(spanning_sets())
+def test_spanning_basis_matches_two_eliminations(vectors):
+    try:
+        want = _reference_spanning_basis(vectors)
+    except ValueError:
+        with pytest.raises(ValueError):
+            spanning_basis(vectors)
+        return
+    assert spanning_basis(vectors) == want
 
 
 @pytest.mark.parametrize("module", [
