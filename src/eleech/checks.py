@@ -16,7 +16,7 @@ from operator import matmul
 from . import isomorphism, lattices, reduction, relations
 from .codes import golay12, qr_code, tetracode
 from .diagram import NODE_HEIGHT_SQ, Diagram, _dot3, long_relator, presentation_generators
-from .linalg import FORM_E8H, FORM_LEECH_H, mat_mul
+from .linalg import FORM_E8H, FORM_LEECH_H, gram_of, mat_mul
 from .reflections import canonical_root
 from .rings import Eis, ONE, OMEGA, THETA, ZERO, SqrtThree
 
@@ -165,7 +165,6 @@ def _leech_shell(ctx):
 def _isomorphism(ctx):
     d, e1 = ctx.diagram, isomorphism.load_e1()
     m666 = isomorphism.m666_from_e1prime(isomorphism.load_e1prime())
-    gram_of = isomorphism.gram_of
     return _flags([
         ("gram_e1_e2", gram_of(e1, FORM_LEECH_H) == gram_of(isomorphism.e2_matrix(d), FORM_E8H)),
         ("preserves_form", ctx.chg.preserves_form_on(e1[:5])),
@@ -214,7 +213,13 @@ def _coxeter(ctx):
 
 
 def _phi_flips(ctx):
-    return _flags(relations.verify_phi_flips(isomorphism.load_e1prime()).items())
+    e1p = isomorphism.load_e1prime()
+    m666 = relations.m666_from_e1prime(e1p)  # the roots verify_phi_flips flips
+    return _flags([
+        ("phi_flips_m666_gram",
+         gram_of(m666, FORM_LEECH_H) == gram_of(isomorphism.m666_reference(ctx.diagram), FORM_E8H)),
+        *relations.verify_phi_flips(e1p).items(),
+    ])
 
 
 def _braid_relations(ctx):

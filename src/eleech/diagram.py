@@ -33,7 +33,9 @@ from .rings import (
     power,
 )
 from .lattices import HermitianLattice, to_flat
-from .linalg import AutMatrix, FORM_E8H, aut_from_images, spanning_basis, vec_add, vec_scale
+from .linalg import (
+    AutMatrix, FORM_E8H, aut_from_images, gram_of, spanning_basis, vec_add, vec_scale,
+)
 from .reflections import NodeKernel
 from .textio import InputError, data_text
 
@@ -184,10 +186,7 @@ class Diagram:
 
     def gram(self):
         if self._gram is None:
-            roots = [n.root for n in self.nodes]
-            self._gram = tuple(
-                tuple(self.form.ip(u, v) for v in roots) for u in roots
-            )
+            self._gram = gram_of([n.root for n in self.nodes], self.form)
         return self._gram
 
     def adjacency(self):

@@ -15,8 +15,8 @@ from collections import defaultdict
 from itertools import combinations, groupby, permutations
 from operator import itemgetter, mul
 
-from .rings import Eis, OMEGA, OMEGA2, THETA, UNITS, ZERO, ONE, eis_gcd
-from .linalg import FORM_E8H, FORM_LEECH_H, aut_from_images, kernel
+from .rings import Eis, OMEGA, OMEGA2, THETA, ZERO, ONE, eis_gcd
+from .linalg import FORM_E8H, FORM_LEECH_H, aut_from_images, gram_of, kernel
 from .lattices import (
     _hnf_basis,
     from_flat,
@@ -51,10 +51,6 @@ def e2_matrix(diagram):
     rows.append((ZERO,) * 12 + (ZERO, ONE))
     rows.append((ZERO,) * 12 + (ONE, ZERO))
     return tuple(rows)
-
-
-def gram_of(rows, form):
-    return tuple(tuple(form.ip(u, v) for v in rows) for u in rows)
 
 
 class ChangeOfBasis:
@@ -143,15 +139,6 @@ def m666_from_e1prime(e1p):
 
 def m666_reference(diagram):
     return tuple(diagram.by_name[name].root for name in M666_ORDER)
-
-
-def hand_root_shape(root):
-    """(unit, lambda, eta) with unit*root = (lambda; 1, eta), or None."""
-    for u in UNITS:
-        cand = tuple(u * x for x in root)
-        if cand[12] == ONE:
-            return u, cand[:12], cand[13]
-    return None
 
 
 # ---------------------------------------------------------------------------

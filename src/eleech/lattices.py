@@ -24,6 +24,7 @@ from .rings import Eis, THETA, UNITS, ZERO, ONE, OMEGA, OMEGA2
 from .linalg import (
     FORM_E8H,
     FORM_LEECH_H,
+    gram_of,
     mat_det,
     negdef_ip,
     vec_is_zero,
@@ -45,10 +46,6 @@ def from_flat(f) -> tuple:
 
 def leech_ip(u, v) -> Eis:
     return negdef_ip(u, v, 3)
-
-
-def e8_ip(u, v) -> Eis:
-    return negdef_ip(u, v)
 
 
 @cache
@@ -317,17 +314,9 @@ class HermitianLattice:
     def __init__(self, basis, ip):
         self.basis = tuple(tuple(v) for v in basis)
         self.ip = ip
-        self._gram = None
-
-    def gram(self):
-        if self._gram is None:
-            self._gram = tuple(
-                tuple(self.ip(u, v) for v in self.basis) for u in self.basis
-            )
-        return self._gram
 
     def discriminant(self) -> int:
-        d = mat_det(self.gram())
+        d = mat_det(gram_of(self.basis, self))
         if d.b != 0:
             raise ValueError("Gram determinant not real")
         return abs(d.a)
@@ -419,7 +408,7 @@ def lattice_lambda() -> HermitianLattice:
 
 
 def lattice_e8() -> HermitianLattice:
-    return HermitianLattice(e8_basis(), e8_ip)
+    return HermitianLattice(e8_basis(), negdef_ip)
 
 
 def lattice_h() -> HermitianLattice:

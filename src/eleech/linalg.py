@@ -60,6 +60,11 @@ def mat_scalar(n, s) -> EMatrix:
     return tuple(tuple(s if i == j else ZERO for j in range(n)) for i in range(n))
 
 
+def gram_of(rows, form):
+    """The Gram matrix of the rows under ``form.ip``."""
+    return tuple(tuple(form.ip(u, v) for v in rows) for u in rows)
+
+
 def negdef_ip(u, v, den=1):
     """-(1/den) sum conj(u_i) v_i, the division by den exact."""
     s = ZERO

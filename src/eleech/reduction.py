@@ -52,50 +52,20 @@ R2 = (ZERO,) * 12 + (ONE, -OMEGA)          # (0^12; 1, -w)
 RHO_NULL = (ZERO,) * 12 + (ZERO, ONE)      # (0^12; 0, 1)
 
 
-class Translation:
-    """T_{lambda, z} with z = theta * z2 / 2: z2 is an int congruent to
-    |lambda|^2 mod 2."""
-
-    def __init__(self, lam, z2: int):
-        self.lam = tuple(lam)
-        self.z2 = z2
-        n = leech_ip(self.lam, self.lam)
-        if n.b != 0:
-            raise ValueError("lambda norm not real")
-        self.norm = n.a
-        if (z2 - self.norm) % 2:
-            raise ValueError("z = theta*alpha/2 needs alpha = |lambda|^2 mod 2")
-
-    def apply(self, v):
-        """Image of (mu; alpha, beta) in Leech+H."""
-        mu, al, be = v[:12], v[12], v[13]
-        mu2 = tuple(m + al * l for m, l in zip(mu, self.lam))
-        ip = leech_ip(self.lam, mu)
-        t1 = ip.exact_div(THETA)
-        # conj(theta)^{-1} (z - |lam|^2/2) = -(alpha0 + theta*m)/2 with
-        # alpha0 = z2, m = |lam|^2/3
-        m3, r = divmod(self.norm, 3)
-        if r:
-            raise ValueError("lambda norm is not a multiple of 3; not a Leech vector")
-        t2 = Eis(-(self.z2 + m3), -2 * m3).divide_exact_int(2) * al
-        return mu2 + (al, t1 + t2 + be)
-
-    def compose(self, other: "Translation") -> "Translation":
-        """The map v -> self(other(v)):
-        T_{a} o T_{b} = T_{lam_a + lam_b, z_a + z_b + im<lam_b, lam_a>}."""
-        lam = tuple(x + y for x, y in zip(self.lam, other.lam))
-        ip = leech_ip(other.lam, self.lam)
-        t = ip.exact_div(THETA)
-        # im<b,a> = theta * (2 t.a - t.b) / 2
-        return Translation(lam, self.z2 + other.z2 + 2 * t.a - t.b)
-
-    def inverse(self) -> "Translation":
-        return Translation(tuple(-x for x in self.lam), -self.z2)
-
-
-def minimal_z2(norm: int) -> int:
-    """The smallest admissible 2z/theta for a lambda of the given norm."""
-    return norm % 2
+def translate(lam, v):
+    """T_{lambda, z}(v) for v = (mu; alpha, beta) in Leech+H, at the least
+    admissible z = theta * z2 / 2, z2 = |lambda|^2 mod 2."""
+    n = leech_ip(lam, lam)
+    if n.b != 0:
+        raise ValueError("lambda norm not real")
+    m3, r = divmod(n.a, 3)
+    if r:
+        raise ValueError("lambda norm is not a multiple of 3; not a Leech vector")
+    mu, al, be = v[:12], v[12], v[13]
+    t1 = leech_ip(lam, mu).exact_div(THETA)
+    # conj(theta)^{-1} (z - |lam|^2/2) = -(z2 + theta*m)/2 with m = |lam|^2/3
+    t2 = Eis(-(n.a % 2 + m3), -2 * m3).divide_exact_int(2) * al
+    return tuple(m + al * l for m, l in zip(mu, lam)) + (al, t1 + t2 + be)
 
 
 def load_z_basis():
@@ -134,12 +104,9 @@ def build_generators(chg):
     for the 24 pinned basis vectors; everything transported by the
     isomorphism ``chg`` and checked to be norm -3 lattice vectors.
     """
-    lams = load_z_basis()
     gens_lh = [R1, R2]
-    for lam in lams:
-        t = Translation(lam, minimal_z2(leech_ip(lam, lam).a))
-        gens_lh.append(t.apply(R1))
-        gens_lh.append(t.apply(R2))
+    for lam in load_z_basis():
+        gens_lh += [translate(lam, R1), translate(lam, R2)]
     out = []
     for g in gens_lh:
         if FORM_LEECH_H.ip(g, g) != Eis(-3, 0):

@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .rings import Eis, OMEGA, OMEGA2, ONE, THETA, ZERO, UNITS
+from .rings import Eis, OMEGA, OMEGA2, THETA, ZERO, UNITS
 from .linalg import FORM_LEECH_H, AutMatrix, aut_from_images, charpoly, poly_mul
 from .reflections import word_matrix
 from .diagram import orbit, presentation_generators
 from .isomorphism import m666_from_e1prime, M666_ORDER
+from .reduction import RHO_NULL
 
 INFINITE = "infinite"
 
@@ -380,14 +381,13 @@ def verify_phi_flips(e1p):
     roots = dict(zip(M666_ORDER, m666_from_e1prime(e1p)))
     phi12 = build_phi_flip(roots, fixed_hand=3)
     phi23 = build_phi_flip(roots, fixed_hand=1)
-    rho = (ZERO,) * 12 + (ZERO, ONE)
     rep = {}
     rep["phi12_order2"] = (phi12 @ phi12).is_identity()
     rep["phi23_order2"] = (phi23 @ phi23).is_identity()
     rep["phi12_form"] = phi12.preserves_form(FORM_LEECH_H)
     rep["phi23_form"] = phi23.preserves_form(FORM_LEECH_H)
-    rep["phi12_fixes_rho"] = phi12.apply(rho) == rho
-    rep["phi23_fixes_rho"] = phi23.apply(rho) == rho
+    rep["phi12_fixes_rho"] = phi12.apply(RHO_NULL) == RHO_NULL
+    rep["phi23_fixes_rho"] = phi23.apply(RHO_NULL) == RHO_NULL
     rep["phi12_fixes_cell"] = phi12.apply(FIXED_CELL_VECTOR) == FIXED_CELL_VECTOR
     rep["phi23_fixes_cell"] = phi23.apply(FIXED_CELL_VECTOR) == FIXED_CELL_VECTOR
     prod = phi12 @ phi23

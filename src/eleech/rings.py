@@ -137,9 +137,6 @@ class Eis:
         q = Eis(_round_div(t.a, n), _round_div(t.b, n))
         return q, self - q * d
 
-    def __mod__(self, d: "Eis") -> "Eis":
-        return divmod(self, d)[1]
-
     def mod_theta(self) -> int:
         """Image in Z[w]/theta = F_3 as an int in {0, 1, 2}; w maps to 1."""
         return (self.a + self.b) % 3
@@ -318,12 +315,6 @@ class Cyclo12:
         # w = z^2 - 1
         return cls(x.a - x.b, 0, x.b, 0)
 
-    def to_eis(self) -> Eis:
-        c0, c1, c2, c3 = self.c
-        if c1 or c3:
-            raise ValueError(f"{self} is not in Z[w]")
-        return Eis(c0 + c2, c2)
-
     def to_sqrt3(self) -> "SqrtThree":
         """Exact conversion for totally real elements (in Z[sqrt 3])."""
         c0, c1, c2, c3 = self.c
@@ -360,10 +351,8 @@ def _coerce12(x):
     return None
 
 
-ZETA = Cyclo12(0, 1, 0, 0)
 XI = Cyclo12(0, 1, 0, -1)      # e^{-pi i/6} = zeta^{-1}
 SQRT3_C = Cyclo12(0, 2, 0, -1)  # zeta + zeta^{-1}
-I_C = Cyclo12(0, 0, 0, 1)
 
 
 @total_ordering

@@ -7,7 +7,7 @@ check registry ``eleech.checks``, which ``eleech verify-all`` runs too.
 import time
 
 from eleech.checks import Context, run
-from eleech.linalg import FORM_E8H, FORM_LEECH_H
+from eleech.linalg import FORM_E8H, FORM_LEECH_H, gram_of
 
 
 def _line(num, ok, took, text):
@@ -61,7 +61,7 @@ def test_criterion_5_isomorphism(diagram, chg):
 
 def test_criterion_5_opt_in_search(diagram, shell):
     t0 = time.perf_counter()
-    from eleech.isomorphism import run_search, e2_matrix, gram_of
+    from eleech.isomorphism import run_search, e2_matrix
 
     res = run_search(shell, e2_matrix(diagram))
     gram_ok = gram_of(res.basis_rows, FORM_LEECH_H) == gram_of(

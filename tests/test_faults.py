@@ -14,7 +14,7 @@ from eleech.codes import GOLAY12_GENS, TernaryCode
 from eleech.cli import main
 from eleech.diagram import PRESENTATION_PAIR
 from eleech.reflections import canonical_root
-from eleech.rings import Eis
+from eleech.rings import Eis, THETA
 
 
 def _coset_search_misses_a_vector(monkeypatch, diagram):
@@ -52,19 +52,41 @@ def _coxeter_order_changed(monkeypatch, diagram):
     monkeypatch.setattr(relations, "COXETER_TABLE", {**relations.COXETER_TABLE, "E8": 30})
 
 
-def _m666_root_perturbed(monkeypatch, diagram):
-    # root a with coordinate 5 moved by 3: both flips still build, phi_23 no
-    # longer preserves the form
+def _move_root_a(monkeypatch, module, coord, shift):
+    """``module.m666_from_e1prime`` returns root a with one coordinate moved."""
     m666 = isomorphism.m666_from_e1prime
 
     def faulty(e1p):
         roots = list(m666(e1p))
-        a = list(roots[0])
-        a[5] += Eis(3, 0)
-        roots[0] = tuple(a)
+        roots[0] = tuple(x + shift if i == coord else x for i, x in enumerate(roots[0]))
         return roots
 
-    monkeypatch.setattr(relations, "m666_from_e1prime", faulty)
+    monkeypatch.setattr(module, "m666_from_e1prime", faulty)
+
+
+def _m666_root_perturbed(monkeypatch, diagram):
+    # both flips still build, phi_23 no longer preserves the form
+    _move_root_a(monkeypatch, relations, 5, Eis(3, 0))
+
+
+def _isomorphism_m666_root_perturbed(monkeypatch, diagram):
+    # relations holds its own reference to m666_from_e1prime, so the flips
+    # keep the shipped roots
+    _move_root_a(monkeypatch, isomorphism, 5, Eis(3, 0))
+
+
+def _leech_basis_row_times_theta(monkeypatch, diagram):
+    basis = lattices.leech_basis()
+    monkeypatch.setattr(lattices, "leech_basis",
+                        lambda: (tuple(THETA * x for x in basis[0]),) + basis[1:])
+
+
+def _z_basis_row_doubled(monkeypatch, diagram):
+    # the 50 certificates still replay; doubling row 0 or 23 instead makes
+    # certifying raise
+    rows = reduction.load_z_basis()
+    monkeypatch.setattr(reduction, "load_z_basis",
+                        lambda: rows[:10] + (tuple(x + x for x in rows[10]),) + rows[11:])
 
 
 #: registry entry -> fault
@@ -72,6 +94,9 @@ FAULTS = {
     "automorphisms": _presentation_relator_fails,
     "codes": _golay_generator_entry_changed,
     "coxeter": _coxeter_order_changed,
+    "generation": _z_basis_row_doubled,
+    "isomorphism": _isomorphism_m666_root_perturbed,
+    "lattices_fast": _leech_basis_row_times_theta,
     "leech_shell": _coset_search_misses_a_vector,
     "min_height": _walk_misses_a_root,
     "phi_flips": _m666_root_perturbed,
@@ -94,3 +119,13 @@ def test_verify_all_reports_the_fault(name, monkeypatch, capsys, diagram):
     assert failed == [f"{REGISTRY[name][0]}: FAIL"]
     assert elapsed.startswith("elapsed_seconds: ")
     assert result == "RESULT: FAIL"
+
+
+@pytest.mark.parametrize("shift", [THETA, Eis(3, 0)], ids=["theta", "3"])
+def test_phi_flips_checks_the_m666_gram(shift, monkeypatch, diagram):
+    """With root a's coordinate 13 moved, every flag of the flip report
+    still holds; the entry fails on the Gram matrix of the roots."""
+    _move_root_a(monkeypatch, relations, 13, shift)
+    lines, ok = run(["phi_flips"], Context(diagram=diagram))
+    assert not ok
+    assert [key for key, value in lines if value != "ok"] == ["phi_flips_m666_gram"]

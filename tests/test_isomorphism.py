@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eleech.rings import Eis, ONE, OMEGA, THETA, UNITS, ZERO
-from eleech.linalg import FORM_E8H, FORM_LEECH_H, AutMatrix
+from eleech.linalg import FORM_E8H, FORM_LEECH_H, AutMatrix, gram_of
 from eleech.lattices import (
-    leech_contains, leech_ip, in_l_leech_h, in_l_e8h,
+    leech_ip, in_l_leech_h, in_l_e8h,
     flat_norm6, from_flat, re_row,
 )
 from eleech.isomorphism import (
-    load_e1, load_e1prime, e2_matrix, gram_of, ChangeOfBasis,
-    m666_from_e1prime, m666_reference, hand_root_shape, M666_ORDER,
+    load_e1, load_e1prime, e2_matrix, ChangeOfBasis,
+    m666_from_e1prime, m666_reference,
     find_simplex, find_e8_quadruples, quadruple_roots, psi_root,
     compatible_pairs, complete_to_3e8, neighbours, orthogonal_root_candidates,
     assemble_basis, null_pair, _arrange_hand, _pairing_table, _quadruples,
@@ -117,18 +117,6 @@ def test_m666_configuration_gram(diagram):
 def test_m666_all_roots_norm_minus3():
     for root in m666_from_e1prime(load_e1prime()):
         assert FORM_LEECH_H.ip(root, root) == Eis(-3, 0)
-
-
-def test_hand_roots_have_leech_shape():
-    roots = dict(zip(M666_ORDER, m666_from_e1prime(load_e1prime())))
-    for name, root in roots.items():
-        if name[0] in "cdef":
-            shape = hand_root_shape(root)
-            assert shape is not None, name
-            _u, lam, eta = shape
-            assert leech_contains(lam) is not None
-            assert leech_ip(lam, lam) == Eis(-6, 0)
-            assert eta.is_unit()
 
 
 def test_simplex_witness(shell):

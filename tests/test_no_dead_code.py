@@ -1,8 +1,9 @@
 """Every function and method in the package has a caller in the package
-or in the benchmark: a helper that nothing calls checks nothing.  And
-every parameter of a package function is read by its body: a parameter
-that nothing reads is a dead knob.  And every name a module of the
-package or of the tests imports is used in that module.
+or in the benchmark: a helper that nothing calls checks nothing.  So has
+every module-level constant of the package.  And every parameter of a
+package function is read by its body: a parameter that nothing reads is
+a dead knob.  And every name a module of the package or of the tests
+imports is used in that module.
 
 A name counts as called when it appears anywhere outside its own
 definition as a name, an attribute, an imported name or a dotted part of
@@ -28,9 +29,6 @@ ALLOWED = {
     "Diagram.rho_vec": "the Weyl vector summands the diagram tests sum",
     "local_max_probe": "the float diagnostic of criterion 10",
     "weyl_second_order_sign": "the exact second-order sign at the Weyl point",
-    "hand_root_shape": "the shape of the hand roots of the search",
-    "Translation.compose": "the group law of the Heisenberg translations",
-    "Cyclo12.to_eis": "the way back from Z[zeta_12] to Z[w]",
     "SqrtThree.to_float": "the float view the numeric probe compares with",
 }
 
@@ -38,7 +36,6 @@ ALLOWED = {
 UNREAD_ALLOWED = {
     "checks._codes(ctx)": "a registry entry is a function of the shared Context",
     "checks._lattices_fast(ctx)": "a registry entry is a function of the shared Context",
-    "checks._phi_flips(ctx)": "a registry entry is a function of the shared Context",
     "cli._cmd_verify_all(args)": "a subcommand handler takes the parsed arguments",
 }
 
@@ -93,6 +90,24 @@ def test_every_function_has_a_caller(path):
 def test_allowlist_names_only_uncalled_functions():
     uncalled = {q for path in SOURCES for q in _uncalled(path)}
     assert set(ALLOWED) <= uncalled, f"called now, drop from ALLOWED: {set(ALLOWED) - uncalled}"
+
+
+def _unread_constants(path):
+    """The module-level names the module assigns and nothing in the package
+    or benchmark reads; ``__all__`` is exempt."""
+    out = []
+    for node in TREES[path].body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            own = sum((_references(t) for t in targets), Counter())
+            out += [name for name in own if name != "__all__" and REFERENCES[name] <= own[name]]
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_constant_is_read(path):
+    unread = _unread_constants(path)
+    assert not unread, f"{path.name}: nothing in the package or benchmark reads {unread}"
 
 
 def _unread_parameters(path):

@@ -20,7 +20,7 @@ from eleech.textio import format_vector
 from eleech import reduction
 from eleech.reduction import (
     R1, R2, RHO_NULL,
-    Translation, minimal_z2, load_z_basis, is_z_basis,
+    translate, load_z_basis, is_z_basis,
     HeightReducer, ReductionCertificate, check_certificate,
     conway_reduce, h_value_sq, LeechCVP, COVERING_BOUND,
     _coset_options, _word_blocks,
@@ -90,62 +90,24 @@ def _int_det(a):
 
 
 def test_translation_identity():
-    t = Translation((ZERO,) * 12, 0)
-    assert t.apply(R1) == R1
-    assert t.apply(RHO_NULL) == RHO_NULL
+    zero = (ZERO,) * 12
+    assert translate(zero, R1) == R1
+    assert translate(zero, RHO_NULL) == RHO_NULL
 
 
-def test_translation_rejects_bad_parity():
-    lam = load_z_basis()[0]  # norm -6, so alpha must be even
-    with pytest.raises(ValueError):
-        Translation(lam, 1)
-
-
-def test_translation_composition_law():
-    random.seed(7)
-    zb = load_z_basis()
-    probe = tuple(zb[0]) + (ONE, Eis(2, -1))
-    for _ in range(40):
-        l1, l2 = zb[random.randrange(24)], zb[random.randrange(24)]
-        t1 = Translation(l1, minimal_z2(leech_ip(l1, l1).a))
-        t2 = Translation(l2, minimal_z2(leech_ip(l2, l2).a))
-        t12 = t1.compose(t2)
-        for w in (R1, R2, probe):
-            assert t12.apply(w) == t1.apply(t2.apply(w))
+def test_translate_rejects_a_non_leech_lambda():
+    lam = (ONE, ONE, ONE) + (ZERO,) * 9  # norm -1
+    with pytest.raises(ValueError, match="not a multiple of 3"):
+        translate(lam, R1)
 
 
 def test_translation_fixes_rho_and_form():
     zb = load_z_basis()
-    t = Translation(zb[3], minimal_z2(leech_ip(zb[3], zb[3]).a))
-    assert t.apply(RHO_NULL) == RHO_NULL
+    assert translate(zb[3], RHO_NULL) == RHO_NULL
     vs = (R1, R2, tuple(zb[5]) + (ONE, ZERO))
     for a in vs:
         for b in vs:
-            assert FORM_LEECH_H.ip(t.apply(a), t.apply(b)) == FORM_LEECH_H.ip(a, b)
-
-
-def test_translation_commutator_is_central_theta():
-    zb = load_z_basis()
-    target = -THETA * OMEGA
-    pair = None
-    for i in range(24):
-        for j in range(24):
-            for u in UNITS:
-                cand = tuple(u * x for x in zb[j])
-                if leech_ip(zb[i], cand) == target:
-                    pair = (zb[i], cand)
-                    break
-            if pair:
-                break
-        if pair:
-            break
-    assert pair is not None
-    l1, l2 = pair
-    t1 = Translation(l1, minimal_z2(leech_ip(l1, l1).a))
-    t2 = Translation(l2, minimal_z2(leech_ip(l2, l2).a))
-    comm = t2.inverse().compose(t1.inverse()).compose(t2).compose(t1)
-    assert all(not x for x in comm.lam)
-    assert comm.z2 == 2  # z = theta
+            assert FORM_LEECH_H.ip(translate(zb[3], a), translate(zb[3], b)) == FORM_LEECH_H.ip(a, b)
 
 
 def test_generators_count_and_norms(generators):

@@ -13,9 +13,12 @@ from hypothesis import given, strategies as st
 import eleech
 from eleech.rings import (
     Eis, Cyclo12, SqrtThree,
-    ONE, OMEGA, OMEGA2, THETA, UNITS, ZETA, XI, SQRT3_C, I_C,
+    ONE, OMEGA, OMEGA2, THETA, UNITS, XI, SQRT3_C,
     eis_gcd, unit_name, unit_from_name, cyclo12_abs_sq, power, round_half_even, sqrt3_sign,
 )
+
+ZETA = Cyclo12(0, 1, 0, 0)     # e^{pi i/6}
+I_C = Cyclo12(0, 0, 0, 1)      # zeta^3 = i
 
 
 def test_unit_group_identities():
@@ -130,7 +133,6 @@ def test_eisenstein_embedding_homomorphism():
         assert Cyclo12.from_eis(x + y) == Cyclo12.from_eis(x) + Cyclo12.from_eis(y)
         assert Cyclo12.from_eis(x * y) == Cyclo12.from_eis(x) * Cyclo12.from_eis(y)
         assert Cyclo12.from_eis(x.conj()) == Cyclo12.from_eis(x).conj()
-        assert Cyclo12.from_eis(x).to_eis() == x
 
 
 def test_cyclo12_conj_involution():
