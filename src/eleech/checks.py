@@ -98,8 +98,7 @@ def _codes(ctx):
 
 def diagram_check_lines(d):
     """The exact identities of the 26-root diagram (the diagram entry)."""
-    c = d.constants()
-    adj = d.adjacency()
+    adj = d.adjacency
     return _flags([
         ("norms", all(d.form.ip(n.root, n.root) == Eis(-3, 0) for n in d.nodes)),
         ("adjacency_equals_incidence", all(
@@ -113,11 +112,11 @@ def diagram_check_lines(d):
             for l in d.lines
             if adj[p.index][l.index]
         )),
-        ("w_p_norm_3", d.form.ip(c.w_p, c.w_p) == Eis(3, 0)),
-        ("ip_wp_wl", d.form.ip(c.w_p, c.w_l) == Eis(-4, 0) * THETA * OMEGA),
-        ("disc_F_39", c.fixed_lattice().discriminant() == 39),
-        ("rho_norm", d.form.ip12(c.rho_hat, c.rho_hat).to_sqrt3() == SqrtThree(-78, 104)),
-        ("ip_wp_rho", d.form.ip12(c.w_p, c.rho_hat).to_sqrt3() == SqrtThree(0, 13)),
+        ("w_p_norm_3", d.form.ip(d.w_p, d.w_p) == Eis(3, 0)),
+        ("ip_wp_wl", d.form.ip(d.w_p, d.w_l) == Eis(-4, 0) * THETA * OMEGA),
+        ("disc_F_39", d.fixed_lattice().discriminant() == 39),
+        ("rho_norm", d.form.ip12(d.rho_hat, d.rho_hat).to_sqrt3() == SqrtThree(-78, 104)),
+        ("ip_wp_rho", d.form.ip12(d.w_p, d.rho_hat).to_sqrt3() == SqrtThree(0, 13)),
         ("heights_one", all(d.height_sq(n.root) == NODE_HEIGHT_SQ for n in d.nodes)),
         ("linear_relations", d.verify_linear_relations()),
     ])
@@ -229,7 +228,7 @@ def _braid_relations(ctx):
     relation holds on L iff it holds on the span, where in the basis
     (r_i, r_j) the two reflections are 2x2 matrices."""
     d = ctx.diagram
-    g, adj = d.gram(), d.adjacency()
+    g, adj = d.gram, d.adjacency
 
     def coeff(x):  # phi_i(v) = v + coeff(<r_i, v>) r_i
         return ((ONE - OMEGA) * x).exact_div(Eis(3, 0))

@@ -20,27 +20,27 @@ def main(argv=None) -> int:
         description="Exact machinery for the Lorentzian Eisenstein Leech "
         "lattice, its 26-root diagram and reflection group.",
     )
-    sub = parser.add_subparsers(dest="cmd")
+    sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_codes = sub.add_parser("codes", help="ternary/binary code utilities")
-    sub_codes = p_codes.add_subparsers(dest="sub")
+    sub_codes = p_codes.add_subparsers(dest="sub", required=True)
     p_dump = sub_codes.add_parser("dump", help="emit the word list")
     p_dump.add_argument("--code", choices=("c4", "c12", "c24"), required=True)
 
     p_lat = sub.add_parser("lattice", help="lattice shells")
-    sub_lat = p_lat.add_subparsers(dest="sub")
+    sub_lat = p_lat.add_subparsers(dest="sub", required=True)
     p_shell = sub_lat.add_parser("shell", help="enumerate a shell")
     p_shell.add_argument("--lattice", choices=("leech", "e8"), required=True)
     p_shell.add_argument("--norm", type=int, required=True)
     p_shell.add_argument("--out", default=None)
 
     p_diag = sub.add_parser("diagram", help="the 26-root diagram")
-    sub_diag = p_diag.add_subparsers(dest="sub")
+    sub_diag = p_diag.add_subparsers(dest="sub", required=True)
     sub_diag.add_parser("dump", help="emit the 26 roots and incidence")
     sub_diag.add_parser("check", help="run all exact diagram identities")
 
     p_isom = sub.add_parser("isom", help="the explicit isomorphism")
-    sub_isom = p_isom.add_subparsers(dest="sub")
+    sub_isom = p_isom.add_subparsers(dest="sub", required=True)
     p_iv = sub_isom.add_parser("verify", help="verify E1/E2 and emit C")
     p_iv.add_argument("--e1", default=None, help="E1 matrix file (default: shipped)")
     p_iv.add_argument("--e2", default=None, help="E2 matrix file (default: built in)")
@@ -49,7 +49,7 @@ def main(argv=None) -> int:
     p_is.add_argument("--shell", default=None, help="shell file (default: computed)")
 
     p_red = sub.add_parser("reduce", help="height-reduction certificates")
-    sub_red = p_red.add_subparsers(dest="sub")
+    sub_red = p_red.add_subparsers(dest="sub", required=True)
     p_rr = sub_red.add_parser("run", help="certify generators")
     p_rr.add_argument("--all", action="store_true", help="ignored; all 50 are always written")
     p_rr.add_argument("--out", default="certificates")
@@ -57,7 +57,7 @@ def main(argv=None) -> int:
     p_rc.add_argument("dir")
 
     p_rel = sub.add_parser("relations", help="spider / deflation / Coxeter table")
-    sub_rel = p_rel.add_subparsers(dest="sub")
+    sub_rel = p_rel.add_subparsers(dest="sub", required=True)
     sub_rel.add_parser("verify")
 
     sub.add_parser("verify-all", help="every verification at once")
@@ -65,22 +65,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     from .textio import InputError
 
-    if args.cmd is None:
-        parser.print_help()
-        return 2
-    try:
-        handler = {
-            "codes": _cmd_codes,
-            "lattice": _cmd_lattice,
-            "diagram": _cmd_diagram,
-            "isom": _cmd_isom,
-            "reduce": _cmd_reduce,
-            "relations": _cmd_relations,
-            "verify-all": _cmd_verify_all,
-        }[args.cmd]
-    except KeyError:
-        print(f"unknown subcommand: {args.cmd}", file=sys.stderr)
-        return 2
+    handler = {
+        "codes": _cmd_codes,
+        "lattice": _cmd_lattice,
+        "diagram": _cmd_diagram,
+        "isom": _cmd_isom,
+        "reduce": _cmd_reduce,
+        "relations": _cmd_relations,
+        "verify-all": _cmd_verify_all,
+    }[args.cmd]
     try:
         return handler(args)
     # a missing, undecodable or malformed input, an unwritable output
@@ -97,9 +90,6 @@ def _report(lines, passed: bool) -> int:
 
 
 def _cmd_codes(args) -> int:
-    if args.sub != "dump":
-        print("usage: eleech codes dump --code {c4,c12,c24}", file=sys.stderr)
-        return 2
     from .codes import tetracode, golay12, qr_code
 
     code = {"c4": tetracode, "c12": golay12, "c24": lambda: qr_code(23)}[args.code]()
@@ -109,9 +99,6 @@ def _cmd_codes(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    if args.sub != "shell":
-        print("usage: eleech lattice shell ...", file=sys.stderr)
-        return 2
     from . import lattices
     from .textio import format_vector
 
@@ -148,16 +135,13 @@ def _cmd_diagram(args) -> int:
         for node in d.nodes:
             print(f"{node.name} [{node.kind}] {format_vector(node.root)}")
         print("incidence:")
-        adj = d.adjacency()
+        adj = d.adjacency
         for i in range(26):
             print("".join("1" if adj[i][j] else "." for j in range(26)))
         return 0
-    if args.sub == "check":
-        from . import checks
+    from . import checks
 
-        return _report(*checks.run(checks.names("diagram"), checks.Context(diagram=d)))
-    print("usage: eleech diagram {dump,check}", file=sys.stderr)
-    return 2
+    return _report(*checks.run(checks.names("diagram"), checks.Context(diagram=d)))
 
 
 def diagram_check_lines(d):
@@ -194,30 +178,27 @@ def _cmd_isom(args) -> int:
         else:
             sys.stdout.write(text)
         return _report(out_lines, True)
-    if args.sub == "search":
-        from . import lattices
+    from . import lattices
 
-        def first_shell(v):  # a norm -6 Leech vector
-            return (lattices.flat_norm6(lattices.to_flat(v))
-                    and lattices.leech_contains(v) is not None)
+    def first_shell(v):  # a norm -6 Leech vector
+        return (lattices.flat_norm6(lattices.to_flat(v))
+                and lattices.leech_contains(v) is not None)
 
-        if args.shell:
-            rows = read_matrix(args.shell, 12, first_shell)
-            shell = [lattices.to_flat(r) for r in rows]
-        else:
-            shell = lattices.first_shell_by_shapes()
-        res = iso.run_search(shell, iso.e2_matrix(d), log=lambda *a: print(*a))
-        if res is None:
-            return _report([("error", "no simplex of the shell gives 8 candidates")], False)
-        return _report(
-            [
-                ("candidate_count", res.candidate_count),
-                ("gram_matches_e2", "ok"),
-            ],
-            res.candidate_count == 8,
-        )
-    print("usage: eleech isom {verify,search}", file=sys.stderr)
-    return 2
+    if args.shell:
+        rows = read_matrix(args.shell, 12, first_shell)
+        shell = [lattices.to_flat(r) for r in rows]
+    else:
+        shell = lattices.first_shell_by_shapes()
+    res = iso.run_search(shell, iso.e2_matrix(d), log=lambda *a: print(*a))
+    if res is None:
+        return _report([("error", "no simplex of the shell gives 8 candidates")], False)
+    return _report(
+        [
+            ("candidate_count", res.candidate_count),
+            ("gram_matches_e2", "ok"),
+        ],
+        res.candidate_count == 8,
+    )
 
 
 def _cmd_reduce(args) -> int:
@@ -238,39 +219,33 @@ def _cmd_reduce(args) -> int:
             ("out", args.out),
         ]
         return _report(lines, max(c.perturbation_count() for c in certs) <= 1)
-    if args.sub == "check":
-        names = sorted(
-            n for n in os.listdir(args.dir) if n.endswith(".cert")
-        )
-        if not names:
-            print(f"no certificates in {args.dir}", file=sys.stderr)
-            return 2
-        d, gens = ctx.diagram, ctx.generators
-        bad = []
-        for n in names:
-            try:
-                cert = ReductionCertificate.parse(read_text(os.path.join(args.dir, n)))
-            except ValueError:  # malformed, or not text (InputError)
-                bad.append(n)
-                continue
-            # gNN.cert certifies generator NN
-            m = re.fullmatch(r"g(\d\d)\.cert", n)
-            j = int(m.group(1)) if m else 0
-            if not (1 <= j <= len(gens) and cert.target == gens[j - 1]
-                    and check_certificate(cert, d, gens)):
-                bad.append(n)
-        lines = [("checked", len(names)), ("failures", len(bad))]
-        for n in bad:
-            lines.append(("bad", n))
-        return _report(lines, not bad)
-    print("usage: eleech reduce {run,check}", file=sys.stderr)
-    return 2
+    names = sorted(
+        n for n in os.listdir(args.dir) if n.endswith(".cert")
+    )
+    if not names:
+        print(f"no certificates in {args.dir}", file=sys.stderr)
+        return 2
+    d, gens = ctx.diagram, ctx.generators
+    bad = []
+    for n in names:
+        try:
+            cert = ReductionCertificate.parse(read_text(os.path.join(args.dir, n)))
+        except ValueError:  # malformed, or not text (InputError)
+            bad.append(n)
+            continue
+        # gNN.cert certifies generator NN
+        m = re.fullmatch(r"g(\d\d)\.cert", n)
+        j = int(m.group(1)) if m else 0
+        if not (1 <= j <= len(gens) and cert.target == gens[j - 1]
+                and check_certificate(cert, d, gens)):
+            bad.append(n)
+    lines = [("checked", len(names)), ("failures", len(bad))]
+    for n in bad:
+        lines.append(("bad", n))
+    return _report(lines, not bad)
 
 
 def _cmd_relations(args) -> int:
-    if args.sub != "verify":
-        print("usage: eleech relations verify", file=sys.stderr)
-        return 2
     from . import checks
 
     return _report(*checks.run(checks.names("relations"), checks.Context()))

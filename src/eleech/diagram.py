@@ -14,7 +14,7 @@ NODE_HEIGHT_SQ on the node roots.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import product
 from operator import mul
 
@@ -176,31 +176,24 @@ class Diagram:
             for l in self.lines
         }
         self._line_through = {pts: i for i, pts in self._line_points.items()}
-        self._adj = None
-        self._gram = None
-        self._basis = None
-        self._constants = None
-        self._kernel = None
 
-    # -- adjacency ---------------------------------------------------------
+    # -- derived data, each built on first use and then kept -------------------
 
+    @cached_property
     def gram(self):
-        if self._gram is None:
-            self._gram = gram_of([n.root for n in self.nodes], self.form)
-        return self._gram
+        return gram_of([n.root for n in self.nodes], self.form)
 
+    @cached_property
     def adjacency(self):
         """26x26 boolean matrix: |<r_i, r_j>|^2 = 3."""
-        if self._adj is None:
-            g = self.gram()
-            self._adj = tuple(
-                tuple(i != j and g[i][j].norm() == 3 for j in range(26))
-                for i in range(26)
-            )
-        return self._adj
+        g = self.gram
+        return tuple(
+            tuple(i != j and g[i][j].norm() == 3 for j in range(26))
+            for i in range(26)
+        )
 
     def neighbors(self, idx):
-        return [j for j in range(26) if self.adjacency()[idx][j]]
+        return [j for j in range(26) if self.adjacency[idx][j]]
 
     def relation_sum(self, node):
         """c r + the sum of the roots adjacent to the node's root r, with
@@ -210,28 +203,55 @@ class Diagram:
         return reduce(vec_add, (self.nodes[j].root for j in self.neighbors(node.index)),
                       vec_scale(c, node.root))
 
+    @cached_property
+    def w_p(self):
+        return self.relation_sum(self.lines[0])
+
+    @cached_property
+    def w_l(self):
+        return self.relation_sum(self.points[0])
+
+    @cached_property
+    def sigma_p(self):
+        return reduce(vec_add, (p.root for p in self.points))
+
+    @cached_property
+    def sigma_l(self):
+        return reduce(vec_add, (l.root for l in self.lines))
+
+    @cached_property
+    def rho_hat(self):
+        return tuple(p + XI * l for p, l in zip(self.sigma_p, self.sigma_l))
+
+    @cached_property
+    def rho_hat_minus(self):
+        return tuple(p - XI * l for p, l in zip(self.sigma_p, self.sigma_l))
+
+    @cached_property
+    def rho_row(self):
+        """The form row of rho_hat: four int rows, one per Z[zeta_12] coordinate."""
+        return self.form.row(self.rho_hat)
+
+    def fixed_lattice(self):
+        return HermitianLattice((self.w_p, self.w_l), self.form.ip)
+
     def node_of(self, v):
         """(index, unit) with v == unit * (root of node index), or None
         when v is no unit multiple of a node root."""
         return self._by_root.get(to_flat(v))
 
+    @cached_property
     def node_kernel(self) -> NodeKernel:
-        """The integer kernel for chains of node reflections, built on
-        first use from the Gram matrix and rho_hat."""
-        if self._kernel is None:
-            self._kernel = NodeKernel(self.form, [n.root for n in self.nodes],
-                                      self.gram(), self.constants().rho_hat)
-        return self._kernel
+        """The integer kernel for chains of node reflections."""
+        return NodeKernel(self.form, [n.root for n in self.nodes], self.gram, self.rho_hat)
 
     # -- node-root basis ---------------------------------------------------
 
+    @cached_property
     def root_basis(self):
-        """(nodes, (adj, d)): 14 nodes whose roots form a Q(w)-basis, and
+        """(indices, (adj, d)): 14 nodes whose roots form a Q(w)-basis, and
         the ``mat_inverse`` of the matrix with those roots as columns."""
-        if self._basis is None:
-            picked, inverse = spanning_basis([n.root for n in self.nodes])
-            self._basis = (tuple(self.nodes[i] for i in picked), inverse)
-        return self._basis
+        return spanning_basis([n.root for n in self.nodes])
 
     def aut_from_node_images(self, image):
         """The lattice map sending node root i to image(i) (an exact vector).
@@ -239,11 +259,10 @@ class Diagram:
         image: callable index -> coordinate vector.  The map is solved on
         the cached root basis and then verified on all 26 roots.
         """
-        chosen, inverse = self.root_basis()
         return aut_from_images(
             [n.root for n in self.nodes],
             [tuple(image(n.index)) for n in self.nodes],
-            ([n.index for n in chosen], inverse),
+            self.root_basis,
         )
 
     # -- diagram automorphisms ----------------------------------------------
@@ -282,13 +301,6 @@ class Diagram:
 
         return self.aut_from_node_images(image)
 
-    # -- constants -----------------------------------------------------------
-
-    def constants(self):
-        if self._constants is None:
-            self._constants = DiagramConstants(self)
-        return self._constants
-
     def verify_linear_relations(self) -> bool:
         """sqrt3 rho_i + Sigma_i is one fixed vector over the lines (w_P)
         and one fixed vector over the points (xi w_L), exactly: on a point
@@ -298,8 +310,7 @@ class Diagram:
         The twelve independent differences of these relations generate all
         linear relations among the 26 roots.
         """
-        c = self.constants()
-        return all(self.relation_sum(n) == (c.w_p if n.kind == "line" else c.w_l)
+        return all(self.relation_sum(n) == (self.w_p if n.kind == "line" else self.w_l)
                    for n in self.nodes)
 
     def rho_vec(self, idx):
@@ -310,33 +321,15 @@ class Diagram:
     def height_sq(self, r) -> SqrtThree:
         """|<rho_hat, r>|^2 in Z[sqrt 3]: ht(r)^2 = height_sq(r) / (4 sqrt3 - 3)^2,
         so ht(r) <= 1 exactly when height_sq(r) <= NODE_HEIGHT_SQ."""
-        return SqrtThree(*height_pair(self.constants().rho_row, to_flat(r)))
+        return SqrtThree(*height_pair(self.rho_row, to_flat(r)))
 
 
 def height_pair(rho_row, flat):
     """|<rho_hat, y>|^2 = p + q sqrt 3 as the int pair (p, q), for y given by
-    its flat ints and rho_row = ``DiagramConstants.rho_row``.  The form of
+    its flat ints and rho_row = ``Diagram.rho_row``.  The form of
     3E8+H has den 1, so each row dot product is one coordinate of
     <rho_hat, y>."""
     return cyclo12_abs_sq([sum(map(mul, r, flat)) for r in rho_row])
-
-
-class DiagramConstants:
-    """w_P, w_L, the sums Sigma_P / Sigma_L, and the Weyl representatives."""
-
-    def __init__(self, diagram: Diagram):
-        self.w_p = diagram.relation_sum(diagram.lines[0])
-        self.w_l = diagram.relation_sum(diagram.points[0])
-        self.sigma_p = reduce(vec_add, (p.root for p in diagram.points))
-        self.sigma_l = reduce(vec_add, (l.root for l in diagram.lines))
-        self.rho_hat = tuple(p + XI * l for p, l in zip(self.sigma_p, self.sigma_l))
-        self.rho_hat_minus = tuple(p - XI * l for p, l in zip(self.sigma_p, self.sigma_l))
-        #: the form row of rho_hat: four int rows, one per Z[zeta_12] coordinate
-        self.rho_row = diagram.form.row(self.rho_hat)
-        self.form = diagram.form
-
-    def fixed_lattice(self):
-        return HermitianLattice((self.w_p, self.w_l), self.form.ip)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +366,8 @@ def local_max_probe(diagram, samples=1000, eps=1e-4, tol=1e-9, seed=0):
     import random as _random
 
     rng = _random.Random(seed)
-    rho = _to_complex_vec(diagram.constants().rho_hat)
-    rho_m = _to_complex_vec(diagram.constants().rho_hat_minus)
+    rho = _to_complex_vec(diagram.rho_hat)
+    rho_m = _to_complex_vec(diagram.rho_hat_minus)
     mirrors = [_to_complex_vec(n.root) for n in diagram.nodes]
 
     def dists(x):
@@ -429,8 +422,7 @@ def weyl_second_order_sign(diagram) -> int:
     n_minus = SqrtThree(-78, -104)
     # orthogonality of the two Weyl representatives makes the cross terms
     # vanish; check it rather than assume it
-    c = diagram.constants()
-    if diagram.form.ip12(c.rho_hat, c.rho_hat_minus):
+    if diagram.form.ip12(diagram.rho_hat, diagram.rho_hat_minus):
         raise ValueError("the two Weyl representatives are not orthogonal")
     return (b * b * n_plus - a * a * n_minus).sign()
 

@@ -55,9 +55,7 @@ RHO_NULL = (ZERO,) * 12 + (ZERO, ONE)      # (0^12; 0, 1)
 def translate(lam, v):
     """T_{lambda, z}(v) for v = (mu; alpha, beta) in Leech+H, at the least
     admissible z = theta * z2 / 2, z2 = |lambda|^2 mod 2."""
-    n = leech_ip(lam, lam)
-    if n.b != 0:
-        raise ValueError("lambda norm not real")
+    n = leech_ip(lam, lam)  # real: -1/3 of a sum of norms
     m3, r = divmod(n.a, 3)
     if r:
         raise ValueError("lambda norm is not a multiple of 3; not a Leech vector")
@@ -213,7 +211,7 @@ class HeightReducer:
     def __init__(self, diagram):
         self.diagram = diagram
         self.form = diagram.form
-        self.kernel = diagram.node_kernel()
+        self.kernel = diagram.node_kernel
 
     def reduce(self, y0, perturb_sources=(), max_perturb=1):
         """A certificate for y0, or None when stuck beyond the policy.
@@ -310,7 +308,7 @@ def check_certificate(cert, diagram, generators) -> bool:
         # the row and the nonzero coordinates of r as (flat index, a, b)
         mirrors[key] = row, tuple((i, flat[i], flat[i + 1]) for i in range(0, len(flat), 2)
                                   if flat[i] or flat[i + 1])
-    rho_row = diagram.constants().rho_row
+    rho_row = diagram.rho_row
     y = list(to_flat(y))
     last = height_pair(rho_row, y)
     for kind, k, eps_name in cert.steps:
@@ -586,7 +584,7 @@ def _expand_positions(diagram, points, s, big_units, small_units):
         for p, row in enumerate(rows):
             index.setdefault(tuple(-x % 3 for x in row), []).append(p)
         tables[t] = rows, index
-    start = to_flat(s * y for y in diagram.constants().w_p)
+    start = to_flat(s * y for y in diagram.w_p)
     sums = []
     for order in set(permutations(values)):
         _walk([tables[t] for t in order], 0, start, sums)

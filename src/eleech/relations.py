@@ -157,7 +157,7 @@ def deflate_unit(diagram, gon_roots):
     node kernel, then a comparison with u times the column of y12; equal
     pairings mean equal vectors.
     """
-    kernel = diagram.node_kernel()
+    kernel = diagram.node_kernel
     hits = [diagram.node_of(r) for r in gon_roots]
     if None in hits:
         raise ValueError("a 12-gon root is no unit multiple of a node root")
@@ -289,7 +289,7 @@ def free_embeddings(diagram, name, limit=None):
     n, edges = dynkin_edges(name)
     nodes = [diagram.by_name[m] for m in M666_NODES]
     idxs = [m.index for m in nodes]
-    adj = diagram.adjacency()
+    adj = diagram.adjacency
     eset = {(a, b) for a, b in edges} | {(b, a) for a, b in edges}
     out = []
 

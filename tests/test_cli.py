@@ -1,8 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import eleech
 from eleech.cli import main
 
 
@@ -12,8 +16,23 @@ def test_unknown_subcommand_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_no_subcommand_is_usage_error():
-    assert main([]) == 2
+@pytest.mark.parametrize("argv", [[], ["codes"], ["lattice"], ["diagram"], ["isom"],
+                                  ["reduce"], ["relations"]],
+                         ids=["none", "codes", "lattice", "diagram", "isom", "reduce", "relations"])
+def test_missing_subcommand_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: eleech")
+    if argv == ["relations"]:  # and so from the shell
+        src = str(Path(eleech.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-m", "eleech.cli", *argv], capture_output=True,
+                             text=True, env=env, timeout=60)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr.startswith("usage: eleech")
 
 
 def test_codes_dump_c4(capsys):
@@ -230,11 +249,6 @@ def test_bad_labeling_is_an_error(edit, tmp_path, monkeypatch, capsys):
     assert main(["verify-all"]) == 1
     out = capsys.readouterr().out
     assert "codes: ok\ndiagram: FAIL\nerror: diagram: InputError: plane_labeling.txt: " in out
-
-
-def test_relations_without_subcommand_is_usage_error(capsys):
-    assert main(["relations"]) == 2
-    assert capsys.readouterr().out == ""
 
 
 #: sha256 of each of the 50 certificates, pinned when they were first written

@@ -9,11 +9,11 @@ from eleech.rings import (
 from eleech import diagram as diagram_module
 from eleech.cli import main
 from eleech.diagram import (
-    NODE_HEIGHT_SQ, PLANE, presentation_generators, plane_permutation, orbit,
+    NODE_HEIGHT_SQ, PLANE, Diagram, presentation_generators, plane_permutation, orbit,
     local_max_probe, _dot3,
 )
 from eleech.reflections import reflect
-from eleech.linalg import FORM_E8H
+from eleech.linalg import FORM_E8H, LorentzForm
 
 MINUS3 = Eis(-3, 0)
 
@@ -33,8 +33,25 @@ def test_every_node_has_four_neighbors(diagram):
         assert len(diagram.neighbors(n.index)) == 4
 
 
+def test_derived_data_are_built_once_on_first_use(monkeypatch):
+    """A new Diagram pairs no roots; its first Gram matrix pairs all 26^2,
+    and a derived value read again is the kept one, with no pairing."""
+    calls = []
+    ip = LorentzForm.ip
+    monkeypatch.setattr(LorentzForm, "ip", lambda self, u, v: calls.append(1) or ip(self, u, v))
+    d = Diagram()
+    assert len(calls) == 0
+    d.gram
+    assert len(calls) == 676
+    names = ("gram", "adjacency", "rho_row", "root_basis", "node_kernel")
+    first = {name: getattr(d, name) for name in names}
+    calls.clear()
+    assert all(getattr(d, name) is first[name] for name in names)
+    assert calls == []
+
+
 def test_adjacency_is_projective_incidence(diagram):
-    adj = diagram.adjacency()
+    adj = diagram.adjacency
     for p in diagram.points:
         for l in diagram.lines:
             inc = _dot3(l.triple, p.triple) == 0
@@ -52,7 +69,7 @@ def test_m666_subdiagram_edges(diagram):
     for i in (1, 2, 3):
         chain = ["a", f"b{i}", f"c{i}", f"d{i}", f"e{i}", f"f{i}"]
         expected |= {frozenset(p) for p in zip(chain, chain[1:])}
-    adj = diagram.adjacency()
+    adj = diagram.adjacency
     got = {
         frozenset((x, y))
         for x in names
@@ -63,7 +80,7 @@ def test_m666_subdiagram_edges(diagram):
 
 
 def test_uniform_edge_inner_product(diagram):
-    adj = diagram.adjacency()
+    adj = diagram.adjacency
     for p in diagram.points:
         for l in diagram.lines:
             if adj[p.index][l.index]:
@@ -72,8 +89,7 @@ def test_uniform_edge_inner_product(diagram):
 
 def test_linear_relations_lines_give_w_p(diagram):
     """sqrt3 rho_i + Sigma_i = w_P for every line (exactly)."""
-    c = diagram.constants()
-    adj = diagram.adjacency()
+    adj = diagram.adjacency
     for l in diagram.lines:
         s = tuple(
             (OMEGA2 * THETA) * x for x in l.root
@@ -81,14 +97,13 @@ def test_linear_relations_lines_give_w_p(diagram):
         for p in diagram.points:
             if adj[l.index][p.index]:
                 s = tuple(a + b for a, b in zip(s, p.root))
-        assert s == c.w_p
+        assert s == diagram.w_p
 
 
 def test_linear_relations_points_give_xi_w_l(diagram):
     """sqrt3 rho_i + Sigma_i = xi w_L for every point, in Z[zeta_12]."""
-    c = diagram.constants()
-    adj = diagram.adjacency()
-    want = tuple(XI * Cyclo12.from_eis(x) for x in c.w_l)
+    adj = diagram.adjacency
+    want = tuple(XI * Cyclo12.from_eis(x) for x in diagram.w_l)
     for p in diagram.points:
         s = tuple(SQRT3_C * Cyclo12.from_eis(x) for x in p.root)
         for l in diagram.lines:
@@ -98,66 +113,61 @@ def test_linear_relations_points_give_xi_w_l(diagram):
 
 
 def test_w_vectors_exact_identities(diagram):
-    c = diagram.constants()
     form = diagram.form
-    assert form.ip(c.w_p, c.w_p) == Eis(3, 0)
-    assert form.ip(c.w_l, c.w_l) == Eis(3, 0)
-    assert form.ip(c.w_p, c.w_l) == Eis(-4, 0) * THETA * OMEGA
-    assert c.fixed_lattice().discriminant() == 39
+    assert form.ip(diagram.w_p, diagram.w_p) == Eis(3, 0)
+    assert form.ip(diagram.w_l, diagram.w_l) == Eis(3, 0)
+    assert form.ip(diagram.w_p, diagram.w_l) == Eis(-4, 0) * THETA * OMEGA
+    assert diagram.fixed_lattice().discriminant() == 39
     for p in diagram.points:
-        assert form.ip(c.w_p, p.root) == ZERO
+        assert form.ip(diagram.w_p, p.root) == ZERO
     for l in diagram.lines:
-        assert form.ip(c.w_l, l.root) == ZERO
+        assert form.ip(diagram.w_l, l.root) == ZERO
 
 
 def test_w_coordinate_variants_are_unit_multiples(diagram):
     """The familiar alternative coordinates for the fixed vectors are w
     times the sum-normalized ones used here; our normalization is the one
     that pairs with the Weyl vector to a positive real (sqrt3/2 scaled)."""
-    c = diagram.constants()
     wp_variant = tuple(
         list((ZERO, ZERO, THETA, Eis(-2, 0) * THETA)) * 3
     ) + (Eis(-4, -4), Eis(4, 0))
     wl_variant = tuple(
         list((OMEGA, OMEGA, Eis(0, 2), Eis(0, -3))) * 3
     ) + (Eis(-2, -5), Eis(-2, 0) * THETA * OMEGA)
-    assert tuple(OMEGA * x for x in c.w_p) == wp_variant
-    assert tuple(OMEGA * x for x in c.w_l) == wl_variant
+    assert tuple(OMEGA * x for x in diagram.w_p) == wp_variant
+    assert tuple(OMEGA * x for x in diagram.w_l) == wl_variant
 
 
 def test_sigma_sums_have_expected_coordinates(diagram):
-    c = diagram.constants()
     sp = tuple(
         list(tuple((-THETA * OMEGA2) * x for x in (ONE, ONE, Eis(-2, 0), Eis(5, 0)))) * 3
     ) + (Eis(1, 9), Eis(10, 0) * OMEGA2)
     sl = tuple(list((Eis(4, 0), Eis(4, 0), Eis(5, 0), Eis(-6, 0))) * 3) + (
         Eis(-8, 4), Eis(-4, 0) * THETA,
     )
-    assert c.sigma_p == sp
-    assert c.sigma_l == sl
+    assert diagram.sigma_p == sp
+    assert diagram.sigma_l == sl
 
 
 def test_weyl_vector_identities(diagram):
-    c = diagram.constants()
     form = diagram.form
-    assert form.ip12(c.rho_hat, c.rho_hat).to_sqrt3() == SqrtThree(-78, 104)
-    assert form.ip12(c.w_p, c.rho_hat).to_sqrt3() == SqrtThree(0, 13)
+    assert form.ip12(diagram.rho_hat, diagram.rho_hat).to_sqrt3() == SqrtThree(-78, 104)
+    assert form.ip12(diagram.w_p, diagram.rho_hat).to_sqrt3() == SqrtThree(0, 13)
     for i in range(26):
-        assert form.ip12(c.rho_hat, diagram.rho_vec(i)).to_sqrt3() == SqrtThree(-3, 4)
-    assert form.ip12(c.rho_hat_minus, c.rho_hat_minus).to_sqrt3() == SqrtThree(-78, -104)
+        assert form.ip12(diagram.rho_hat, diagram.rho_vec(i)).to_sqrt3() == SqrtThree(-3, 4)
+    assert form.ip12(diagram.rho_hat_minus, diagram.rho_hat_minus).to_sqrt3() == SqrtThree(-78, -104)
     for i in range(26):
-        val = form.ip12(c.rho_hat_minus, diagram.rho_vec(i)).to_sqrt3()
+        val = form.ip12(diagram.rho_hat_minus, diagram.rho_vec(i)).to_sqrt3()
         want = SqrtThree(-3, -4) if diagram.nodes[i].kind == "point" else SqrtThree(3, 4)
         assert val == want
 
 
 def test_weyl_vector_alternative_form(diagram):
     """(4 + sqrt3) rho_hat = 13 (w_P + xi w_L)."""
-    c = diagram.constants()
-    lhs = tuple((SQRT3_C + Cyclo12(4)) * x for x in c.rho_hat)
+    lhs = tuple((SQRT3_C + Cyclo12(4)) * x for x in diagram.rho_hat)
     rhs = tuple(
         Cyclo12(13) * (Cyclo12.from_eis(p) + XI * Cyclo12.from_eis(l))
-        for p, l in zip(c.w_p, c.w_l)
+        for p, l in zip(diagram.w_p, diagram.w_l)
     )
     assert lhs == rhs
 
@@ -174,7 +184,7 @@ def test_heights_of_nodes_are_one(diagram):
 def test_height_sq_matches_the_pairing(diagram, v):
     """The height read off rho_hat's form row is |<rho_hat, v>|^2 of the
     Z[zeta_12] pairing."""
-    rho_hat = diagram.constants().rho_hat
+    rho_hat = diagram.rho_hat
     assert diagram.height_sq(v) == diagram.form.ip12(rho_hat, v).abs_sq()
 
 
@@ -206,10 +216,9 @@ def test_sigma_properties(diagram):
     assert (s @ s).scalar() == -OMEGA
     assert (s ** 12).is_identity()
     assert not (s ** 6).is_identity()
-    c = diagram.constants()
-    assert s.apply(c.sigma_p) == tuple(-OMEGA * x for x in c.sigma_l)
-    assert s.apply(c.sigma_l) == c.sigma_p
-    assert s.apply(c.rho_hat) == tuple(XI * x for x in c.rho_hat)
+    assert s.apply(diagram.sigma_p) == tuple(-OMEGA * x for x in diagram.sigma_l)
+    assert s.apply(diagram.sigma_l) == diagram.sigma_p
+    assert s.apply(diagram.rho_hat) == tuple(XI * x for x in diagram.rho_hat)
 
 
 def test_g_action_identity(diagram):
@@ -278,11 +287,10 @@ def test_form_preservation_of_g_and_sigma(diagram):
 
 def test_g_fixes_weyl_data(diagram):
     x, y = presentation_generators()
-    c = diagram.constants()
     for aut in (diagram.g_action(x), diagram.g_action(y)):
-        assert aut.apply(c.w_p) == c.w_p
-        assert aut.apply(c.w_l) == c.w_l
-        assert aut.apply(c.rho_hat) == c.rho_hat
+        assert aut.apply(diagram.w_p) == diagram.w_p
+        assert aut.apply(diagram.w_l) == diagram.w_l
+        assert aut.apply(diagram.rho_hat) == diagram.rho_hat
 
 
 def test_fixed_lattice_primitive(diagram):
@@ -292,10 +300,9 @@ def test_fixed_lattice_primitive(diagram):
     from eleech.linalg import mat_inverse, mat_vec
     from eleech.rings import eis_gcd
 
-    c = diagram.constants()
     L = lattice_3e8_h()
     adj, d = mat_inverse(tuple(zip(*L.basis)))
-    rows = [[x.exact_div(d) for x in mat_vec(adj, w)] for w in (c.w_p, c.w_l)]
+    rows = [[x.exact_div(d) for x in mat_vec(adj, w)] for w in (diagram.w_p, diagram.w_l)]
     d1 = ZERO
     for row in rows:
         for x in row:

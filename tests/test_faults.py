@@ -52,6 +52,11 @@ def _coxeter_order_changed(monkeypatch, diagram):
     monkeypatch.setattr(relations, "COXETER_TABLE", {**relations.COXETER_TABLE, "E8": 30})
 
 
+def _spider_word_shortened(monkeypatch, diagram):
+    # a b1 c1 a b2 c2 a b3 has order 9, so its 20th power is not 1
+    monkeypatch.setattr(relations, "SPIDER", relations.SPIDER[:-1])
+
+
 def _move_root_a(monkeypatch, module, coord, shift):
     """``module.m666_from_e1prime`` returns root a with one coordinate moved."""
     m666 = isomorphism.m666_from_e1prime
@@ -100,6 +105,7 @@ FAULTS = {
     "leech_shell": _coset_search_misses_a_vector,
     "min_height": _walk_misses_a_root,
     "phi_flips": _m666_root_perturbed,
+    "spider": _spider_word_shortened,
 }
 
 

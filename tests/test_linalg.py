@@ -92,14 +92,14 @@ def test_charpoly_triangular():
 
 
 def test_basis_solbecause_roundtrip(diagram):
-    chosen, (adj, d) = diagram.root_basis()
+    chosen, (adj, d) = diagram.root_basis
     v = diagram.by_name["z2"].root
     # z2 is a Q(w)-combination of the chosen roots: d v is a Z[w] one
     t = mat_vec(adj, v)
     rebuilt = [ZERO] * 14
-    for c, node in zip(t, chosen):
+    for c, k in zip(t, chosen):
         for i in range(14):
-            rebuilt[i] = rebuilt[i] + c * node.root[i]
+            rebuilt[i] = rebuilt[i] + c * diagram.nodes[k].root[i]
     assert tuple(x.exact_div(d) for x in rebuilt) == v
 
 

@@ -37,6 +37,7 @@ UNREAD_ALLOWED = {
     "checks._codes(ctx)": "a registry entry is a function of the shared Context",
     "checks._lattices_fast(ctx)": "a registry entry is a function of the shared Context",
     "cli._cmd_verify_all(args)": "a subcommand handler takes the parsed arguments",
+    "cli._cmd_relations(args)": "a subcommand handler takes the parsed arguments",
 }
 
 

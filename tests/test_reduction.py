@@ -237,7 +237,7 @@ def _reference_check_certificate(cert, diagram, generators):
     """The replay as first written: one 14-coordinate ``reflect`` per step,
     and the height |<rho_hat, y>|^2 of the Z[zeta_12] pairing."""
     form = diagram.form
-    rho_hat = diagram.constants().rho_hat
+    rho_hat = diagram.rho_hat
     y = cert.target
     if not in_l_e8h(y) or form.ip(y, y) != Eis(-3, 0):
         return False
@@ -591,7 +591,7 @@ def _reference_expand_positions(diagram, points, s, big_units, small_units):
     lattice roots of height 1 or less.  3r is accumulated in Z[w]; r is
     integral exactly when every component of 3r is divisible by 3."""
     out = []
-    s_wp = [s * y for y in diagram.constants().w_p]
+    s_wp = [s * y for y in diagram.w_p]
     values = [Eis(3, 0) * u for u in big_units] + [THETA * u for u in small_units]
     k = len(values)
     distinct_orders = set(permutations(values))

@@ -63,7 +63,7 @@ def test_reflection_rejects_non_root(diagram):
 
 def test_adjacent_equals_braid_on_all_pairs(diagram):
     """The 14x14 cross-check of the braid_relations entry's 2x2 argument."""
-    adj = diagram.adjacency()
+    adj = diagram.adjacency
     phi = [word_matrix([(n.root, OMEGA)], diagram.form) for n in diagram.nodes]
     for i in range(26):
         for j in range(i + 1, 26):
@@ -78,15 +78,15 @@ def test_adjacent_equals_braid_on_all_pairs(diagram):
     (("a", "f"), lambda x: Eis(2, 0) * x, False),  # no longer an edge, but does not commute
     (("a", "c1"), lambda x: Eis(3, 0), False),     # degenerate span: 9 - N(3) = 0
 ], ids=["braid", "commute", "degenerate"])
-def test_braid_relations_fail_on_a_perturbed_gram_entry(monkeypatch, pair, entry, cache_adjacency):
+def test_braid_relations_fail_on_a_perturbed_gram_entry(pair, entry, cache_adjacency):
     d = Diagram()
     if cache_adjacency:
-        d.adjacency()
+        d.adjacency
     i, j = (d.by_name[name].index for name in pair)
-    gram = [list(row) for row in d.gram()]
+    gram = [list(row) for row in d.gram]
     gram[i][j] = entry(gram[i][j])
     gram[j][i] = gram[i][j].conj()
-    monkeypatch.setattr(d, "gram", lambda: tuple(map(tuple, gram)))
+    d.gram = tuple(map(tuple, gram))
     assert run(["braid_relations"], Context(diagram=d)) == ([("braid_relations", "FAIL")], False)
 
 
@@ -153,8 +153,8 @@ NODE_WORDS = st.lists(st.tuples(st.integers(0, 25), st.sampled_from(("w", "wbar"
 def test_node_chain_follows_reflect(diagram, generators, j, word):
     """Along a word of node reflections from a generator, the chain's
     pairings, <rho_hat, y> and y are those of the reflect chain."""
-    form, kernel = diagram.form, diagram.node_kernel()
-    rho_hat = diagram.constants().rho_hat
+    form, kernel = diagram.form, diagram.node_kernel
+    rho_hat = diagram.rho_hat
     y = generators[j]
     chain = NodeChain(kernel, y)
     for k, eps_name in word:
@@ -172,9 +172,9 @@ def test_node_chain_follows_reflect(diagram, generators, j, word):
 def test_node_chain_descends_to_first_strict_decrease(diagram, generators, j):
     """descend() takes the first (node, eps) in scan order whose reflect
     image has a strictly smaller |<rho_hat, .>|^2."""
-    form, rho_hat = diagram.form, diagram.constants().rho_hat
+    form, rho_hat = diagram.form, diagram.rho_hat
     y = generators[j]
-    chain = NodeChain(diagram.node_kernel(), y)
+    chain = NodeChain(diagram.node_kernel, y)
     height = form.ip12(rho_hat, y).abs_sq()
     want = None
     for k, n in enumerate(diagram.nodes):
@@ -193,15 +193,15 @@ def test_node_roots_share_one_height(diagram):
     """All 156 unit multiples of node roots have one |<rho_hat, .>|^2
     value, the only node height of the kernel; the reducer looks a vector
     up only at that height."""
-    form, rho_hat = diagram.form, diagram.constants().rho_hat
+    form, rho_hat = diagram.form, diagram.rho_hat
     heights = {form.ip12(rho_hat, tuple(u * x for x in n.root)).abs_sq()
                for n in diagram.nodes for u in UNITS}
     assert heights == {SqrtThree(57, -24)}
-    assert diagram.node_kernel().node_heights == {(57, -24)}
+    assert diagram.node_kernel.node_heights == {(57, -24)}
 
 
 def test_node_kernel_rejects_a_pairing_outside_theta(diagram):
-    q = diagram.node_kernel().column(0, OMEGA)
+    q = diagram.node_kernel.column(0, OMEGA)
     q[0] += 1
     with pytest.raises(ValueError):
-        diagram.node_kernel().reflect(q, 0, "w")
+        diagram.node_kernel.reflect(q, 0, "w")

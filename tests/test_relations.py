@@ -184,7 +184,7 @@ def test_embedding_is_induced(diagram):
 
     n, edges = dynkin_edges("E8")
     eset = {frozenset(e) for e in edges}
-    adj = diagram.adjacency()
+    adj = diagram.adjacency
     for i in range(n):
         for j in range(i + 1, n):
             assert adj[emb[i]][emb[j]] == (frozenset((i, j)) in eset)
