@@ -93,6 +93,8 @@ def _codes(ctx):
         ("c12_self_dual", c12.is_self_dual()),
         ("golay12_weights", we == {0: 1, 6: 264, 9: 440, 12: 24}),
         ("qr11_weights", qr_code(11).weight_enumerator() == we),
+        ("golay24_weights",
+         qr_code(23).weight_enumerator() == {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}),
     ])
 
 

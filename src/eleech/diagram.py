@@ -386,8 +386,8 @@ def local_max_probe(diagram, samples=1000, eps=1e-4, tol=1e-9, seed=0):
         x = [r + eps * vv for r, vv in zip(rho, v)]
         if min(dists(x)) > base_min + tol:
             increases += 1
-    # the direction i * rho_minus is the one place the first-order argument
-    # is silent; the exact second-order computation (see
+    # i * rho_minus lies in the 13-dimensional space where every first-order
+    # change vanishes; the exact second-order computation (see
     # weyl_second_order_sign) shows every mirror distance grows there.
     x = [r + eps * complex(0, 1) * m for r, m in zip(rho, rho_m)]
     special = dists(x)

@@ -401,9 +401,7 @@ def orthogonal_root_candidates(candidates, hand):
 
 
 class SearchResult:
-    def __init__(self, simplex, hands, basis_rows, candidate_count):
-        self.simplex = simplex
-        self.hands = hands
+    def __init__(self, basis_rows, candidate_count):
         self.basis_rows = basis_rows
         self.candidate_count = candidate_count
 
@@ -457,7 +455,7 @@ def run_search(shell, e2_rows, log=None):
                 if rows is None:
                     say("  assembly failed; continuing")
                     continue
-                return SearchResult(delta, (hand1, hand2, hand3), rows, len(ok))
+                return SearchResult(rows, len(ok))
             if seen > 4000:
                 break
     return None

@@ -48,13 +48,6 @@ def leech_ip(u, v) -> Eis:
     return negdef_ip(u, v, 3)
 
 
-@cache
-def golay_words():
-    code = golay12()
-    code.words()
-    return code
-
-
 def leech_contains(v):
     """Membership with witness.
 
@@ -71,7 +64,7 @@ def leech_contains(v):
     me = Eis(m, 0)
     w = tuple((x - me).exact_div(THETA) for x in v)
     c = tuple((x.mod_theta() + 1) % 3 - 1 for x in w)  # digits in {-1,0,1}
-    if c not in golay_words():
+    if c not in golay12():
         return None
     z = []
     for x, ci in zip(v, c):
@@ -87,19 +80,12 @@ def leech_contains(v):
     return (m, c, tuple(z))
 
 
-@cache
-def tetra_words():
-    code = tetracode()
-    code.words()
-    return code
-
-
 def e8_contains(v) -> bool:
     """True iff v mod theta lies in the tetracode."""
     if len(v) != 4:
         raise ValueError("E8 vectors have 4 coordinates")
     word = tuple((x.mod_theta() + 1) % 3 - 1 for x in v)
-    return word in tetra_words()
+    return word in tetracode()
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +130,7 @@ def first_shell_by_shapes():
     of flat int tuples.
     """
     out = []
-    words = golay_words().words()
+    words = golay12().words()
 
     # family m=0, c=0: 3z with z two units summing to 0 mod theta
     for i, j in combinations(range(12), 2):
@@ -251,7 +237,7 @@ def first_shell_by_coset_search():
     the residue that makes sum(z) = m mod theta.  Returns a set of flat
     int tuples.
     """
-    words = golay_words().words()
+    words = golay12().words()
     found = set()
     for m in (0, 1, -1):
         target = m % 3

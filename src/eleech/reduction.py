@@ -38,10 +38,11 @@ from .rings import (
     unit_name,
     unit_from_name,
 )
+from .codes import golay12
 from .diagram import NODE_HEIGHT_SQ, height_pair
 from .linalg import FORM_LEECH_H, FORM_E8H, mat_det
 from .lattices import (
-    from_flat, golay_words, in_l_e8h, leech_contains, leech_ip, re_row, to_flat,
+    from_flat, in_l_e8h, leech_contains, leech_ip, re_row, to_flat,
 )
 from .reflections import NodeChain, reflect, canonical_root
 from .isomorphism import psi_root
@@ -366,7 +367,7 @@ class LeechCVP:
     """
 
     def __init__(self):
-        self.words = golay_words().words()
+        self.words = golay12().words()
         self.blocks = _word_blocks()
 
     def find_within(self, num, den):
@@ -402,11 +403,11 @@ class LeechCVP:
 
 @cache
 def _word_blocks():
-    """Each Golay word's three block indices, in ``golay_words().words()``
+    """Each Golay word's three block indices, in ``golay12().words()``
     order: the digits d_0..d_3 of coordinates 4b..4b+3 sit at index
     sum (d_j + 1) * 3**(3 - j) of block b's table."""
     return tuple(tuple(sum((d + 1) * 3 ** (3 - j) for j, d in enumerate(c[b:b + 4]))
-                       for b in (0, 4, 8)) for c in golay_words().words())
+                       for b in (0, 4, 8)) for c in golay12().words())
 
 
 def _block_table(opts, first):

@@ -425,9 +425,6 @@ class SqrtThree:
 
     __rmul__ = __mul__
 
-    def to_float(self) -> float:
-        return float(self.p) + float(self.q) * 3 ** 0.5
-
 
 _set_p, _set_q = SqrtThree.p.__set__, SqrtThree.q.__set__
 

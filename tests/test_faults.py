@@ -10,7 +10,7 @@ import pytest
 
 from eleech import checks, isomorphism, lattices, reduction, relations
 from eleech.checks import Context, REGISTRY, run
-from eleech.codes import GOLAY12_GENS, TernaryCode
+from eleech.codes import GOLAY12_GENS, LinearCode
 from eleech.cli import main
 from eleech.diagram import PRESENTATION_PAIR
 from eleech.reflections import canonical_root
@@ -38,7 +38,7 @@ def _walk_misses_a_root(monkeypatch, diagram):
 def _golay_generator_entry_changed(monkeypatch, diagram):
     gens = [list(g) for g in GOLAY12_GENS]
     gens[0][7] = 0
-    monkeypatch.setattr(checks, "golay12", lambda: TernaryCode(12, gens))
+    monkeypatch.setattr(checks, "golay12", lambda: LinearCode(3, 12, gens))
 
 
 def _presentation_relator_fails(monkeypatch, diagram):

@@ -3,7 +3,8 @@ or in the benchmark: a helper that nothing calls checks nothing.  So has
 every module-level constant of the package.  And every parameter of a
 package function is read by its body: a parameter that nothing reads is
 a dead knob.  And every name a module of the package or of the tests
-imports is used in that module.
+imports is used in that module.  And no class of the package keeps lazy
+state in a None sentinel.
 
 A name counts as called when it appears anywhere outside its own
 definition as a name, an attribute, an imported name or a dotted part of
@@ -29,7 +30,6 @@ ALLOWED = {
     "Diagram.rho_vec": "the Weyl vector summands the diagram tests sum",
     "local_max_probe": "the float diagnostic of criterion 10",
     "weyl_second_order_sign": "the exact second-order sign at the Weyl point",
-    "SqrtThree.to_float": "the float view the numeric probe compares with",
 }
 
 #: parameters a calling protocol fixes, kept although the body never reads them
@@ -138,6 +138,38 @@ def test_every_parameter_is_read(path):
 def test_unread_allowlist_names_only_unread_parameters():
     unread = {q for path in SOURCES for q in _unread_parameters(path)}
     assert set(UNREAD_ALLOWED) <= unread, f"read now, drop from UNREAD_ALLOWED: {set(UNREAD_ALLOWED) - unread}"
+
+
+def _is_self_attr(node):
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "self")
+
+
+def _is_none(node):
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _sentinel_caches(tree):
+    """``Class.attr`` for each attribute that ``__init__`` sets to None and
+    another method tests with ``self.attr is None``: a hand-rolled lazy
+    cache, where ``functools.cached_property`` is the package's one idiom."""
+    out = []
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        methods = [m for m in cls.body if isinstance(m, ast.FunctionDef)]
+        set_none = {t.attr for m in methods if m.name == "__init__"
+                    for n in ast.walk(m) if isinstance(n, ast.Assign) and _is_none(n.value)
+                    for t in n.targets if _is_self_attr(t)}
+        tested = {n.left.attr for m in methods if m.name != "__init__"
+                  for n in ast.walk(m) if isinstance(n, ast.Compare) and _is_self_attr(n.left)
+                  and isinstance(n.ops[0], ast.Is) and _is_none(n.comparators[0])}
+        out += [f"{cls.name}.{a}" for a in sorted(set_none & tested)]
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_sentinel_cache(path):
+    found = _sentinel_caches(TREES[path])
+    assert not found, f"{path.name}: lazy state kept by a None sentinel, use cached_property: {found}"
 
 
 def _unused_imports(tree):

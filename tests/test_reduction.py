@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eleech.rings import Eis, ONE, OMEGA, OMEGA2, THETA, ZERO, UNITS, unit_name, unit_from_name
+from eleech.codes import golay12
 from eleech.diagram import NODE_HEIGHT_SQ, DiagramNode
 from eleech.linalg import FORM_LEECH_H, FORM_E8H
-from eleech.lattices import leech_ip, leech_contains, in_l_e8h, golay_words
+from eleech.lattices import leech_ip, leech_contains, in_l_e8h
 from eleech.reflections import canonical_root, reflect
 from eleech.textio import format_vector
 from eleech import reduction
@@ -505,7 +506,7 @@ def test_cvp_matches_reference_scan():
     one block, where the first coordinate must win."""
     rng = random.Random(19)
     cvp = LeechCVP()
-    words = golay_words().words()
+    words = golay12().words()
     families = set()
     points = []
     for _ in range(320):
@@ -531,7 +532,7 @@ def test_cvp_matches_reference_scan_at_large_denominators():
     the repair of residue shift 1, some of shift 2."""
     rng = random.Random(29)
     cvp = LeechCVP()
-    words = golay_words().words()
+    words = golay12().words()
     families, shifts = set(), set()
     for _ in range(30):
         den = rng.randint(10 ** 6, 10 ** rng.randint(6, 12))
@@ -576,12 +577,12 @@ def test_coset_options_match_sorted_box():
 
 def test_word_blocks_decode_to_the_golay_words():
     """The cached block indices of each word give back its 12 digits, word
-    for word in the order of golay_words().words()."""
+    for word in the order of golay12().words()."""
     def digits(i):
         return tuple((i // 3 ** (3 - j)) % 3 - 1 for j in range(4))
 
     decoded = [sum((digits(i) for i in idx), ()) for idx in _word_blocks()]
-    assert decoded == list(golay_words().words())
+    assert decoded == list(golay12().words())
     assert len(decoded) == 729
 
 

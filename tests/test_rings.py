@@ -156,7 +156,7 @@ def test_sqrt3_matches_float_on_clear_gaps():
     random.seed(8)
     for _ in range(10_000):
         s = SqrtThree(random.randint(-10 ** 6, 10 ** 6), random.randint(-10 ** 6, 10 ** 6))
-        f = s.to_float()
+        f = s.p + s.q * 3 ** 0.5
         if abs(f) > 1e-6:
             assert (s.sign() > 0) == (f > 0)
 
