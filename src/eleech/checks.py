@@ -168,7 +168,7 @@ def _isomorphism(ctx):
     m666 = isomorphism.m666_from_e1prime(isomorphism.load_e1prime())
     return _flags([
         ("gram_e1_e2", gram_of(e1, FORM_LEECH_H) == gram_of(isomorphism.e2_matrix(d), FORM_E8H)),
-        ("preserves_form", ctx.chg.preserves_form_on(e1[:5])),
+        ("preserves_form", ctx.chg.fwd.preserves_form(FORM_LEECH_H, FORM_E8H)),
         ("m666", gram_of(m666, FORM_LEECH_H) == gram_of(isomorphism.m666_reference(d), FORM_E8H)),
     ])
 

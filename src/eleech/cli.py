@@ -20,27 +20,27 @@ def main(argv=None) -> int:
         description="Exact machinery for the Lorentzian Eisenstein Leech "
         "lattice, its 26-root diagram and reflection group.",
     )
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_codes = sub.add_parser("codes", help="ternary/binary code utilities")
-    sub_codes = p_codes.add_subparsers(dest="sub", required=True)
+    sub_codes = p_codes.add_subparsers(dest="subcommand", required=True)
     p_dump = sub_codes.add_parser("dump", help="emit the word list")
     p_dump.add_argument("--code", choices=("c4", "c12", "c24"), required=True)
 
     p_lat = sub.add_parser("lattice", help="lattice shells")
-    sub_lat = p_lat.add_subparsers(dest="sub", required=True)
+    sub_lat = p_lat.add_subparsers(dest="subcommand", required=True)
     p_shell = sub_lat.add_parser("shell", help="enumerate a shell")
     p_shell.add_argument("--lattice", choices=("leech", "e8"), required=True)
     p_shell.add_argument("--norm", type=int, required=True)
     p_shell.add_argument("--out", default=None)
 
     p_diag = sub.add_parser("diagram", help="the 26-root diagram")
-    sub_diag = p_diag.add_subparsers(dest="sub", required=True)
+    sub_diag = p_diag.add_subparsers(dest="subcommand", required=True)
     sub_diag.add_parser("dump", help="emit the 26 roots and incidence")
     sub_diag.add_parser("check", help="run all exact diagram identities")
 
     p_isom = sub.add_parser("isom", help="the explicit isomorphism")
-    sub_isom = p_isom.add_subparsers(dest="sub", required=True)
+    sub_isom = p_isom.add_subparsers(dest="subcommand", required=True)
     p_iv = sub_isom.add_parser("verify", help="verify E1/E2 and emit C")
     p_iv.add_argument("--e1", default=None, help="E1 matrix file (default: shipped)")
     p_iv.add_argument("--e2", default=None, help="E2 matrix file (default: built in)")
@@ -49,7 +49,7 @@ def main(argv=None) -> int:
     p_is.add_argument("--shell", default=None, help="shell file (default: computed)")
 
     p_red = sub.add_parser("reduce", help="height-reduction certificates")
-    sub_red = p_red.add_subparsers(dest="sub", required=True)
+    sub_red = p_red.add_subparsers(dest="subcommand", required=True)
     p_rr = sub_red.add_parser("run", help="certify generators")
     p_rr.add_argument("--all", action="store_true", help="ignored; all 50 are always written")
     p_rr.add_argument("--out", default="certificates")
@@ -57,7 +57,7 @@ def main(argv=None) -> int:
     p_rc.add_argument("dir")
 
     p_rel = sub.add_parser("relations", help="spider / deflation / Coxeter table")
-    sub_rel = p_rel.add_subparsers(dest="sub", required=True)
+    sub_rel = p_rel.add_subparsers(dest="subcommand", required=True)
     sub_rel.add_parser("verify")
 
     sub.add_parser("verify-all", help="every verification at once")
@@ -73,7 +73,7 @@ def main(argv=None) -> int:
         "reduce": _cmd_reduce,
         "relations": _cmd_relations,
         "verify-all": _cmd_verify_all,
-    }[args.cmd]
+    }[args.command]
     try:
         return handler(args)
     # a missing, undecodable or malformed input, an unwritable output
@@ -131,7 +131,7 @@ def _cmd_diagram(args) -> int:
     from .textio import format_vector
 
     d = Diagram()
-    if args.sub == "dump":
+    if args.subcommand == "dump":
         for node in d.nodes:
             print(f"{node.name} [{node.kind}] {format_vector(node.root)}")
         print("incidence:")
@@ -157,7 +157,7 @@ def _cmd_isom(args) -> int:
     from . import isomorphism as iso
 
     d = Diagram()
-    if args.sub == "verify":
+    if args.subcommand == "verify":
         e1 = read_matrix(args.e1, 14) if args.e1 else iso.load_e1()
         e2 = read_matrix(args.e2, 14) if args.e2 else iso.e2_matrix(d)
         try:
@@ -207,7 +207,7 @@ def _cmd_reduce(args) -> int:
     from .textio import read_text
 
     ctx = Context()
-    if args.sub == "run":
+    if args.subcommand == "run":
         certs = certify_generators(ctx.diagram, ctx.generators)
         os.makedirs(args.out, exist_ok=True)
         for j, cert in enumerate(certs, start=1):

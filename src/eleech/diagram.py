@@ -162,6 +162,7 @@ class Diagram:
             self.nodes.append(
                 DiagramNode(idx, name, kind, raw[name], labeling[name])
             )
+        self.roots = tuple(n.root for n in self.nodes)
         self.by_name = {n.name: n for n in self.nodes}
         self._by_triple = {(n.kind, n.triple): n.index for n in self.nodes}
         # the node roots are pairwise not unit multiples: 156 distinct keys
@@ -181,7 +182,7 @@ class Diagram:
 
     @cached_property
     def gram(self):
-        return gram_of([n.root for n in self.nodes], self.form)
+        return gram_of(self.roots, self.form)
 
     @cached_property
     def adjacency(self):
@@ -200,7 +201,7 @@ class Diagram:
         c = w^2 theta = sqrt3 xi on a line and c = -w theta = sqrt3 conj(xi)
         on a point: w_P on every line and w_L on every point."""
         c = W2 * THETA if node.kind == "line" else -W * THETA
-        return reduce(vec_add, (self.nodes[j].root for j in self.neighbors(node.index)),
+        return reduce(vec_add, (self.roots[j] for j in self.neighbors(node.index)),
                       vec_scale(c, node.root))
 
     @cached_property
@@ -243,7 +244,7 @@ class Diagram:
     @cached_property
     def node_kernel(self) -> NodeKernel:
         """The integer kernel for chains of node reflections."""
-        return NodeKernel(self.form, [n.root for n in self.nodes], self.gram, self.rho_hat)
+        return NodeKernel(self.form, self.roots, self.gram, self.rho_hat)
 
     # -- node-root basis ---------------------------------------------------
 
@@ -251,19 +252,7 @@ class Diagram:
     def root_basis(self):
         """(indices, (adj, d)): 14 nodes whose roots form a Q(w)-basis, and
         the ``mat_inverse`` of the matrix with those roots as columns."""
-        return spanning_basis([n.root for n in self.nodes])
-
-    def aut_from_node_images(self, image):
-        """The lattice map sending node root i to image(i) (an exact vector).
-
-        image: callable index -> coordinate vector.  The map is solved on
-        the cached root basis and then verified on all 26 roots.
-        """
-        return aut_from_images(
-            [n.root for n in self.nodes],
-            [tuple(image(n.index)) for n in self.nodes],
-            self.root_basis,
-        )
+        return spanning_basis(self.roots)
 
     # -- diagram automorphisms ----------------------------------------------
 
@@ -282,8 +271,8 @@ class Diagram:
     def g_action(self, g) -> AutMatrix:
         """The lattice automorphism induced by g in GL3(F3) mod scalars:
         the node permutation extends linearly to L and preserves the form."""
-        perm = self.g_permutation(g)
-        return self.aut_from_node_images(lambda i: self.nodes[perm[i]].root)
+        images = [self.roots[j] for j in self.g_permutation(g)]
+        return aut_from_images(self.roots, images, self.root_basis)
 
     def sigma_permutation(self):
         """The node permutation of sigma: each node to the node of the other
@@ -293,13 +282,9 @@ class Diagram:
 
     def sigma(self) -> AutMatrix:
         """The order-12 lift of the polarity: x -> -w l, l -> x (same triple)."""
-        perm = self.sigma_permutation()
-
-        def image(i):
-            root = self.nodes[perm[i]].root
-            return tuple(-W * x for x in root) if self.nodes[i].kind == "point" else root
-
-        return self.aut_from_node_images(image)
+        images = [vec_scale(-W, self.roots[j]) if n.kind == "point" else self.roots[j]
+                  for n, j in zip(self.nodes, self.sigma_permutation())]
+        return aut_from_images(self.roots, images, self.root_basis)
 
     def verify_linear_relations(self) -> bool:
         """sqrt3 rho_i + Sigma_i is one fixed vector over the lines (w_P)
@@ -368,7 +353,7 @@ def local_max_probe(diagram, samples=1000, eps=1e-4, tol=1e-9, seed=0):
     rng = _random.Random(seed)
     rho = _to_complex_vec(diagram.rho_hat)
     rho_m = _to_complex_vec(diagram.rho_hat_minus)
-    mirrors = [_to_complex_vec(n.root) for n in diagram.nodes]
+    mirrors = [_to_complex_vec(r) for r in diagram.roots]
 
     def dists(x):
         nx = _cip(x, x).real

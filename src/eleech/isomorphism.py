@@ -96,13 +96,6 @@ class ChangeOfBasis:
     def to_leech_h(self, v):
         return self.back.apply(v)
 
-    def preserves_form_on(self, vectors) -> bool:
-        for u in vectors:
-            for v in vectors:
-                if FORM_E8H.ip(self.to_e8h(u), self.to_e8h(v)) != FORM_LEECH_H.ip(u, v):
-                    return False
-        return True
-
 
 M666_ORDER = (
     "a", "b1", "b2", "b3", "c1", "c2", "c3", "d1", "d2", "d3",

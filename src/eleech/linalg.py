@@ -340,8 +340,6 @@ class AutMatrix:
         return AutMatrix(mat_mul(self.mat, other.mat), self.k + other.k)
 
     def __pow__(self, n: int) -> "AutMatrix":
-        if n < 0:
-            return self.inverse() ** (-n)
         return power(self, n, AutMatrix.identity(self.n), matmul)
 
     def apply(self, v):
@@ -365,14 +363,16 @@ class AutMatrix:
         scale = THETA ** self.k
         return AutMatrix.over([[scale * x for x in row] for row in adj], d)
 
-    def preserves_form(self, form: LorentzForm) -> bool:
-        """Exact check of conj(M)^T G M == G on the form's integral gram."""
-        gram = form.gram
-        mh = mat_conj_transpose(self.mat)
-        lhs = mat_mul(mh, mat_mul(gram, self.mat))
-        scale = 3 ** self.k  # conj(theta^k) theta^k = 3^k
-        rhs = tuple(tuple(x * scale for x in row) for row in gram)
-        return lhs == rhs
+    def preserves_form(self, form: LorentzForm, target: LorentzForm | None = None) -> bool:
+        """Exact check that self maps ``form`` onto ``target`` (by default
+        ``form`` again): <M u, M v>_target == <u, v>_form for all u, v, as
+        conj(mat)^T G_target mat den_form == 3^k G_form den_target on the
+        integral grams, M = mat / theta^k."""
+        target = target or form
+        lhs = mat_mul(mat_conj_transpose(self.mat), mat_mul(target.gram, self.mat))
+        scale = 3 ** self.k * target.den  # conj(theta^k) theta^k = 3^k
+        return all(x * form.den == y * scale
+                   for lrow, grow in zip(lhs, form.gram) for x, y in zip(lrow, grow))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ def test_missing_subcommand_is_usage_error(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("usage: eleech")
+    usage, error = err.rstrip().rsplit("\n", 1)
+    assert "{" in usage  # the usage line lists the choices
+    assert error.endswith("the following arguments are required: "
+                          + ("subcommand" if argv else "command"))
     if argv == ["relations"]:  # and so from the shell
         src = str(Path(eleech.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -33,6 +37,7 @@ def test_missing_subcommand_is_usage_error(argv, capsys):
                              text=True, env=env, timeout=60)
         assert (run.returncode, run.stdout) == (2, "")
         assert run.stderr.startswith("usage: eleech")
+        assert run.stderr.rstrip().endswith("required: subcommand")
 
 
 def test_codes_dump_c4(capsys):

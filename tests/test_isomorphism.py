@@ -53,8 +53,8 @@ def test_change_of_basis_maps_compose_to_identity(chg):
 
 
 def test_change_of_basis_preserves_form(chg):
-    e1 = load_e1()
-    assert chg.preserves_form_on(e1[:7])
+    assert chg.fwd.preserves_form(FORM_LEECH_H, FORM_E8H)
+    assert chg.back.preserves_form(FORM_E8H, FORM_LEECH_H)
 
 
 def test_change_of_basis_lattice_bijection(chg):

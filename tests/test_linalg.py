@@ -77,7 +77,9 @@ def test_aut_matrix_theta_reduction():
 def test_aut_matrix_pow_and_inverse():
     w = AutMatrix(mat_scalar(4, OMEGA))
     assert (w ** 3).is_identity()
-    assert (w ** -1) @ w == AutMatrix.identity(4)
+    assert w.inverse() @ w == AutMatrix.identity(4)
+    with pytest.raises(ValueError):
+        w ** -1
     assert w.scalar() == OMEGA
 
 

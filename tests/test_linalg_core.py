@@ -20,7 +20,7 @@ from eleech.lattices import lattice_3e8_h, lattice_leech_h
 from eleech.linalg import (
     FORM_E8H, FORM_LEECH_H, AutMatrix, _eliminate, aut_from_images, charpoly,
     kernel, mat_det, mat_identity, mat_inverse, mat_mul, mat_scalar, mat_vec,
-    spanning_basis, vec_scale,
+    spanning_basis, vec_add, vec_scale,
 )
 from eleech.relations import INFINITE, matrix_order
 from eleech.rings import Cyclo12, Eis, OMEGA, OMEGA2, ONE, THETA, ZERO
@@ -380,8 +380,27 @@ def test_inverse_round_trips_on_sigma(diagram):
 def test_image_builder_rejects_swapped_images(diagram, i, j, use_sigma):
     assume(i != j)
     base = diagram.sigma() if use_sigma else AutMatrix.identity(14)
-    images = [base.apply(n.root) for n in diagram.nodes]
-    assert diagram.aut_from_node_images(lambda k: images[k]) == base
+    images = [base.apply(r) for r in diagram.roots]
+    assert aut_from_images(diagram.roots, images, diagram.root_basis) == base
     images[i], images[j] = images[j], images[i]
     with pytest.raises(ValueError):
-        diagram.aut_from_node_images(lambda k: images[k])
+        aut_from_images(diagram.roots, images, diagram.root_basis)
+
+
+def test_preserves_form_across_forms(chg):
+    assert chg.fwd.preserves_form(FORM_LEECH_H, FORM_E8H)
+    assert chg.back.preserves_form(FORM_E8H, FORM_LEECH_H)
+    assert not chg.fwd.preserves_form(FORM_E8H, FORM_LEECH_H)
+    assert not AutMatrix.identity(14).preserves_form(FORM_LEECH_H, FORM_E8H)
+
+
+def test_preserves_form_sees_the_whole_map(diagram):
+    """E2 with row 13 moved by w row 12 is still a basis of 3E8+H; the map
+    from E1 onto it agrees with C on every pairing among E1's first five
+    rows, and only the whole-map check tells it is no isometry."""
+    e1, e2 = load_e1(), list(e2_matrix(diagram))
+    e2[13] = vec_add(e2[13], vec_scale(OMEGA, e2[12]))
+    m = aut_from_images(e1, e2)
+    assert all(FORM_E8H.ip(m.apply(u), m.apply(v)) == FORM_LEECH_H.ip(u, v)
+               for u in e1[:5] for v in e1[:5])
+    assert not m.preserves_form(FORM_LEECH_H, FORM_E8H)

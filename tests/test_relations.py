@@ -9,10 +9,12 @@ from eleech.relations import (
     GroupWord, matrix_order, INFINITE, SPIDER, TWELVE_GON, _charpoly,
     spider_check, deflate_check, deflate_unit, coxeter_table, COXETER_TABLE,
     free_embeddings, verify_phi_flips, rad_m666_covers_d, cyclotomic_poly,
-    twelve_gon_orbit,
+    twelve_gon_orbit, hand_swap,
 )
 from eleech.reflections import reflect
-from eleech.isomorphism import load_e1prime
+from eleech.diagram import presentation_generators
+from eleech.isomorphism import load_e1prime, m666_from_e1prime, M666_ORDER
+from eleech.linalg import aut_from_images
 
 
 def test_cyclotomic_polys():
@@ -100,6 +102,7 @@ def test_deflation(diagram):
     assert rep["A11"]
     assert rep["transports_ok"]
     assert rep["distinct_12gons"] == 468
+    assert sorted(deflate_check(diagram, transports=False)) == ["A11", "base"]
 
 
 def test_deflation_unit_depends_on_start_part(diagram):
@@ -213,6 +216,55 @@ def test_coxeter_alternate_embeddings(diagram):
 def test_phi_flips(diagram):
     rep = verify_phi_flips(load_e1prime())
     assert all(rep.values()), rep
+
+
+def _phi_flip_by_hands(e1p_roots, fixed_hand):
+    """The hand-by-hand flip builder hand_swap replaced, kept as an oracle."""
+    swap = ("1", "2") if fixed_hand == 3 else ("2", "3")
+    images = {}
+    for x in "bcdef":
+        a, b = f"{x}{swap[0]}", f"{x}{swap[1]}"
+        images[a] = e1p_roots[b]
+        images[b] = e1p_roots[a]
+    images["a"] = e1p_roots["a"]
+    third = ({"1", "2", "3"} - set(swap)).pop()
+    for x in "bcdef":
+        nm = f"{x}{third}"
+        images[nm] = e1p_roots[nm]
+    names = list(images)
+    return aut_from_images([e1p_roots[n] for n in names], [images[n] for n in names])
+
+
+def _m666_roots():
+    return dict(zip(M666_ORDER, m666_from_e1prime(load_e1prime())))
+
+
+def test_hand_swap_matches_the_hand_by_hand_builder():
+    roots = _m666_roots()
+    phi12, phi23 = hand_swap(roots, "1", "2"), hand_swap(roots, "2", "3")
+    assert phi12 == _phi_flip_by_hands(roots, fixed_hand=3)
+    assert phi23 == _phi_flip_by_hands(roots, fixed_hand=1)
+    assert hand_swap(roots, "1", "3") == phi12 @ phi23 @ phi12
+
+
+def _digest(aut):
+    flat = (aut.k, tuple(tuple((x.a, x.b) for x in row) for row in aut.mat))
+    return hashlib.sha256(repr(flat).encode()).hexdigest()[:16]
+
+
+def test_lattice_maps_match_the_recorded_matrices(diagram):
+    """g(x), g(y), sigma, phi12 and phi23 against digests of the matrices
+    (k, mat) the per-node and hand-by-hand builders produced."""
+    x, y = presentation_generators()
+    roots = _m666_roots()
+    got = {
+        "gx": diagram.g_action(x), "gy": diagram.g_action(y), "sigma": diagram.sigma(),
+        "phi12": hand_swap(roots, "1", "2"), "phi23": hand_swap(roots, "2", "3"),
+    }
+    assert {name: _digest(a) for name, a in got.items()} == {
+        "gx": "005db0358e63a734", "gy": "b97a65ebbd44b4df", "sigma": "0c5c740c5f5c23d7",
+        "phi12": "0afd733593ab366d", "phi23": "27dd7a2c1ba2419f",
+    }
 
 
 def test_rad_m666_covers_all_26(diagram):
