@@ -15,7 +15,7 @@ Z[w]: an inverse is an integral matrix over one pivot d, and
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, starmap
 from operator import matmul
 
 from .rings import Cyclo12, Eis, OMEGA, THETA, ZERO, ONE, power
@@ -36,15 +36,86 @@ def vec_is_zero(u) -> bool:
 
 
 def mat_vec(m, v):
-    return tuple(sum((a * x for a, x in zip(row, v) if a and x), start=ZERO) for row in m)
+    """m v for a Z[w] matrix m and a Z[w] or Z[zeta_12] vector v."""
+    rows = [_pairs(row) for row in m]
+    return _join([[_dot(support, row) for row in rows] for support in map(_support, _split(v))])
 
 
 def mat_mul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col) if x and y), start=ZERO) for col in bt)
-        for row in a
-    )
+    cols = [_pairs(col) for col in zip(*b)]
+    supports = [_support(_pairs(row)) for row in a]
+    return tuple(_eis(_dot(support, col) for col in cols) for support in supports)
+
+
+# ---------------------------------------------------------------------------
+# the int pair kernels: each converts its Eis arguments to int pairs (a, b)
+# once and builds Eis only for the values it returns
+
+
+def _pairs(xs):
+    """The Z[w] entries a + b w of xs as int pairs (a, b)."""
+    return [(x.a, x.b) for x in xs]
+
+
+def _eis(pairs):
+    return tuple(starmap(Eis, pairs))
+
+
+def _support(pairs):
+    """(j, a, b) for each nonzero int pair (a, b), j its place."""
+    return [(j, a, b) for j, (a, b) in enumerate(pairs) if a or b]
+
+
+def _dot(support, pairs):
+    """sum u_j v_j as an int pair, u given by its support and v as int
+    pairs: (a + b w)(c + d w) = (ac - bd) + (ad + bc - bd) w."""
+    s = t = 0
+    for j, a, b in support:
+        c, d = pairs[j]
+        bd = b * d
+        s += a * c - bd
+        t += a * d + b * c - bd
+    return s, t
+
+
+def _times(pairs, s, n=1):
+    """The int pairs x s / n, s an int pair and every division by the int n
+    exact, else ValueError."""
+    c, d = s
+    return _exact([(a * c - b * d, a * d + b * c - b * d) for a, b in pairs], n)
+
+
+def _exact(pairs, n):
+    """The int pairs over the int n, each division exact, else ValueError."""
+    if n == 1:
+        return pairs
+    out = []
+    for a, b in pairs:
+        qa, ra = divmod(a, n)
+        qb, rb = divmod(b, n)
+        if ra or rb:
+            raise ValueError(f"{a},{b} not divisible by {n}")
+        out.append((qa, qb))
+    return out
+
+
+def _split(v):
+    """A vector as int pair vectors over Z[w]: (v,) for Z[w] entries, and
+    (u, u') with v = u + z u' for Z[zeta_12] entries (z^2 = 1 + w), as
+    c0 + c1 z + c2 z^2 + c3 z^3 = (c0 + c2) + c2 w + z ((c1 + c3) + c3 w).
+    The halves go through the same Z[w] products."""
+    if v and isinstance(v[0], Cyclo12):
+        cs = [x.c for x in v]
+        return [(c0 + c2, c2) for c0, _, c2, _ in cs], [(c1 + c3, c3) for _, c1, _, c3 in cs]
+    return (_pairs(v),)
+
+
+def _join(halves):
+    """The vector that _split gave as halves: a + b w + z (c + d w) joins
+    back as (a - b) + (c - d) z + b z^2 + d z^3."""
+    if len(halves) == 1:
+        return _eis(halves[0])
+    return tuple(Cyclo12(a - b, c - d, b, d) for (a, b), (c, d) in zip(*halves))
 
 
 def mat_conj_transpose(m):
@@ -95,17 +166,17 @@ def _eliminate(rows, width=None):
     Returns (rows, pivot columns, d, sign of the row permutation); d is
     sign * det for a nonsingular square input.
     """
-    a = [list(row) for row in rows]
+    a = [_pairs(row) for row in rows]
     n = len(a)
     width = len(a[0]) if width is None else width
     pivots = []
-    prev = ONE
+    prev = (1, 0)
     sign = 1
     for c in range(width):
         r = len(pivots)
         if r == n:
             break
-        piv = next((i for i in range(r, n) if a[i][c]), None)
+        piv = next((i for i in range(r, n) if a[i][c] != (0, 0)), None)
         if piv is None:
             continue
         if piv != r:
@@ -113,23 +184,22 @@ def _eliminate(rows, width=None):
             sign = -sign
         prow = a[r]
         p = prow[c]
+        # dividing by q is multiplying by conj(q), then dividing by norm(q)
+        qa, qb = prev
+        conj_q, norm_q = (qa - qb, -qb), qa * qa - qa * qb + qb * qb
+        (pa, pb), = _times([p], conj_q)
         for i in range(n):
             row = a[i]
             f = row[c]
-            if i == r or (not f and p == prev):
+            if i == r or (f == (0, 0) and p == prev):
                 continue
-            for j, x in enumerate(row):
-                y = prow[j]
-                if f and y:
-                    x = p * x - f * y
-                elif x:
-                    x = p * x
-                else:
-                    continue
-                row[j] = x.exact_div(prev) if prev != ONE else x
+            (fa, fb), = _times([f], conj_q)
+            a[i] = _exact([(pa * x - pb * y - fa * u + fb * v,
+                            pa * y + pb * x - pb * y - fa * v - fb * u + fb * v)
+                           for (x, y), (u, v) in zip(row, prow)], norm_q)
         prev = p
         pivots.append(c)
-    return a, pivots, prev, sign
+    return [list(_eis(row)) for row in a], pivots, Eis(*prev), sign
 
 
 def mat_det(m) -> Eis:
@@ -270,11 +340,10 @@ def _v3(n, cap):
     return v
 
 
-def _untheta(xs, j):
-    """The entries of xs (Z[w] or Z[zeta_12]) over theta^j, each divisible:
-    theta^-j = (-theta)^j / 3^j, the division by 3^j exact."""
-    s, n = (-THETA) ** j, 3 ** j
-    return tuple((x * s).divide_exact_int(n) for x in xs)
+def _untheta(pairs, j):
+    """The int pairs over theta^j, each divisible: theta^-j = (-theta)^j / 3^j."""
+    s = (-THETA) ** j
+    return _times(pairs, (s.a, s.b), 3 ** j)
 
 
 class AutMatrix:
@@ -302,7 +371,7 @@ class AutMatrix:
             if x:
                 j = _v3(x.norm(), j)
         if j:
-            self.mat = tuple(_untheta(row, j) for row in self.mat)
+            self.mat = tuple(_eis(_untheta(_pairs(row), j)) for row in self.mat)
             self.k -= j
 
     @classmethod
@@ -321,9 +390,10 @@ class AutMatrix:
         if not d:
             raise ZeroDivisionError("AutMatrix.over a zero denominator")
         e = _v3(d.norm(), d.norm())  # v_3(n) < n: the cap never binds
-        d, = _untheta((d,), e)
+        d = Eis(*_untheta([(d.a, d.b)], e)[0])
+        c = d.conj()
         try:
-            mat = [[x.exact_div(d) for x in row] for row in mat]
+            mat = [_eis(_times(_pairs(row), (c.a, c.b), d.norm())) for row in mat]
         except ValueError:
             raise ValueError("matrix is not theta-integral; not a lattice map") from None
         return cls(mat, e)
@@ -345,7 +415,7 @@ class AutMatrix:
     def apply(self, v):
         """Image of a coordinate vector with Z[w] or Z[zeta_12] entries."""
         w = mat_vec(self.mat, v)
-        return _untheta(w, self.k) if self.k else w
+        return _join([_untheta(half, self.k) for half in _split(w)]) if self.k else w
 
     def is_identity(self) -> bool:
         return self.k == 0 and self.mat == mat_identity(self.n)
@@ -360,8 +430,8 @@ class AutMatrix:
     def inverse(self) -> "AutMatrix":
         # value = mat / theta^k, so the inverse is theta^k adj / d
         adj, d = mat_inverse(self.mat)
-        scale = THETA ** self.k
-        return AutMatrix.over([[scale * x for x in row] for row in adj], d)
+        s = THETA ** self.k
+        return AutMatrix.over([_eis(_times(_pairs(row), (s.a, s.b))) for row in adj], d)
 
     def preserves_form(self, form: LorentzForm, target: LorentzForm | None = None) -> bool:
         """Exact check that self maps ``form`` onto ``target`` (by default
@@ -371,7 +441,7 @@ class AutMatrix:
         target = target or form
         lhs = mat_mul(mat_conj_transpose(self.mat), mat_mul(target.gram, self.mat))
         scale = 3 ** self.k * target.den  # conj(theta^k) theta^k = 3^k
-        return all(x * form.den == y * scale
+        return all(x.a * form.den == y.a * scale and x.b * form.den == y.b * scale
                    for lrow, grow in zip(lhs, form.gram) for x, y in zip(lrow, grow))
 
 
@@ -399,13 +469,15 @@ def charpoly(m) -> list:
     -R M^(r-1) C): in descending coefficients, the product t p_r cut to
     r + 2 terms (S. J. Berkowitz, Inform. Process. Lett. 18, 1984).
     """
+    rows = [_pairs(row) for row in m]
     p = [ONE]
-    for r, row in enumerate(m):
-        t = [ONE, -row[r]]
-        col = [m[i][r] for i in range(r)]
-        # zip stops at col's length r: row and m[:r] act as R and M
+    for r, row in enumerate(rows):
+        t = [row[r]]
+        col = [rows[i][r] for i in range(r)]
+        # col has r places: row and rows[:r] act as R and M
         for _ in range(r):
-            t.append(-sum((a * x for a, x in zip(row, col)), start=ZERO))
-            col = mat_vec(m[:r], col)
-        p = poly_mul(t, p, ZERO)[: r + 2]
+            support = _support(col)
+            t.append(_dot(support, row))
+            col = [_dot(support, x) for x in rows[:r]]
+        p = poly_mul([ONE, *(Eis(-a, -b) for a, b in t)], p, ZERO)[: r + 2]
     return p[::-1]

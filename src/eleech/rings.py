@@ -151,18 +151,18 @@ _set_a, _set_b = Eis.a.__set__, Eis.b.__set__
 
 
 def power(x, n: int, one, mul=operator.mul):
-    """x^n for n >= 0 by square and multiply, with the unit one and the
-    product mul; a negative n raises ValueError (invert explicitly)."""
+    """x^n for n >= 0 by square and multiply with the product mul; the unit
+    one is x^0, never a factor.  A negative n raises ValueError."""
     if n < 0:
         raise ValueError("negative power; invert explicitly")
-    out = one
+    out = None
     while n:
         if n & 1:
-            out = mul(out, x)
+            out = x if out is None else mul(out, x)
         n >>= 1
         if n:
             x = mul(x, x)
-    return out
+    return one if out is None else out
 
 
 def _coerce(x):

@@ -15,14 +15,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 import eleech
 from eleech import rings
-from eleech.isomorphism import load_e1, e2_matrix
+from eleech.diagram import PRESENTATION_PAIR
+from eleech.isomorphism import M666_ORDER, load_e1, load_e1prime, e2_matrix, m666_from_e1prime
 from eleech.lattices import lattice_3e8_h, lattice_leech_h
 from eleech.linalg import (
     FORM_E8H, FORM_LEECH_H, AutMatrix, _eliminate, aut_from_images, charpoly,
     kernel, mat_det, mat_identity, mat_inverse, mat_mul, mat_scalar, mat_vec,
     spanning_basis, vec_add, vec_scale,
 )
-from eleech.relations import INFINITE, matrix_order
+from eleech.relations import INFINITE, SPIDER, GroupWord, hand_swap, matrix_order
 from eleech.rings import Cyclo12, Eis, OMEGA, OMEGA2, ONE, THETA, ZERO
 from eleech.reflections import word_matrix
 
@@ -404,3 +405,148 @@ def test_preserves_form_sees_the_whole_map(diagram):
     assert all(FORM_E8H.ip(m.apply(u), m.apply(v)) == FORM_LEECH_H.ip(u, v)
                for u in e1[:5] for v in e1[:5])
     assert not m.preserves_form(FORM_LEECH_H, FORM_E8H)
+
+
+# ---------------------------------------------------------------------------
+# the int pair kernels against the Eis loops they replace
+
+
+def _reference_mat_vec(m, v):
+    return tuple(sum((a * x for a, x in zip(row, v) if a and x), start=ZERO) for row in m)
+
+
+def _reference_mat_mul(a, b):
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col) if x and y), start=ZERO) for col in bt)
+        for row in a
+    )
+
+
+def _reference_eliminate(rows, width=None):
+    """Bareiss's elimination with one Eis per product and division."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    width = len(a[0]) if width is None else width
+    pivots = []
+    prev = ONE
+    sign = 1
+    for c in range(width):
+        r = len(pivots)
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        prow = a[r]
+        p = prow[c]
+        for i in range(n):
+            row = a[i]
+            f = row[c]
+            if i == r or (not f and p == prev):
+                continue
+            for j, x in enumerate(row):
+                y = prow[j]
+                if f and y:
+                    x = p * x - f * y
+                elif x:
+                    x = p * x
+                else:
+                    continue
+                row[j] = x.exact_div(prev) if prev != ONE else x
+        prev = p
+        pivots.append(c)
+    return a, pivots, prev, sign
+
+
+def _reference_apply(aut, v):
+    """The image of v by mat / theta^k, the division by theta^k done as a
+    product with (-theta)^k and an exact division by 3^k, entry by entry."""
+    w = _reference_mat_vec(aut.mat, v)
+    s, n = (-THETA) ** aut.k, 3 ** aut.k
+    return tuple((x * s).divide_exact_int(n) for x in w)
+
+
+def _agree(new, old, *args):
+    """new(*args) == old(*args), or both raise the same exception type."""
+    try:
+        want = old(*args)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            new(*args)
+        return
+    assert new(*args) == want
+
+
+#: the sparse entries above, and entries up to 10^12 in size
+wide = st.one_of(sparse, st.builds(Eis, *(st.integers(-10 ** 12, 10 ** 12),) * 2))
+wide12 = st.builds(Cyclo12, *(st.integers(-10 ** 12, 10 ** 12),) * 4)
+
+
+@st.composite
+def oracle_matrices(draw, rows=None, cols=None):
+    """Up to 5 x 6 matrices of wide entries, any shape, some rows Z[w]
+    combinations of earlier ones, so that many are rank deficient."""
+    n = rows or draw(st.integers(1, 5))
+    m = cols or draw(st.integers(1, 6))
+    out = []
+    for _ in range(n):
+        if out and draw(st.booleans()):
+            cs = draw(st.lists(eis, min_size=len(out), max_size=len(out)))
+            out.append(tuple(sum((c * r[j] for c, r in zip(cs, out)), ZERO) for j in range(m)))
+        else:
+            out.append(tuple(draw(st.lists(wide, min_size=m, max_size=m))))
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_matrices(), st.data())
+def test_eliminate_matches_the_eis_loop(rows, data):
+    """Any shape and rank, with all columns or a width below their count."""
+    width = data.draw(st.one_of(st.none(), st.integers(0, len(rows[0]))))
+    _agree(_eliminate, _reference_eliminate, rows, width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_matrices(), st.integers(1, 6), st.data())
+def test_mat_mul_matches_the_eis_loop(a, cols, data):
+    b = data.draw(oracle_matrices(rows=len(a[0]), cols=cols))
+    _agree(mat_mul, _reference_mat_mul, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_matrices(), st.data())
+def test_mat_vec_matches_the_eis_loop(m, data):
+    v = tuple(data.draw(st.lists(wide, min_size=len(m[0]), max_size=len(m[0]))))
+    _agree(mat_vec, _reference_mat_vec, m, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: oracle_matrices(rows=n, cols=n)),
+       st.integers(0, 3), st.integers(0, 3), st.booleans(), st.data())
+def test_apply_matches_the_eis_loop(m, k, j, twelve, data):
+    """A Z[w] or Z[zeta_12] vector times theta^j through mat / theta^k:
+    the division is exact when j >= k, and may fail otherwise."""
+    v = data.draw(st.lists(wide12 if twelve else wide, min_size=len(m), max_size=len(m)))
+    aut = AutMatrix(m, k)
+    _agree(aut.apply, lambda v: _reference_apply(aut, v), vec_scale(THETA ** j, v))
+
+
+def test_kernels_return_eis_entries(diagram, chg):
+    """Eis(3, 0) == 3 with equal hashes, so the equality tests above would
+    pass on an int or an int pair leaked from a kernel: the lattice maps
+    and the vectors the kernels return hold Eis entries and nothing else,
+    and rho_hat's image holds Cyclo12 entries."""
+    roots = dict(zip(M666_ORDER, m666_from_e1prime(load_e1prime())))
+    sigma = diagram.sigma()
+    maps = [chg.fwd, chg.back, diagram.g_action(PRESENTATION_PAIR[0]), sigma,
+            hand_swap(roots, "1", "2"), GroupWord(diagram, SPIDER).matrix(), sigma.inverse()]
+    picked, (adj, d) = spanning_basis(diagram.roots)
+    vectors = [*adj, (d,), *kernel(tuple(zip(*diagram.roots))),
+               chg.to_e8h(load_e1()[0]), sigma.apply(diagram.roots[0])]
+    assert all(type(x) is Eis for m in maps for row in m.mat for x in row)
+    assert all(type(x) is Eis for v in vectors for x in v)
+    assert all(type(x) is Cyclo12 for x in chg.back.apply(diagram.rho_hat))

@@ -203,6 +203,24 @@ def test_power_matches_repeated_products():
     assert power(3, 5, 1) == 243 and power(2, 0, 1) == 1
 
 
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (3, 2), (8, 3), (13, 5)])
+def test_power_never_multiplies_by_one(n, products):
+    """Square and multiply starts from the first power it multiplies in:
+    x^n takes floor(log2 n) squarings and one product less than the set
+    bits of n, and x^0 is the unit itself."""
+    calls = []
+
+    def mul(a, b):
+        assert a != "one" and b != "one"
+        calls.append((a, b))
+        return a + b
+
+    assert power(1, n, "one", mul) == (n if n else "one")
+    assert len(calls) == products
+    with pytest.raises(ValueError):
+        power(1, -1, "one", mul)
+
+
 def test_negative_powers_raise():
     with pytest.raises(ValueError):
         Eis(2, 1) ** -1
