@@ -281,12 +281,18 @@ def psi_root(lam, beta2):
     first-shell lam (m = -2) it is theta/2 + beta, integral exactly when
     beta2 is odd.
     """
-    t = -1 - leech_ip(lam, lam).a // 3
+    return lam + (ONE, Eis(*psi_tail(leech_ip(lam, lam).a, beta2)))
+
+
+def psi_tail(norm, beta2):
+    """The tail of ``psi_root`` as an int pair (a, b) for a + b w, from
+    the Leech norm |lam|^2 = norm, an int multiple of 3."""
+    t = -1 - norm // 3
     # theta t/2 + beta2/2 = (t + beta2)/2 + t w
     a, odd = divmod(t + beta2, 2)
     if odd:
         raise ValueError("beta2 leaves the root tail non-integral")
-    return lam + (ONE, Eis(a, t))
+    return a, t
 
 
 def quadruple_roots(delta, perm, betas):

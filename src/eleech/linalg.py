@@ -132,8 +132,16 @@ def mat_scalar(n, s) -> EMatrix:
 
 
 def gram_of(rows, form):
-    """The Gram matrix of the rows under ``form.ip``."""
-    return tuple(tuple(form.ip(u, v) for v in rows) for u in rows)
+    """The Gram matrix of the rows under ``form.ip``, a Hermitian pairing:
+    each unordered pair of rows is paired once, and the entry below the
+    diagonal is the conjugate of the one above."""
+    n = len(rows)
+    g = [[None] * n for _ in range(n)]
+    for i, u in enumerate(rows):
+        for j in range(i, n):
+            g[i][j] = x = form.ip(u, rows[j])
+            g[j][i] = x.conj()
+    return tuple(map(tuple, g))
 
 
 def negdef_ip(u, v, den=1):
@@ -256,9 +264,12 @@ def aut_from_images(sources, targets, spanning=None) -> "AutMatrix":
     picked, (adj, d) = spanning or spanning_basis(sources)
     cols = tuple(zip(*(targets[i] for i in picked)))
     aut = AutMatrix.over(mat_mul(cols, adj), d)
-    for s, t in zip(sources, targets):
-        if aut.apply(s) != tuple(t):
-            raise ValueError("images are not those of one lattice map")
+    # mat / theta^k sends every source to its target: one product with the
+    # sources as columns, against the targets times theta^k
+    scale = THETA ** aut.k
+    images = tuple(zip(*(vec_scale(scale, t) for t in targets)))
+    if mat_mul(aut.mat, tuple(zip(*sources))) != images:
+        raise ValueError("images are not those of one lattice map")
     return aut
 
 

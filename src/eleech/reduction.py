@@ -40,12 +40,12 @@ from .rings import (
 )
 from .codes import golay12
 from .diagram import NODE_HEIGHT_SQ, height_pair
-from .linalg import FORM_LEECH_H, FORM_E8H, mat_det
+from .linalg import FORM_E8H, FORM_LEECH_H, _exact, mat_det
 from .lattices import (
     from_flat, in_l_e8h, leech_contains, leech_ip, re_row, to_flat,
 )
 from .reflections import NodeChain, reflect, canonical_root
-from .isomorphism import psi_root
+from .isomorphism import psi_tail
 from .textio import data_text, parse_matrix, parse_entry, format_vector
 
 R1 = (ZERO,) * 12 + (ONE, OMEGA2)          # (0^12; 1, w^2)
@@ -358,12 +358,14 @@ class LeechCVP:
     Per m the 12 coordinates split into three blocks of 4, and each block
     gets one table of packed ints (cost << 5) + residue sum over its 81
     digit patterns (``_block_table``), so a word's nearest rounding costs
-    3 lookups and 2 additions and meets the cap in one comparison.  Only a
-    word that gets under the cap is repaired: its repair is the least
-    (pen << 4) + i over its 12 coordinates i, read off the rounding
-    options, so the cheapest coordinate wins and the first one on ties.
-    The first strict minimum in (m, word) order wins; only the winner's
-    lattice vector is built.
+    3 lookups and 2 additions and meets the cap in one comparison.  The
+    108 (coordinate, m, digit) entries come from ``_nearest``; the full
+    rounding options of ``_coset_options`` are built, once per call, only
+    where they are read.  Only a word that gets under the cap is repaired:
+    its repair is the least (pen << 4) + i over its 12 coordinates i, read
+    off the rounding options, so the cheapest coordinate wins and the
+    first one on ties.  The first strict minimum in (m, word) order wins;
+    only the winner's lattice vector is built.
     """
 
     def __init__(self):
@@ -371,33 +373,43 @@ class LeechCVP:
         self.blocks = _word_blocks()
 
     def find_within(self, num, den):
+        pairs = [(x.a, x.b) for x in num]
+        full = {}
+
+        def options(m, i, d):
+            """The ``_coset_options`` of coordinate i at m + theta*d + 3E."""
+            key = m, i, d
+            if key not in full:
+                a, b = pairs[i]
+                full[key] = _coset_options(a - den * (m + d), b - 2 * den * d, den)
+            return full[key]
+
         # a scanned total below cap is within the bound and below the best so far
         cap = 9 * COVERING_BOUND * den * den + 1
         best = None
         for m in (0, 1, -1):
-            # [coord][digit + 1] -> the coset entry of m + theta*digit + 3E nearest t
-            opts = [[_coset_options(x.a - den * (m + d), x.b - 2 * den * d, den)
-                     for d in (-1, 0, 1)] for x in num]
-            t0, t1, t2 = (_block_table(opts, 4 * b) for b in range(3))
+            # [coord][digit + 1] -> the packed entry of m + theta*digit + 3E nearest t
+            near = [[_nearest(a - den * (m + d), b - 2 * den * d, den) for d in (-1, 0, 1)]
+                    for a, b in pairs]
+            t0, t1, t2 = (_block_table(near, 4 * b) for b in range(3))
             cap5 = cap << 5
             for c, (i0, i1, i2) in zip(self.words, self.blocks):
                 packed = t0[i0] + t1[i1] + t2[i2]
                 if packed < cap5:
                     need = (m - (packed & 31)) % 3
                     # the repair: the least pen, then the first coordinate
-                    key = min((col[d + 1][2 + need][0] << 4) + i
-                              for i, (col, d) in enumerate(zip(opts, c))) if need else 0
+                    key = min((options(m, i, d)[2 + need][0] << 4) + i
+                              for i, d in enumerate(c)) if need else 0
                     total = (packed >> 5) + (key >> 4)
                     if total < cap:
                         cap, cap5 = total, total << 5
-                        best = (m, c, need, key & 15, opts)
+                        best = (m, c, need, key & 15)
         if best is None:
             return None
-        m, c, need, k, opts = best
-        row = [col[d + 1] for col, d in zip(opts, c)]
-        zs = [o[1] for o in row]
+        m, c, need, k = best
+        zs = [options(m, i, d)[1] for i, d in enumerate(c)]
         if need:
-            zs[k] = row[k][2 + need][1]
+            zs[k] = options(m, k, c[k])[2 + need][1]
         return tuple(Eis(m + d + 3 * za, 2 * d + 3 * zb) for d, (za, zb) in zip(c, zs))
 
 
@@ -410,15 +422,51 @@ def _word_blocks():
                        for b in (0, 4, 8)) for c in golay12().words())
 
 
-def _block_table(opts, first):
+def _block_table(near, first):
     """The 81 digit patterns of coordinates first..first+3, in the index
     order of ``_word_blocks``, as one int each: (cost << 5) + residue sum.
     A word's residue sum is at most 2 * 12 < 32, so the sum of its three
     blocks' entries packs its cost and residue sum the same way."""
-    e0, e1, e2, e3 = ([(o[0] << 5) + o[2] for o in opts[i]] for i in range(first, first + 4))
+    e0, e1, e2, e3 = near[first:first + 4]
     high = [x + y for x in e0 for y in e1]
     low = [x + y for x in e2 for y in e3]
     return [x + y for x in high for y in low]
+
+
+def _nearest(na, nb, den):
+    """(cost << 5) + residue of the nearest z of ``_coset_options``:
+    fields 0 and 2 of its tuple, from the rounded point and at most four
+    neighbour costs.
+
+    With d3 = 3*den, the rounding puts a0 = na - d3*ra and b0 = nb - d3*rb
+    in [-d3/2, d3/2), and the cost of box position (i, j) is N(a, b) =
+    a^2 - ab + b^2 at its offsets.  Against position 0 at (a0, b0), the
+    positions 4 (a0 + d3, b0 + d3) and 8 (a0 - d3, b0 - d3) cost
+    d3*(d3 + a0 + b0) >= 0 and d3*(d3 - a0 - b0) > 0 more, so 4 only ties
+    position 0, which comes first, and 8 never wins; position 5
+    (a0 + d3, b0 - d3) costs d3*(2*d3 + a0 - 2*b0) > d3^2/2 more than
+    position 3 (a0 + d3, b0), and position 7 (a0 - d3, b0 + d3) likewise
+    d3*(2*d3 - 2*a0 + b0) more than position 1 (a0, b0 + d3).  So the
+    winner is the first least cost among the positions 0, 1, 2, 3 and 6,
+    whose costs exceed position 0's by d3 times d3 + u, d3 - u, d3 + v and
+    d3 - v, with u = 2*b0 - a0 and v = 2*a0 - b0; they shift the residue
+    ra + rb of position 0 by 2, 1, 2 and 1."""
+    d3 = 3 * den
+    ra = (2 * na + d3) // (2 * d3)
+    rb = (2 * nb + d3) // (2 * d3)
+    a0 = na - d3 * ra
+    b0 = nb - d3 * rb
+    u, v = 2 * b0 - a0, 2 * a0 - b0
+    extra = shift = 0
+    if (x := d3 + u) < extra:
+        extra, shift = x, 2
+    if (x := d3 - u) < extra:
+        extra, shift = x, 1
+    if (x := d3 + v) < extra:
+        extra, shift = x, 2
+    if (x := d3 - v) < extra:
+        extra, shift = x, 1
+    return ((a0 * a0 - a0 * b0 + b0 * b0 + d3 * extra) << 5) + (ra + rb + shift) % 3
 
 
 def _coset_options(na, nb, den):
@@ -471,51 +519,98 @@ def conway_reduce(mu, max_steps=200):
     the step list of (root, eps_name) and the reduced root y with
     h(y) = 1; h^2 strictly decreases in Z at every step.
 
-    The normalized point y[:12] / y[12] is held as the Z[w] numerators
-    y_i * conj(y[12]) over the int denominator |y[12]|^2 = h^2.
+    A step holds y as one flat int list (a_0, b_0, ..., a_13, b_13) and
+    runs on int pairs; Eis is built for the closest-vector search's input
+    and for the returned roots and y.  The normalized point y[:12] / y[12]
+    is held as the Z[w] numerators y_i * conj(y[12]) over the int
+    denominator |y[12]|^2 = h^2.
     """
     cvp = LeechCVP()
     steps = []
-    y = tuple(mu)
+    y = list(to_flat(mu))
+    h2 = h_value_sq(mu)
     for _ in range(max_steps):
-        h2 = h_value_sq(y)
         if h2 == 1:
-            return steps, y
+            return steps, from_flat(y)
         if h2 == 0:
             raise ValueError("h = 0: input is orthogonal to rho; not a valid start")
-        al = y[12].conj()
-        num = tuple(x * al for x in y[:12])
-        lam = cvp.find_within(num, h2)
+        # (a + bw)(c + dw) = (ac - bd) + (ad + bc - bd) w, with c + dw = conj(y[12])
+        c, d = y[24] - y[25], -y[25]
+        num = [(a * c - b * d, a * d + b * c - b * d) for a, b in zip(y[:24:2], y[1:24:2])]
+        lam = cvp.find_within([Eis(a, b) for a, b in num], h2)
         if lam is None:
             raise RuntimeError("covering-radius bound violated; axiom falsified")
-        r, eps_name = _conway_root(y, num, h2, lam)
-        y2 = reflect(r, _EPS[eps_name], y, FORM_LEECH_H)
-        if not h_value_sq(y2) < h2:
+        lam_pairs = [(x.a, x.b) for x in lam]
+        tail, eps_name = _conway_root(y, num, h2, lam_pairs)
+        _reflect_flat(y, lam_pairs, tail, eps_name)
+        a, b = y[24], y[25]
+        if not (h2_next := a * a - a * b + b * b) < h2:
             raise RuntimeError("a Conway step did not decrease h; the proof's bound failed")
-        steps.append((r, eps_name))
-        y = y2
+        steps.append((lam + (ONE, Eis(*tail)), eps_name))
+        h2 = h2_next
     raise RuntimeError("conway_reduce exceeded max_steps")
 
 
 def _conway_root(y, num, n, lam):
-    """The reflecting root (lam; 1, theta(-3-|lam|^2)/6 + beta + k) and eps,
-    for the point l = num / n (n = |y[12]|^2).  Every fraction below has
-    denominator 2n, 18n or 54n and is kept as its int numerator."""
+    """The tail theta(-3-|lam|^2)/6 + beta + k of the reflecting root
+    (lam; 1, tail), as an int pair, and eps, for the point l = num / n
+    (y flat ints, n = |y[12]|^2, num and lam int pairs).  Every fraction
+    below has denominator 2n, 18n or 54n and is kept as its int numerator."""
     # w = (l; 1, alpha - theta |l|^2/6) with y[13]/y[12] = nb/n; the real
     # part alpha1 = (2 nb.a - nb.b)/(2n) of alpha, as |l|^2 cancels there
-    nb = y[13] * y[12].conj()
+    a, b, c, d = y[26], y[27], y[24] - y[25], -y[25]
+    nba, nbb = a * c - b * d, a * d + b * c - b * d
     # beta = beta2/2 with 2 beta + 1 = |lam|^2 mod 2
-    beta2 = 1 if leech_ip(lam, lam).a % 2 == 0 else 0
+    norm = -_norm_third(lam)
+    beta2 = 1 if norm % 2 == 0 else 0
     # <lam, l>/theta = p/(9n) with p = theta * sum conj(lam_i) num_i, so
-    # [lam, l] = (2 p.a - p.b)/(18n)
-    p = THETA * sum((x.conj() * v for x, v in zip(lam, num)), ZERO)
+    # [lam, l] = (2 p.a - p.b)/(18n); for p = theta (s + t w) that is -3t,
+    # t = sum la_i z_i - lb_i x_i the w part of the sum, num_i = x_i + z_i w
+    t = sum(la * z - lb * x for (la, lb), (x, z) in zip(lam, num))
     # b = theta * (base - k/3) with base = (alpha1 - beta - [lam, l])/3,
     # and base54 = 54n * base
-    base54 = 9 * (2 * nb.a - nb.b) - 9 * n * beta2 - (2 * p.a - p.b)
+    base54 = 9 * (2 * nba - nbb) - 9 * n * beta2 + 3 * t
     # the nearest k centers b: |base - k/3| <= 1/6
     k = round_half_even(base54, 18 * n)
     eps_name = "wbar" if base54 - 18 * n * k <= 0 else "w"
-    return psi_root(lam, beta2 + 2 * k), eps_name
+    return psi_tail(norm, beta2 + 2 * k), eps_name
+
+
+def _norm_third(lam):
+    """sum N(lam_i) / 3 for the int pairs lam_i, the division exact as in
+    ``leech_ip``: minus the Leech norm |lam|^2."""
+    (third, _), = _exact([(sum(a * a - a * b + b * b for a, b in lam), 0)], 3)
+    return third
+
+
+def _reflect_flat(y, lam, tail, eps_name):
+    """``reflect`` in the root r = (lam; 1, tail) of Leech+H on the flat
+    ints y, in place: y += s r with s = (1 - eps) <r, y> / 3, with the
+    norm -3 check on r and every division by 3 exact, as there.  In the
+    form <u, v> = conj(u13) theta v12 - conj(u12) theta v13
+    - sum conj(u_i) v_i / 3 the root's u12 = 1 gives conj(tail) theta =
+    (ta + tb) + (2 ta - tb) w and <r, r> = 3 tb - sum N(lam_i) / 3."""
+    ta, tb = tail
+    if 3 * tb - _norm_third(lam) != -3:
+        raise ValueError("reflection requires a norm -3 root")
+    # sum conj(lam_i) y_i, conj(la + lb w) = (la - lb) - lb w
+    g = h = 0
+    for (la, lb), x, z in zip(lam, y[:24:2], y[1:24:2]):
+        g += la * x - lb * x + lb * z
+        h += la * z - lb * x
+    (g, h), = _exact([(g, h)], 3)
+    # conj(tail) theta y12 - theta y13 - (g + h w), theta = 1 + 2w
+    c, d = ta + tb, 2 * ta - tb
+    e, f = y[24], y[25]
+    qa = c * e - d * f - (y[26] - 2 * y[27]) - g
+    qb = c * f + d * e - d * f - (2 * y[26] - y[27]) - h
+    p = _ONE_MINUS[eps_name]
+    pa, pb = p.a, p.b
+    (sa, sb), = _exact([(pa * qa - pb * qb, pa * qb + pb * qa - pb * qb)], 3)
+    for i, (la, lb) in enumerate(lam + [(1, 0), tail]):
+        t = sb * lb
+        y[2 * i] += sa * la - t
+        y[2 * i + 1] += sa * lb + sb * la - t
 
 
 # ---------------------------------------------------------------------------

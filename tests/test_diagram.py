@@ -34,15 +34,16 @@ def test_every_node_has_four_neighbors(diagram):
 
 
 def test_derived_data_are_built_once_on_first_use(monkeypatch):
-    """A new Diagram pairs no roots; its first Gram matrix pairs all 26^2,
-    and a derived value read again is the kept one, with no pairing."""
+    """A new Diagram pairs no roots; its first Gram matrix pairs each of
+    the 26 * 27 / 2 unordered pairs of roots once, and a derived value read
+    again is the kept one, with no pairing."""
     calls = []
     ip = LorentzForm.ip
     monkeypatch.setattr(LorentzForm, "ip", lambda self, u, v: calls.append(1) or ip(self, u, v))
     d = Diagram()
     assert len(calls) == 0
     d.gram
-    assert len(calls) == 676
+    assert len(calls) == 351
     names = ("gram", "adjacency", "rho_row", "root_basis", "node_kernel")
     first = {name: getattr(d, name) for name in names}
     calls.clear()

@@ -16,10 +16,12 @@ from hypothesis import assume, given, settings, strategies as st
 import eleech
 from eleech import rings
 from eleech.diagram import PRESENTATION_PAIR
-from eleech.isomorphism import M666_ORDER, load_e1, load_e1prime, e2_matrix, m666_from_e1prime
+from eleech.isomorphism import (
+    M666_ORDER, load_e1, load_e1prime, e2_matrix, m666_from_e1prime, m666_reference,
+)
 from eleech.lattices import lattice_3e8_h, lattice_leech_h
 from eleech.linalg import (
-    FORM_E8H, FORM_LEECH_H, AutMatrix, _eliminate, aut_from_images, charpoly,
+    FORM_E8H, FORM_LEECH_H, AutMatrix, _eliminate, aut_from_images, charpoly, gram_of,
     kernel, mat_det, mat_identity, mat_inverse, mat_mul, mat_scalar, mat_vec,
     spanning_basis, vec_add, vec_scale,
 )
@@ -405,6 +407,47 @@ def test_preserves_form_sees_the_whole_map(diagram):
     assert all(FORM_E8H.ip(m.apply(u), m.apply(v)) == FORM_LEECH_H.ip(u, v)
                for u in e1[:5] for v in e1[:5])
     assert not m.preserves_form(FORM_LEECH_H, FORM_E8H)
+
+
+def test_image_builder_names_a_failed_check_whatever_the_theta_power(chg):
+    """A source off the lattice whose image mat s is not divisible by
+    theta^k (k = 3 for C) gets the builder's own message, as a wrong image
+    of a lattice vector does, and not a failed division."""
+    e1 = list(load_e1())
+    e2 = [chg.fwd.apply(v) for v in e1]
+    assert chg.fwd.k == 3
+    # theta^3 divides x exactly when 27 divides N(x)
+    off = next(e for e in mat_identity(14)
+               if any(x.norm() % 27 for x in mat_vec(chg.fwd.mat, e)))
+    for extra in (off, e1[0]):
+        with pytest.raises(ValueError, match="images are not those of one lattice map"):
+            aut_from_images(e1 + [extra], e2 + [e2[1]])
+    assert aut_from_images(e1 + [e1[0]], e2 + [e2[0]]) == chg.fwd
+
+
+class _CountingForm:
+    """A form whose pairings are counted."""
+
+    def __init__(self, form):
+        self.form, self.calls = form, 0
+
+    def ip(self, u, v):
+        self.calls += 1
+        return self.form.ip(u, v)
+
+
+def test_gram_of_matches_the_double_loop(diagram):
+    """Pairing each unordered pair of rows once, and conjugating below the
+    diagonal, gives the Gram matrix of every ordered pair on E1, E2, the
+    26 diagram roots and M666 in both coordinate systems."""
+    cases = [(load_e1(), FORM_LEECH_H), (e2_matrix(diagram), FORM_E8H),
+             (diagram.roots, FORM_E8H), (m666_from_e1prime(load_e1prime()), FORM_LEECH_H),
+             (m666_reference(diagram), FORM_E8H)]
+    for rows, form in cases:
+        counting = _CountingForm(form)
+        assert gram_of(rows, counting) == tuple(tuple(form.ip(u, v) for v in rows) for u in rows)
+        assert counting.calls == len(rows) * (len(rows) + 1) // 2
+    assert [len(rows) for rows, _ in cases] == [14, 14, 26, 16, 16]
 
 
 # ---------------------------------------------------------------------------

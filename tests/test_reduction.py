@@ -11,10 +11,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eleech.rings import Eis, ONE, OMEGA, OMEGA2, THETA, ZERO, UNITS, unit_name, unit_from_name
+from eleech.rings import (
+    Eis, ONE, OMEGA, OMEGA2, THETA, ZERO, UNITS, round_half_even, unit_name, unit_from_name,
+)
 from eleech.codes import golay12
 from eleech.diagram import NODE_HEIGHT_SQ, DiagramNode
 from eleech.linalg import FORM_LEECH_H, FORM_E8H
+from eleech.isomorphism import psi_root
 from eleech.lattices import leech_ip, leech_contains, in_l_e8h
 from eleech.reflections import canonical_root, reflect
 from eleech.textio import format_vector
@@ -24,7 +27,7 @@ from eleech.reduction import (
     translate, load_z_basis, is_z_basis,
     HeightReducer, ReductionCertificate, check_certificate,
     conway_reduce, h_value_sq, LeechCVP, COVERING_BOUND,
-    _coset_options, _word_blocks,
+    _coset_options, _nearest, _word_blocks,
 )
 
 EPS = {"w": OMEGA, "wbar": OMEGA2}
@@ -406,6 +409,105 @@ def test_conway_reduce_thousand_random_roots(diagram, chg):
         assert h_value_sq(y) == 1
         total += len(steps)
     assert total > 0
+
+
+def _reference_conway_reduce(mu, max_steps=200):
+    """conway_reduce as first written: y, the numerators and the root in
+    Eis, and each step through ``reflect``."""
+    cvp = LeechCVP()
+    steps = []
+    y = tuple(mu)
+    for _ in range(max_steps):
+        h2 = h_value_sq(y)
+        if h2 == 1:
+            return steps, y
+        if h2 == 0:
+            raise ValueError("h = 0: input is orthogonal to rho; not a valid start")
+        al = y[12].conj()
+        num = tuple(x * al for x in y[:12])
+        lam = cvp.find_within(num, h2)
+        if lam is None:
+            raise RuntimeError("covering-radius bound violated; axiom falsified")
+        r, eps_name = _reference_conway_root(y, num, h2, lam)
+        y2 = reflect(r, EPS[eps_name], y, FORM_LEECH_H)
+        if not h_value_sq(y2) < h2:
+            raise RuntimeError("a Conway step did not decrease h; the proof's bound failed")
+        steps.append((r, eps_name))
+        y = y2
+    raise RuntimeError("conway_reduce exceeded max_steps")
+
+
+def _reference_conway_root(y, num, n, lam):
+    nb = y[13] * y[12].conj()
+    beta2 = 1 if leech_ip(lam, lam).a % 2 == 0 else 0
+    p = THETA * sum((x.conj() * v for x, v in zip(lam, num)), ZERO)
+    base54 = 9 * (2 * nb.a - nb.b) - 9 * n * beta2 - (2 * p.a - p.b)
+    k = round_half_even(base54, 18 * n)
+    eps_name = "wbar" if base54 - 18 * n * k <= 0 else "w"
+    return psi_root(lam, beta2 + 2 * k), eps_name
+
+
+def test_conway_reduce_matches_the_eis_reference(diagram, chg):
+    """The int step gives the Eis reference's roots, eps names and end
+    point on the first 100 roots of test_conway_reduce_thousand_random_roots,
+    and every returned entry is an Eis (Eis(3, 0) == 3 with equal hashes,
+    so equality alone would pass on a leaked int).  A start with h = 0
+    raises the reference's error."""
+    rng = random.Random(13)
+    for _ in range(100):
+        v = chg.to_e8h(R1)
+        for _ in range(4):
+            node = diagram.nodes[rng.randrange(26)]
+            eps = OMEGA if rng.random() < 0.5 else OMEGA2
+            v = reflect(node.root, eps, v, FORM_E8H)
+        mu = chg.to_leech_h(v)
+        got = conway_reduce(mu, max_steps=h_value_sq(mu) + 2)
+        assert got == _reference_conway_reduce(mu, max_steps=h_value_sq(mu) + 2)
+        steps, y = got
+        assert all(type(x) is Eis for r, _ in steps for x in r)
+        assert all(type(x) is Eis for x in y) and len(y) == 14
+    errors = []
+    for reduce in (conway_reduce, _reference_conway_reduce):
+        with pytest.raises(ValueError) as err:
+            reduce(RHO_NULL)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+
+
+def _packed_options(na, nb, den):
+    cost, _, res, *_ = _coset_options(na, nb, den)
+    return (cost << 5) + res
+
+
+def test_nearest_matches_the_coset_options():
+    """_nearest packs fields 0 and 2 of _coset_options: on every (na, nb)
+    in [-12, 12]^2 for den 1 to 3, where exact cost ties are dense, and on
+    10^4 seeded points with large numerators."""
+    points = [(na, nb, den) for den in (1, 2, 3)
+              for na in range(-12, 13) for nb in range(-12, 13)]
+    rng = random.Random(31)
+    for _ in range(10_000):
+        den = rng.randint(1, 10 ** rng.randint(1, 9))
+        span = 3 * den * rng.randint(1, 10 ** 4)
+        points.append((rng.randint(-span, span), rng.randint(-span, span), den))
+    for na, nb, den in points:
+        assert _nearest(na, nb, den) == _packed_options(na, nb, den)
+
+
+def _near_half(den):
+    """Numerators at or next to the half steps of 3*den, where the
+    rounding and the box costs tie."""
+    return st.tuples(st.integers(-60, 60), st.integers(-2, 2)).map(
+        lambda t: (t[0] * 3 * den) // 2 + t[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 12).flatmap(lambda den: st.tuples(
+    st.one_of(_near_half(den), st.integers(-10 ** 15, 10 ** 15)),
+    st.one_of(_near_half(den), st.integers(-10 ** 15, 10 ** 15)),
+    st.just(den))))
+def test_nearest_matches_the_coset_options_up_to_large_denominators(point):
+    assert _nearest(*point) == _packed_options(*point)
 
 
 def test_cvp_within_covering_bound():
