@@ -27,7 +27,6 @@ from .linalg import (
     gram_of,
     mat_det,
     negdef_ip,
-    vec_is_zero,
 )
 from .codes import GOLAY12_GENS, TETRACODE_GENS, golay12, tetracode
 
@@ -310,7 +309,7 @@ class HermitianLattice:
 
 def _hnf_basis(rows):
     """A triangular basis of the row span over the Euclidean domain Z[w]."""
-    work = [list(r) for r in rows if not vec_is_zero(r)]
+    work = [list(r) for r in rows if any(r)]
     ncols = len(rows[0])
     basis = []
     col = 0

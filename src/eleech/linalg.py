@@ -31,10 +31,6 @@ def vec_scale(s, u):
     return tuple(s * x for x in u)
 
 
-def vec_is_zero(u) -> bool:
-    return not any(u)
-
-
 def mat_vec(m, v):
     """m v for a Z[w] matrix m and a Z[w] or Z[zeta_12] vector v."""
     rows = [_pairs(row) for row in m]

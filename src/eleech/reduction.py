@@ -44,7 +44,7 @@ from .linalg import FORM_E8H, FORM_LEECH_H, _exact, mat_det
 from .lattices import (
     from_flat, in_l_e8h, leech_contains, leech_ip, re_row, to_flat,
 )
-from .reflections import NodeChain, reflect, canonical_root
+from .reflections import NodeChain, _add_scaled, _shift, reflect, canonical_root
 from .isomorphism import psi_tail
 from .textio import data_text, parse_matrix, parse_entry, format_vector
 
@@ -195,7 +195,6 @@ def _choice(name, allowed):
 
 
 _EPS = {"w": OMEGA, "wbar": OMEGA2}
-_ONE_MINUS = {name: ONE - eps for name, eps in _EPS.items()}
 _UNIT_NAMES = frozenset(map(unit_name, UNITS))
 #: descent steps one reduction may take before it gives up
 REDUCE_BUDGET = 10_000
@@ -292,9 +291,10 @@ def check_certificate(cert, diagram, generators) -> bool:
     The replay runs on flat ints and does not use the ``NodeKernel`` that
     wrote the certificate.  Each reflecting root r is read once per call
     as its form row; the form of 3E8+H has den 1, so <r, y> is two int
-    dot products, and a step is y += s r with s = (1 - eps) <r, y> / 3,
-    the division exact as in ``reflect``.  The height is read off
-    rho_hat's row by ``height_pair``, as ``Diagram.height_sq`` reads it."""
+    dot products, and a step is y += s r with s = (1 - eps) <r, y> / 3
+    by the node kernel's ``_shift`` and ``_add_scaled``.  The height is
+    read off rho_hat's row by ``height_pair``, as ``Diagram.height_sq``
+    reads it."""
     y = cert.target
     if not in_l_e8h(y) or diagram.form.ip(y, y) != Eis(-3, 0):
         return False
@@ -314,12 +314,7 @@ def check_certificate(cert, diagram, generators) -> bool:
     last = height_pair(rho_row, y)
     for kind, k, eps_name in cert.steps:
         (ra, rb), coords = mirrors[kind, k]
-        s = (_ONE_MINUS[eps_name] * Eis(sum(map(mul, ra, y)), sum(map(mul, rb, y)))
-             ).divide_exact_int(3)
-        for i, a, b in coords:
-            t = s.b * b
-            y[i] += s.a * a - t
-            y[i + 1] += s.a * b + s.b * a - t
+        _add_scaled(y, coords, *_shift(sum(map(mul, ra, y)), sum(map(mul, rb, y)), eps_name))
         p, q = height_pair(rho_row, y)
         if kind == "node" and sqrt3_sign(p - last[0], q - last[1]) >= 0:
             return False
@@ -475,38 +470,29 @@ def _coset_options(na, nb, den):
     repair s is (extra cost, z) of the nearest z whose residue is shifted
     by s mod 3.  Candidates are the 3x3 box around the rounded q, which
     holds every residue; box position 3*i + j has za = ra, ra - 1, ra + 1
-    for i = 0, 1, 2 and zb likewise for j.  The class shifted by 0 from
-    the rounded point sits at positions 0, 5, 7, by 1 at 2, 4, 6 and by 2
-    at 1, 3, 8; each class keeps its first strict minimum in box order,
-    and the least (cost, position) of the three is the first overall."""
+    for i = 0, 1, 2 and zb likewise for j.  As in ``_nearest``, a cost
+    exceeds position 0's by d3 times an extra, with u = 2*b0 - a0,
+    v = 2*a0 - b0 and t = a0 + b0: d3 - u, d3 + t, d3 - v at positions
+    2, 4, 6 (residue shifted by 1), d3 + u, d3 + v, d3 - t at 1, 3, 8
+    (by 2); position 0 wins the unshifted class, as 5 and 7 cost
+    3*d3*(d3 +- (a0 - b0)) > 0 more.  Each class keeps its least
+    (extra, position), and the least of the three wins."""
     d3 = 3 * den
     ra = (2 * na + d3) // (2 * d3)
     rb = (2 * nb + d3) // (2 * d3)
-    # the offsets q - z per axis, scaled by 3*den, at i (or j) = 0, 1, 2
     a0 = na - d3 * ra
     b0 = nb - d3 * rb
-    a1, a2, b1, b2 = a0 + d3, a0 - d3, b0 + d3, b0 - d3
-    c0, p0, z0 = a0 * a0 - a0 * b0 + b0 * b0, 0, (ra, rb)
-    if (x := a1 * a1 - a1 * b2 + b2 * b2) < c0:
-        c0, p0, z0 = x, 5, (ra - 1, rb + 1)
-    if (x := a2 * a2 - a2 * b1 + b1 * b1) < c0:
-        c0, p0, z0 = x, 7, (ra + 1, rb - 1)
-    c1, p1, z1 = a0 * a0 - a0 * b2 + b2 * b2, 2, (ra, rb + 1)
-    if (x := a1 * a1 - a1 * b1 + b1 * b1) < c1:
-        c1, p1, z1 = x, 4, (ra - 1, rb - 1)
-    if (x := a2 * a2 - a2 * b0 + b0 * b0) < c1:
-        c1, p1, z1 = x, 6, (ra + 1, rb)
-    c2, p2, z2 = a0 * a0 - a0 * b1 + b1 * b1, 1, (ra, rb - 1)
-    if (x := a1 * a1 - a1 * b0 + b0 * b0) < c2:
-        c2, p2, z2 = x, 3, (ra - 1, rb)
-    if (x := a2 * a2 - a2 * b2 + b2 * b2) < c2:
-        c2, p2, z2 = x, 8, (ra + 1, rb + 1)
-    r = ra + rb
-    if (c0, p0) <= (c1, p1) and (c0, p0) <= (c2, p2):
-        return c0, z0, r % 3, (c1 - c0, z1), (c2 - c0, z2)
-    if (c1, p1) < (c2, p2):
-        return c1, z1, (r + 1) % 3, (c2 - c1, z2), (c0 - c1, z0)
-    return c2, z2, (r + 2) % 3, (c0 - c2, z0), (c1 - c2, z1)
+    u, v, t = 2 * b0 - a0, 2 * a0 - b0, a0 + b0
+    e1, p1, z1 = min((d3 - u, 2, (ra, rb + 1)), (d3 + t, 4, (ra - 1, rb - 1)),
+                     (d3 - v, 6, (ra + 1, rb)))
+    e2, p2, z2 = min((d3 + u, 1, (ra, rb - 1)), (d3 + v, 3, (ra - 1, rb)),
+                     (d3 - t, 8, (ra + 1, rb + 1)))
+    c0, z0, r = a0 * a0 - a0 * b0 + b0 * b0, (ra, rb), ra + rb
+    if e1 >= 0 and e2 >= 0:
+        return c0, z0, r % 3, (d3 * e1, z1), (d3 * e2, z2)
+    if (e1, p1) < (e2, p2):
+        return c0 + d3 * e1, z1, (r + 1) % 3, (d3 * (e2 - e1), z2), (-d3 * e1, z0)
+    return c0 + d3 * e2, z2, (r + 2) % 3, (-d3 * e2, z0), (d3 * (e1 - e2), z1)
 
 
 def conway_reduce(mu, max_steps=200):
@@ -585,11 +571,12 @@ def _norm_third(lam):
 
 def _reflect_flat(y, lam, tail, eps_name):
     """``reflect`` in the root r = (lam; 1, tail) of Leech+H on the flat
-    ints y, in place: y += s r with s = (1 - eps) <r, y> / 3, with the
-    norm -3 check on r and every division by 3 exact, as there.  In the
-    form <u, v> = conj(u13) theta v12 - conj(u12) theta v13
-    - sum conj(u_i) v_i / 3 the root's u12 = 1 gives conj(tail) theta =
-    (ta + tb) + (2 ta - tb) w and <r, r> = 3 tb - sum N(lam_i) / 3."""
+    ints y, in place: y += s r with s = (1 - eps) <r, y> / 3 by the node
+    kernel's ``_shift`` and ``_add_scaled``, with the norm -3 check on r
+    and every division exact, as there.  In the form <u, v> =
+    conj(u13) theta v12 - conj(u12) theta v13 - sum conj(u_i) v_i / 3
+    the root's u12 = 1 gives conj(tail) theta = (ta + tb) + (2 ta - tb) w
+    and <r, r> = 3 tb - sum N(lam_i) / 3."""
     ta, tb = tail
     if 3 * tb - _norm_third(lam) != -3:
         raise ValueError("reflection requires a norm -3 root")
@@ -604,13 +591,8 @@ def _reflect_flat(y, lam, tail, eps_name):
     e, f = y[24], y[25]
     qa = c * e - d * f - (y[26] - 2 * y[27]) - g
     qb = c * f + d * e - d * f - (2 * y[26] - y[27]) - h
-    p = _ONE_MINUS[eps_name]
-    pa, pb = p.a, p.b
-    (sa, sb), = _exact([(pa * qa - pb * qb, pa * qb + pb * qa - pb * qb)], 3)
-    for i, (la, lb) in enumerate(lam + [(1, 0), tail]):
-        t = sb * lb
-        y[2 * i] += sa * la - t
-        y[2 * i + 1] += sa * lb + sb * la - t
+    _add_scaled(y, [(2 * i, a, b) for i, (a, b) in enumerate(lam + [(1, 0), tail])],
+                *_shift(qa, qb, eps_name))
 
 
 # ---------------------------------------------------------------------------

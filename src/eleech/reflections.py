@@ -9,6 +9,8 @@ six unit multiples (keys order Z[w] by norm, then a, then b).
 
 Chains of reflections in the 26 diagram roots run on ``NodeKernel`` in
 plain ints; ``reflect`` stays the independent 14-coordinate path.
+``_shift`` and ``_add_scaled`` are the one flat step y += s r of the node
+kernel, the certificate replay and the Conway step in ``reduction``.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ def _shift(a, b, eps_name):
     and (1 - wbar) = (2, 1); a ValueError unless theta divides a + b w."""
     c, rem = divmod(a + b, 3)
     if rem:
-        raise ValueError("a node pairing is not divisible by theta")
+        raise ValueError("a pairing is not divisible by theta")
     return (c, b - c) if eps_name == "w" else (a - c, c)
 
 

@@ -508,6 +508,7 @@ def _near_half(den):
     st.just(den))))
 def test_nearest_matches_the_coset_options_up_to_large_denominators(point):
     assert _nearest(*point) == _packed_options(*point)
+    assert _coset_options(*point) == _reference_coset_options(*point)
 
 
 def test_cvp_within_covering_bound():
