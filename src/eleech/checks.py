@@ -16,7 +16,7 @@ from operator import matmul
 from . import isomorphism, lattices, reduction, relations
 from .codes import golay12, qr_code, tetracode
 from .diagram import NODE_HEIGHT_SQ, Diagram, _dot3, long_relator, presentation_generators
-from .linalg import FORM_E8H, FORM_LEECH_H, gram_of, mat_mul
+from .linalg import FORM_E8H, FORM_LEECH_H, from_flat, gram_of, mat_mul
 from .reflections import canonical_root
 from .rings import Eis, ONE, OMEGA, THETA, ZERO, SqrtThree
 
@@ -159,7 +159,7 @@ def _leech_shell(ctx):
         ("two_methods_agree", found == lattices.first_shell_by_coset_search()),
         ("shell_norm_6", all(lattices.flat_norm6(f) for f in shell)),
         ("every_97th_in_leech", all(
-            lattices.leech_contains(lattices.from_flat(f)) is not None for f in shell[::97])),
+            lattices.leech_contains(from_flat(f)) is not None for f in shell[::97])),
     ])
 
 

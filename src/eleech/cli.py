@@ -100,6 +100,7 @@ def _cmd_codes(args) -> int:
 
 def _cmd_lattice(args) -> int:
     from . import lattices
+    from .linalg import from_flat
     from .textio import format_vector
 
     if args.lattice == "e8":
@@ -114,7 +115,7 @@ def _cmd_lattice(args) -> int:
             return 2
         rows = lattices.first_shell_by_shapes()
         text = "\n".join(
-            format_vector(lattices.from_flat(f)) for f in sorted(rows)
+            format_vector(from_flat(f)) for f in sorted(rows)
         ) + "\n"
     if args.out:
         with open(args.out, "w") as f:
@@ -179,14 +180,15 @@ def _cmd_isom(args) -> int:
             sys.stdout.write(text)
         return _report(out_lines, True)
     from . import lattices
+    from .linalg import to_flat
 
     def first_shell(v):  # a norm -6 Leech vector
-        return (lattices.flat_norm6(lattices.to_flat(v))
+        return (lattices.flat_norm6(to_flat(v))
                 and lattices.leech_contains(v) is not None)
 
     if args.shell:
         rows = read_matrix(args.shell, 12, first_shell)
-        shell = [lattices.to_flat(r) for r in rows]
+        shell = [to_flat(r) for r in rows]
     else:
         shell = lattices.first_shell_by_shapes()
     res = iso.run_search(shell, iso.e2_matrix(d), log=lambda *a: print(*a))

@@ -32,9 +32,9 @@ from .rings import (
     cyclo12_abs_sq,
     power,
 )
-from .lattices import HermitianLattice, to_flat
+from .lattices import HermitianLattice
 from .linalg import (
-    AutMatrix, FORM_E8H, aut_from_images, gram_of, spanning_basis, vec_add, vec_scale,
+    AutMatrix, FORM_E8H, aut_from_images, gram_of, spanning_basis, to_flat, vec_add, vec_scale,
 )
 from .reflections import NodeKernel
 from .textio import InputError, data_text

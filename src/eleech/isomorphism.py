@@ -16,10 +16,9 @@ from itertools import combinations, groupby, permutations
 from operator import itemgetter, mul
 
 from .rings import Eis, OMEGA, OMEGA2, THETA, ZERO, ONE, eis_gcd
-from .linalg import FORM_E8H, FORM_LEECH_H, aut_from_images, gram_of, kernel
+from .linalg import FORM_E8H, FORM_LEECH_H, aut_from_images, from_flat, gram_of, kernel
 from .lattices import (
     _hnf_basis,
-    from_flat,
     im_row,
     in_l_e8h,
     in_l_leech_h,

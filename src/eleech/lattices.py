@@ -21,27 +21,8 @@ from functools import cache
 from itertools import combinations, product
 
 from .rings import Eis, THETA, UNITS, ZERO, ONE, OMEGA, OMEGA2
-from .linalg import (
-    FORM_E8H,
-    FORM_LEECH_H,
-    gram_of,
-    mat_det,
-    negdef_ip,
-)
+from .linalg import FORM_E8H, FORM_LEECH_H, flat_norm, gram_of, mat_det, negdef_ip
 from .codes import GOLAY12_GENS, TETRACODE_GENS, golay12, tetracode
-
-# flat int encoding of an E^n vector: (a1, b1, a2, b2, ..., an, bn)
-FlatVec = tuple
-
-
-def to_flat(v) -> FlatVec:
-    """The coordinates of v as one flat int tuple, hashed and compared in C."""
-    return tuple(c for x in v for c in (x.a, x.b))
-
-
-def from_flat(f) -> tuple:
-    return tuple(Eis(f[2 * i], f[2 * i + 1]) for i in range(len(f) // 2))
-
 
 def leech_ip(u, v) -> Eis:
     return negdef_ip(u, v, 3)
@@ -267,21 +248,18 @@ def first_shell_by_coset_search():
 
 
 def flat_norm6(flat) -> bool:
-    s = 0
-    it = iter(flat)
-    for a, b in zip(it, it):  # the coordinates a + bw, each of norm a^2 - ab + b^2
-        s += a * (a - b) + b * b
-    return s == 18
+    """True iff the flat Leech vector has norm -6 (coordinate norms sum to 18)."""
+    return flat_norm(flat) == 18
 
 
-def re_row(u) -> FlatVec:
+def re_row(u) -> tuple:
     """The int row of a flat vector u whose dot product with a flat v is
     2 Re sum conj(u_i) v_i.  With u_i = c + dw and v_i = a + bw the term
     is (2a - b)c + (2b - a)d, so the row holds 2c - d, 2d - c."""
     return tuple(x for c, d in zip(u[::2], u[1::2]) for x in (2 * c - d, 2 * d - c))
 
 
-def im_row(u) -> FlatVec:
+def im_row(u) -> tuple:
     """The int row of a flat vector u whose dot product with a flat v is
     (2/sqrt 3) Im sum conj(u_i) v_i = sum b_i c_i - a_i d_i (u_i = c + dw,
     v_i = a + bw): three times 2[v, u], [x, y] = Im<x, y>/sqrt 3 for the

@@ -11,17 +11,20 @@ One fraction-free elimination over Z[w] serves the determinant, the
 inverse, the choice of independent vectors and the kernel.  Nothing leaves
 Z[w]: an inverse is an integral matrix over one pivot d, and
 ``AutMatrix.over`` clears such a denominator into a theta power.
+
+The int kernels hold a Z[w] vector as the flat ints (a_0, b_0, a_1, ...)
+of its coordinates a_i + b_i w, and ``to_flat``/``from_flat`` are the
+package's one boundary to Eis: ``sparse``, ``_dot``, ``_mul``, ``_times``,
+``_exact``, ``_conj``, ``flat_norm`` and ``_split``/``_join`` work on that
+layout, and so do the elimination, ``charpoly`` and ``AutMatrix``'s rows.
 """
 
 from __future__ import annotations
 
-from itertools import chain, starmap
+from itertools import chain
 from operator import matmul
 
 from .rings import Cyclo12, Eis, OMEGA, THETA, ZERO, ONE, power
-
-EMatrix = tuple
-
 
 def vec_add(u, v):
     return tuple(x + y for x, y in zip(u, v))
@@ -31,98 +34,116 @@ def vec_scale(s, u):
     return tuple(s * x for x in u)
 
 
-def mat_vec(m, v):
-    """m v for a Z[w] matrix m and a Z[w] or Z[zeta_12] vector v."""
-    rows = [_pairs(row) for row in m]
-    return _join([[_dot(support, row) for row in rows] for support in map(_support, _split(v))])
-
-
 def mat_mul(a, b):
-    cols = [_pairs(col) for col in zip(*b)]
-    supports = [_support(_pairs(row)) for row in a]
-    return tuple(_eis(_dot(support, col) for col in cols) for support in supports)
+    """a b for Z[w] matrices."""
+    return tuple(map(from_flat, _mul(map(to_flat, a), [to_flat(col) for col in zip(*b)])))
 
 
 # ---------------------------------------------------------------------------
-# the int pair kernels: each converts its Eis arguments to int pairs (a, b)
-# once and builds Eis only for the values it returns
+# the flat int layout and its kernels: a Z[w] vector (a_0 + b_0 w, ...) is
+# the int tuple (a_0, b_0, a_1, b_1, ...), and a matrix its flat rows
 
 
-def _pairs(xs):
-    """The Z[w] entries a + b w of xs as int pairs (a, b)."""
-    return [(x.a, x.b) for x in xs]
+def to_flat(v):
+    """The coordinates of v as one flat int tuple, hashed and compared in C."""
+    return tuple([c for x in v for c in (x.a, x.b)])
 
 
-def _eis(pairs):
-    return tuple(starmap(Eis, pairs))
+def from_flat(flat):
+    """The Eis vector of a flat int vector."""
+    it = iter(flat)
+    return tuple(map(Eis, it, it))
 
 
-def _support(pairs):
-    """(j, a, b) for each nonzero int pair (a, b), j its place."""
-    return [(j, a, b) for j, (a, b) in enumerate(pairs) if a or b]
+def sparse(flat):
+    """(i, a, b) for each nonzero coordinate a + b w, i the flat index of a."""
+    return [(i, a, b) for i, a, b in zip(range(0, len(flat), 2), flat[::2], flat[1::2])
+            if a or b]
 
 
-def _dot(support, pairs):
-    """sum u_j v_j as an int pair, u given by its support and v as int
-    pairs: (a + b w)(c + d w) = (ac - bd) + (ad + bc - bd) w."""
+def _dot(entries, flat):
+    """sum x_j y_j as an int pair, x given by its sparse entries and y flat:
+    (a + b w)(c + d w) = (ac - bd) + (ad + bc - bd) w."""
     s = t = 0
-    for j, a, b in support:
-        c, d = pairs[j]
+    for i, a, b in entries:
+        c, d = flat[i], flat[i + 1]
         bd = b * d
         s += a * c - bd
         t += a * d + b * c - bd
     return s, t
 
 
-def _times(pairs, s, n=1):
-    """The int pairs x s / n, s an int pair and every division by the int n
-    exact, else ValueError."""
+def _mul(rows, cols):
+    """The flat rows of a b, a given by its flat rows and b by its flat
+    columns: entry (i, j) is row i dotted with column j."""
+    return [tuple([x for col in cols for x in _dot(e, col)]) for e in map(sparse, rows)]
+
+
+def _columns(rows):
+    """The flat columns of the matrix with these flat rows."""
+    t = list(zip(*rows))  # the a's and the b's of each column
+    return [tuple(chain.from_iterable(zip(t[j], t[j + 1]))) for j in range(0, len(t), 2)]
+
+
+def _times(flat, s, n=1):
+    """The flat ints of x s / n, s an int pair and every division by the int
+    n exact, else ValueError."""
     c, d = s
-    return _exact([(a * c - b * d, a * d + b * c - b * d) for a, b in pairs], n)
+    it = iter(flat)
+    return _exact([x for a, b in zip(it, it) for x in (a * c - b * d, a * d + b * c - b * d)], n)
 
 
-def _exact(pairs, n):
-    """The int pairs over the int n, each division exact, else ValueError."""
+def _exact(flat, n):
+    """The ints over the int n, each division exact, else ValueError."""
     if n == 1:
-        return pairs
-    out = []
-    for a, b in pairs:
-        qa, ra = divmod(a, n)
-        qb, rb = divmod(b, n)
-        if ra or rb:
-            raise ValueError(f"{a},{b} not divisible by {n}")
-        out.append((qa, qb))
-    return out
+        return flat
+    if any(x % n for x in flat):
+        raise ValueError(f"a coordinate is not divisible by {n}")
+    return [x // n for x in flat]
+
+
+def _conj(flat):
+    """The conjugates: conj(a + b w) = (a - b) - b w."""
+    it = iter(flat)
+    return [x for a, b in zip(it, it) for x in (a - b, -b)]
+
+
+def flat_norm(flat) -> int:
+    """sum N(x_i) over the coordinates of a flat vector, N(a + b w) = a^2 - ab + b^2."""
+    s = 0
+    it = iter(flat)
+    for a, b in zip(it, it):
+        s += a * (a - b) + b * b
+    return s
 
 
 def _split(v):
-    """A vector as int pair vectors over Z[w]: (v,) for Z[w] entries, and
+    """A vector as flat Z[w] halves: (to_flat(v),) for Z[w] entries, and
     (u, u') with v = u + z u' for Z[zeta_12] entries (z^2 = 1 + w), as
     c0 + c1 z + c2 z^2 + c3 z^3 = (c0 + c2) + c2 w + z ((c1 + c3) + c3 w).
     The halves go through the same Z[w] products."""
     if v and isinstance(v[0], Cyclo12):
         cs = [x.c for x in v]
-        return [(c0 + c2, c2) for c0, _, c2, _ in cs], [(c1 + c3, c3) for _, c1, _, c3 in cs]
-    return (_pairs(v),)
+        return ([x for c0, _, c2, _ in cs for x in (c0 + c2, c2)],
+                [x for _, c1, _, c3 in cs for x in (c1 + c3, c3)])
+    return (to_flat(v),)
 
 
 def _join(halves):
     """The vector that _split gave as halves: a + b w + z (c + d w) joins
     back as (a - b) + (c - d) z + b z^2 + d z^3."""
     if len(halves) == 1:
-        return _eis(halves[0])
-    return tuple(Cyclo12(a - b, c - d, b, d) for (a, b), (c, d) in zip(*halves))
+        return from_flat(halves[0])
+    u, v = halves
+    return tuple(Cyclo12(a - b, c - d, b, d)
+                 for a, b, c, d in zip(u[::2], u[1::2], v[::2], v[1::2]))
 
 
-def mat_conj_transpose(m):
-    return tuple(tuple(x.conj() for x in col) for col in zip(*m))
-
-
-def mat_identity(n) -> EMatrix:
+def mat_identity(n):
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-def mat_scalar(n, s) -> EMatrix:
+def mat_scalar(n, s):
     s = s if isinstance(s, Eis) else Eis(s)
     return tuple(tuple(s if i == j else ZERO for j in range(n)) for i in range(n))
 
@@ -170,9 +191,9 @@ def _eliminate(rows, width=None):
     Returns (rows, pivot columns, d, sign of the row permutation); d is
     sign * det for a nonsingular square input.
     """
-    a = [_pairs(row) for row in rows]
+    a = [to_flat(row) for row in rows]
     n = len(a)
-    width = len(a[0]) if width is None else width
+    width = len(a[0]) // 2 if width is None else width
     pivots = []
     prev = (1, 0)
     sign = 1
@@ -180,30 +201,31 @@ def _eliminate(rows, width=None):
         r = len(pivots)
         if r == n:
             break
-        piv = next((i for i in range(r, n) if a[i][c] != (0, 0)), None)
+        piv = next((i for i in range(r, n) if a[i][2 * c] or a[i][2 * c + 1]), None)
         if piv is None:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
         prow = a[r]
-        p = prow[c]
+        p = prow[2 * c], prow[2 * c + 1]
         # dividing by q is multiplying by conj(q), then dividing by norm(q)
-        qa, qb = prev
-        conj_q, norm_q = (qa - qb, -qb), qa * qa - qa * qb + qb * qb
-        (pa, pb), = _times([p], conj_q)
+        conj_q, norm_q = _conj(prev), flat_norm(prev)
+        pa, pb = _times(p, conj_q)
         for i in range(n):
             row = a[i]
-            f = row[c]
+            f = row[2 * c], row[2 * c + 1]
             if i == r or (f == (0, 0) and p == prev):
                 continue
-            (fa, fb), = _times([f], conj_q)
-            a[i] = _exact([(pa * x - pb * y - fa * u + fb * v,
-                            pa * y + pb * x - pb * y - fa * v - fb * u + fb * v)
-                           for (x, y), (u, v) in zip(row, prow)], norm_q)
+            fa, fb = _times(f, conj_q)
+            it, jt = iter(row), iter(prow)
+            a[i] = _exact([z for x, y, u, v in zip(it, it, jt, jt)
+                           for z in (pa * x - pb * y - fa * u + fb * v,
+                                     pa * y + pb * x - pb * y - fa * v - fb * u + fb * v)],
+                          norm_q)
         prev = p
         pivots.append(c)
-    return [list(_eis(row)) for row in a], pivots, Eis(*prev), sign
+    return [list(from_flat(row)) for row in a], pivots, Eis(*prev), sign
 
 
 def mat_det(m) -> Eis:
@@ -260,11 +282,11 @@ def aut_from_images(sources, targets, spanning=None) -> "AutMatrix":
     picked, (adj, d) = spanning or spanning_basis(sources)
     cols = tuple(zip(*(targets[i] for i in picked)))
     aut = AutMatrix.over(mat_mul(cols, adj), d)
-    # mat / theta^k sends every source to its target: one product with the
-    # sources as columns, against the targets times theta^k
+    # mat / theta^k sends every source to its target: the product of the
+    # sources as rows with mat^T, against the targets times theta^k
     scale = THETA ** aut.k
-    images = tuple(zip(*(vec_scale(scale, t) for t in targets)))
-    if mat_mul(aut.mat, tuple(zip(*sources))) != images:
+    images = (vec_scale(scale, t) for t in targets)
+    if _mul(map(to_flat, sources), aut.rows) != list(map(to_flat, images)):
         raise ValueError("images are not those of one lattice map")
     return aut
 
@@ -337,20 +359,22 @@ FORM_LEECH_H = LorentzForm("Leech+H", den=3)
 # Automorphisms as exact coordinate matrices A / theta^k
 
 
-def _v3(n, cap):
-    """min(cap, v_3(n)) for an int n != 0.  For a nonzero x in Z[w] the
-    theta-valuation is v_3(norm x), because 3 = -theta^2 ramifies."""
+def _v_theta(a, b, cap):
+    """min(cap, v) for the theta-valuation v of a + b w != 0: theta divides
+    it exactly when 3 divides a + b (w = 1 mod theta), and theta^2 = -3
+    exactly when 3 divides a and b."""
     v = 0
-    while v < cap and n % 3 == 0:
-        n //= 3
-        v += 1
-    return v
+    while v < cap and (a + b) % 3 == 0:
+        if a % 3:
+            return v + 1
+        a, b, v = a // 3, b // 3, v + 2
+    return min(v, cap)
 
 
-def _untheta(pairs, j):
-    """The int pairs over theta^j, each divisible: theta^-j = (-theta)^j / 3^j."""
+def _untheta(flat, j):
+    """The flat ints over theta^j, each divisible: theta^-j = (-theta)^j / 3^j."""
     s = (-THETA) ** j
-    return _times(pairs, (s.a, s.b), 3 ** j)
+    return _times(flat, (s.a, s.b), 3 ** j)
 
 
 class AutMatrix:
@@ -359,27 +383,37 @@ class AutMatrix:
     value = mat / theta^k in lowest terms: after reduction k = 0 or some
     entry of mat is not divisible by theta.  k has no fixed bound (the
     change of basis Leech+H -> 3E8+H has k = 3); products are reduced again.
+    The matrix is held as its flat int ``rows``; ``mat`` is its Eis view.
     """
 
-    __slots__ = ("mat", "k", "n")
+    __slots__ = ("rows", "k", "n")
 
     def __init__(self, mat, k=0):
-        self.mat = tuple(tuple(row) for row in mat)
-        self.k = k
-        self.n = len(self.mat)
-        self._reduce()
+        self._reduce(map(to_flat, mat), k)
 
-    def _reduce(self):
+    @classmethod
+    def _of(cls, rows, k) -> "AutMatrix":
+        """The AutMatrix rows / theta^k of flat int rows."""
+        (self := cls.__new__(cls))._reduce(rows, k)
+        return self
+
+    def _reduce(self, rows, k):
         # strip theta^j at once, j the least theta-valuation of an entry
-        j = self.k
-        for x in chain.from_iterable(self.mat):
+        rows = tuple(map(tuple, rows))
+        j = k
+        it = chain.from_iterable(rows)
+        for a, b in zip(it, it):
             if not j:
-                return
-            if x:
-                j = _v3(x.norm(), j)
+                break
+            if a or b:
+                j = _v_theta(a, b, j)
         if j:
-            self.mat = tuple(_eis(_untheta(_pairs(row), j)) for row in self.mat)
-            self.k -= j
+            rows = tuple(tuple(_untheta(row, j)) for row in rows)
+        self.rows, self.k, self.n = rows, k - j, len(rows)
+
+    @property
+    def mat(self):
+        return tuple(map(from_flat, self.rows))
 
     @classmethod
     def identity(cls, n=14) -> "AutMatrix":
@@ -389,56 +423,55 @@ class AutMatrix:
     def over(cls, mat, d) -> "AutMatrix":
         """The AutMatrix equal to the Z[w] matrix mat / d.
 
-        d splits once into theta^e (e = v_3 of its norm) times a part prime
-        to theta; every entry is divided exactly by that part, which leaves
-        mat' / theta^e.  A failed division raises ValueError: mat / d is
-        then no lattice map; a zero d raises ZeroDivisionError.
+        d splits once into theta^e (e its theta-valuation) times a part
+        prime to theta; every entry is divided exactly by that part, which
+        leaves mat' / theta^e.  A failed division raises ValueError: mat / d
+        is then no lattice map; a zero d raises ZeroDivisionError.
         """
         if not d:
             raise ZeroDivisionError("AutMatrix.over a zero denominator")
-        e = _v3(d.norm(), d.norm())  # v_3(n) < n: the cap never binds
-        d = Eis(*_untheta([(d.a, d.b)], e)[0])
-        c = d.conj()
+        e = _v_theta(d.a, d.b, d.norm())  # e < norm d: the cap never binds
+        d = _untheta((d.a, d.b), e)
+        c, n = _conj(d), flat_norm(d)
         try:
-            mat = [_eis(_times(_pairs(row), (c.a, c.b), d.norm())) for row in mat]
+            rows = [_times(to_flat(row), c, n) for row in mat]
         except ValueError:
             raise ValueError("matrix is not theta-integral; not a lattice map") from None
-        return cls(mat, e)
+        return cls._of(rows, e)
 
     def __eq__(self, other):
         if not isinstance(other, AutMatrix):
             return NotImplemented
-        return self.k == other.k and self.mat == other.mat
+        return self.k == other.k and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.k, self.mat))
+        return hash((self.k, self.rows))
 
     def __matmul__(self, other: "AutMatrix") -> "AutMatrix":
-        return AutMatrix(mat_mul(self.mat, other.mat), self.k + other.k)
+        return AutMatrix._of(_mul(self.rows, _columns(other.rows)), self.k + other.k)
 
     def __pow__(self, n: int) -> "AutMatrix":
         return power(self, n, AutMatrix.identity(self.n), matmul)
 
     def apply(self, v):
         """Image of a coordinate vector with Z[w] or Z[zeta_12] entries."""
-        w = mat_vec(self.mat, v)
-        return _join([_untheta(half, self.k) for half in _split(w)]) if self.k else w
+        if len(v) != self.n:
+            raise ValueError(f"AutMatrix.apply expects {self.n} coordinates")
+        halves = _mul(_split(v), self.rows)
+        return _join([_untheta(h, self.k) for h in halves] if self.k else halves)
 
     def is_identity(self) -> bool:
-        return self.k == 0 and self.mat == mat_identity(self.n)
+        return self == AutMatrix.identity(self.n)
 
     def scalar(self):
         """The scalar s when self == s * I, else None."""
-        if self.k != 0:
-            return None
-        s = self.mat[0][0]
-        return s if self.mat == mat_scalar(self.n, s) else None
+        s = from_flat(self.rows[0][:2])[0]
+        return s if self == AutMatrix(mat_scalar(self.n, s)) else None
 
     def inverse(self) -> "AutMatrix":
         # value = mat / theta^k, so the inverse is theta^k adj / d
         adj, d = mat_inverse(self.mat)
-        s = THETA ** self.k
-        return AutMatrix.over([_eis(_times(_pairs(row), (s.a, s.b))) for row in adj], d)
+        return AutMatrix.over([vec_scale(THETA ** self.k, row) for row in adj], d)
 
     def preserves_form(self, form: LorentzForm, target: LorentzForm | None = None) -> bool:
         """Exact check that self maps ``form`` onto ``target`` (by default
@@ -446,10 +479,12 @@ class AutMatrix:
         conj(mat)^T G_target mat den_form == 3^k G_form den_target on the
         integral grams, M = mat / theta^k."""
         target = target or form
-        lhs = mat_mul(mat_conj_transpose(self.mat), mat_mul(target.gram, self.mat))
+        cols = _columns(self.rows)
+        # the conjugate columns of mat against the columns of G_target mat
+        lhs = _mul(map(_conj, cols), _columns(_mul(map(to_flat, target.gram), cols)))
         scale = 3 ** self.k * target.den  # conj(theta^k) theta^k = 3^k
-        return all(x.a * form.den == y.a * scale and x.b * form.den == y.b * scale
-                   for lrow, grow in zip(lhs, form.gram) for x, y in zip(lrow, grow))
+        return all(x * form.den == y * scale
+                   for lrow, grow in zip(lhs, map(to_flat, form.gram)) for x, y in zip(lrow, grow))
 
 
 # ---------------------------------------------------------------------------
@@ -476,15 +511,15 @@ def charpoly(m) -> list:
     -R M^(r-1) C): in descending coefficients, the product t p_r cut to
     r + 2 terms (S. J. Berkowitz, Inform. Process. Lett. 18, 1984).
     """
-    rows = [_pairs(row) for row in m]
+    rows = [to_flat(row) for row in m]
     p = [ONE]
     for r, row in enumerate(rows):
-        t = [row[r]]
-        col = [rows[i][r] for i in range(r)]
+        t = [row[2 * r:2 * r + 2]]
+        col = [x for y in rows[:r] for x in y[2 * r:2 * r + 2]]
         # col has r places: row and rows[:r] act as R and M
         for _ in range(r):
-            support = _support(col)
-            t.append(_dot(support, row))
-            col = [_dot(support, x) for x in rows[:r]]
+            e = sparse(col)
+            t.append(_dot(e, row))
+            col = [x for y in rows[:r] for x in _dot(e, y)]
         p = poly_mul([ONE, *(Eis(-a, -b) for a, b in t)], p, ZERO)[: r + 2]
     return p[::-1]

@@ -40,10 +40,11 @@ from .rings import (
 )
 from .codes import golay12
 from .diagram import NODE_HEIGHT_SQ, height_pair
-from .linalg import FORM_E8H, FORM_LEECH_H, _exact, mat_det
-from .lattices import (
-    from_flat, in_l_e8h, leech_contains, leech_ip, re_row, to_flat,
+from .linalg import (
+    FORM_E8H, FORM_LEECH_H, _conj, _dot, _exact, _times, flat_norm, from_flat, mat_det, sparse,
+    to_flat,
 )
+from .lattices import in_l_e8h, leech_contains, leech_ip, re_row
 from .reflections import NodeChain, _add_scaled, _shift, reflect, canonical_root
 from .isomorphism import psi_tail
 from .textio import data_text, parse_matrix, parse_entry, format_vector
@@ -307,8 +308,7 @@ def check_certificate(cert, diagram, generators) -> bool:
         if [sum(map(mul, x, flat)) for x in row] != [-3, 0]:
             return False
         # the row and the nonzero coordinates of r as (flat index, a, b)
-        mirrors[key] = row, tuple((i, flat[i], flat[i + 1]) for i in range(0, len(flat), 2)
-                                  if flat[i] or flat[i + 1])
+        mirrors[key] = row, sparse(flat)
     rho_row = diagram.rho_row
     y = list(to_flat(y))
     last = height_pair(rho_row, y)
@@ -341,8 +341,9 @@ COVERING_BOUND = 3
 class LeechCVP:
     """Exact closest-vector machinery for Q(w)-points against Leech.
 
-    find_within(num, den): for the point t = num / den (num twelve Z[w]
-    numerators, den a positive int), the best lattice vector lam with
+    find_within(num, den): for the point t = num / den (num the 24 flat
+    ints of twelve Z[w] numerators, den a positive int), the flat ints of
+    the best lattice vector lam with
     sum |t_i - lam_i|^2 <= 3*COVERING_BOUND in plain coordinate terms
     (lattice norm |t - lam|^2 >= -COVERING_BOUND), scanning the
     (m, codeword) families with per-coordinate nearest rounding and a
@@ -368,7 +369,7 @@ class LeechCVP:
         self.blocks = _word_blocks()
 
     def find_within(self, num, den):
-        pairs = [(x.a, x.b) for x in num]
+        pairs = list(zip(num[::2], num[1::2]))
         full = {}
 
         def options(m, i, d):
@@ -405,7 +406,7 @@ class LeechCVP:
         zs = [options(m, i, d)[1] for i, d in enumerate(c)]
         if need:
             zs[k] = options(m, k, c[k])[2 + need][1]
-        return tuple(Eis(m + d + 3 * za, 2 * d + 3 * zb) for d, (za, zb) in zip(c, zs))
+        return tuple([x for d, (za, zb) in zip(c, zs) for x in (m + d + 3 * za, 2 * d + 3 * zb)])
 
 
 @cache
@@ -461,6 +462,7 @@ def _nearest(na, nb, den):
         extra, shift = x, 2
     if (x := d3 - v) < extra:
         extra, shift = x, 1
+    # N(a0 + b0 w) written out, as linalg.flat_norm computes it, in the block tables' loop
     return ((a0 * a0 - a0 * b0 + b0 * b0 + d3 * extra) << 5) + (ra + rb + shift) % 3
 
 
@@ -487,6 +489,7 @@ def _coset_options(na, nb, den):
                      (d3 - v, 6, (ra + 1, rb)))
     e2, p2, z2 = min((d3 + u, 1, (ra, rb - 1)), (d3 + v, 3, (ra - 1, rb)),
                      (d3 - t, 8, (ra + 1, rb + 1)))
+    # c0 = N(a0 + b0 w) written out, as linalg.flat_norm computes it
     c0, z0, r = a0 * a0 - a0 * b0 + b0 * b0, (ra, rb), ra + rb
     if e1 >= 0 and e2 >= 0:
         return c0, z0, r % 3, (d3 * e1, z1), (d3 * e2, z2)
@@ -506,10 +509,9 @@ def conway_reduce(mu, max_steps=200):
     h(y) = 1; h^2 strictly decreases in Z at every step.
 
     A step holds y as one flat int list (a_0, b_0, ..., a_13, b_13) and
-    runs on int pairs; Eis is built for the closest-vector search's input
-    and for the returned roots and y.  The normalized point y[:12] / y[12]
-    is held as the Z[w] numerators y_i * conj(y[12]) over the int
-    denominator |y[12]|^2 = h^2.
+    runs on the flat kernels of ``linalg``; Eis is built for the returned
+    roots and y.  The normalized point y[:12] / y[12] is held as the flat
+    numerators y_i * conj(y[12]) over the int denominator |y[12]|^2 = h^2.
     """
     cvp = LeechCVP()
     steps = []
@@ -520,79 +522,58 @@ def conway_reduce(mu, max_steps=200):
             return steps, from_flat(y)
         if h2 == 0:
             raise ValueError("h = 0: input is orthogonal to rho; not a valid start")
-        # (a + bw)(c + dw) = (ac - bd) + (ad + bc - bd) w, with c + dw = conj(y[12])
-        c, d = y[24] - y[25], -y[25]
-        num = [(a * c - b * d, a * d + b * c - b * d) for a, b in zip(y[:24:2], y[1:24:2])]
-        lam = cvp.find_within([Eis(a, b) for a, b in num], h2)
+        num = _times(y[:24], _conj(y[24:26]))
+        lam = cvp.find_within(num, h2)
         if lam is None:
             raise RuntimeError("covering-radius bound violated; axiom falsified")
-        lam_pairs = [(x.a, x.b) for x in lam]
-        tail, eps_name = _conway_root(y, num, h2, lam_pairs)
-        _reflect_flat(y, lam_pairs, tail, eps_name)
-        a, b = y[24], y[25]
-        if not (h2_next := a * a - a * b + b * b) < h2:
+        root, eps_name = _conway_step(y, num, h2, lam)
+        if not (h2_next := flat_norm(y[24:26])) < h2:
             raise RuntimeError("a Conway step did not decrease h; the proof's bound failed")
-        steps.append((lam + (ONE, Eis(*tail)), eps_name))
+        steps.append((from_flat(root), eps_name))
         h2 = h2_next
     raise RuntimeError("conway_reduce exceeded max_steps")
 
 
-def _conway_root(y, num, n, lam):
-    """The tail theta(-3-|lam|^2)/6 + beta + k of the reflecting root
-    (lam; 1, tail), as an int pair, and eps, for the point l = num / n
-    (y flat ints, n = |y[12]|^2, num and lam int pairs).  Every fraction
-    below has denominator 2n, 18n or 54n and is kept as its int numerator."""
+def _conway_step(y, num, n, lam):
+    """The reflecting root r = (lam; 1, tail) of one step, with tail =
+    theta(-3-|lam|^2)/6 + beta + k, and eps, for the point l = num / n
+    (y, num and lam flat ints, n = |y[12]|^2); then ``reflect`` in r on y,
+    in place: y += s r with s = (1 - eps) <r, y> / 3 by the node kernel's
+    ``_shift`` and ``_add_scaled``, with the norm -3 check on r and every
+    division exact, as there.  Returns (r as flat ints, eps).  Every
+    fraction below has denominator 2n, 18n or 54n and is kept as its int
+    numerator."""
     # w = (l; 1, alpha - theta |l|^2/6) with y[13]/y[12] = nb/n; the real
     # part alpha1 = (2 nb.a - nb.b)/(2n) of alpha, as |l|^2 cancels there
-    a, b, c, d = y[26], y[27], y[24] - y[25], -y[25]
-    nba, nbb = a * c - b * d, a * d + b * c - b * d
-    # beta = beta2/2 with 2 beta + 1 = |lam|^2 mod 2
-    norm = -_norm_third(lam)
-    beta2 = 1 if norm % 2 == 0 else 0
-    # <lam, l>/theta = p/(9n) with p = theta * sum conj(lam_i) num_i, so
-    # [lam, l] = (2 p.a - p.b)/(18n); for p = theta (s + t w) that is -3t,
-    # t = sum la_i z_i - lb_i x_i the w part of the sum, num_i = x_i + z_i w
-    t = sum(la * z - lb * x for (la, lb), (x, z) in zip(lam, num))
+    nba, nbb = _times(y[26:28], _conj(y[24:26]))
+    # third = sum N(lam_i) / 3 = -|lam|^2; beta = beta2/2 with
+    # 2 beta + 1 = |lam|^2 mod 2
+    third = _exact([flat_norm(lam)], 3)[0]
+    beta2 = 1 if third % 2 == 0 else 0
+    # the entries of conj(lam): <lam, l>/theta = p/(9n) with
+    # p = theta * sum conj(lam_i) num_i, so [lam, l] = (2 p.a - p.b)/(18n);
+    # for p = theta (s + t w) that is -3t, t the w part of the sum
+    mirror = sparse(_conj(lam))
+    _, t = _dot(mirror, num)
     # b = theta * (base - k/3) with base = (alpha1 - beta - [lam, l])/3,
     # and base54 = 54n * base
     base54 = 9 * (2 * nba - nbb) - 9 * n * beta2 + 3 * t
     # the nearest k centers b: |base - k/3| <= 1/6
     k = round_half_even(base54, 18 * n)
     eps_name = "wbar" if base54 - 18 * n * k <= 0 else "w"
-    return psi_tail(norm, beta2 + 2 * k), eps_name
-
-
-def _norm_third(lam):
-    """sum N(lam_i) / 3 for the int pairs lam_i, the division exact as in
-    ``leech_ip``: minus the Leech norm |lam|^2."""
-    (third, _), = _exact([(sum(a * a - a * b + b * b for a, b in lam), 0)], 3)
-    return third
-
-
-def _reflect_flat(y, lam, tail, eps_name):
-    """``reflect`` in the root r = (lam; 1, tail) of Leech+H on the flat
-    ints y, in place: y += s r with s = (1 - eps) <r, y> / 3 by the node
-    kernel's ``_shift`` and ``_add_scaled``, with the norm -3 check on r
-    and every division exact, as there.  In the form <u, v> =
-    conj(u13) theta v12 - conj(u12) theta v13 - sum conj(u_i) v_i / 3
-    the root's u12 = 1 gives conj(tail) theta = (ta + tb) + (2 ta - tb) w
-    and <r, r> = 3 tb - sum N(lam_i) / 3."""
-    ta, tb = tail
-    if 3 * tb - _norm_third(lam) != -3:
+    ta, tb = tail = psi_tail(-third, beta2 + 2 * k)
+    # in the form <u, v> = conj(u13) theta v12 - conj(u12) theta v13 -
+    # sum conj(u_i) v_i / 3 the root's u12 = 1 gives <r, r> = 3 tb - third
+    # and <r, y> = conj(tail) theta y12 - theta y13 - (g + h w), with
+    # conj(tail) theta = (ta + tb) + (2 ta - tb) w, theta = 1 + 2w and
+    # g + h w = sum conj(lam_i) y_i / 3
+    if 3 * tb - third != -3:
         raise ValueError("reflection requires a norm -3 root")
-    # sum conj(lam_i) y_i, conj(la + lb w) = (la - lb) - lb w
-    g = h = 0
-    for (la, lb), x, z in zip(lam, y[:24:2], y[1:24:2]):
-        g += la * x - lb * x + lb * z
-        h += la * z - lb * x
-    (g, h), = _exact([(g, h)], 3)
-    # conj(tail) theta y12 - theta y13 - (g + h w), theta = 1 + 2w
-    c, d = ta + tb, 2 * ta - tb
-    e, f = y[24], y[25]
-    qa = c * e - d * f - (y[26] - 2 * y[27]) - g
-    qb = c * f + d * e - d * f - (2 * y[26] - y[27]) - h
-    _add_scaled(y, [(2 * i, a, b) for i, (a, b) in enumerate(lam + [(1, 0), tail])],
-                *_shift(qa, qb, eps_name))
+    g, h = _exact(_dot(mirror, y), 3)
+    qa, qb = _dot([(24, ta + tb, 2 * ta - tb), (26, -1, -2)], y)
+    root = lam + (1, 0) + tail
+    _add_scaled(y, sparse(root), *_shift(qa - g, qb - h, eps_name))
+    return root, eps_name
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ kernel, the certificate replay and the Conway step in ``reduction``.
 from __future__ import annotations
 
 from .rings import Eis, OMEGA, UNITS, cyclo12_abs_sq, sqrt3_sign
-from .linalg import AutMatrix, mat_identity, vec_add, vec_scale
-from .lattices import from_flat, to_flat
+from .linalg import AutMatrix, from_flat, mat_identity, sparse, to_flat, vec_add, vec_scale
 
 MINUS3 = Eis(-3, 0)
 
@@ -76,16 +75,10 @@ class NodeKernel:
         self.form = form
         self.roots = tuple(roots)
         self.rho_hat = rho_hat
-        n = len(self.roots)
         # column k: the nonzero <r_j, r_k> as (2j, a, b)
-        self.cols = tuple(
-            tuple((2 * j, gram[j][k].a, gram[j][k].b) for j in range(n) if gram[j][k])
-            for k in range(n)
-        )
+        self.cols = tuple(sparse(to_flat(col)) for col in zip(*gram))
         # root k: its nonzero coordinates as (2i, a, b)
-        self.coords = tuple(
-            tuple((2 * i, x.a, x.b) for i, x in enumerate(r) if x) for r in self.roots
-        )
+        self.coords = tuple(sparse(to_flat(r)) for r in self.roots)
         # <rho_hat, r_k> and w <rho_hat, r_k>: (a + b w) t = a t + b (w t)
         t0 = [form.ip12(rho_hat, r) for r in self.roots]
         self.rho_cols = tuple((t.c, (t * OMEGA).c) for t in t0)
@@ -157,8 +150,9 @@ def _shift(a, b, eps_name):
 
 
 def _add_scaled(v, entries, sa, sb):
-    """v += s * x in place, for the flat vector v and the sparse (2i, a, b)
-    entries of x."""
+    """v += s * x in place, for the flat vector v and the ``sparse``
+    entries (2i, a, b) of x: ``linalg._dot``'s product, written out in the
+    node kernel's loop."""
     for i, a, b in entries:
         t = sb * b
         v[i] += sa * a - t

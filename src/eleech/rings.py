@@ -81,7 +81,8 @@ class Eis:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        # (a + bw)(c + dw) = ac - bd + (ad + bc - bd) w  using w^2 = -1 - w
+        # (a + bw)(c + dw) = ac - bd + (ad + bc - bd) w  using w^2 = -1 - w;
+        # the reference for linalg._dot, which restates it on flat ints
         a, b, c, d = self.a, self.b, other.a, other.b
         bd = b * d
         return Eis(a * c - bd, a * d + b * c - bd)
@@ -96,7 +97,8 @@ class Eis:
         return Eis(self.a - self.b, -self.b)
 
     def norm(self):
-        """x * conj(x) = a^2 - ab + b^2 >= 0."""
+        """x * conj(x) = a^2 - ab + b^2 >= 0; linalg.flat_norm restates it
+        on flat ints."""
         return self.a * self.a - self.a * self.b + self.b * self.b
 
     def is_unit(self) -> bool:

@@ -298,12 +298,12 @@ def test_fixed_lattice_primitive(diagram):
     """F = span(w_P, w_L) is primitive: unit Smith content of the 2x14
     coefficient matrix over the lattice basis."""
     from eleech.lattices import lattice_3e8_h
-    from eleech.linalg import mat_inverse, mat_vec
+    from eleech.linalg import mat_inverse, mat_mul
     from eleech.rings import eis_gcd
 
     L = lattice_3e8_h()
     adj, d = mat_inverse(tuple(zip(*L.basis)))
-    rows = [[x.exact_div(d) for x in mat_vec(adj, w)] for w in (diagram.w_p, diagram.w_l)]
+    rows = [[x.exact_div(d) for x, in mat_mul(adj, tuple(zip(w)))] for w in (diagram.w_p, diagram.w_l)]
     d1 = ZERO
     for row in rows:
         for x in row:

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eleech.rings import Eis, ONE, OMEGA, THETA, UNITS, ZERO
-from eleech.linalg import FORM_E8H, FORM_LEECH_H, AutMatrix, gram_of
+from eleech.linalg import FORM_E8H, FORM_LEECH_H, AutMatrix, from_flat, gram_of
 from eleech.lattices import (
     leech_ip, in_l_leech_h, in_l_e8h,
-    flat_norm6, from_flat, re_row,
+    flat_norm6, re_row,
 )
 from eleech.isomorphism import (
     load_e1, load_e1prime, e2_matrix, ChangeOfBasis,

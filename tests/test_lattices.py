@@ -4,11 +4,11 @@ from itertools import product
 from operator import mul
 
 from eleech.rings import Eis, ONE, OMEGA, THETA, ZERO
-from eleech.linalg import FORM_E8H, negdef_ip
+from eleech.linalg import FORM_E8H, from_flat, negdef_ip, to_flat
 from eleech.lattices import (
     leech_contains, e8_contains, leech_ip,
     shell_e8, first_shell_by_coset_search,
-    flat_norm6, from_flat, to_flat, re_row, im_row,
+    flat_norm6, re_row, im_row,
     leech_basis, e8_basis,
     lattice_lambda, lattice_e8, lattice_h, lattice_leech_h, lattice_3e8_h,
 )

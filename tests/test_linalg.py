@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from eleech.rings import Eis, ONE, OMEGA, OMEGA2, THETA, XI, ZERO
 from eleech.linalg import (
-    mat_det, mat_inverse, mat_mul, mat_vec,
-    AutMatrix, mat_scalar, charpoly, FORM_E8H, FORM_LEECH_H,
+    mat_det, mat_inverse, mat_mul,
+    AutMatrix, mat_scalar, charpoly, to_flat, FORM_E8H, FORM_LEECH_H,
 )
-from eleech.lattices import to_flat
 from eleech.reduction import load_z_basis
 
 FORMS = (FORM_E8H, FORM_LEECH_H)
@@ -97,7 +96,7 @@ def test_basis_solbecause_roundtrip(diagram):
     chosen, (adj, d) = diagram.root_basis
     v = diagram.by_name["z2"].root
     # z2 is a Q(w)-combination of the chosen roots: d v is a Z[w] one
-    t = mat_vec(adj, v)
+    t = [x for x, in mat_mul(adj, tuple(zip(v)))]
     rebuilt = [ZERO] * 14
     for c, k in zip(t, chosen):
         for i in range(14):

@@ -14,20 +14,21 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import eleech
-from eleech import rings
+from eleech import linalg, rings
 from eleech.diagram import PRESENTATION_PAIR
 from eleech.isomorphism import (
     M666_ORDER, load_e1, load_e1prime, e2_matrix, m666_from_e1prime, m666_reference,
 )
 from eleech.lattices import lattice_3e8_h, lattice_leech_h
+from eleech.lattices import flat_norm6
 from eleech.linalg import (
-    FORM_E8H, FORM_LEECH_H, AutMatrix, _eliminate, aut_from_images, charpoly, gram_of,
-    kernel, mat_det, mat_identity, mat_inverse, mat_mul, mat_scalar, mat_vec,
-    spanning_basis, vec_add, vec_scale,
+    FORM_E8H, FORM_LEECH_H, AutMatrix, _conj, _dot, _eliminate, _exact,
+    aut_from_images, charpoly, flat_norm, from_flat, gram_of, kernel, mat_det, mat_identity,
+    mat_inverse, mat_mul, mat_scalar, spanning_basis, to_flat, vec_add, vec_scale,
 )
 from eleech.relations import INFINITE, SPIDER, GroupWord, hand_swap, matrix_order
 from eleech.rings import Cyclo12, Eis, OMEGA, OMEGA2, ONE, THETA, ZERO
-from eleech.reflections import word_matrix
+from eleech.reflections import _add_scaled, _shift, word_matrix
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -127,7 +128,7 @@ def test_kernel_annihilates_and_has_nullity_dimension(rows):
     free = [c for c in range(len(rows[0])) if c not in pivots]
     assert len(ker) == len(free) == len(rows[0]) - len(pivots)
     for t in ker:
-        assert not any(mat_vec(rows, t))
+        assert not any(_reference_mat_vec(rows, t))
     # one free coordinate the last pivot d and the other free coordinates 0
     d = _eliminate(rows)[2]
     assert [[t[c] for c in free] for t in ker] == [list(e) for e in mat_scalar(len(free), d)]
@@ -166,6 +167,14 @@ def test_over_clears_theta_and_rejects_other_primes():
         aut_from_images([tuple(2 * x for x in v) for v in e], e)
     # (1/theta) I has a real-form charpoly with non-integral coefficients
     assert matrix_order(AutMatrix(mat_identity(14), 1)) == INFINITE
+
+
+@pytest.mark.parametrize("n", [12, 15])
+def test_apply_checks_the_length_of_its_input(n):
+    """A vector with too few coordinates is not read as padded with zeros,
+    and one with too many does not fail on an index: both raise ValueError."""
+    with pytest.raises(ValueError, match="expects 14 coordinates"):
+        AutMatrix.identity().apply((ONE,) * n)
 
 
 def test_over_rejects_a_zero_denominator():
@@ -296,7 +305,7 @@ def test_gram_codes_the_form(form_and_lattice, coeffs):
     basis = lattice().basis
     u, v = (tuple(sum((c * b[i] for c, b in zip(cs, basis)), ZERO) for i in range(14))
             for cs in (coeffs[:14], coeffs[14:]))
-    lhs = sum((x.conj() * y for x, y in zip(u, mat_vec(form.gram, v))), ZERO)
+    lhs = sum((x.conj() * y for x, y in zip(u, _reference_mat_vec(form.gram, v))), ZERO)
     assert lhs == form.den * form.ip(u, v)
 
 
@@ -418,7 +427,7 @@ def test_image_builder_names_a_failed_check_whatever_the_theta_power(chg):
     assert chg.fwd.k == 3
     # theta^3 divides x exactly when 27 divides N(x)
     off = next(e for e in mat_identity(14)
-               if any(x.norm() % 27 for x in mat_vec(chg.fwd.mat, e)))
+               if any(x.norm() % 27 for x in _reference_mat_vec(chg.fwd.mat, e)))
     for extra in (off, e1[0]):
         with pytest.raises(ValueError, match="images are not those of one lattice map"):
             aut_from_images(e1 + [extra], e2 + [e2[1]])
@@ -561,13 +570,6 @@ def test_mat_mul_matches_the_eis_loop(a, cols, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(oracle_matrices(), st.data())
-def test_mat_vec_matches_the_eis_loop(m, data):
-    v = tuple(data.draw(st.lists(wide, min_size=len(m[0]), max_size=len(m[0]))))
-    _agree(mat_vec, _reference_mat_vec, m, v)
-
-
-@settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: oracle_matrices(rows=n, cols=n)),
        st.integers(0, 3), st.integers(0, 3), st.booleans(), st.data())
 def test_apply_matches_the_eis_loop(m, k, j, twelve, data):
@@ -593,3 +595,110 @@ def test_kernels_return_eis_entries(diagram, chg):
     assert all(type(x) is Eis for m in maps for row in m.mat for x in row)
     assert all(type(x) is Eis for v in vectors for x in v)
     assert all(type(x) is Cyclo12 for x in chg.back.apply(diagram.rho_hat))
+
+
+# ---------------------------------------------------------------------------
+# the flat int kernels, and the inline copies of them, against Eis
+
+#: Z[w] entries up to 10^12: zero, on either axis (a = 0 != b, b = 0 != a),
+#: or anywhere
+big = st.integers(-10 ** 12, 10 ** 12)
+flat_entries = st.one_of(st.just(ZERO), st.builds(Eis, st.just(0), big),
+                         st.builds(Eis, big, st.just(0)), st.builds(Eis, big, big))
+flat_vectors = st.lists(flat_entries, max_size=8).map(tuple)
+
+
+def _row_round_trip(data):
+    v = data.draw(flat_vectors)
+    assert to_flat(v) == tuple(c for x in v for c in (x.a, x.b))
+    assert from_flat(to_flat(v)) == v and all(type(x) is Eis for x in from_flat(to_flat(v)))
+
+
+def _row_sparse(data):
+    v = data.draw(flat_vectors)
+    assert linalg.sparse(to_flat(v)) == [(2 * i, x.a, x.b) for i, x in enumerate(v) if x]
+
+
+def _row_dot(data):
+    u = data.draw(flat_vectors)
+    v = data.draw(st.lists(flat_entries, min_size=len(u), max_size=len(u)))
+    s = sum((x * y for x, y in zip(u, v)), ZERO)
+    assert _dot(linalg.sparse(to_flat(u)), to_flat(v)) == (s.a, s.b)
+
+
+def _row_times_dividing(data):
+    v, s, n = data.draw(flat_vectors), data.draw(flat_entries), data.draw(st.integers(1, 10 ** 6))
+    assert linalg._times(to_flat(vec_scale(Eis(n), v)), (s.a, s.b), n) == list(to_flat(vec_scale(s, v)))
+
+
+def _row_times(data):
+    v, s, n = data.draw(flat_vectors), data.draw(flat_entries), data.draw(st.integers(2, 9))
+    _agree(lambda: from_flat(linalg._times(to_flat(v), (s.a, s.b), n)),
+           lambda: tuple((s * x).divide_exact_int(n) for x in v))
+
+
+def _row_exact(data):
+    v, n = data.draw(flat_vectors), data.draw(st.integers(1, 9))
+    v = vec_scale(Eis(n), v) if data.draw(st.booleans()) else v
+    _agree(lambda: from_flat(_exact(to_flat(v), n)),
+           lambda: tuple(x.divide_exact_int(n) for x in v))
+
+
+def _row_conj(data):
+    v = data.draw(flat_vectors)
+    assert _conj(to_flat(v)) == list(to_flat(x.conj() for x in v))
+
+
+def _row_flat_norm(data):
+    v = data.draw(flat_vectors)
+    assert flat_norm(to_flat(v)) == sum(x.norm() for x in v)
+
+
+def _row_flat_norm6(data):
+    """Small vectors topped up with ones to norm 18, and one more."""
+    v = data.draw(st.lists(eis, max_size=4).map(tuple))
+    n = sum(x.norm() for x in v)
+    for w in (v, v + (ONE,) * (18 - n), v + (ONE,) * (19 - n)):
+        assert flat_norm6(to_flat(w)) == (sum(x.norm() for x in w) == 18)
+
+
+def _row_shift(data):
+    """s = (1 - eps) x / 3 for eps = w and wbar; x theta times an entry
+    half the time, so both the division and its failure are met."""
+    x, eps_name = data.draw(flat_entries), data.draw(st.sampled_from(["w", "wbar"]))
+    x = THETA * x if data.draw(st.booleans()) else x
+    eps = OMEGA if eps_name == "w" else OMEGA2
+    _agree(lambda: Eis(*_shift(x.a, x.b, eps_name)), lambda: ((ONE - eps) * x).exact_div(Eis(3)))
+
+
+def _row_add_scaled(data):
+    y = data.draw(flat_vectors)
+    x = data.draw(st.lists(flat_entries, min_size=len(y), max_size=len(y)))
+    s = data.draw(flat_entries)
+    flat = list(to_flat(y))
+    _add_scaled(flat, linalg.sparse(to_flat(x)), s.a, s.b)
+    assert flat == list(to_flat(vec_add(y, vec_scale(s, x))))
+
+
+KERNEL_ROWS = {
+    "to_flat/from_flat": _row_round_trip,
+    "sparse": _row_sparse,
+    "_dot": _row_dot,
+    "_times dividing": _row_times_dividing,
+    "_times": _row_times,
+    "_exact": _row_exact,
+    "_conj": _row_conj,
+    "flat_norm": _row_flat_norm,
+    "lattices.flat_norm6": _row_flat_norm6,
+    "reflections._shift": _row_shift,
+    "reflections._add_scaled": _row_add_scaled,
+}
+
+
+@pytest.mark.parametrize("row", KERNEL_ROWS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_flat_kernels_match_eis(row, data):
+    """Each flat int kernel, and each inline copy of one, gives the Eis
+    computation's value, or both raise the same exception type."""
+    KERNEL_ROWS[row](data)

@@ -1,6 +1,7 @@
 """Every function and method in the package has a caller in the package
 or in the benchmark: a helper that nothing calls checks nothing.  So has
-every module-level constant of the package.  And every parameter of a
+every module-level constant of the package.  No module-level function or
+class name is defined in two modules of the package.  And every parameter of a
 package function is read by its body: a parameter that nothing reads is
 a dead knob.  And every name a module of the package or of the tests
 imports is used in that module.  And no class of the package keeps lazy
@@ -38,6 +39,12 @@ UNREAD_ALLOWED = {
     "checks._lattices_fast(ctx)": "a registry entry is a function of the shared Context",
     "cli._cmd_verify_all(args)": "a subcommand handler takes the parsed arguments",
     "cli._cmd_relations(args)": "a subcommand handler takes the parsed arguments",
+}
+
+#: module-level names defined in two package modules, kept on purpose
+DUPLICATES_ALLOWED = {
+    "diagram_check_lines": "cli's shim of checks.diagram_check_lines: the benchmark's "
+                           "checks workload calls it under the cli module (perfbench/workloads.py)",
 }
 
 
@@ -91,6 +98,15 @@ def test_every_function_has_a_caller(path):
 def test_allowlist_names_only_uncalled_functions():
     uncalled = {q for path in SOURCES for q in _uncalled(path)}
     assert set(ALLOWED) <= uncalled, f"called now, drop from ALLOWED: {set(ALLOWED) - uncalled}"
+
+
+def test_no_helper_is_defined_twice():
+    """A second module-level definition of a name (a second ``to_flat``,
+    say) is a duplicate helper; the allowlist names only live duplicates."""
+    defined = Counter(node.name for path in SOURCES for node in TREES[path].body
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+    twice = {name for name, count in defined.items() if count > 1}
+    assert twice == set(DUPLICATES_ALLOWED), f"defined in two package modules: {twice}"
 
 
 def _unread_constants(path):

@@ -16,7 +16,7 @@ from eleech.rings import (
 )
 from eleech.codes import golay12
 from eleech.diagram import NODE_HEIGHT_SQ, DiagramNode
-from eleech.linalg import FORM_LEECH_H, FORM_E8H
+from eleech.linalg import FORM_LEECH_H, FORM_E8H, from_flat, to_flat
 from eleech.isomorphism import psi_root
 from eleech.lattices import leech_ip, leech_contains, in_l_e8h
 from eleech.reflections import canonical_root, reflect
@@ -31,6 +31,12 @@ from eleech.reduction import (
 )
 
 EPS = {"w": OMEGA, "wbar": OMEGA2}
+
+
+def _find_within(cvp, num, den):
+    """``LeechCVP.find_within`` on Eis numerators, its flat result as Eis."""
+    lam = cvp.find_within(to_flat(num), den)
+    return None if lam is None else from_flat(lam)
 
 
 def test_base_roots():
@@ -425,7 +431,7 @@ def _reference_conway_reduce(mu, max_steps=200):
             raise ValueError("h = 0: input is orthogonal to rho; not a valid start")
         al = y[12].conj()
         num = tuple(x * al for x in y[:12])
-        lam = cvp.find_within(num, h2)
+        lam = _find_within(cvp, num, h2)
         if lam is None:
             raise RuntimeError("covering-radius bound violated; axiom falsified")
         r, eps_name = _reference_conway_root(y, num, h2, lam)
@@ -517,7 +523,7 @@ def test_cvp_within_covering_bound():
     zb = load_z_basis()
     for _ in range(20):
         num = [Eis(random.randint(-60, 60), random.randint(-60, 60)) for _ in range(12)]
-        lam = cvp.find_within(num, 7)
+        lam = _find_within(cvp, num, 7)
         assert lam is not None
         assert leech_contains(lam) is not None
         # coordinate distance: sum |num_i/7 - lam_i|^2 <= 9 (lattice norm >= -3)
@@ -620,7 +626,7 @@ def test_cvp_matches_reference_scan():
         pool = [Eis(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(1, 3))]
         points.append(([rng.choice(pool) for _ in range(12)], rng.randint(1, 3)))
     for num, den in points:
-        lam = cvp.find_within(num, den)
+        lam = _find_within(cvp, num, den)
         assert lam == _reference_find_within(words, num, den, COVERING_BOUND)
         if lam is not None:
             families.add(leech_contains(lam)[0])
@@ -641,7 +647,7 @@ def test_cvp_matches_reference_scan_at_large_denominators():
         den = rng.randint(10 ** 6, 10 ** rng.randint(6, 12))
         span = rng.randint(1, 30) * den
         num = [Eis(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(12)]
-        lam = cvp.find_within(num, den)
+        lam = _find_within(cvp, num, den)
         assert lam == _reference_find_within(words, num, den, COVERING_BOUND)
         m, c, z = leech_contains(lam)
         families.add(m)
