@@ -236,10 +236,10 @@ class Diagram:
     def fixed_lattice(self):
         return HermitianLattice((self.w_p, self.w_l), self.form.ip)
 
-    def node_of(self, v):
-        """(index, unit) with v == unit * (root of node index), or None
-        when v is no unit multiple of a node root."""
-        return self._by_root.get(to_flat(v))
+    def node_of(self, flat):
+        """(index, unit) with flat == to_flat(unit * root of node index), or
+        None when the flat vector is no unit multiple of a node root."""
+        return self._by_root.get(tuple(flat))
 
     @cached_property
     def node_kernel(self) -> NodeKernel:
@@ -252,7 +252,7 @@ class Diagram:
     def root_basis(self):
         """(indices, (adj, d)): 14 nodes whose roots form a Q(w)-basis, and
         the ``mat_inverse`` of the matrix with those roots as columns."""
-        return spanning_basis(self.roots)
+        return spanning_basis([to_flat(r) for r in self.roots])
 
     # -- diagram automorphisms ----------------------------------------------
 

@@ -16,7 +16,9 @@ The int kernels hold a Z[w] vector as the flat ints (a_0, b_0, a_1, ...)
 of its coordinates a_i + b_i w, and ``to_flat``/``from_flat`` are the
 package's one boundary to Eis: ``sparse``, ``_dot``, ``_mul``, ``_times``,
 ``_exact``, ``_conj``, ``flat_norm`` and ``_split``/``_join`` work on that
-layout, and so do the elimination, ``charpoly`` and ``AutMatrix``'s rows.
+layout, and so do the elimination, ``charpoly``, ``spanning_basis``,
+``mat_inverse`` and ``AutMatrix``, whose denominators are int pairs;
+``mat_det``, ``kernel``, ``mat_mul`` and ``AutMatrix.mat`` are Eis edges.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def negdef_ip(u, v, den=1):
 
 
 def _eliminate(rows, width=None):
-    """Bareiss's fraction-free Gauss-Jordan elimination of a Z[w] matrix.
+    """Bareiss's fraction-free Gauss-Jordan elimination of flat int rows.
 
     Pivots are taken column by column among the first ``width`` columns
     (all by default), each from the first row at or below the current one
@@ -188,10 +190,10 @@ def _eliminate(rows, width=None):
     the last pivot d at its pivot column and zeros at the other pivot
     columns, so the reduced row echelon form over Q(w) is the result / d.
 
-    Returns (rows, pivot columns, d, sign of the row permutation); d is
-    sign * det for a nonsingular square input.
+    Returns (rows, pivot columns, d, sign of the row permutation), d an
+    int pair; d is sign * det for a nonsingular square input.
     """
-    a = [to_flat(row) for row in rows]
+    a = list(rows)
     n = len(a)
     width = len(a[0]) // 2 if width is None else width
     pivots = []
@@ -225,51 +227,51 @@ def _eliminate(rows, width=None):
                           norm_q)
         prev = p
         pivots.append(c)
-    return [list(from_flat(row)) for row in a], pivots, Eis(*prev), sign
+    return a, pivots, prev, sign
 
 
 def mat_det(m) -> Eis:
     """Exact determinant over Z[w]."""
-    _, pivots, d, sign = _eliminate(m)
+    _, pivots, d, sign = _eliminate([to_flat(row) for row in m])
     if len(pivots) < len(m):
         return ZERO
-    return -d if sign < 0 else d
+    return Eis(*d) if sign > 0 else -Eis(*d)
 
 
 def mat_inverse(m):
-    """(adj, d) with m adj = d I, both over Z[w], so m^-1 = adj / d; a
-    singular m raises ValueError."""
-    return spanning_basis(tuple(zip(*m)))[1]
+    """(adj, d) with m adj = d I, m and adj flat int rows and d an int
+    pair, so m^-1 = adj / d; a singular m raises ValueError."""
+    return spanning_basis(_columns(m))[1]
 
 
 def kernel(rows) -> list:
     """Kernel basis of a matrix acting on column vectors, in Z[w]: one
     vector per free column, with the last pivot d there and 0 at the other
     free columns."""
-    a, pivots, d, _ = _eliminate(rows)
+    a, pivots, d, _ = _eliminate([to_flat(row) for row in rows])
     out = []
     for f in range(len(rows[0])):
         if f in pivots:
             continue
         t = [ZERO] * len(rows[0])
-        t[f] = d
+        t[f] = Eis(*d)
         for row, c in zip(a, pivots):
-            t[c] = -row[f]
+            t[c] = Eis(-row[2 * f], -row[2 * f + 1])
         out.append(tuple(t))
     return out
 
 
 def spanning_basis(vectors):
-    """(indices, (adj, d)): the first vectors that span the whole space,
-    and the ``mat_inverse`` of the matrix with those vectors as columns,
-    from one elimination of [vectors^T | I] (a column with no pivot moves
-    no row, so the right block is that of the picked columns alone)."""
-    m = len(vectors)
-    aug = [col + e for col, e in zip(zip(*vectors), mat_identity(len(vectors[0])))]
+    """(indices, (adj, d)): the first flat vectors that span the whole
+    space, and the ``mat_inverse`` of the matrix with those vectors as
+    columns, from one elimination of [vectors^T | I] (a column with no pivot
+    moves no row, so the right block is that of the picked columns alone)."""
+    m, n = len(vectors), len(vectors[0]) // 2
+    aug = [col + e for col, e in zip(_columns(vectors), map(to_flat, mat_identity(n)))]
     a, picked, d, _ = _eliminate(aug, m)
     if len(picked) != len(aug):
         raise ValueError("vectors do not span the coordinate space")
-    return picked, (tuple(tuple(row[m:]) for row in a), d)
+    return picked, (tuple(tuple(row[2 * m:]) for row in a), d)
 
 
 def aut_from_images(sources, targets, spanning=None) -> "AutMatrix":
@@ -279,14 +281,14 @@ def aut_from_images(sources, targets, spanning=None) -> "AutMatrix":
     cached ``spanning_basis``), theta-cleared and checked on every pair.
     Raises ValueError when no lattice map sends each source to its target.
     """
+    sources, targets = [to_flat(v) for v in sources], [to_flat(v) for v in targets]
     picked, (adj, d) = spanning or spanning_basis(sources)
-    cols = tuple(zip(*(targets[i] for i in picked)))
-    aut = AutMatrix.over(mat_mul(cols, adj), d)
+    # the picked targets as columns, times adj
+    aut = AutMatrix.over(_mul(_columns([targets[i] for i in picked]), _columns(adj)), d)
     # mat / theta^k sends every source to its target: the product of the
     # sources as rows with mat^T, against the targets times theta^k
-    scale = THETA ** aut.k
-    images = (vec_scale(scale, t) for t in targets)
-    if _mul(map(to_flat, sources), aut.rows) != list(map(to_flat, images)):
+    s = THETA ** aut.k
+    if _mul(sources, aut.rows) != [tuple(_times(t, (s.a, s.b))) for t in targets]:
         raise ValueError("images are not those of one lattice map")
     return aut
 
@@ -388,17 +390,9 @@ class AutMatrix:
 
     __slots__ = ("rows", "k", "n")
 
-    def __init__(self, mat, k=0):
-        self._reduce(map(to_flat, mat), k)
-
-    @classmethod
-    def _of(cls, rows, k) -> "AutMatrix":
-        """The AutMatrix rows / theta^k of flat int rows."""
-        (self := cls.__new__(cls))._reduce(rows, k)
-        return self
-
-    def _reduce(self, rows, k):
-        # strip theta^j at once, j the least theta-valuation of an entry
+    def __init__(self, rows, k=0):
+        """The AutMatrix rows / theta^k of flat int rows; theta^j is
+        stripped at once, j the least theta-valuation of an entry."""
         rows = tuple(map(tuple, rows))
         j = k
         it = chain.from_iterable(rows)
@@ -417,27 +411,27 @@ class AutMatrix:
 
     @classmethod
     def identity(cls, n=14) -> "AutMatrix":
-        return cls(mat_identity(n))
+        return cls(map(to_flat, mat_identity(n)))
 
     @classmethod
-    def over(cls, mat, d) -> "AutMatrix":
-        """The AutMatrix equal to the Z[w] matrix mat / d.
+    def over(cls, rows, d) -> "AutMatrix":
+        """The AutMatrix equal to the matrix of flat int rows over d, an int pair.
 
         d splits once into theta^e (e its theta-valuation) times a part
         prime to theta; every entry is divided exactly by that part, which
-        leaves mat' / theta^e.  A failed division raises ValueError: mat / d
+        leaves mat' / theta^e.  A failed division raises ValueError: rows / d
         is then no lattice map; a zero d raises ZeroDivisionError.
         """
-        if not d:
+        if not any(d):
             raise ZeroDivisionError("AutMatrix.over a zero denominator")
-        e = _v_theta(d.a, d.b, d.norm())  # e < norm d: the cap never binds
-        d = _untheta((d.a, d.b), e)
+        e = _v_theta(*d, flat_norm(d))  # e < norm d: the cap never binds
+        d = _untheta(d, e)
         c, n = _conj(d), flat_norm(d)
         try:
-            rows = [_times(to_flat(row), c, n) for row in mat]
+            rows = [_times(row, c, n) for row in rows]
         except ValueError:
             raise ValueError("matrix is not theta-integral; not a lattice map") from None
-        return cls._of(rows, e)
+        return cls(rows, e)
 
     def __eq__(self, other):
         if not isinstance(other, AutMatrix):
@@ -448,7 +442,7 @@ class AutMatrix:
         return hash((self.k, self.rows))
 
     def __matmul__(self, other: "AutMatrix") -> "AutMatrix":
-        return AutMatrix._of(_mul(self.rows, _columns(other.rows)), self.k + other.k)
+        return AutMatrix(_mul(self.rows, _columns(other.rows)), self.k + other.k)
 
     def __pow__(self, n: int) -> "AutMatrix":
         return power(self, n, AutMatrix.identity(self.n), matmul)
@@ -466,12 +460,13 @@ class AutMatrix:
     def scalar(self):
         """The scalar s when self == s * I, else None."""
         s = from_flat(self.rows[0][:2])[0]
-        return s if self == AutMatrix(mat_scalar(self.n, s)) else None
+        return s if self == AutMatrix(map(to_flat, mat_scalar(self.n, s))) else None
 
     def inverse(self) -> "AutMatrix":
         # value = mat / theta^k, so the inverse is theta^k adj / d
-        adj, d = mat_inverse(self.mat)
-        return AutMatrix.over([vec_scale(THETA ** self.k, row) for row in adj], d)
+        adj, d = mat_inverse(self.rows)
+        s = THETA ** self.k
+        return AutMatrix.over([_times(row, (s.a, s.b)) for row in adj], d)
 
     def preserves_form(self, form: LorentzForm, target: LorentzForm | None = None) -> bool:
         """Exact check that self maps ``form`` onto ``target`` (by default
@@ -501,8 +496,8 @@ def poly_mul(a, b, zero=0):
     return out
 
 
-def charpoly(m) -> list:
-    """det(x I - m) of a square Z[w] matrix, division-free (Berkowitz).
+def charpoly(rows) -> list:
+    """det(x I - m) of the square matrix m of flat int rows, division-free (Berkowitz).
 
     Returns coefficients [c_0, ..., c_n] with p(x) = sum c_i x^i and c_n = 1.
     With M the leading r x r block, R and C the rest of row and column r,
@@ -511,7 +506,6 @@ def charpoly(m) -> list:
     -R M^(r-1) C): in descending coefficients, the product t p_r cut to
     r + 2 terms (S. J. Berkowitz, Inform. Process. Lett. 18, 1984).
     """
-    rows = [to_flat(row) for row in m]
     p = [ONE]
     for r, row in enumerate(rows):
         t = [row[2 * r:2 * r + 2]]

@@ -237,7 +237,7 @@ class HeightReducer:
         while budget > 0:
             budget -= 1
             if chain.height in chain.kernel.node_heights:
-                hit = self.diagram.node_of(chain.vector())
+                hit = self.diagram.node_of(chain.y)
                 if hit is not None:
                     return steps, hit
             step = chain.descend()
@@ -320,7 +320,7 @@ def check_certificate(cert, diagram, generators) -> bool:
             return False
         last = p, q
     k, uname = cert.terminal
-    return diagram.node_of(from_flat(y)) == (k, unit_from_name(uname))
+    return diagram.node_of(y) == (k, unit_from_name(uname))
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ def word_matrix(letters, form) -> AutMatrix:
     cols = [vec_scale(d, e) for e in mat_identity(14)]
     for r, mu in reversed(letters):
         cols = [reflect(r, mu, v, form) for v in cols]
-    return AutMatrix.over(zip(*cols), d)
+    return AutMatrix.over(map(to_flat, zip(*cols)), (d.a, d.b))
 
 
 # ---------------------------------------------------------------------------

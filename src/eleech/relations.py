@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .rings import Eis, OMEGA, OMEGA2, THETA, ZERO, UNITS
-from .linalg import FORM_LEECH_H, AutMatrix, aut_from_images, charpoly, poly_mul
+from .rings import Eis, OMEGA, OMEGA2, THETA, ONE, ZERO, UNITS
+from .linalg import FORM_LEECH_H, AutMatrix, aut_from_images, charpoly, poly_mul, to_flat
 from .reflections import word_matrix
 from .diagram import orbit, presentation_generators
 from .isomorphism import m666_from_e1prime, M666_ORDER
@@ -89,7 +89,7 @@ def _charpoly(m: AutMatrix):
     """The integer polynomial p conj(p), p the characteristic polynomial
     of m over Q(w), or None when p is not integral (then p conj(p) is no
     product of cyclotomics)."""
-    p = charpoly(m.mat)
+    p = charpoly(m.rows)
     n = len(p) - 1
     # p_m(x) = theta^(-kn) p_mat(theta^k x): coefficient j is c_j / theta^(k(n-j))
     try:
@@ -151,16 +151,22 @@ TWELVE_GON = ("f1", "e1", "d1", "c1", "b1", "a", "b2", "c2", "d2", "e2", "f2", "
 def deflate_unit(diagram, gon_roots):
     """The unit u with phi_{y1} ... phi_{y10}(y11) == u * y12 for a
     labeled 12-gon of node roots (each up to a unit), or None when no unit
-    works.
+    works.  ``node_of`` looks up each root and ``deflate_hits`` runs on the hits.
+    """
+    hits = [diagram.node_of(to_flat(r)) for r in gon_roots]
+    if None in hits:
+        raise ValueError("a 12-gon root is no unit multiple of a node root")
+    return deflate_hits(diagram.node_kernel, hits)
+
+
+def deflate_hits(kernel, hits):
+    """The unit of ``deflate_unit`` for a labeled 12-gon given by the
+    (node index, unit) hits of its roots, or None when no unit works.
 
     Runs on node pairings: from the Gram column of y11, ten steps of the
     node kernel, then a comparison with u times the column of y12; equal
     pairings mean equal vectors.
     """
-    kernel = diagram.node_kernel
-    hits = [diagram.node_of(r) for r in gon_roots]
-    if None in hits:
-        raise ValueError("a 12-gon root is no unit multiple of a node root")
     q = kernel.column(*hits[10])
     for k, _ in reversed(hits[:10]):
         kernel.reflect(q, k, "w")
@@ -207,7 +213,7 @@ def deflate_transports(diagram):
     seen = twelve_gon_orbit(diagram)
     ok = True
     for gon in sorted(seen):
-        u = deflate_unit(diagram, tuple(diagram.nodes[i].root for i in gon))
+        u = deflate_hits(diagram.node_kernel, [(i, ONE) for i in gon])
         if u is None or (diagram.nodes[gon[0]].kind == "line" and u != OMEGA2):
             ok = False
             break
@@ -231,8 +237,7 @@ def rad_m666_covers_d(diagram):
         for gon in gons:
             if gon[11] in known or not all(i in known for i in gon[:11]):
                 continue
-            roots = tuple(diagram.nodes[i].root for i in gon)
-            if deflate_unit(diagram, roots) is None:
+            if deflate_hits(diagram.node_kernel, [(i, ONE) for i in gon]) is None:
                 raise RuntimeError("witness identity failed during chaining")
             known.add(gon[11])
             additions.append((diagram.nodes[gon[11]].name, gon))

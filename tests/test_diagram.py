@@ -13,7 +13,7 @@ from eleech.diagram import (
     local_max_probe, _dot3,
 )
 from eleech.reflections import reflect
-from eleech.linalg import FORM_E8H, LorentzForm
+from eleech.linalg import FORM_E8H, LorentzForm, from_flat, to_flat
 
 MINUS3 = Eis(-3, 0)
 
@@ -200,7 +200,7 @@ def test_height_zero_and_reflected_node(diagram):
 def test_node_of_round_trips_every_unit_multiple(diagram):
     for n in diagram.nodes:
         for u in UNITS:
-            assert diagram.node_of([u * x for x in n.root]) == (n.index, u)
+            assert diagram.node_of(to_flat(u * x for x in n.root)) == (n.index, u)
 
 
 def test_node_of_is_none_off_the_node_multiples(diagram, generators):
@@ -208,8 +208,8 @@ def test_node_of_is_none_off_the_node_multiples(diagram, generators):
 
     cert = HeightReducer(diagram).reduce(generators[2], (), max_perturb=0)
     assert cert.steps
-    assert diagram.node_of(cert.target) is None
-    assert diagram.node_of((ZERO,) * 14) is None
+    assert diagram.node_of(to_flat(cert.target)) is None
+    assert diagram.node_of(to_flat((ZERO,) * 14)) is None
 
 
 def test_sigma_properties(diagram):
@@ -302,7 +302,8 @@ def test_fixed_lattice_primitive(diagram):
     from eleech.rings import eis_gcd
 
     L = lattice_3e8_h()
-    adj, d = mat_inverse(tuple(zip(*L.basis)))
+    adj, d = mat_inverse([to_flat(row) for row in zip(*L.basis)])
+    adj, d = tuple(map(from_flat, adj)), Eis(*d)
     rows = [[x.exact_div(d) for x, in mat_mul(adj, tuple(zip(w)))] for w in (diagram.w_p, diagram.w_l)]
     d1 = ZERO
     for row in rows:

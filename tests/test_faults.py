@@ -57,6 +57,16 @@ def _spider_word_shortened(monkeypatch, diagram):
     monkeypatch.setattr(relations, "SPIDER", relations.SPIDER[:-1])
 
 
+def _twelve_gon_with_y11_y12_swapped(monkeypatch, diagram):
+    # the base labelling with its last two nodes swapped is in no orbit of
+    # the base one, and no unit completes it; it spans the same 12 nodes,
+    # and rad_m666 never reads it, as its last node f2 is already known
+    orbit = relations.twelve_gon_orbit
+    base = tuple(diagram.by_name[n].index for n in relations.TWELVE_GON)
+    swapped = base[:10] + (base[11], base[10])
+    monkeypatch.setattr(relations, "twelve_gon_orbit", lambda d: orbit(d) | {swapped})
+
+
 def _move_root_a(monkeypatch, module, coord, shift):
     """``module.m666_from_e1prime`` returns root a with one coordinate moved."""
     m666 = isomorphism.m666_from_e1prime
@@ -99,6 +109,7 @@ FAULTS = {
     "automorphisms": _presentation_relator_fails,
     "codes": _golay_generator_entry_changed,
     "coxeter": _coxeter_order_changed,
+    "deflation_transports": _twelve_gon_with_y11_y12_swapped,
     "generation": _z_basis_row_doubled,
     "isomorphism": _isomorphism_m666_root_perturbed,
     "lattices_fast": _leech_basis_row_times_theta,
@@ -135,3 +146,18 @@ def test_phi_flips_checks_the_m666_gram(shift, monkeypatch, diagram):
     lines, ok = run(["phi_flips"], Context(diagram=diagram))
     assert not ok
     assert [key for key, value in lines if value != "ok"] == ["phi_flips_m666_gram"]
+
+
+def test_swapped_twelve_gon_fails_only_the_transports(monkeypatch, diagram):
+    """The swapped labelling is outside the orbit and no unit completes it;
+    with it in the orbit, deflation and rad_m666 still pass and the
+    12-gons still number 468."""
+    base = tuple(diagram.by_name[n].root for n in relations.TWELVE_GON)
+    assert relations.deflate_unit(diagram, base[:10] + (base[11], base[10])) is None
+    before = relations.twelve_gon_orbit(diagram)
+    _twelve_gon_with_y11_y12_swapped(monkeypatch, diagram)
+    assert len(relations.twelve_gon_orbit(diagram) - before) == 1
+    lines, ok = run(["deflation", "rad_m666", "deflation_transports"], Context(diagram=diagram))
+    assert not ok
+    assert ("deflate_12gons", 468) in lines
+    assert [key for key, value in lines if value == "FAIL"] == ["deflate_transports"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from eleech.rings import Eis, ONE, OMEGA, OMEGA2, THETA, XI, ZERO
 from eleech.linalg import (
     mat_det, mat_inverse, mat_mul,
-    AutMatrix, mat_scalar, charpoly, to_flat, FORM_E8H, FORM_LEECH_H,
+    AutMatrix, mat_scalar, charpoly, from_flat, to_flat, FORM_E8H, FORM_LEECH_H,
 )
 from eleech.reduction import load_z_basis
 
@@ -61,20 +61,21 @@ def test_mat_det_and_inverse():
         d = mat_det(m)
         if not d:
             continue
-        adj, d = mat_inverse(m)
-        prod = mat_mul(m, adj)
+        adj, d = mat_inverse([to_flat(row) for row in m])
+        prod = mat_mul(m, tuple(map(from_flat, adj)))
+        d = Eis(*d)
         assert all(
             prod[i][j] == (d if i == j else 0) for i in range(4) for j in range(4)
         )
 
 
 def test_aut_matrix_theta_reduction():
-    a = AutMatrix(mat_scalar(3, THETA), 1)
+    a = AutMatrix(map(to_flat, mat_scalar(3, THETA)), 1)
     assert a.k == 0 and a.is_identity()
 
 
 def test_aut_matrix_pow_and_inverse():
-    w = AutMatrix(mat_scalar(4, OMEGA))
+    w = AutMatrix(map(to_flat, mat_scalar(4, OMEGA)))
     assert (w ** 3).is_identity()
     assert w.inverse() @ w == AutMatrix.identity(4)
     with pytest.raises(ValueError):
@@ -89,13 +90,14 @@ def test_charpoly_triangular():
     want = [ONE]
     for r in roots:  # times (x - r), ascending coefficients
         want = [-r * want[0]] + [a - r * b for a, b in zip(want, want[1:])] + [want[-1]]
-    assert charpoly(m) == want
+    assert charpoly([to_flat(row) for row in m]) == want
 
 
 def test_basis_solbecause_roundtrip(diagram):
     chosen, (adj, d) = diagram.root_basis
     v = diagram.by_name["z2"].root
     # z2 is a Q(w)-combination of the chosen roots: d v is a Z[w] one
+    adj, d = tuple(map(from_flat, adj)), Eis(*d)
     t = [x for x, in mat_mul(adj, tuple(zip(v)))]
     rebuilt = [ZERO] * 14
     for c, k in zip(t, chosen):

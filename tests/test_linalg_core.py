@@ -68,6 +68,17 @@ def _sign(perm):
     return sign
 
 
+def _rows(m):
+    """The flat int rows of an Eis matrix."""
+    return [to_flat(row) for row in m]
+
+
+def _inverse(m):
+    """``mat_inverse`` of an Eis matrix, read back as an Eis adj and d."""
+    adj, d = mat_inverse(_rows(m))
+    return tuple(map(from_flat, adj)), Eis(*d)
+
+
 def leibniz_det(m):
     total = ZERO
     for perm in permutations(range(len(m))):
@@ -88,7 +99,7 @@ def test_det_matches_leibniz(m):
 @given(square())
 def test_charpoly_is_monic_annihilating_with_det_constant(m):
     n = len(m)
-    p = charpoly(m)
+    p = charpoly(_rows(m))
     assert len(p) == n + 1 and p[n] == ONE
     # p(m) = 0, by Horner's scheme on matrices
     acc = mat_scalar(n, p[n])
@@ -106,9 +117,9 @@ def test_charpoly_is_monic_annihilating_with_det_constant(m):
 def test_inverse_times_matrix_is_identity(m):
     if not mat_det(m):
         with pytest.raises(ValueError):
-            mat_inverse(m)
+            mat_inverse(_rows(m))
         return
-    adj, d = mat_inverse(m)
+    adj, d = _inverse(m)
     assert mat_mul(adj, m) == mat_scalar(len(m), d)
     assert mat_mul(m, adj) == mat_scalar(len(m), d)
 
@@ -116,7 +127,7 @@ def test_inverse_times_matrix_is_identity(m):
 @SETTINGS
 @given(square())
 def test_full_rank_exactly_when_det_nonzero(m):
-    full = len(_eliminate(tuple(zip(*m)))[1]) == len(m)
+    full = len(_eliminate(_rows(zip(*m)))[1]) == len(m)
     assert full == bool(mat_det(m))
 
 
@@ -124,23 +135,23 @@ def test_full_rank_exactly_when_det_nonzero(m):
 @given(matrices())
 def test_kernel_annihilates_and_has_nullity_dimension(rows):
     ker = kernel(rows)
-    pivots = _eliminate(rows)[1]
+    pivots = _eliminate(_rows(rows))[1]
     free = [c for c in range(len(rows[0])) if c not in pivots]
     assert len(ker) == len(free) == len(rows[0]) - len(pivots)
     for t in ker:
         assert not any(_reference_mat_vec(rows, t))
     # one free coordinate the last pivot d and the other free coordinates 0
-    d = _eliminate(rows)[2]
+    d = Eis(*_eliminate(_rows(rows))[2])
     assert [[t[c] for c in free] for t in ker] == [list(e) for e in mat_scalar(len(free), d)]
 
 
 @SETTINGS
 @given(matrices())
 def test_independent_picks_the_first_basis(rows):
-    picked = _eliminate(tuple(zip(*rows)))[1]
+    picked = _eliminate(_rows(zip(*rows)))[1]
     for i in range(len(rows)):
         before = [j for j in picked if j < i]
-        grows = len(_eliminate(tuple(zip(*[rows[j] for j in before], rows[i])))[1]) > len(before)
+        grows = len(_eliminate(_rows(zip(*[rows[j] for j in before], rows[i])))[1]) > len(before)
         assert (i in picked) == grows
 
 
@@ -149,24 +160,24 @@ def test_shipped_column_matrices(diagram, which):
     rows = load_e1() if which == "E1" else e2_matrix(diagram)
     m = tuple(zip(*rows))
     assert mat_det(m)
-    adj, d = mat_inverse(m)
+    adj, d = _inverse(m)
     assert mat_mul(m, adj) == mat_scalar(14, d)
-    assert _eliminate(tuple(zip(*m)))[1] == list(range(14))
+    assert _eliminate(_rows(zip(*m)))[1] == list(range(14))
     assert kernel(m) == []
 
 
 def test_over_clears_theta_and_rejects_other_primes():
     three = Eis(3, 0)
-    a = AutMatrix.over([[ONE, ZERO], [ZERO, three]], three)
+    a = AutMatrix.over(_rows([[ONE, ZERO], [ZERO, three]]), (3, 0))
     assert a.k == 2 and a.mat == ((Eis(-1, 0), ZERO), (ZERO, Eis(-3, 0)))
-    assert AutMatrix.over([[THETA]], three) == AutMatrix([[-ONE]], 1)
+    assert AutMatrix.over(_rows([[THETA]]), (3, 0)) == AutMatrix(_rows([[-ONE]]), 1)
     with pytest.raises(ValueError):
-        AutMatrix.over([[ONE]], Eis(2, 0))
+        AutMatrix.over(_rows([[ONE]]), (2, 0))
     e = mat_identity(3)
     with pytest.raises(ValueError):
         aut_from_images([tuple(2 * x for x in v) for v in e], e)
     # (1/theta) I has a real-form charpoly with non-integral coefficients
-    assert matrix_order(AutMatrix(mat_identity(14), 1)) == INFINITE
+    assert matrix_order(AutMatrix(_rows(mat_identity(14)), 1)) == INFINITE
 
 
 @pytest.mark.parametrize("n", [12, 15])
@@ -179,7 +190,7 @@ def test_apply_checks_the_length_of_its_input(n):
 
 def test_over_rejects_a_zero_denominator():
     with pytest.raises(ZeroDivisionError, match="zero denominator"):
-        AutMatrix.over([[ONE, ZERO], [ZERO, THETA]], ZERO)
+        AutMatrix.over(_rows([[ONE, ZERO], [ZERO, THETA]]), (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +221,13 @@ def _reference_over(mat, d):
 def _reference_spanning_basis(vectors):
     """The first spanning vectors by one elimination, then the inverse of
     their column matrix by a second elimination of [m | I]."""
-    picked = _eliminate(tuple(zip(*vectors)))[1]
+    picked = _eliminate(_rows(zip(*vectors)))[1]
     if len(picked) != len(vectors[0]):
         raise ValueError("vectors do not span the coordinate space")
     m = tuple(zip(*(vectors[i] for i in picked)))
     n = len(m)
-    a, _, d, _ = _eliminate([row + e for row, e in zip(m, mat_identity(n))], n)
-    return picked, (tuple(tuple(row[n:]) for row in a), d)
+    a, _, d, _ = _eliminate(_rows(row + e for row, e in zip(m, mat_identity(n))), n)
+    return picked, (tuple(tuple(row[2 * n:]) for row in a), d)
 
 
 def _times(mat, s):
@@ -230,7 +241,7 @@ def test_reduce_matches_the_theta_loop(m, j, k, blank):
     """Random Z[w] matrices times theta^j (zero entries included, and the
     all-zero matrix when blank) over theta^k, k = 0 included."""
     mat = _times(m, ZERO if blank else THETA ** j)
-    a = AutMatrix(mat, k)
+    a = AutMatrix(_rows(mat), k)
     assert (a.mat, a.k) == _reference_reduce(mat, k)
 
 
@@ -247,9 +258,9 @@ def test_over_matches_the_theta_loop(m, j, e, p, divisible):
         want = _reference_over(mat, d)
     except ValueError:
         with pytest.raises(ValueError):
-            AutMatrix.over(mat, d)
+            AutMatrix.over(_rows(mat), (d.a, d.b))
         return
-    a = AutMatrix.over(mat, d)
+    a = AutMatrix.over(_rows(mat), (d.a, d.b))
     assert (a.mat, a.k) == want
 
 
@@ -276,9 +287,9 @@ def test_spanning_basis_matches_two_eliminations(vectors):
         want = _reference_spanning_basis(vectors)
     except ValueError:
         with pytest.raises(ValueError):
-            spanning_basis(vectors)
+            spanning_basis(_rows(vectors))
         return
-    assert spanning_basis(vectors) == want
+    assert spanning_basis(_rows(vectors)) == want
 
 
 @pytest.mark.parametrize("module", [
@@ -514,6 +525,12 @@ def _reference_eliminate(rows, width=None):
     return a, pivots, prev, sign
 
 
+def _eliminate_eis(rows, width=None):
+    """``_eliminate`` of an Eis matrix, its rows and d read back as Eis."""
+    a, pivots, d, sign = _eliminate(_rows(rows), width)
+    return [list(from_flat(row)) for row in a], pivots, Eis(*d), sign
+
+
 def _reference_apply(aut, v):
     """The image of v by mat / theta^k, the division by theta^k done as a
     product with (-theta)^k and an exact division by 3^k, entry by entry."""
@@ -559,7 +576,7 @@ def oracle_matrices(draw, rows=None, cols=None):
 def test_eliminate_matches_the_eis_loop(rows, data):
     """Any shape and rank, with all columns or a width below their count."""
     width = data.draw(st.one_of(st.none(), st.integers(0, len(rows[0]))))
-    _agree(_eliminate, _reference_eliminate, rows, width)
+    _agree(_eliminate_eis, _reference_eliminate, rows, width)
 
 
 @settings(max_examples=200, deadline=None)
@@ -576,7 +593,7 @@ def test_apply_matches_the_eis_loop(m, k, j, twelve, data):
     """A Z[w] or Z[zeta_12] vector times theta^j through mat / theta^k:
     the division is exact when j >= k, and may fail otherwise."""
     v = data.draw(st.lists(wide12 if twelve else wide, min_size=len(m), max_size=len(m)))
-    aut = AutMatrix(m, k)
+    aut = AutMatrix(_rows(m), k)
     _agree(aut.apply, lambda v: _reference_apply(aut, v), vec_scale(THETA ** j, v))
 
 
@@ -584,16 +601,18 @@ def test_kernels_return_eis_entries(diagram, chg):
     """Eis(3, 0) == 3 with equal hashes, so the equality tests above would
     pass on an int or an int pair leaked from a kernel: the lattice maps
     and the vectors the kernels return hold Eis entries and nothing else,
+    the flat adj and d of ``spanning_basis`` hold ints and nothing else,
     and rho_hat's image holds Cyclo12 entries."""
     roots = dict(zip(M666_ORDER, m666_from_e1prime(load_e1prime())))
     sigma = diagram.sigma()
     maps = [chg.fwd, chg.back, diagram.g_action(PRESENTATION_PAIR[0]), sigma,
             hand_swap(roots, "1", "2"), GroupWord(diagram, SPIDER).matrix(), sigma.inverse()]
-    picked, (adj, d) = spanning_basis(diagram.roots)
-    vectors = [*adj, (d,), *kernel(tuple(zip(*diagram.roots))),
+    picked, (adj, d) = spanning_basis(_rows(diagram.roots))
+    vectors = [*kernel(tuple(zip(*diagram.roots))),
                chg.to_e8h(load_e1()[0]), sigma.apply(diagram.roots[0])]
     assert all(type(x) is Eis for m in maps for row in m.mat for x in row)
     assert all(type(x) is Eis for v in vectors for x in v)
+    assert all(type(x) is int for v in (*adj, d) for x in v)
     assert all(type(x) is Cyclo12 for x in chg.back.apply(diagram.rho_hat))
 
 

@@ -5,7 +5,8 @@ class name is defined in two modules of the package.  And every parameter of a
 package function is read by its body: a parameter that nothing reads is
 a dead knob.  And every name a module of the package or of the tests
 imports is used in that module.  And no class of the package keeps lazy
-state in a None sentinel.
+state in a None sentinel.  And only the command line reads the Eis view
+``AutMatrix.mat``: the package's kernels take the flat ``rows``.
 
 A name counts as called when it appears anywhere outside its own
 definition as a name, an attribute, an imported name or a dotted part of
@@ -186,6 +187,12 @@ def _sentinel_caches(tree):
 def test_no_sentinel_cache(path):
     found = _sentinel_caches(TREES[path])
     assert not found, f"{path.name}: lazy state kept by a None sentinel, use cached_property: {found}"
+
+
+def test_only_the_cli_reads_the_eis_view():
+    readers = sorted({path.name for path in SOURCES for node in ast.walk(TREES[path])
+                      if isinstance(node, ast.Attribute) and node.attr == "mat"})
+    assert readers == ["cli.py"], f"modules that read .mat: {readers}"
 
 
 def _unused_imports(tree):

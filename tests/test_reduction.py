@@ -260,7 +260,7 @@ def _reference_check_certificate(cert, diagram, generators):
             return False
         last = height
     k, uname = cert.terminal
-    return diagram.node_of(y) == (k, unit_from_name(uname))
+    return diagram.node_of(to_flat(y)) == (k, unit_from_name(uname))
 
 
 @MUTANTS

@@ -4,10 +4,10 @@ import pytest
 import sympy
 
 from eleech.rings import Eis, OMEGA, OMEGA2, ONE, UNITS
-from eleech.linalg import AutMatrix, mat_identity, mat_scalar, poly_mul
+from eleech.linalg import AutMatrix, mat_identity, mat_scalar, poly_mul, to_flat
 from eleech.relations import (
     GroupWord, matrix_order, INFINITE, SPIDER, TWELVE_GON, _charpoly,
-    spider_check, deflate_check, deflate_unit, coxeter_table, COXETER_TABLE,
+    spider_check, deflate_check, deflate_hits, deflate_unit, coxeter_table, COXETER_TABLE,
     free_embeddings, verify_phi_flips, rad_m666_covers_d, cyclotomic_poly,
     twelve_gon_orbit, hand_swap,
 )
@@ -33,9 +33,9 @@ def test_cyclotomic_polys_match_sympy():
 
 def test_matrix_order_identity_and_scalars():
     assert matrix_order(AutMatrix.identity(14)) == 1
-    w = AutMatrix(mat_scalar(14, OMEGA))
+    w = AutMatrix(map(to_flat, mat_scalar(14, OMEGA)))
     assert matrix_order(w) == 3
-    mw = AutMatrix(mat_scalar(14, -OMEGA))
+    mw = AutMatrix(map(to_flat, mat_scalar(14, -OMEGA)))
     assert matrix_order(mw) == 6
 
 
@@ -46,7 +46,7 @@ def test_matrix_order_non_cyclotomic_factor(n, monkeypatch):
     # order is decided before any power of the matrix is taken
     m = [list(row) for row in mat_identity(n)]
     m[0][:2], m[1][:2] = [Eis(2), ONE], [ONE, ONE]
-    a = AutMatrix(m)
+    a = AutMatrix(map(to_flat, m))
     want = [1, -6, 11, -6, 1]
     for _ in range(2 * n - 4):
         want = poly_mul(want, [-1, 1])
@@ -90,7 +90,7 @@ def test_spider_transported(diagram):
     aut = diagram.g_action(x)
     perm = {}
     for node in diagram.nodes:
-        k, _ = diagram.node_of(aut.apply(node.root))
+        k, _ = diagram.node_of(to_flat(aut.apply(node.root)))
         perm[node.name] = diagram.nodes[k].name
     word = GroupWord(diagram, tuple(perm[n] for n in SPIDER)).matrix()
     assert (word ** 20).is_identity()
@@ -132,6 +132,15 @@ def test_deflate_unit_agrees_with_reflect_chain(diagram):
     for i, u in ((0, OMEGA2), (10, OMEGA), (11, -OMEGA)):
         gon[i] = tuple(u * x for x in gon[i])
     assert deflate_unit(diagram, tuple(gon)) == _deflate_unit_by_reflect(diagram, tuple(gon))
+
+
+def test_deflate_hits_agrees_with_deflate_unit(diagram):
+    """The index walk on (i, 1) hits gives deflate_unit's unit on the
+    roots, on every 16th labelling of the sorted orbit."""
+    for gon in sorted(twelve_gon_orbit(diagram))[::16]:
+        roots = tuple(diagram.nodes[i].root for i in gon)
+        hits = [(i, ONE) for i in gon]
+        assert deflate_hits(diagram.node_kernel, hits) == deflate_unit(diagram, roots)
 
 
 def test_deflate_unit_rejects_a_root_off_the_diagram(diagram, generators):
