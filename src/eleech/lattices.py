@@ -10,9 +10,11 @@ take their forms from ``linalg.LorentzForm``.
 
 First-shell enumeration for the Leech lattice is done twice, by
 independent strategies, and the two vector sets are compared elsewhere as
-an acceptance gate: explicit shape families, which build only the
-vectors that meet the z-sum condition, and a generic coset search, which
-joins tables of 4-coordinate blocks grouped by (norm, z residue).
+an acceptance gate: explicit shape families, which tabulate the two
+6-coordinate half tuples of each Golay word with their z residues and
+join a left half only with the right halves that meet the z-sum
+condition, and a generic coset search, which joins tables of 4-coordinate
+blocks grouped by (norm, z residue).  The two share no helper.
 """
 
 from __future__ import annotations
@@ -94,6 +96,47 @@ def _coset_entry(x, m, d):
     return x.a, x.b, z.mod_theta()
 
 
+def _eta_halves(half, etas):
+    """The half tuples (12 ints) of the weight-6 family on a 6-digit half
+    pattern, in product order, each with its z residue sum: etas maps a
+    digit to its (a, b, z residue) entries, three for a nonzero digit and
+    the zero entry for 0."""
+    rows = [((), 0)]
+    for d in half:
+        rows = [(t + (a, b), (r + z) % 3) for t, r in rows for a, b, z in etas[d]]
+    return rows
+
+
+def _unit_halves(half, cosets):
+    """The half tuples (12 ints) of the m = +-1 families on a 6-digit half
+    pattern, as (base, res, sevens, fours, pairs).
+
+    cosets maps a digit to (u, u's z residue, the two norm-7 entries, the
+    norm-4 entry), each entry an ((a, b), change of the z residue from u)
+    pair.  base holds u on every digit and res is its z residue sum;
+    sevens[k] lists base with one u replaced by a norm-7 entry whose
+    change is k, in (position, entry) order; fours[p] is base with -2u at
+    p and its change; pairs[p][k] lists fours[p] with also -2u at q, for
+    q > p in order, whose two changes sum to k.
+    """
+    cols = [cosets[d] for d in half]
+    base = tuple(x for col in cols for x in col[0])
+    res = sum(col[1] for col in cols) % 3
+    sevens, fours, pairs = ([], [], []), [], []
+    for p, col in enumerate(cols):
+        for ab, delta in col[2]:
+            sevens[delta].append(base[:2 * p] + ab + base[2 * p + 2:])
+        ab, delta = col[3]
+        fours.append((base[:2 * p] + ab + base[2 * p + 2:], delta))
+    for p, (h, dp) in enumerate(fours):
+        within = ([], [], [])
+        for q in range(p + 1, 6):
+            ab, dq = cols[q][3]
+            within[(dp + dq) % 3].append(h[:2 * q] + ab + h[2 * q + 2:])
+        pairs.append(within)
+    return base, res, sevens, fours, pairs
+
+
 def first_shell_by_shapes():
     """The 196560 norm -6 Leech vectors, enumerated by (m, c) shape family.
 
@@ -105,9 +148,14 @@ def first_shell_by_shapes():
       tabulated per digit, so only the replacements that meet the z-sum
       condition are built.
 
-    The coset entries are tabulated once per digit as (a, b, z mod theta),
-    so the loops over the Golay words only look them up.  Returns a list
-    of flat int tuples.
+    Each vector of the last three families is one concatenation of two
+    half tuples of 12 ints, the coordinates 0-5 and 6-11 of a Golay word.
+    The halves of a word's two 6-digit half patterns are tabulated with
+    their z residues (``_eta_halves``, ``_unit_halves``), and a left half
+    is joined with the right halves whose residue closes the z-sum
+    condition.  Returns a list of flat int tuples, in the order of the
+    shape families, the Golay words and, within a word, the positions and
+    entries of the support or the replacements.
     """
     out = []
     words = golay12().words()
@@ -122,58 +170,53 @@ def first_shell_by_shapes():
                     flat[2 * j: 2 * j + 2] = 3 * uj.a, 3 * uj.b
                     out.append(tuple(flat))
 
-    # family m=0, weight-6 words: entries theta * d * eta, eta in {1, w, w^2};
-    # the three etas of a digit have distinct z residues, so the last one is
-    # the eta whose residue brings the sum to 0
+    # family m=0, weight-6 words: entries theta * d * eta, eta in {1, w, w^2},
+    # whose z residues on the support sum to 0, so each left half joins the
+    # right halves of the closing residue.  The three etas of a digit have
+    # distinct residues, so the eta on the last support position is fixed by
+    # the others; all left positions come before the right ones, so the joins
+    # follow the product order of the first five support positions.
     etas = {d: [_coset_entry(THETA * d * eta, 0, d) for eta in (ONE, OMEGA, OMEGA2)]
             for d in (-1, 1)}
-    closing = {d: {-e[2] % 3: e for e in etas[d]} for d in (-1, 1)}
+    etas[0] = [(0, 0, 0)]
     for c in words:
-        support = [i for i, d in enumerate(c) if d]
-        if len(support) != 6:
+        if c.count(0) != 6:
             continue
-        last = closing[c[support[5]]]
-        for choice in product(*(etas[c[i]] for i in support[:5])):
-            choice += (last[sum(e[2] for e in choice) % 3],)
-            flat = [0] * 24
-            for pos, (a, b, _) in zip(support, choice):
-                flat[2 * pos: 2 * pos + 2] = a, b
-            out.append(tuple(flat))
+        right = ([], [], [])
+        for t, r in _eta_halves(c[6:], etas):
+            right[r].append(t)
+        for t, r in _eta_halves(c[:6], etas):
+            out += [t + h for h in right[-r % 3]]
 
     # families m=+-1: per-coordinate coset contains one unit u, one
     # norm-4 element -2u and two norm-7 elements u(1+3w), u(1+3w^2)
     for m in (1, -1):
-        cosets, res_u = {}, {}
+        cosets = {}
         for d in (-1, 0, 1):
             u = next(u for u in UNITS if Eis(3, 0).divides(u - m - THETA * d))
-            entries = [_coset_entry(x, m, d)
-                       for x in (u, -2 * u, u * Eis(1, 3), u * Eis(-2, -3))]
-            res_u[d] = entries[0][2]
-            # (a, b) of each entry and its change of the z residue from u's
-            cosets[d] = [((a, b), (r - res_u[d]) % 3) for a, b, r in entries]
+            (ua, ub, ru), (a4, b4, r4), *sevens = [
+                _coset_entry(x, m, d) for x in (u, -2 * u, u * Eis(1, 3), u * Eis(-2, -3))]
+            # (a, b) of each replacement and its change of the z residue from u's
+            cosets[d] = ((ua, ub), ru, [((a, b), (r - ru) % 3) for a, b, r in sevens],
+                         ((a4, b4), (r4 - ru) % 3))
         for c in words:
-            cols = [cosets[d] for d in c]
-            base = [t for col in cols for t in col[0][0]]
+            lb, lres, lsevens, lfours, lpairs = _unit_halves(c[:6], cosets)
+            rb, rres, rsevens, rfours, rpairs = _unit_halves(c[6:], cosets)
             # the z-sum condition asks the replacements to change u's
             # residues by need in all
-            need = (m - sum(res_u[d] for d in c)) % 3
-            for pos, col in enumerate(cols):
-                for ab, delta in col[2:]:
-                    if delta == need:
-                        flat = base.copy()
-                        flat[2 * pos: 2 * pos + 2] = ab
-                        out.append(tuple(flat))
-            # two norm-4 replacements at p < q, their changes summing to need
-            by_delta = ([], [], [])
-            for q, col in enumerate(cols):
-                by_delta[col[1][1]].append(q)
-            for p, col in enumerate(cols):
-                for q in by_delta[(need - col[1][1]) % 3]:
-                    if q > p:
-                        flat = base.copy()
-                        flat[2 * p: 2 * p + 2] = col[1][0]
-                        flat[2 * q: 2 * q + 2] = cols[q][1][0]
-                        out.append(tuple(flat))
+            need = (m - lres - rres) % 3
+            out += [h + rb for h in lsevens[need]]
+            out += [lb + h for h in rsevens[need]]
+            # two norm-4 replacements at p < q, in (p, q) order: both left,
+            # then p left and q right, then both right
+            right = ([], [], [])
+            for h, dq in rfours:
+                right[dq].append(h)
+            for (lp, dp), within in zip(lfours, lpairs):
+                out += [h + rb for h in within[need]]
+                out += [lp + h for h in right[(need - dp) % 3]]
+            for within in rpairs:
+                out += [lb + h for h in within[need]]
     return out
 
 

@@ -151,28 +151,31 @@ TWELVE_GON = ("f1", "e1", "d1", "c1", "b1", "a", "b2", "c2", "d2", "e2", "f2", "
 def deflate_unit(diagram, gon_roots):
     """The unit u with phi_{y1} ... phi_{y10}(y11) == u * y12 for a
     labeled 12-gon of node roots (each up to a unit), or None when no unit
-    works.  ``node_of`` looks up each root and ``deflate_hits`` runs on the hits.
+    works.  ``node_of`` looks up each root as a unit times a node root and
+    ``deflate_hits`` runs on the node indices.  A reflection does not see
+    its root's unit, and the map is linear, so the unit for the node roots
+    is scaled by the units of y11 and y12 only.
     """
     hits = [diagram.node_of(to_flat(r)) for r in gon_roots]
     if None in hits:
         raise ValueError("a 12-gon root is no unit multiple of a node root")
-    return deflate_hits(diagram.node_kernel, hits)
+    u = deflate_hits(diagram.node_kernel, [i for i, _ in hits])
+    return None if u is None else u * hits[10][1] * hits[11][1].conj()
 
 
-def deflate_hits(kernel, hits):
-    """The unit of ``deflate_unit`` for a labeled 12-gon given by the
-    (node index, unit) hits of its roots, or None when no unit works.
+def deflate_hits(kernel, gon):
+    """The unit of ``deflate_unit`` for the labeled 12-gon of the node
+    roots with the node indices gon, or None when no unit works.
 
     Runs on node pairings: from the Gram column of y11, ten steps of the
     node kernel, then a comparison with u times the column of y12; equal
     pairings mean equal vectors.
     """
-    q = kernel.column(*hits[10])
-    for k, _ in reversed(hits[:10]):
+    q = kernel.column(gon[10], ONE)
+    for k in reversed(gon[:10]):
         kernel.reflect(q, k, "w")
-    k, unit = hits[11]
     for u in UNITS:
-        if q == kernel.column(k, u * unit):
+        if q == kernel.column(gon[11], u):
             return u
     return None
 
@@ -213,7 +216,7 @@ def deflate_transports(diagram):
     seen = twelve_gon_orbit(diagram)
     ok = True
     for gon in sorted(seen):
-        u = deflate_hits(diagram.node_kernel, [(i, ONE) for i in gon])
+        u = deflate_hits(diagram.node_kernel, gon)
         if u is None or (diagram.nodes[gon[0]].kind == "line" and u != OMEGA2):
             ok = False
             break
@@ -237,7 +240,7 @@ def rad_m666_covers_d(diagram):
         for gon in gons:
             if gon[11] in known or not all(i in known for i in gon[:11]):
                 continue
-            if deflate_hits(diagram.node_kernel, [(i, ONE) for i in gon]) is None:
+            if deflate_hits(diagram.node_kernel, gon) is None:
                 raise RuntimeError("witness identity failed during chaining")
             known.add(gon[11])
             additions.append((diagram.nodes[gon[11]].name, gon))

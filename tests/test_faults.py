@@ -138,6 +138,30 @@ def test_verify_all_reports_the_fault(name, monkeypatch, capsys, diagram):
     assert result == "RESULT: FAIL"
 
 
+def _one_int_moved(shell):
+    f = shell[1000]
+    return shell[:1000] + [(f[0] + 1,) + f[1:]] + shell[1001:]
+
+
+#: a corruption of the shapes side of the shell -> the leech_shell flags it fails
+SHAPES_CORRUPTIONS = {
+    "dropped": (lambda shell: shell[1:], ["shell_196560", "two_methods_agree"]),
+    "duplicated": (lambda shell: shell[:-1] + shell[:1], ["shell_196560", "two_methods_agree"]),
+    "moved": (_one_int_moved, ["two_methods_agree", "shell_norm_6"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SHAPES_CORRUPTIONS))
+def test_leech_shell_fails_on_a_corrupted_shapes_side(kind, shell):
+    """FAULTS corrupts the coset side; with the shapes side missing one
+    vector, repeating one or with one int coordinate moved by 1, the entry
+    fails too."""
+    corrupt, flags = SHAPES_CORRUPTIONS[kind]
+    lines, ok = run(["leech_shell"], Context(shell=corrupt(shell)))
+    assert not ok
+    assert [key for key, value in lines if value != "ok"] == flags
+
+
 @pytest.mark.parametrize("shift", [THETA, Eis(3, 0)], ids=["theta", "3"])
 def test_phi_flips_checks_the_m666_gram(shift, monkeypatch, diagram):
     """With root a's coordinate 13 moved, every flag of the flip report

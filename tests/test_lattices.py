@@ -3,7 +3,7 @@ import random
 from itertools import product
 from operator import mul
 
-from eleech.rings import Eis, ONE, OMEGA, THETA, ZERO
+from eleech.rings import Eis, ONE, OMEGA, THETA, UNITS, ZERO
 from eleech.linalg import FORM_E8H, from_flat, negdef_ip, to_flat
 from eleech.lattices import (
     leech_contains, e8_contains, leech_ip,
@@ -210,3 +210,25 @@ SHAPES_SHELL_SHA256 = "748e167486b72f5a1d53ffb1ee40d2faed964563d8553014eab6c3957
 def test_shell_by_shapes_order_pinned(shell):
     """The shape families emit the 196560 vectors in one fixed order."""
     assert hashlib.sha256(repr(shell).encode()).hexdigest() == SHAPES_SHELL_SHA256
+
+
+def _entries(flat):
+    return list(zip(flat[::2], flat[1::2]))
+
+
+def test_shape_families_emit_in_blocks(shell):
+    """The shapes list is one block per family, in order: c = 0 (two
+    nonzero coordinates, each 3 times a unit), the weight-6 words (six) and
+    m = 1, -1 (twelve, each = m mod theta)."""
+    sizes, start = (1188, 64152, 65610, 65610), 0
+    blocks = []
+    for size in sizes:
+        blocks.append(shell[start:start + size])
+        start += size
+    assert start == len(shell)
+    for block, support in zip(blocks, (2, 6, 12, 12)):
+        assert {sum(e != (0, 0) for e in _entries(f)) for f in block} == {support}
+    three_units = {(3 * u.a, 3 * u.b) for u in UNITS}
+    assert {e for f in blocks[0] for e in _entries(f)} - {(0, 0)} <= three_units
+    for m, block in zip((1, -1), blocks[2:]):
+        assert {Eis(*e).mod_theta() for e in {e for f in block for e in _entries(f)}} == {m % 3}

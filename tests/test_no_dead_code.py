@@ -6,7 +6,8 @@ package function is read by its body: a parameter that nothing reads is
 a dead knob.  And every name a module of the package or of the tests
 imports is used in that module.  And no class of the package keeps lazy
 state in a None sentinel.  And only the command line reads the Eis view
-``AutMatrix.mat``: the package's kernels take the flat ``rows``.
+``AutMatrix.mat``: the package's kernels take the flat ``rows``.  And the
+two first-shell enumerations of ``lattices`` share no private helper.
 
 A name counts as called when it appears anywhere outside its own
 definition as a name, an attribute, an imported name or a dotted part of
@@ -193,6 +194,30 @@ def test_only_the_cli_reads_the_eis_view():
     readers = sorted({path.name for path in SOURCES for node in ast.walk(TREES[path])
                       if isinstance(node, ast.Attribute) and node.attr == "mat"})
     assert readers == ["cli.py"], f"modules that read .mat: {readers}"
+
+
+def _reachable(tree, root):
+    """The module-level functions of tree that root names, directly or
+    through each other."""
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    seen, todo = set(), [root]
+    while todo:
+        for node in ast.walk(defs[todo.pop()]):
+            if isinstance(node, ast.Name) and node.id in defs and node.id not in seen:
+                seen.add(node.id)
+                todo.append(node.id)
+    return seen
+
+
+def test_the_two_shell_methods_share_no_helper():
+    """``two_methods_agree`` is a second method only while the two shell
+    enumerations share no code of ``lattices``: no private helper may be
+    reachable from both."""
+    tree = TREES[PACKAGE / "lattices.py"]
+    shapes, coset = ({n for n in _reachable(tree, root) if n.startswith("_")}
+                     for root in ("first_shell_by_shapes", "first_shell_by_coset_search"))
+    assert shapes and coset
+    assert not shapes & coset, f"helpers of both shell methods: {sorted(shapes & coset)}"
 
 
 def _unused_imports(tree):

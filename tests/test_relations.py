@@ -135,12 +135,11 @@ def test_deflate_unit_agrees_with_reflect_chain(diagram):
 
 
 def test_deflate_hits_agrees_with_deflate_unit(diagram):
-    """The index walk on (i, 1) hits gives deflate_unit's unit on the
+    """The index walk on the node indices gives deflate_unit's unit on the
     roots, on every 16th labelling of the sorted orbit."""
     for gon in sorted(twelve_gon_orbit(diagram))[::16]:
         roots = tuple(diagram.nodes[i].root for i in gon)
-        hits = [(i, ONE) for i in gon]
-        assert deflate_hits(diagram.node_kernel, hits) == deflate_unit(diagram, roots)
+        assert deflate_hits(diagram.node_kernel, gon) == deflate_unit(diagram, roots)
 
 
 def test_deflate_unit_rejects_a_root_off_the_diagram(diagram, generators):
