@@ -165,20 +165,27 @@ class ReductionCertificate:
                 if len(target) != 14:
                     raise ValueError("a certificate target has 14 entries")
             elif key == "step":
-                fields = dict(p.split("=") for p in rest.split())
-                if "node" in fields:
-                    k, eps = _index(fields["node"], 26) - 1, fields.get("eps")
-                    steps.append(("node", k, _choice(eps, _EPS)))
-                else:
-                    j, eps = _index(fields.get("perturb"), 50), fields.get("eps", "w")
-                    steps.append(("perturb", j, _choice(eps, _EPS)))
+                kind = rest.partition("=")[0]
+                fields = _fields(rest, (_choice(kind, _STEP_COUNT), "eps"))
+                k = _index(fields[kind], _STEP_COUNT[kind])
+                steps.append((kind, k - 1 if kind == "node" else k, _choice(fields["eps"], _EPS)))
             elif key == "terminal":
-                fields = dict(p.split("=") for p in rest.split())
-                unit = _choice(fields.get("unit"), _UNIT_NAMES)
-                terminal = (_index(fields.get("node"), 26) - 1, unit)
+                fields = _fields(rest, ("node", "unit"))
+                unit = _choice(fields["unit"], _UNIT_NAMES)
+                terminal = (_index(fields["node"], 26) - 1, unit)
         if target is None or terminal is None:
             raise ValueError("malformed certificate")
         return cls(target, steps, terminal)
+
+
+def _fields(text, names):
+    """The values of the ``key=value`` tokens of a certificate line, whose
+    keys must be exactly ``names``, each once, in that order, as the
+    writer emits them."""
+    pairs = [tuple(p.split("=")) for p in text.split()]
+    if [p[0] for p in pairs] != list(names) or any(len(p) != 2 for p in pairs):
+        raise ValueError(f"a certificate line {text!r} does not have the fields {names}")
+    return dict(pairs)
 
 
 def _index(text, count) -> int:
@@ -196,6 +203,8 @@ def _choice(name, allowed):
 
 
 _EPS = {"w": OMEGA, "wbar": OMEGA2}
+#: the indices a step may name: 26 nodes, 50 generators
+_STEP_COUNT = {"node": 26, "perturb": 50}
 _UNIT_NAMES = frozenset(map(unit_name, UNITS))
 #: descent steps one reduction may take before it gives up
 REDUCE_BUDGET = 10_000

@@ -15,7 +15,7 @@ kernel, the certificate replay and the Conway step in ``reduction``.
 
 from __future__ import annotations
 
-from .rings import Eis, OMEGA, UNITS, cyclo12_abs_sq, sqrt3_sign
+from .rings import Cyclo12, Eis, OMEGA, UNITS, cyclo12_abs_sq, sqrt3_sign
 from .linalg import AutMatrix, from_flat, mat_identity, sparse, to_flat, vec_add, vec_scale
 
 MINUS3 = Eis(-3, 0)
@@ -69,6 +69,12 @@ class NodeKernel:
     s <rho_hat, r_k>.  Pairings are flat int lists (a_0, b_0, a_1, ...)
     for a_j + b_j w, and |<rho_hat, y>|^2 = p + q sqrt 3 is the int pair
     (p, q).
+
+    With rho = <rho_hat, y> and t_k = <rho_hat, r_k>, that move changes
+    the height by
+        sa F_k(rho) + sb G_k(rho) + N(s) |t_k|^2,   s = sa + sb w,
+    where F_k(rho) = 2 Re(conj(rho) t_k) and G_k(rho) = 2 Re(conj(rho) w t_k)
+    are Z-linear in rho's four coefficients with values in Z[sqrt 3].
     """
 
     def __init__(self, form, roots, gram, rho_hat):
@@ -84,6 +90,9 @@ class NodeKernel:
         self.rho_cols = tuple((t.c, (t * OMEGA).c) for t in t0)
         #: every unit multiple of a node root has one of these heights
         self.node_heights = frozenset(cyclo12_abs_sq(t.c) for t in t0)
+        # node k: the rows (p, q) of F_k, the rows of G_k, and |t_k|^2
+        self.height_forms = tuple(
+            (*_re_rows(t), *_re_rows(t * OMEGA), cyclo12_abs_sq(t.c)) for t in t0)
 
     def column(self, k, unit):
         """The pairings of unit * r_k: unit times column k of the Gram matrix."""
@@ -124,20 +133,45 @@ class NodeChain:
 
     def descend(self):
         """Reflect by the first (node, eps) in scan order that strictly
-        lowers the height and return it; None when none does."""
-        hp, hq = self.height
+        lowers the height and return it; None when none does.
+
+        The sign of each change of height is read off the kernel's
+        ``height_forms``: four 4-term dot products per node, shared by
+        both eps."""
         q = self.q
-        for k, col in enumerate(self.kernel.rho_cols):
+        r0, r1, r2, r3 = self.rho
+        for k, forms in enumerate(self.kernel.height_forms):
             a, b = q[2 * k], q[2 * k + 1]
             if not (a or b):
                 continue
-            for eps_name in ("w", "wbar"):
-                sa, sb = _shift(a, b, eps_name)
-                p, r = cyclo12_abs_sq(_rho_moved(self.rho, col, sa, sb))
-                if sqrt3_sign(p - hp, r - hq) < 0:
+            # F_k(rho) = fp + fq sqrt 3 and G_k(rho) = gp + gq sqrt 3
+            (f0, f1, f2, f3), (f4, f5, f6, f7), (g0, g1, g2, g3), (g4, g5, g6, g7), \
+                (tp, tq) = forms
+            fp = f0 * r0 + f1 * r1 + f2 * r2 + f3 * r3
+            fq = f4 * r0 + f5 * r1 + f6 * r2 + f7 * r3
+            gp = g0 * r0 + g1 * r1 + g2 * r2 + g3 * r3
+            gq = g4 * r0 + g5 * r1 + g6 * r2 + g7 * r3
+            # s for eps = w and wbar, as in _shift
+            c, rem = divmod(a + b, 3)
+            if rem:
+                raise ValueError("a pairing is not divisible by theta")
+            for eps_name, sa, sb in (("w", c, b - c), ("wbar", a - c, c)):
+                n = sa * sa - sa * sb + sb * sb
+                if sqrt3_sign(sa * fp + sb * gp + n * tp, sa * fq + sb * gq + n * tq) < 0:
                     self.reflect(k, eps_name)
                     return k, eps_name
         return None
+
+
+def _re_rows(t):
+    """The int rows (p_0..p_3), (q_0..q_3) with 2 Re(conj(rho) t) =
+    sum_j rho_j (p_j + q_j sqrt 3) for rho = sum_j rho_j z^j: coefficient
+    j contributes conj(z^j) t + z^j conj(t), a real element of Z[zeta_12]."""
+    parts = [(e.conj() * t + e * t.conj()).to_sqrt3() for e in _POWERS_Z]
+    return tuple(x.p for x in parts), tuple(x.q for x in parts)
+
+
+_POWERS_Z = (Cyclo12(1), Cyclo12(0, 1), Cyclo12(0, 0, 1), Cyclo12(0, 0, 0, 1))
 
 
 def _shift(a, b, eps_name):

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -126,6 +127,24 @@ def test_reduce_check_undecodable_certificate_is_bad(tmp_path, capsys):
     (tmp_path / "g01.cert").write_bytes(b"\xff\xfe\x00")
     assert main(["reduce", "check", str(tmp_path)]) == 1
     assert capsys.readouterr().out == "checked: 1\nfailures: 1\nbad: g01.cert\nRESULT: FAIL\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: re.sub(r"^(step: perturb=\d+) eps=w$", r"\1", t, flags=re.M),
+    lambda t: re.sub(r"^(step: node=\d+)", r"\1 perturb=3", t, count=1, flags=re.M),
+], ids=["perturb_without_eps", "node_step_with_perturb"])
+def test_reduce_check_lists_a_step_the_writer_never_emits(edit, tmp_path, diagram, generators,
+                                                          capsys):
+    """g34's certificate with its perturbation's eps = w left out, or
+    with a node step that also names a generator, is listed as bad."""
+    from eleech.reduction import HeightReducer, PERTURB_SOURCES
+
+    sources = [(j, generators[j - 1]) for j in PERTURB_SOURCES]
+    text = HeightReducer(diagram).reduce(generators[33], sources).serialize()
+    assert edit(text) != text
+    (tmp_path / "g34.cert").write_text(edit(text))
+    assert main(["reduce", "check", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == "checked: 1\nfailures: 1\nbad: g34.cert\nRESULT: FAIL\n"
 
 
 def test_reduce_check_ties_file_to_generator(tmp_path, diagram, generators, capsys):

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import io
 import random
+import re
 import tempfile
 from itertools import combinations, permutations
 from pathlib import Path
@@ -166,14 +167,37 @@ _TERMINAL = "terminal: node=1 unit=1"
     _TARGET + "\nterminal: node=1 unit=i",
     _TARGET + "\nterminal: node=1 unit",
     _TARGET + "\nstep: node=1=2 eps=w\n" + _TERMINAL,
+    _TARGET + "\nstep: perturb=3\n" + _TERMINAL,
+    _TARGET + "\nstep: node=1 perturb=3 eps=w\n" + _TERMINAL,
+    _TARGET + "\nstep: perturb=3 node=1 eps=w\n" + _TERMINAL,
+    _TARGET + "\nstep: eps=w\n" + _TERMINAL,
+    _TARGET + "\nstep: node=1 eps=w eps=wbar\n" + _TERMINAL,
+    _TARGET + "\nstep: swap=1 eps=w\n" + _TERMINAL,
+    _TARGET + "\nterminal: node=1 unit=1 eps=w",
 ], ids=[
     "short_target", "terminal_node_0", "terminal_node_27", "step_node_0",
     "perturb_0", "perturb_51", "bad_eps", "missing_eps", "unknown_unit",
-    "pair_without_value", "pair_with_two_values",
+    "pair_without_value", "pair_with_two_values", "perturb_missing_eps",
+    "node_and_perturb", "perturb_and_node", "neither_node_nor_perturb", "two_eps",
+    "unknown_step_kind", "terminal_extra_field",
 ])
 def test_certificate_parse_rejects_malformed(text):
     with pytest.raises(ValueError):
         ReductionCertificate.parse(text)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: re.sub(r"^(step: perturb=\d+) eps=w$", r"\1", t, flags=re.M),
+    lambda t: re.sub(r"^(step: node=\d+)", r"\1 perturb=3", t, count=1, flags=re.M),
+], ids=["perturb_without_eps", "node_step_with_perturb"])
+def test_certificate_parse_rejects_a_step_the_writer_never_emits(sample_certs, edit):
+    """g34's perturbation is by eps = w and its steps name one root each,
+    so a parser that filled in eps = w, or read a step naming both a node
+    and a generator as its node, would rebuild g34 exactly."""
+    text = sample_certs[34].serialize()
+    assert edit(text) != text
+    with pytest.raises(ValueError):
+        ReductionCertificate.parse(edit(text))
 
 
 def test_reducer_keeps_no_search_state(diagram, generators):

@@ -1,15 +1,17 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from eleech.rings import Eis, OMEGA, OMEGA2, UNITS, ZERO, SqrtThree
+from eleech.rings import Eis, OMEGA, OMEGA2, THETA, UNITS, ZERO, SqrtThree, cyclo12_abs_sq
 from eleech.checks import Context, run
 from eleech.diagram import Diagram
 from eleech.lattices import lattice_3e8_h, lattice_leech_h
 from eleech.linalg import FORM_E8H, FORM_LEECH_H, AutMatrix
 from eleech.reduction import R1, R2
-from eleech.reflections import NodeChain, reflect, word_matrix, canonical_root
+from eleech.reflections import (
+    NodeChain, _rho_moved, _shift, reflect, word_matrix, canonical_root,
+)
 
 
 def _random_lattice_vector(diagram, rng, spread=2):
@@ -145,7 +147,9 @@ def test_canonical_root_is_unit_invariant(diagram):
 # the node kernel against the 14-coordinate path
 
 
-NODE_WORDS = st.lists(st.tuples(st.integers(0, 25), st.sampled_from(("w", "wbar"))), max_size=12)
+EPS = {"w": OMEGA, "wbar": OMEGA2}
+NODE_LETTERS = st.tuples(st.integers(0, 25), st.sampled_from(("w", "wbar")))
+NODE_WORDS = st.lists(NODE_LETTERS, max_size=12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,7 +163,7 @@ def test_node_chain_follows_reflect(diagram, generators, j, word):
     chain = NodeChain(kernel, y)
     for k, eps_name in word:
         chain.reflect(k, eps_name)
-        y = reflect(diagram.nodes[k].root, {"w": OMEGA, "wbar": OMEGA2}[eps_name], y, form)
+        y = reflect(diagram.nodes[k].root, EPS[eps_name], y, form)
         assert chain.vector() == y
         assert chain.q == [c for n in diagram.nodes
                            for x in (form.ip(n.root, y),) for c in (x.a, x.b)]
@@ -168,25 +172,64 @@ def test_node_chain_follows_reflect(diagram, generators, j, word):
 
 
 @settings(max_examples=40, deadline=None)
-@given(j=st.integers(0, 49))
-def test_node_chain_descends_to_first_strict_decrease(diagram, generators, j):
-    """descend() takes the first (node, eps) in scan order whose reflect
-    image has a strictly smaller |<rho_hat, .>|^2."""
+@given(j=st.integers(0, 49), word=st.lists(NODE_LETTERS, max_size=8))
+# two words after which a candidate that keeps the height comes before the
+# first that lowers it: descend() must pass it by
+@example(j=1, word=[(15, "wbar"), (19, "wbar")])
+@example(j=13, word=[(19, "w"), (21, "wbar")])
+def test_node_chain_descends_to_first_strict_decrease(diagram, generators, j, word):
+    """From a generator moved by a node word, as partway through a
+    descent, descend() takes the first (node, eps) in scan order whose
+    reflect image has a strictly smaller |<rho_hat, .>|^2."""
     form, rho_hat = diagram.form, diagram.rho_hat
     y = generators[j]
     chain = NodeChain(diagram.node_kernel, y)
+    for k, eps_name in word:
+        chain.reflect(k, eps_name)
+        y = reflect(diagram.nodes[k].root, EPS[eps_name], y, form)
     height = form.ip12(rho_hat, y).abs_sq()
     want = None
     for k, n in enumerate(diagram.nodes):
-        for eps_name, eps in (("w", OMEGA), ("wbar", OMEGA2)):
+        for eps_name, eps in EPS.items():
             y2 = reflect(n.root, eps, y, form)
             if want is None and form.ip12(rho_hat, y2).abs_sq() < height:
                 want = (k, eps_name, y2)
     got = chain.descend()
     if want is None:
-        assert got is None
+        assert got is None and chain.vector() == y
     else:
         assert got == want[:2] and chain.vector() == want[2]
+
+
+BIG = st.integers(-10**12, 10**12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=st.tuples(BIG, BIG, BIG, BIG), m=st.builds(Eis, BIG, BIG), even=st.booleans())
+def test_height_forms_give_the_change_of_height(diagram, rho, m, even):
+    """For every node k and eps, the kernel's rows of F_k, G_k and |t_k|^2
+    give exactly |rho + s t_k|^2 - |rho|^2 for the shift s of the pairing
+    theta m.  With ``even`` the pairing is theta 2m and rho = -s t_k / 2,
+    which the move takes to -rho: the change is 0."""
+    kernel = diagram.node_kernel
+    q = THETA * (m + m if even else m)
+    for k, (fp, fq, gp, gq, (tp, tq)) in enumerate(kernel.height_forms):
+        col = kernel.rho_cols[k]
+        for eps_name in EPS:
+            sa, sb = _shift(q.a, q.b, eps_name)
+            r = _rho_moved((0, 0, 0, 0), col, -(sa // 2), -(sb // 2)) if even else rho
+            n = Eis(sa, sb).norm()
+            delta = (sa * _dot4(fp, r) + sb * _dot4(gp, r) + n * tp,
+                     sa * _dot4(fq, r) + sb * _dot4(gq, r) + n * tq)
+            (p0, q0), (p1, q1) = (cyclo12_abs_sq(r),
+                                  cyclo12_abs_sq(_rho_moved(r, col, sa, sb)))
+            assert delta == (p1 - p0, q1 - q0)
+            if even:
+                assert sa % 2 == sb % 2 == 0 and delta == (0, 0)
+
+
+def _dot4(row, rho):
+    return sum(x * r for x, r in zip(row, rho))
 
 
 def test_node_roots_share_one_height(diagram):
