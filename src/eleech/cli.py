@@ -183,8 +183,8 @@ def _cmd_isom(args) -> int:
     from .linalg import to_flat
 
     def first_shell(v):  # a norm -6 Leech vector
-        return (lattices.flat_norm6(to_flat(v))
-                and lattices.leech_contains(v) is not None)
+        flat = to_flat(v)
+        return lattices.flat_norm6(flat) and lattices.leech_contains(flat) is not None
 
     if args.shell:
         rows = read_matrix(args.shell, 12, first_shell)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from functools import cache, cached_property, reduce
 from itertools import product
-from operator import mul
 
 from .rings import (
     Cyclo12,
@@ -34,9 +33,10 @@ from .rings import (
 )
 from .lattices import HermitianLattice
 from .linalg import (
-    AutMatrix, FORM_E8H, aut_from_images, gram_of, spanning_basis, to_flat, vec_add, vec_scale,
+    AutMatrix, FORM_E8H, _times, aut_from_images, gram_of, row_dot, spanning_basis, to_flat,
+    vec_add, vec_scale,
 )
-from .reflections import NodeKernel
+from .reflections import NodeKernel, mirror
 from .textio import InputError, data_text
 
 E = Eis
@@ -167,7 +167,8 @@ class Diagram:
         self._by_triple = {(n.kind, n.triple): n.index for n in self.nodes}
         # the node roots are pairwise not unit multiples: 156 distinct keys
         self._by_root = {
-            to_flat(u * x for x in n.root): (n.index, u) for n in self.nodes for u in UNITS
+            tuple(_times(flat, (u.a, u.b))): (n.index, u)
+            for n, flat in zip(self.nodes, map(to_flat, self.roots)) for u in UNITS
         }
         self.form = FORM_E8H
         self.points = [n for n in self.nodes if n.kind == "point"]
@@ -242,9 +243,15 @@ class Diagram:
         return self._by_root.get(tuple(flat))
 
     @cached_property
+    def node_mirrors(self):
+        """The ``mirror`` of each node root: its form row and its nonzero
+        coordinates, or None when its norm is not -3."""
+        return tuple(mirror(self.form, to_flat(r)) for r in self.roots)
+
+    @cached_property
     def node_kernel(self) -> NodeKernel:
         """The integer kernel for chains of node reflections."""
-        return NodeKernel(self.form, self.roots, self.gram, self.rho_hat)
+        return NodeKernel(self.gram, self.node_mirrors, self.rho_row)
 
     # -- node-root basis ---------------------------------------------------
 
@@ -314,7 +321,7 @@ def height_pair(rho_row, flat):
     its flat ints and rho_row = ``Diagram.rho_row``.  The form of
     3E8+H has den 1, so each row dot product is one coordinate of
     <rho_hat, y>."""
-    return cyclo12_abs_sq([sum(map(mul, r, flat)) for r in rho_row])
+    return cyclo12_abs_sq(row_dot(rho_row, flat))
 
 
 # ---------------------------------------------------------------------------

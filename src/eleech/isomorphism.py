@@ -2,8 +2,8 @@
 
 Verification path (default): the shipped basis E1 of Leech+H has the same
 Gram matrix as the reference basis E2 of 3E8+H, so the basis-to-basis map
-C is an isometry; integrality of C and its inverse makes it a lattice
-isomorphism.
+C is an isometry, whose inverse is its adjoint; integrality of C and its
+inverse makes it a lattice isomorphism.
 
 Search path (opt-in): rediscovers such a basis from the first shell by
 the simplex / E8-diagram / orthogonality / hyperbolic-completion steps.
@@ -16,7 +16,10 @@ from itertools import combinations, groupby, permutations
 from operator import itemgetter, mul
 
 from .rings import Eis, OMEGA, OMEGA2, THETA, ZERO, ONE, eis_gcd
-from .linalg import FORM_E8H, FORM_LEECH_H, aut_from_images, from_flat, gram_of, kernel
+from .linalg import (
+    FORM_E8H, FORM_LEECH_H, AutMatrix, aut_from_images, flat_gram, from_flat, gram_of, kernel,
+    to_flat,
+)
 from .lattices import (
     _hnf_basis,
     im_row,
@@ -56,34 +59,39 @@ class ChangeOfBasis:
     """The isometry sending sum t_i E1[i] to sum t_i E2[i].
 
     Held as the lattice maps ``fwd`` (Leech+H -> 3E8+H) and its inverse
-    ``back``; the constructor checks that each maps a lattice basis into
-    the other lattice.  ``to_e8h`` and ``to_leech_h`` raise ValueError on a
-    vector whose image is not integral.
+    ``back``.  ``back`` is solved from the images of E2, whose rows are
+    sparse with small entries, so that its elimination is the cheap one of
+    the two, and ``fwd`` is its adjoint, the inverse of an isometry.  The
+    constructor checks that E1 and E2 have one Gram matrix, that E1 lies in
+    Leech+H, that ``fwd`` times ``back`` is the identity (so C is an
+    isometry) and that each map sends a lattice basis into the other
+    lattice, all on flat ints.  ``to_e8h`` and ``to_leech_h`` raise
+    ValueError on a vector whose image is not integral.
     """
 
     def __init__(self, e1_rows, e2_rows):
-        g1 = gram_of(e1_rows, FORM_LEECH_H)
-        g2 = gram_of(e2_rows, FORM_E8H)
-        if g1 != g2:
+        e1 = [to_flat(v) for v in e1_rows]
+        if flat_gram(e1, FORM_LEECH_H) != flat_gram([to_flat(v) for v in e2_rows], FORM_E8H):
             raise ValueError("Gram matrices of E1 and E2 differ")
-        for row in e1_rows:
-            if not in_l_leech_h(row):
-                raise ValueError("an E1 row is outside Leech+H")
-        self.fwd = aut_from_images(e1_rows, e2_rows)
-        self.back = self.fwd.inverse()
+        if not all(map(in_l_leech_h, e1)):
+            raise ValueError("an E1 row is outside Leech+H")
+        self.back = aut_from_images(e2_rows, e1_rows)
+        self.fwd = self.back.adjoint(FORM_E8H, FORM_LEECH_H)
+        if self.fwd @ self.back != AutMatrix.identity():
+            raise ValueError("C is not an isometry: C times its adjoint is not I")
         self._check_lattice_bijection()
 
     def _check_lattice_bijection(self):
         for v in lattice_leech_h().basis:
             try:
-                w = self.to_e8h(v)
+                w = self.fwd.apply_flat(to_flat(v))
             except ValueError:
                 raise ValueError("C does not map Leech+H into 3E8+H") from None
             if not in_l_e8h(w):
                 raise ValueError("C image misses the 3E8+H lattice")
         for v in lattice_3e8_h().basis:
             try:
-                w = self.to_leech_h(v)
+                w = self.back.apply_flat(to_flat(v))
             except ValueError:
                 raise ValueError("C^-1 does not map 3E8+H into Leech+H") from None
             if not in_l_leech_h(w):
@@ -352,7 +360,7 @@ def orthogonal_cell_basis(hand_roots):
             g = eis_gcd(g, x)[0]
         if g and not g.is_unit():
             w = tuple(x.exact_div(g) for x in v)
-            if in_l_leech_h(w):
+            if in_l_leech_h(to_flat(w)):
                 v = w
         out.append(v)
     return out

@@ -23,50 +23,47 @@ from functools import cache
 from itertools import combinations, product
 
 from .rings import Eis, THETA, UNITS, ZERO, ONE, OMEGA, OMEGA2
-from .linalg import FORM_E8H, FORM_LEECH_H, flat_norm, gram_of, mat_det, negdef_ip
+from .linalg import FORM_E8H, FORM_LEECH_H, flat_norm, gram_of, mat_det, negdef_ip, to_flat
 from .codes import GOLAY12_GENS, TETRACODE_GENS, golay12, tetracode
 
 def leech_ip(u, v) -> Eis:
     return negdef_ip(u, v, 3)
 
 
-def leech_contains(v):
-    """Membership with witness.
+def leech_contains(flat):
+    """Membership with witness, for a Leech vector given by its 24 flat ints.
 
-    Returns (m, c, z) with v = m*1 + theta*c + 3*z, c a Golay word and
-    sum(z) = m mod theta, or None when v is not in the lattice.
-    """
-    if len(v) != 12:
+    Returns (m, c, z) with v = m*1 + theta*c + 3*z, c a Golay word, z as
+    flat ints and sum(z) = m mod theta, or None when v is not in the
+    lattice.  An entry a + b w is a + b mod theta, as w = 1 mod theta,
+    so the entries must share one residue m.  Then each x - m is
+    theta y with y = -(x - m) theta / 3 = b - a + m mod theta: that
+    residue is the digit c_i, and x - m - theta c_i = theta (y - c_i) lies
+    in theta^2 E = 3E, so z_i = ((a - m - c_i) + (b - 2 c_i) w) / 3 is
+    integral."""
+    if len(flat) != 24:
         raise ValueError("Leech vectors have 12 coordinates")
-    res = {x.mod_theta() for x in v}
+    pairs = list(zip(flat[::2], flat[1::2]))
+    res = {(a + b) % 3 for a, b in pairs}
     if len(res) != 1:
         return None
     m = res.pop()
     m = m - 3 if m == 2 else m  # representative in {0, 1, -1}
-    me = Eis(m, 0)
-    w = tuple((x - me).exact_div(THETA) for x in v)
-    c = tuple((x.mod_theta() + 1) % 3 - 1 for x in w)  # digits in {-1,0,1}
+    c = tuple((b - a + m + 1) % 3 - 1 for a, b in pairs)  # digits in {-1,0,1}
     if c not in golay12():
         return None
-    z = []
-    for x, ci in zip(v, c):
-        t = x - me - THETA * Eis(ci, 0)
-        qa, ra = divmod(t.a, 3)
-        qb, rb = divmod(t.b, 3)
-        if ra or rb:
-            return None
-        z.append(Eis(qa, qb))
-    zsum = sum(z, start=ZERO)
-    if zsum.mod_theta() != m % 3:
+    z = tuple(x for (a, b), d in zip(pairs, c) for x in ((a - m - d) // 3, (b - 2 * d) // 3))
+    if sum(z) % 3 != m % 3:  # sum(z) mod theta, as for an entry
         return None
-    return (m, c, tuple(z))
+    return (m, c, z)
 
 
-def e8_contains(v) -> bool:
-    """True iff v mod theta lies in the tetracode."""
-    if len(v) != 4:
+def e8_contains(flat) -> bool:
+    """True iff the E8 vector with these 8 flat ints lies in E8: its
+    entries mod theta, (a + b) mod 3, form a tetracode word."""
+    if len(flat) != 8:
         raise ValueError("E8 vectors have 4 coordinates")
-    word = tuple((x.mod_theta() + 1) % 3 - 1 for x in v)
+    word = tuple((a + b + 1) % 3 - 1 for a, b in zip(flat[::2], flat[1::2]))
     return word in tetracode()
 
 
@@ -85,7 +82,7 @@ def shell_e8():
     cands = [Eis(0, 0)] + list(UNITS) + list(_NORM3)
     out = []
     for v in product(cands, repeat=4):
-        if sum(x.norm() for x in v) == 3 and e8_contains(v):
+        if sum(x.norm() for x in v) == 3 and e8_contains(to_flat(v)):
             out.append(v)
     return out
 
@@ -444,10 +441,13 @@ def lattice_3e8_h() -> HermitianLattice:
     return HermitianLattice(basis, FORM_E8H.ip)
 
 
-def in_l_e8h(v) -> bool:
-    """Membership of a 14-coordinate vector in L = 3E8+H coordinates."""
-    return all(e8_contains(v[4 * b: 4 * b + 4]) for b in range(3))
+def in_l_e8h(flat) -> bool:
+    """Membership of a 14-coordinate vector, given by its 28 flat ints, in
+    L = 3E8+H coordinates."""
+    return all(e8_contains(flat[8 * b: 8 * b + 8]) for b in range(3))
 
 
-def in_l_leech_h(v) -> bool:
-    return leech_contains(v[:12]) is not None
+def in_l_leech_h(flat) -> bool:
+    """Membership of a 14-coordinate vector, given by its 28 flat ints, in
+    L = Leech+H coordinates."""
+    return leech_contains(flat[:24]) is not None

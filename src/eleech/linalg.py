@@ -17,16 +17,18 @@ of its coordinates a_i + b_i w, and ``to_flat``/``from_flat`` are the
 package's one boundary to Eis: ``sparse``, ``_dot``, ``_mul``, ``_times``,
 ``_exact``, ``_conj``, ``flat_norm`` and ``_split``/``_join`` work on that
 layout, and so do the elimination, ``charpoly``, ``spanning_basis``,
-``mat_inverse`` and ``AutMatrix``, whose denominators are int pairs;
-``mat_det``, ``kernel``, ``mat_mul`` and ``AutMatrix.mat`` are Eis edges.
+``mat_inverse``, ``AutMatrix``, whose denominators are int pairs, and the
+form rows of ``LorentzForm``, which ``row_dot`` and ``flat_gram`` pair;
+``mat_det``, ``kernel``, ``mat_mul``, ``gram_of`` and ``AutMatrix.mat`` are
+Eis edges.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from operator import matmul
+from operator import matmul, mul, sub
 
-from .rings import Cyclo12, Eis, OMEGA, THETA, ZERO, ONE, power
+from .rings import Cyclo12, Eis, THETA, ZERO, ONE, power
 
 def vec_add(u, v):
     return tuple(x + y for x, y in zip(u, v))
@@ -161,6 +163,21 @@ def gram_of(rows, form):
             g[i][j] = x = form.ip(u, rows[j])
             g[j][i] = x.conj()
     return tuple(map(tuple, g))
+
+
+def row_dot(row, flat):
+    """The int coordinates of den <u, v>, for the form row of u
+    (``LorentzForm.row``) and the flat ints of v."""
+    return [sum(map(mul, r, flat)) for r in row]
+
+
+def flat_gram(flats, form):
+    """The Gram matrix of flat Z[w] vectors under ``form``, as flat int
+    rows: entry (i, j) is <u_i, u_j>, read off u_i's form row; a
+    ValueError when an entry is not integral."""
+    rows = [form.flat_row(u) for u in flats]
+    return tuple(tuple(x for v in flats for x in _exact(row_dot(r, v), form.den))
+                 for r in rows)
 
 
 def negdef_ip(u, v, den=1):
@@ -318,9 +335,16 @@ class LorentzForm:
         g[12][13] = -THETA * den  # conj(theta) = -theta
         g[13][12] = THETA * den
         self.gram = tuple(tuple(row) for row in g)
-        # the nonzero entries of each gram column, as (row index, entry)
-        self._cols = tuple(tuple((i, x) for i, x in enumerate(col) if x)
-                           for col in zip(*self.gram))
+        # the nonzero entries of each gram column, as (flat row index, a, b)
+        self._cols = tuple(sparse(to_flat(col)) for col in zip(*self.gram))
+        # theta den gram^-1, integral: -den theta on the first 12
+        # coordinates, and ((0, 1), (-1, 0)) on the cell, as
+        # ((0, -theta den), (theta den, 0)) ((0, 1), (-1, 0)) = theta den I
+        t = [[(0, 0)] * 14 for _ in range(14)]
+        for i in range(12):
+            t[i][i] = (-den, -2 * den)
+        t[12][13], t[13][12] = (1, 0), (-1, 0)
+        self.theta_inverse = tuple(tuple(x for e in row for x in e) for row in t)
 
     def ip(self, u, v):
         """<u, v> for Z[w] or Z[zeta_12] entries, in the ring of the entries."""
@@ -336,21 +360,31 @@ class LorentzForm:
     def row(self, u):
         """The row conj(u)^T gram as int rows, one per int coordinate of
         the ring of u (a, b in Z[w]; c0..c3 in Z[zeta_12]): for a Z[w]
-        vector v, coordinate k of <u, v> is
-        sum(row[k][i] * to_flat(v)[i]) / den, the division exact when the
-        pairing is integral.  Entry t_j of the row meets v_j = a + b w as
-        a t_j + b (w t_j), so it fills the two flat places of v_j."""
-        zero = ZERO * u[0]  # in the ring of u, so that every t has its width
-        places = []
+        vector v, coordinate k of <u, v> is ``row_dot(row, to_flat(v))[k]``
+        / den, the division exact when the pairing is integral.
+
+        A Z[zeta_12] u is u0 + z u1 with flat Z[w] halves (``_split``), so
+        <u, v> = <u0, v> + conj(z) <u1, v> with conj(z) = z - z^3.  With
+        <u0, v> = A + B w, <u1, v> = C + D w and w = z^2 - 1 that is
+        (A - B) + C z + B z^2 + (D - C) z^3, row by row."""
+        halves = [self.flat_row(h) for h in _split(u)]
+        if len(halves) == 1:
+            return halves[0]
+        (a, b), (c, d) = halves
+        return tuple(map(sub, a, b)), c, b, tuple(map(sub, d, c))
+
+    def flat_row(self, flat):
+        """``row`` of the Z[w] vector with these flat ints, as its two int
+        rows.  Entry t_j = sum_i conj(u_i) gram[i][j] = p + q w of the row
+        meets v_j = a + b w as a t_j + b (w t_j), w t_j = -q + (p - q) w,
+        so it fills the two flat places of v_j."""
+        c = _conj(flat)
+        ra, rb = [], []
         for col in self._cols:
-            t = sum((u[i].conj() * x for i, x in col if u[i]), start=zero)
-            places += (_coords(t), _coords(t * OMEGA if t else t))
-        return tuple(zip(*places))
-
-
-def _coords(x):
-    """The int coordinates of a Z[w] or Z[zeta_12] element."""
-    return x.c if isinstance(x, Cyclo12) else (x.a, x.b)
+            p, q = _dot(col, c)
+            ra += (p, -q)
+            rb += (q, p - q)
+        return tuple(ra), tuple(rb)
 
 
 FORM_E8H = LorentzForm("3E8+H", den=1)
@@ -451,8 +485,13 @@ class AutMatrix:
         """Image of a coordinate vector with Z[w] or Z[zeta_12] entries."""
         if len(v) != self.n:
             raise ValueError(f"AutMatrix.apply expects {self.n} coordinates")
-        halves = _mul(_split(v), self.rows)
-        return _join([_untheta(h, self.k) for h in halves] if self.k else halves)
+        return _join([self.apply_flat(h) for h in _split(v)])
+
+    def apply_flat(self, flat):
+        """The flat ints of the image of the Z[w] vector with these flat
+        ints; a ValueError when the image is not integral."""
+        image = _mul([flat], self.rows)[0]
+        return tuple(_untheta(image, self.k)) if self.k else image
 
     def is_identity(self) -> bool:
         return self == AutMatrix.identity(self.n)
@@ -467,6 +506,24 @@ class AutMatrix:
         adj, d = mat_inverse(self.rows)
         s = THETA ** self.k
         return AutMatrix.over([_times(row, (s.a, s.b)) for row in adj], d)
+
+    def adjoint(self, form: LorentzForm, target: LorentzForm | None = None) -> "AutMatrix":
+        """The adjoint M^+ = H_form^-1 M* H_target of M = self as a map from
+        ``form`` to ``target`` (by default ``form``), H = gram / den: the
+        map with <M u, v>_target = <u, M^+ v>_form.  M^+ is the inverse of
+        M exactly when M maps form onto target.
+
+        With M = mat / theta^k, conj(theta) = -theta and the integral
+        ``theta_inverse`` T = theta H^-1 of ``form``,
+        M^+ = (-1)^k T (G_target mat)* / (den_target theta^(k + 1)).
+        Both grams have one nonzero entry per row, so each of the two
+        products takes one Z[w] product per entry; the columns of
+        (G_target mat)* are the conjugate rows of G_target mat."""
+        target = target or form
+        gm = _mul(map(to_flat, target.gram), _columns(self.rows))
+        rows = _mul(form.theta_inverse, [_conj(row) for row in gm])
+        d = THETA ** (self.k + 1) * Eis((-1) ** self.k * target.den)
+        return AutMatrix.over(rows, (d.a, d.b))
 
     def preserves_form(self, form: LorentzForm, target: LorentzForm | None = None) -> bool:
         """Exact check that self maps ``form`` onto ``target`` (by default

@@ -41,11 +41,11 @@ from .rings import (
 from .codes import golay12
 from .diagram import NODE_HEIGHT_SQ, height_pair
 from .linalg import (
-    FORM_E8H, FORM_LEECH_H, _conj, _dot, _exact, _times, flat_norm, from_flat, mat_det, sparse,
-    to_flat,
+    FORM_E8H, FORM_LEECH_H, _conj, _dot, _exact, _times, flat_norm, from_flat, mat_det, row_dot,
+    sparse, to_flat,
 )
-from .lattices import in_l_e8h, leech_contains, leech_ip, re_row
-from .reflections import NodeChain, _add_scaled, _shift, reflect, canonical_root
+from .lattices import in_l_e8h, leech_contains, re_row
+from .reflections import NodeChain, _add_scaled, _shift, canonical_root, mirror, reflect
 from .isomorphism import psi_tail
 from .textio import data_text, parse_matrix, parse_entry, format_vector
 
@@ -56,23 +56,26 @@ RHO_NULL = (ZERO,) * 12 + (ZERO, ONE)      # (0^12; 0, 1)
 
 def translate(lam, v):
     """T_{lambda, z}(v) for v = (mu; alpha, beta) in Leech+H, at the least
-    admissible z = theta * z2 / 2, z2 = |lambda|^2 mod 2."""
-    n = leech_ip(lam, lam)  # real: -1/3 of a sum of norms
-    m3, r = divmod(n.a, 3)
+    admissible z = theta * z2 / 2, z2 = |lambda|^2 mod 2.  lam, v and the
+    image are flat ints: 24 for lam, 28 for v."""
+    # |lam|^2 = -(1/3) sum N(lam_i) = 3 m3
+    m3, r = divmod(-flat_norm(lam), 9)
     if r:
         raise ValueError("lambda norm is not a multiple of 3; not a Leech vector")
-    mu, al, be = v[:12], v[12], v[13]
-    t1 = leech_ip(lam, mu).exact_div(THETA)
+    mu, al, be = v[:24], v[24:26], v[26:28]
+    # <lam, mu> / theta = -s / (3 theta) = theta s / 9, s = sum conj(lam_i) mu_i
+    t1 = _times(_dot(sparse(_conj(lam)), mu), (1, 2), 9)
     # conj(theta)^{-1} (z - |lam|^2/2) = -(z2 + theta*m)/2 with m = |lam|^2/3
-    t2 = Eis(-(n.a % 2 + m3), -2 * m3).divide_exact_int(2) * al
-    return tuple(m + al * l for m, l in zip(mu, lam)) + (al, t1 + t2 + be)
+    t2 = _times(al, _exact([-(3 * m3 % 2 + m3), -2 * m3], 2))
+    return (tuple(map(add, mu, _times(lam, al))) + tuple(al)
+            + tuple(map(add, map(add, t1, t2), be)))
 
 
 def load_z_basis():
     """The pinned 24-vector Z-basis of the Leech lattice; an InputError
     unless every row is a Leech vector."""
     return parse_matrix(data_text("leech_zbasis.txt"), "leech_zbasis.txt", 12,
-                        lambda v: leech_contains(v) is not None)
+                        lambda v: leech_contains(to_flat(v)) is not None)
 
 
 def is_z_basis(rows) -> bool:
@@ -102,19 +105,22 @@ def build_generators(chg):
 
     g_1 = r_1, g_2 = r_2, then T_{lambda_j, z_j}(r_1), T_{lambda_j, z_j}(r_2)
     for the 24 pinned basis vectors; everything transported by the
-    isomorphism ``chg`` and checked to be norm -3 lattice vectors.
+    isomorphism ``chg`` and checked to be norm -3 lattice vectors, on flat
+    ints: a norm is read off the vector's form row (``mirror``).
     """
-    gens_lh = [R1, R2]
+    r1, r2 = to_flat(R1), to_flat(R2)
+    gens_lh = [r1, r2]
     for lam in load_z_basis():
-        gens_lh += [translate(lam, R1), translate(lam, R2)]
+        lam = to_flat(lam)
+        gens_lh += [translate(lam, r1), translate(lam, r2)]
     out = []
     for g in gens_lh:
-        if FORM_LEECH_H.ip(g, g) != Eis(-3, 0):
+        if mirror(FORM_LEECH_H, g) is None:
             raise ValueError("a generator is not a norm -3 root of Leech+H")
-        h = chg.to_e8h(g)
-        if not in_l_e8h(h) or FORM_E8H.ip(h, h) != Eis(-3, 0):
+        h = chg.fwd.apply_flat(g)
+        if not in_l_e8h(h) or mirror(FORM_E8H, h) is None:
             raise ValueError("a transported generator is not a root of 3E8+H")
-        out.append(h)
+        out.append(from_flat(h))
     return out
 
 
@@ -299,31 +305,26 @@ def check_certificate(cert, diagram, generators) -> bool:
     -3, fail before the replay.
 
     The replay runs on flat ints and does not use the ``NodeKernel`` that
-    wrote the certificate.  Each reflecting root r is read once per call
-    as its form row; the form of 3E8+H has den 1, so <r, y> is two int
-    dot products, and a step is y += s r with s = (1 - eps) <r, y> / 3
-    by the node kernel's ``_shift`` and ``_add_scaled``.  The height is
-    read off rho_hat's row by ``height_pair``, as ``Diagram.height_sq``
-    reads it."""
-    y = cert.target
-    if not in_l_e8h(y) or diagram.form.ip(y, y) != Eis(-3, 0):
+    wrote the certificate.  Each reflecting root r is read as its
+    ``mirror``, the node roots' once per diagram (``Diagram.node_mirrors``);
+    the form of 3E8+H has den 1, so <r, y> is two int dot products, and a
+    step is y += s r with s = (1 - eps) <r, y> / 3 by the node kernel's
+    ``_shift`` and ``_add_scaled``.  The height is read off rho_hat's row
+    by ``height_pair``, as ``Diagram.height_sq`` reads it."""
+    y = to_flat(cert.target)
+    if not in_l_e8h(y) or mirror(diagram.form, y) is None:
         return False
-    roots = {("node", n.index): n.root for n in diagram.nodes}
-    roots.update((("perturb", j), generators[j - 1]) for kind, j, _ in cert.steps
-                 if kind == "perturb")
-    mirrors = {}
-    for key, r in roots.items():
-        row, flat = diagram.form.row(r), to_flat(r)
-        if [sum(map(mul, x, flat)) for x in row] != [-3, 0]:
-            return False
-        # the row and the nonzero coordinates of r as (flat index, a, b)
-        mirrors[key] = row, sparse(flat)
+    mirrors = {("node", k): m for k, m in enumerate(diagram.node_mirrors)}
+    mirrors.update((("perturb", j), mirror(diagram.form, to_flat(generators[j - 1])))
+                   for kind, j, _ in cert.steps if kind == "perturb")
+    if None in mirrors.values():
+        return False
     rho_row = diagram.rho_row
-    y = list(to_flat(y))
+    y = list(y)
     last = height_pair(rho_row, y)
     for kind, k, eps_name in cert.steps:
-        (ra, rb), coords = mirrors[kind, k]
-        _add_scaled(y, coords, *_shift(sum(map(mul, ra, y)), sum(map(mul, rb, y)), eps_name))
+        row, coords = mirrors[kind, k]
+        _add_scaled(y, coords, *_shift(*row_dot(row, y), eps_name))
         p, q = height_pair(rho_row, y)
         if kind == "node" and sqrt3_sign(p - last[0], q - last[1]) >= 0:
             return False
@@ -562,8 +563,8 @@ def _conway_step(y, num, n, lam):
     # the entries of conj(lam): <lam, l>/theta = p/(9n) with
     # p = theta * sum conj(lam_i) num_i, so [lam, l] = (2 p.a - p.b)/(18n);
     # for p = theta (s + t w) that is -3t, t the w part of the sum
-    mirror = sparse(_conj(lam))
-    _, t = _dot(mirror, num)
+    conj_lam = sparse(_conj(lam))
+    _, t = _dot(conj_lam, num)
     # b = theta * (base - k/3) with base = (alpha1 - beta - [lam, l])/3,
     # and base54 = 54n * base
     base54 = 9 * (2 * nba - nbb) - 9 * n * beta2 + 3 * t
@@ -578,7 +579,7 @@ def _conway_step(y, num, n, lam):
     # g + h w = sum conj(lam_i) y_i / 3
     if 3 * tb - third != -3:
         raise ValueError("reflection requires a norm -3 root")
-    g, h = _exact(_dot(mirror, y), 3)
+    g, h = _exact(_dot(conj_lam, y), 3)
     qa, qb = _dot([(24, ta + tb, 2 * ta - tb), (26, -1, -2)], y)
     root = lam + (1, 0) + tail
     _add_scaled(y, sparse(root), *_shift(qa - g, qb - h, eps_name))
@@ -658,11 +659,10 @@ def _expand_positions(diagram, points, s, big_units, small_units):
         _walk([tables[t] for t in order], 0, start, sums)
     out = []
     for acc in sums:
-        r = from_flat([x // 3 for x in acc])
-        if not in_l_e8h(r):
+        flat = [x // 3 for x in acc]
+        if not in_l_e8h(flat) or mirror(diagram.form, flat) is None:
             continue
-        if diagram.form.ip(r, r) != Eis(-3, 0):
-            continue
+        r = from_flat(flat)
         if diagram.height_sq(r) <= NODE_HEIGHT_SQ:
             out.append(canonical_root(r))
     return out

@@ -16,7 +16,9 @@ kernel, the certificate replay and the Conway step in ``reduction``.
 from __future__ import annotations
 
 from .rings import Cyclo12, Eis, OMEGA, UNITS, cyclo12_abs_sq, sqrt3_sign
-from .linalg import AutMatrix, from_flat, mat_identity, sparse, to_flat, vec_add, vec_scale
+from .linalg import (
+    AutMatrix, from_flat, mat_identity, row_dot, sparse, to_flat, vec_add, vec_scale,
+)
 
 MINUS3 = Eis(-3, 0)
 
@@ -42,6 +44,16 @@ def reflect(r, mu, v, form):
     q = form.ip(r, v)
     s = ((Eis(1, 0) - mu) * q).exact_div(Eis(3, 0))
     return vec_add(v, vec_scale(s, r))
+
+
+def mirror(form, flat):
+    """What a flat reflection step in the root r with these flat ints
+    reads: its form row and its nonzero coordinates as (flat index, a, b);
+    None when <r, r> is not -3."""
+    row = form.flat_row(flat)
+    if row_dot(row, flat) != [-3 * form.den, 0]:
+        return None
+    return row, sparse(flat)
 
 
 def word_matrix(letters, form) -> AutMatrix:
@@ -77,16 +89,22 @@ class NodeKernel:
     are Z-linear in rho's four coefficients with values in Z[sqrt 3].
     """
 
-    def __init__(self, form, roots, gram, rho_hat):
-        self.form = form
-        self.roots = tuple(roots)
-        self.rho_hat = rho_hat
+    def __init__(self, gram, mirrors, rho_row):
+        """From the Gram matrix of the node roots, their ``mirror``s in the
+        form of 3E8+H (den 1) and the form row of rho_hat; a ValueError
+        when a node root has no mirror."""
+        if None in mirrors:
+            raise ValueError("a node root does not have norm -3")
         # column k: the nonzero <r_j, r_k> as (2j, a, b)
         self.cols = tuple(sparse(to_flat(col)) for col in zip(*gram))
-        # root k: its nonzero coordinates as (2i, a, b)
-        self.coords = tuple(sparse(to_flat(r)) for r in self.roots)
-        # <rho_hat, r_k> and w <rho_hat, r_k>: (a + b w) t = a t + b (w t)
-        t0 = [form.ip12(rho_hat, r) for r in self.roots]
+        # root k: its form row, and its nonzero coordinates as (2i, a, b)
+        self.rows = tuple(row for row, _ in mirrors)
+        self.coords = tuple(coords for _, coords in mirrors)
+        self.rho_row = rho_row
+        # <rho_hat, r_k> off rho_hat's row, and w <rho_hat, r_k>:
+        # (a + b w) t = a t + b (w t)
+        t0 = [Cyclo12(*(sum(r[i] * a + r[i + 1] * b for i, a, b in coords) for r in rho_row))
+              for coords in self.coords]
         self.rho_cols = tuple((t.c, (t * OMEGA).c) for t in t0)
         #: every unit multiple of a node root has one of these heights
         self.node_heights = frozenset(cyclo12_abs_sq(t.c) for t in t0)
@@ -96,7 +114,7 @@ class NodeKernel:
 
     def column(self, k, unit):
         """The pairings of unit * r_k: unit times column k of the Gram matrix."""
-        q = [0] * (2 * len(self.roots))
+        q = [0] * (2 * len(self.cols))
         _add_scaled(q, self.cols[k], unit.a, unit.b)
         return q
 
@@ -111,16 +129,17 @@ class NodeKernel:
 class NodeChain:
     """One vector y followed along node reflections: its pairings, its
     Z[zeta_12] pairing with rho_hat, its height and y itself, all in ints.
-    A chain belongs to one descent."""
+    The pairings start off the kernel's form rows.  A chain belongs to one
+    descent."""
 
     __slots__ = ("kernel", "q", "rho", "height", "y")
 
     def __init__(self, kernel, y):
         self.kernel = kernel
-        self.q = list(to_flat(kernel.form.ip(r, y) for r in kernel.roots))
-        self.rho = kernel.form.ip12(kernel.rho_hat, y).c
-        self.height = cyclo12_abs_sq(self.rho)
         self.y = list(to_flat(y))
+        self.q = [x for row in kernel.rows for x in row_dot(row, self.y)]
+        self.rho = tuple(row_dot(kernel.rho_row, self.y))
+        self.height = cyclo12_abs_sq(self.rho)
 
     def vector(self):
         return from_flat(self.y)

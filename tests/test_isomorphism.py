@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eleech.rings import Eis, ONE, OMEGA, THETA, UNITS, ZERO
-from eleech.linalg import FORM_E8H, FORM_LEECH_H, AutMatrix, from_flat, gram_of
+from eleech.linalg import FORM_E8H, FORM_LEECH_H, AutMatrix, from_flat, gram_of, to_flat
 from eleech.lattices import (
     leech_ip, in_l_leech_h, in_l_e8h,
     flat_norm6, re_row,
 )
+from eleech import isomorphism
+from eleech.diagram import PRESENTATION_PAIR
 from eleech.isomorphism import (
     load_e1, load_e1prime, e2_matrix, ChangeOfBasis,
     m666_from_e1prime, m666_reference,
@@ -22,12 +24,12 @@ from eleech.isomorphism import (
 
 def test_e1_rows_in_leech_h():
     for row in load_e1():
-        assert in_l_leech_h(row)
+        assert in_l_leech_h(to_flat(row))
 
 
 def test_e1prime_rows_in_leech_h():
     for row in load_e1prime():
-        assert in_l_leech_h(row)
+        assert in_l_leech_h(to_flat(row))
 
 
 def test_gram_e1_equals_gram_e2(diagram):
@@ -71,9 +73,43 @@ def test_change_of_basis_lattice_bijection(chg):
             c = Eis(random.randint(-2, 2), random.randint(-2, 2))
             v = tuple(x + c * y for x, y in zip(v, row))
         w = chg.to_e8h(v)
-        assert in_l_e8h(w)
+        assert in_l_e8h(to_flat(w))
         assert chg.to_leech_h(w) == v
         assert FORM_E8H.ip(w, w) == FORM_LEECH_H.ip(v, v)
+
+
+def test_change_of_basis_inverse_is_the_adjoint(diagram, chg):
+    """C and C^-1 are each other's adjoints, C^-1 = 3 G1^-1 C* G2: the
+    AutMatrix that the fraction-free inverse gives, rows and k alike.  So
+    is the adjoint of g(x), g(y) and sigma under the form of 3E8+H."""
+    assert chg.back == chg.fwd.inverse() == chg.fwd.adjoint(FORM_LEECH_H, FORM_E8H)
+    assert chg.fwd == chg.back.inverse() == chg.back.adjoint(FORM_E8H, FORM_LEECH_H)
+    assert chg.back.rows == chg.fwd.inverse().rows and chg.back.k == 1
+    x, y = PRESENTATION_PAIR
+    for g in (diagram.g_action(x), diagram.g_action(y), diagram.sigma()):
+        assert g.adjoint(FORM_E8H) == g.inverse()
+
+
+def _scaled_identity(back):
+    return AutMatrix([tuple(2 * x for x in row) for row in AutMatrix.identity().rows])
+
+
+def _one_row_changed(back):
+    rows = [list(row) for row in back.rows]
+    rows[4][8] += 1
+    return AutMatrix(rows, back.k)
+
+
+@pytest.mark.parametrize("fault", (_scaled_identity, _one_row_changed), ids=("2I", "row"))
+def test_change_of_basis_rejects_a_map_that_is_no_isometry(diagram, chg, monkeypatch, fault):
+    """With C^-1, the map solved from the images of E2, replaced by a map
+    that is no isometry, C times C^-1 is not I: the constructor raises
+    ValueError there, before the lattice bijection check."""
+    bad = fault(chg.back)
+    assert bad != chg.back and not bad.preserves_form(FORM_E8H, FORM_LEECH_H)
+    monkeypatch.setattr(isomorphism, "aut_from_images", lambda sources, targets: bad)
+    with pytest.raises(ValueError, match="C is not an isometry"):
+        ChangeOfBasis(load_e1(), e2_matrix(diagram))
 
 
 def test_gram_mismatch_rejected(diagram):
@@ -137,7 +173,7 @@ def test_quadruple_roots_form_chains(shell):
     roots = quadruple_roots(delta, perm, betas)
     for r in roots:
         assert FORM_LEECH_H.ip(r, r) == Eis(-3, 0)
-        assert in_l_leech_h(r)
+        assert in_l_leech_h(to_flat(r))
     for i in range(4):
         for j in range(i + 1, 4):
             n = FORM_LEECH_H.ip(roots[i], roots[j]).norm()
@@ -177,7 +213,7 @@ def test_psi_root_is_root(shell):
     r = psi_root(lam, 1)
     assert r == lam + (ONE, Eis(1, 1))  # tail theta/2 + 1/2 = 1 + w
     assert FORM_LEECH_H.ip(r, r) == Eis(-3, 0)
-    assert in_l_leech_h(r)
+    assert in_l_leech_h(to_flat(r))
 
 
 # ---------------------------------------------------------------------------

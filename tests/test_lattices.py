@@ -3,6 +3,8 @@ import random
 from itertools import product
 from operator import mul
 
+from eleech.codes import golay12
+from eleech.reduction import load_z_basis
 from eleech.rings import Eis, ONE, OMEGA, THETA, UNITS, ZERO
 from eleech.linalg import FORM_E8H, from_flat, negdef_ip, to_flat
 from eleech.lattices import (
@@ -24,19 +26,19 @@ def vec12(**kw):
 
 
 def test_leech_contains_zero():
-    w = leech_contains(Z12)
-    assert w == (0, (0,) * 12, (ZERO,) * 12)
+    w = leech_contains(to_flat(Z12))
+    assert w == (0, (0,) * 12, (0,) * 24)
 
 
 def test_leech_contains_3_minus3():
     v = vec12(i0=Eis(3, 0), i1=Eis(-3, 0))
-    w = leech_contains(v)
+    w = leech_contains(to_flat(v))
     assert w is not None and w[0] == 0
     assert leech_ip(v, v) == Eis(-6, 0)
 
 
 def test_leech_rejects_3e1():
-    assert leech_contains(vec12(i0=Eis(3, 0))) is None
+    assert leech_contains(to_flat(vec12(i0=Eis(3, 0)))) is None
 
 
 def test_leech_witness_reconstructs():
@@ -47,17 +49,62 @@ def test_leech_witness_reconstructs():
         for row in basis:
             c = Eis(random.randint(-2, 2), random.randint(-2, 2))
             v = tuple(x + c * y for x, y in zip(v, row))
-        m, c, z = leech_contains(v)
+        m, c, z = leech_contains(to_flat(v))
         rebuilt = tuple(
-            Eis(m, 0) + THETA * Eis(ci, 0) + Eis(3, 0) * zi for ci, zi in zip(c, z)
+            Eis(m, 0) + THETA * Eis(ci, 0) + Eis(3, 0) * zi for ci, zi in zip(c, from_flat(z))
         )
         assert rebuilt == v
 
 
+def _leech_definition(v):
+    """(m, c, z) for an Eis vector straight from v = m 1 + theta c + 3 z in
+    Eis arithmetic: m the common residue of the entries mod theta, c_i the
+    residue of (v_i - m) / theta, z_i = (v_i - m - theta c_i) / 3; None
+    unless every entry has residue m, c is a Golay word, every z_i is
+    integral and sum(z) = m mod theta."""
+    digit = (0, 1, -1)
+    res = {x.mod_theta() for x in v}
+    if len(res) != 1:
+        return None
+    m = Eis(digit[res.pop()])
+    c = tuple(digit[(x - m).exact_div(THETA).mod_theta()] for x in v)
+    if c not in golay12():
+        return None
+    z = [x - m - THETA * Eis(d) for x, d in zip(v, c)]
+    if any(t.a % 3 or t.b % 3 for t in z):
+        return None
+    z = [Eis(t.a // 3, t.b // 3) for t in z]
+    if sum(z, ZERO).mod_theta() != m.a % 3:
+        return None
+    return m.a, c, tuple(z)
+
+
+def test_flat_leech_contains_follows_the_definition(shell):
+    """On every 97th first-shell vector and the 24 z-basis rows, the flat
+    witness is the one the definition gives; and near misses are no Leech
+    vectors by either: one int moved by 1 (the entry's residue changes),
+    3 added to one entry (the z-sum residue changes) and theta added to
+    one entry (c is no Golay word)."""
+    vectors = [from_flat(f) for f in shell[::97]] + list(load_z_basis())
+    e = [(ZERO,) * i + (ONE,) + (ZERO,) * (11 - i) for i in range(12)]
+    for n, v in enumerate(vectors):
+        m, c, z = leech_contains(to_flat(v))
+        assert (m, c, from_flat(z)) == _leech_definition(v)
+        i = n % 12
+        moved = list(to_flat(v))
+        moved[2 * i + 1] += 1
+        wrong_residue = tuple(x + 3 * y for x, y in zip(v, e[i]))
+        not_golay = tuple(x + THETA * y for x, y in zip(v, e[i]))
+        for bad in (from_flat(moved), wrong_residue, not_golay):
+            assert leech_contains(to_flat(bad)) is None
+            assert _leech_definition(bad) is None
+    assert len(vectors) == 2027 + 24
+
+
 def test_e8_membership_examples():
-    assert e8_contains((THETA, ZERO, ZERO, ZERO))
-    assert e8_contains((ONE, ONE, Eis(-1, 0), ZERO))  # tetracode generator lift
-    assert not e8_contains((ONE, ZERO, ZERO, ZERO))
+    assert e8_contains(to_flat((THETA, ZERO, ZERO, ZERO)))
+    assert e8_contains(to_flat((ONE, ONE, Eis(-1, 0), ZERO)))  # tetracode generator lift
+    assert not e8_contains(to_flat((ONE, ZERO, ZERO, ZERO)))
 
 
 def test_e8_shell_240():
@@ -69,7 +116,7 @@ def test_e8_shell_no_norm_one():
     cands = [Eis(0, 0)] + [u for u in (ONE, OMEGA, -ONE, -OMEGA, Eis(-1, -1), Eis(1, 1))]
     found = [
         v for v in product(cands, repeat=4)
-        if sum(x.norm() for x in v) in (1, 2) and e8_contains(v)
+        if sum(x.norm() for x in v) in (1, 2) and e8_contains(to_flat(v))
     ]
     assert found == []
 
@@ -90,7 +137,7 @@ def test_leech_shell_vs_small_box_oracle(shell):
                 v = list(Z12)
                 v[i], v[j] = x, y
                 v = tuple(v)
-                if leech_contains(v) is not None and leech_ip(v, v) == Eis(-6, 0):
+                if leech_contains(to_flat(v)) is not None and leech_ip(v, v) == Eis(-6, 0):
                     brute.add(to_flat(v))
         from_shell = {
             f for f in shell_set
@@ -109,7 +156,7 @@ def test_shell_members_all_contained(shell):
     random.seed(1)
     for f in random.sample(shell, 2000):
         assert flat_norm6(f)
-        assert leech_contains(from_flat(f)) is not None
+        assert leech_contains(f) is not None
 
 
 def _reference_flat_norm6(flat):
@@ -156,9 +203,9 @@ def test_discriminants():
 
 def test_basis_rows_in_lattices():
     for row in leech_basis():
-        assert leech_contains(row) is not None
+        assert leech_contains(to_flat(row)) is not None
     for row in e8_basis():
-        assert e8_contains(row)
+        assert e8_contains(to_flat(row))
 
 
 def test_theta_divides_all_inner_products():

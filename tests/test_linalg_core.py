@@ -23,7 +23,8 @@ from eleech.lattices import lattice_3e8_h, lattice_leech_h
 from eleech.lattices import flat_norm6
 from eleech.linalg import (
     FORM_E8H, FORM_LEECH_H, AutMatrix, _conj, _dot, _eliminate, _exact,
-    aut_from_images, charpoly, flat_norm, from_flat, gram_of, kernel, mat_det, mat_identity,
+    aut_from_images, charpoly, flat_gram, flat_norm, from_flat, gram_of, kernel, mat_det,
+    mat_identity,
     mat_inverse, mat_mul, mat_scalar, spanning_basis, to_flat, vec_add, vec_scale,
 )
 from eleech.relations import INFINITE, SPIDER, GroupWord, hand_swap, matrix_order
@@ -468,6 +469,45 @@ def test_gram_of_matches_the_double_loop(diagram):
         assert gram_of(rows, counting) == tuple(tuple(form.ip(u, v) for v in rows) for u in rows)
         assert counting.calls == len(rows) * (len(rows) + 1) // 2
     assert [len(rows) for rows, _ in cases] == [14, 14, 26, 16, 16]
+
+
+def test_flat_gram_matches_gram_of(diagram):
+    """``flat_gram`` reads each entry off a form row on flat ints; it is
+    ``gram_of``'s matrix, flattened, on E1, E2, the diagram roots and
+    M666, and a vector with a non-integral pairing raises ValueError."""
+    cases = [(load_e1(), FORM_LEECH_H), (e2_matrix(diagram), FORM_E8H),
+             (diagram.roots, FORM_E8H), (m666_from_e1prime(load_e1prime()), FORM_LEECH_H)]
+    for rows, form in cases:
+        assert flat_gram([to_flat(v) for v in rows], form) == tuple(map(to_flat, gram_of(rows, form)))
+    e = to_flat((ONE,) + (ZERO,) * 13)  # <e, e> = -1/3 in the Leech+H form
+    with pytest.raises(ValueError):
+        flat_gram([e], FORM_LEECH_H)
+
+
+@pytest.mark.parametrize("form", (FORM_E8H, FORM_LEECH_H), ids=lambda f: f.name)
+def test_theta_inverse_inverts_the_gram(form):
+    """gram theta_inverse = theta den I: theta_inverse is theta (gram / den)^-1."""
+    got = linalg._mul(map(to_flat, form.gram), linalg._columns(form.theta_inverse))
+    assert got == [to_flat(row) for row in mat_scalar(14, THETA * form.den)]
+
+
+@SETTINGS
+@given(st.sampled_from([(FORM_E8H, FORM_E8H), (FORM_LEECH_H, FORM_LEECH_H),
+                        (FORM_LEECH_H, FORM_E8H), (FORM_E8H, FORM_LEECH_H)]),
+       st.lists(eis, min_size=196, max_size=196), st.integers(0, 3))
+def test_adjoint_is_the_adjoint(forms, entries, k):
+    """<M u, v>_target = <u, M^+ v>_form for M = mat / theta^k with any
+    Z[w] entries and all basis vectors u, v: the adjoint of
+    ``AutMatrix.adjoint`` is that of the two forms, isometry or not."""
+    form, target = forms
+    m = AutMatrix([to_flat(entries[14 * i:14 * i + 14]) for i in range(14)], k)
+    adj = m.adjoint(form, target)
+    # 81 e_i = theta^8 e_i: every image below is integral
+    basis = [tuple(Eis(81) if i == j else ZERO for j in range(14)) for i in range(14)]
+    for u in basis:
+        mu = m.apply(u)
+        for v in basis:
+            assert target.ip(mu, v) == form.ip(u, adj.apply(v))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import contextlib
-import copy
 import hashlib
 import inspect
 import io
@@ -16,13 +15,16 @@ from eleech.rings import (
     Eis, ONE, OMEGA, OMEGA2, THETA, ZERO, UNITS, round_half_even, unit_name, unit_from_name,
 )
 from eleech.codes import golay12
-from eleech.diagram import NODE_HEIGHT_SQ, DiagramNode
-from eleech.linalg import FORM_LEECH_H, FORM_E8H, from_flat, to_flat
+from eleech import diagram as diagram_module
+from eleech.diagram import NODE_HEIGHT_SQ, Diagram
+from eleech.linalg import FORM_LEECH_H, FORM_E8H, LorentzForm, from_flat, to_flat
 from eleech.isomorphism import psi_root
 from eleech.lattices import leech_ip, leech_contains, in_l_e8h
 from eleech.reflections import canonical_root, reflect
 from eleech.textio import format_vector
-from eleech import reduction
+from eleech import lattices, linalg, reduction
+from eleech.checks import Context
+from eleech.cli import main
 from eleech.reduction import (
     R1, R2, RHO_NULL,
     translate, load_z_basis, is_z_basis,
@@ -60,7 +62,7 @@ def test_z_basis_spans_over_z():
     rows = load_z_basis()
     assert len(rows) == 24
     for row in rows:
-        assert leech_contains(row) is not None
+        assert leech_contains(to_flat(row)) is not None
 
     g = [[_real_ip(u, v) for v in rows] for u in rows]
     det = _int_det([row[:] for row in g])
@@ -74,7 +76,7 @@ def test_doubled_row_is_no_z_basis():
     determinant 4), or are one short, fail the Z-basis check."""
     rows = list(load_z_basis())
     rows[5] = tuple(2 * x for x in rows[5])
-    assert leech_contains(rows[5]) is not None
+    assert leech_contains(to_flat(rows[5])) is not None
     assert _int_det([[_real_ip(u, v) for v in rows] for u in rows]) == 4
     assert not is_z_basis(rows)
     assert not is_z_basis(load_z_basis()[:23])
@@ -101,30 +103,32 @@ def _int_det(a):
 
 
 def test_translation_identity():
-    zero = (ZERO,) * 12
-    assert translate(zero, R1) == R1
-    assert translate(zero, RHO_NULL) == RHO_NULL
+    zero, r1, rho = to_flat((ZERO,) * 12), to_flat(R1), to_flat(RHO_NULL)
+    assert translate(zero, r1) == r1
+    assert translate(zero, rho) == rho
 
 
 def test_translate_rejects_a_non_leech_lambda():
     lam = (ONE, ONE, ONE) + (ZERO,) * 9  # norm -1
     with pytest.raises(ValueError, match="not a multiple of 3"):
-        translate(lam, R1)
+        translate(to_flat(lam), to_flat(R1))
 
 
 def test_translation_fixes_rho_and_form():
     zb = load_z_basis()
-    assert translate(zb[3], RHO_NULL) == RHO_NULL
+    lam = to_flat(zb[3])
+    assert translate(lam, to_flat(RHO_NULL)) == to_flat(RHO_NULL)
     vs = (R1, R2, tuple(zb[5]) + (ONE, ZERO))
     for a in vs:
         for b in vs:
-            assert FORM_LEECH_H.ip(translate(zb[3], a), translate(zb[3], b)) == FORM_LEECH_H.ip(a, b)
+            ta, tb = (from_flat(translate(lam, to_flat(v))) for v in (a, b))
+            assert FORM_LEECH_H.ip(ta, tb) == FORM_LEECH_H.ip(a, b)
 
 
 def test_generators_count_and_norms(generators):
     assert len(generators) == 50
     for g in generators:
-        assert in_l_e8h(g)
+        assert in_l_e8h(to_flat(g))
         assert FORM_E8H.ip(g, g) == Eis(-3, 0)
 
 
@@ -273,7 +277,7 @@ def _reference_check_certificate(cert, diagram, generators):
     form = diagram.form
     rho_hat = diagram.rho_hat
     y = cert.target
-    if not in_l_e8h(y) or form.ip(y, y) != Eis(-3, 0):
+    if not in_l_e8h(to_flat(y)) or form.ip(y, y) != Eis(-3, 0):
         return False
     last = form.ip12(rho_hat, y).abs_sq()
     for kind, k, eps_name in cert.steps:
@@ -334,18 +338,55 @@ def test_replay_rejects_a_step_that_keeps_the_height(sample_certs, diagram, gene
 
 
 @pytest.mark.parametrize("named", (True, False), ids=("named_node", "other_node"))
-def test_replay_rejects_a_node_root_of_wrong_norm(sample_certs, diagram, generators, named):
-    """A diagram with a node root of norm -12 fails the replay with False,
-    not an exception, whether or not a step names that node: every node
-    norm is checked once, before the replay."""
+def test_replay_rejects_a_node_root_of_wrong_norm(sample_certs, diagram, generators, named,
+                                                  monkeypatch):
+    """A diagram built with a node root of norm -12 fails the replay with
+    False, not an exception, whether or not a step names that node: every
+    node norm is checked once per diagram, before the replay."""
     cert = sample_certs[3]
     used = {s[1] for s in cert.steps if s[0] == "node"}
     k = min(used) if named else min(set(range(26)) - used)
-    bad = copy.copy(diagram)
-    bad.nodes = list(diagram.nodes)
-    n = diagram.nodes[k]
-    bad.nodes[k] = DiagramNode(k, n.name, n.kind, tuple(2 * x for x in n.root), n.triple)
+    roots, name = diagram_module._build_roots(), diagram.nodes[k].name
+    monkeypatch.setattr(diagram_module, "_build_roots",
+                        lambda: {**roots, name: tuple(2 * x for x in roots[name])})
+    bad = Diagram()
+    assert bad.nodes[k].root == tuple(2 * x for x in diagram.nodes[k].root)
     assert check_certificate(cert, bad, generators) is False
+
+
+def test_context_and_replay_pair_nothing_in_eis(sample_certs, tmp_path, monkeypatch):
+    """Building the change of basis and the 50 generators, and replaying a
+    certificate with a perturbation, by ``check_certificate`` and by
+    ``eleech reduce check``, make no Eis pairing: every norm, Gram entry
+    and pairing is read off a form row on flat ints, so neither
+    ``LorentzForm.ip`` (``ip12`` is its second name) nor ``negdef_ip``
+    (under ``leech_ip``) is called."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    for name in ("ip", "ip12"):
+        monkeypatch.setattr(LorentzForm, name, counted(getattr(LorentzForm, name)))
+    for module in (linalg, lattices):
+        monkeypatch.setattr(module, "negdef_ip", counted(module.negdef_ip))
+    ctx = Context()
+    assert len(ctx.generators) == 50 and ctx.chg.back.k == 1
+    assert calls == []
+    cert = sample_certs[34]
+    assert check_certificate(cert, ctx.diagram, ctx.generators)
+    assert calls == []
+    (tmp_path / "g34.cert").write_text(cert.serialize())
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["reduce", "check", str(tmp_path)]) == 0
+    assert out.getvalue() == "checked: 1\nfailures: 0\nRESULT: PASS\n"
+    assert calls == []
+    # the counter sees a pairing
+    ctx.diagram.form.ip(ctx.generators[0], ctx.generators[0])
+    assert calls == ["ip", "negdef_ip"]
 
 
 def test_replay_rejects_a_perturbation_by_a_non_root(sample_certs, diagram, generators):
@@ -385,7 +426,7 @@ def test_conway_reduce_rejects_a_vector_orthogonal_to_rho():
     deeper code runs.  No root of L has it (Leech has no norm -3 vector),
     so the inputs are rho itself and a Leech vector of norm -6."""
     lam = (Eis(3, 0), Eis(-3, 0)) + (ZERO,) * 10
-    assert leech_contains(lam) is not None and leech_ip(lam, lam) == Eis(-6, 0)
+    assert leech_contains(to_flat(lam)) is not None and leech_ip(lam, lam) == Eis(-6, 0)
     for v in (RHO_NULL, lam + (ZERO, ONE)):
         with pytest.raises(ValueError, match="input is orthogonal to rho"):
             conway_reduce(v)
@@ -549,7 +590,7 @@ def test_cvp_within_covering_bound():
         num = [Eis(random.randint(-60, 60), random.randint(-60, 60)) for _ in range(12)]
         lam = _find_within(cvp, num, 7)
         assert lam is not None
-        assert leech_contains(lam) is not None
+        assert leech_contains(to_flat(lam)) is not None
         # coordinate distance: sum |num_i/7 - lam_i|^2 <= 9 (lattice norm >= -3)
         assert sum((x - 7 * y).norm() for x, y in zip(num, lam)) <= 9 * 49
 
@@ -653,7 +694,7 @@ def test_cvp_matches_reference_scan():
         lam = _find_within(cvp, num, den)
         assert lam == _reference_find_within(words, num, den, COVERING_BOUND)
         if lam is not None:
-            families.add(leech_contains(lam)[0])
+            families.add(leech_contains(to_flat(lam))[0])
     assert families == {0, 1, -1}
 
 
@@ -673,9 +714,9 @@ def test_cvp_matches_reference_scan_at_large_denominators():
         num = [Eis(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(12)]
         lam = _find_within(cvp, num, den)
         assert lam == _reference_find_within(words, num, den, COVERING_BOUND)
-        m, c, z = leech_contains(lam)
+        m, c, z = leech_contains(to_flat(lam))
         families.add(m)
-        for x, d, zi in zip(num, c, z):
+        for x, d, zi in zip(num, c, from_flat(z)):
             cost, near, res, *_ = _coset_options(x.a - den * (m + d), x.b - 2 * den * d, den)
             if (zi.a, zi.b) != near:
                 shifts.add((zi.a + zi.b - res) % 3)
@@ -738,7 +779,7 @@ def _reference_expand_positions(diagram, points, s, big_units, small_units):
             if any(x.a % 3 or x.b % 3 for x in acc):
                 continue
             r = tuple(Eis(x.a // 3, x.b // 3) for x in acc)
-            if not in_l_e8h(r):
+            if not in_l_e8h(to_flat(r)):
                 continue
             if diagram.form.ip(r, r) != Eis(-3, 0):
                 continue

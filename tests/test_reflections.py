@@ -172,6 +172,22 @@ def test_node_chain_follows_reflect(diagram, generators, j, word):
 
 
 @settings(max_examples=40, deadline=None)
+@given(coeffs=st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=14,
+                       max_size=14))
+def test_node_chain_starts_on_the_pairings(diagram, coeffs):
+    """A chain read off the node rows and rho_hat's row starts with
+    q = the <r_k, y> and rho = <rho_hat, y> of the Eis pairings, on random
+    vectors y of L."""
+    form, rho_hat = diagram.form, diagram.rho_hat
+    y = tuple(sum((Eis(a, b) * x for (a, b), x in zip(coeffs, col)), ZERO)
+              for col in zip(*lattice_3e8_h().basis))
+    chain = NodeChain(diagram.node_kernel, y)
+    assert chain.q == [c for n in diagram.nodes for x in (form.ip(n.root, y),) for c in (x.a, x.b)]
+    assert chain.rho == form.ip12(rho_hat, y).c
+    assert SqrtThree(*chain.height) == form.ip12(rho_hat, y).abs_sq()
+
+
+@settings(max_examples=40, deadline=None)
 @given(j=st.integers(0, 49), word=st.lists(NODE_LETTERS, max_size=8))
 # two words after which a candidate that keeps the height comes before the
 # first that lowers it: descend() must pass it by
